@@ -145,7 +145,10 @@ def cmd_discord(args):
     rho, payload = load_state(args.state)
     start = time.perf_counter()
     p = _parse_p(args.p)
-    opt = OptimizerCfg(restarts=args.restarts, seed=args.seed)
+    try:
+        opt = OptimizerCfg(restarts=args.restarts, seed=args.seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     n = len(rho.dims)
     if args.partition:
         side_a = tuple(int(s) for s in args.partition.split(","))

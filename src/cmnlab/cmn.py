@@ -86,14 +86,37 @@ def cmn(m, params: CmnParams) -> float:
     return cmn_from_singular_values(singular_values(m), params)
 
 
+def spectrum_power(sigma, params: CmnParams) -> np.ndarray:
+    """[M_{h,p}]^p of each row of a stack of singular spectra, shape (k, n).
+
+    Each row is clamped as in :func:`clamp_singular_values` and sorted
+    descending; p = ∞ then gives the product of its h largest values and
+    finite p the sum S_h of its p-th powers.
+    """
+    sigma = np.array(sigma, dtype=float, ndmin=2)
+    # singular values are >= 0, so an all-zero row clamps nothing
+    sigma = sigma * (sigma >= SV_CLAMP * sigma.max(axis=1, keepdims=True))
+    sigma = np.sort(sigma, axis=1)[:, ::-1]
+    if math.isinf(params.p):
+        return np.prod(sigma[:, : params.h], axis=1)
+    if params.h > sigma.shape[1]:
+        raise ValueError(f"h={params.h} out of range for {sigma.shape[1]} values")
+    # The coefficient sweep of elementary_symmetric, one order at a time:
+    # after the first m values, e_j = Σ_{l<m} x_l · e_{j-1}(after l values),
+    # a running sum that adds the terms in the sweep's order.
+    x = sigma**params.p
+    prev = np.ones_like(x)  # e_0 = 1 after any number of values
+    for _ in range(params.h):
+        e = np.cumsum(x * prev, axis=1)
+        prev[:, 0] = 0.0
+        prev[:, 1:] = e[:, :-1]
+    return e[:, -1]
+
+
 def cmn_power(m, params: CmnParams) -> float:
     """[M_{h,p}]^p as used by the discord measure; for p = ∞ this is the
     plain product of the h largest singular values."""
-    sigma = clamp_singular_values(singular_values(m))
-    sigma = np.sort(sigma)[::-1]
-    if math.isinf(params.p):
-        return float(np.prod(sigma[: params.h]))
-    return float(elementary_symmetric(params.h, sigma**params.p))
+    return float(spectrum_power(singular_values(m), params)[0])
 
 
 def signed_det(m) -> float:

@@ -5,13 +5,15 @@ measurement choices."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .cmn import CmnParams, cmn_power
-from .linalg import DensityMatrix, apply_local, hermitize
-from .tensor import Bipartition, build, matricize
+from .basis import canonical_bases
+from .cmn import CmnParams, cmn_power, spectrum_power
+from .linalg import DensityMatrix, apply_local, hermitize, singular_values
+from .tensor import Bipartition, CorrelationTensor, _matricize_array, build, matricize
 
 PROJECTOR_TOL = 1e-10
 
@@ -39,35 +41,74 @@ class MeasurementFamily:
                     raise ValueError("projector is not Hermitian")
                 if np.abs(p @ p - p).max() > PROJECTOR_TOL:
                     raise ValueError("projector is not idempotent")
+                if abs(np.trace(p).real - 1) > PROJECTOR_TOL:
+                    raise ValueError("projector is not rank-1")
 
 
-def unitary_from_angles(d, angles):
-    """Unitary built from d(d-1)/2 Givens rotations, two angles each.
+def unitaries_from_angles(d, angles):
+    """One unitary per row of ``angles`` (shape (k, d(d-1))), each the product
+    of d(d-1)/2 Givens rotations with two angles apiece.
 
-    For d = 2 this is the usual (θ, φ) Bloch parametrization of a
+    For d = 2 a row is the usual (θ, φ) Bloch parametrization of a
     measurement basis.
     """
     angles = np.asarray(angles, dtype=float)
-    if angles.size != d * (d - 1):
+    if angles.ndim != 2 or angles.shape[1] != d * (d - 1):
         raise ValueError(f"dimension {d} needs {d * (d - 1)} angles")
-    u = np.eye(d, dtype=complex)
-    idx = 0
-    for j in range(d):
-        for k in range(j + 1, d):
-            theta, phi = angles[idx], angles[idx + 1]
-            idx += 2
-            g = np.eye(d, dtype=complex)
-            c, s = math.cos(theta / 2), math.sin(theta / 2)
-            g[j, j] = c
-            g[k, k] = c
-            g[j, k] = -s * np.exp(-1j * phi)
-            g[k, j] = s * np.exp(1j * phi)
-            u = g @ u
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    half = angles[:, 0::2] / 2
+    cos, sin = np.cos(half), np.sin(half)
+    phase = np.exp(1j * angles[:, 1::2])
+    # entries (j, j), (k, k), (j, k), (k, j) of the rotation in each (j, k) plane
+    entries = np.stack([cos, cos, -sin * phase.conj(), sin * phase], axis=-1)
+    flat = [[j * (d + 1), k * (d + 1), j * d + k, k * d + j] for j, k in pairs]
+    g = np.zeros((len(angles), len(pairs), d * d), dtype=complex)
+    g[..., :: d + 1] = 1.0
+    g[:, np.arange(len(pairs))[:, None], flat] = entries
+    g = g.reshape(len(angles), len(pairs), d, d)
+    u = g[:, 0]
+    for rot in range(1, len(pairs)):
+        u = g[:, rot] @ u
     return u
+
+
+def unitary_from_angles(d, angles):
+    """The unitary of :func:`unitaries_from_angles` for one angle vector."""
+    return unitaries_from_angles(d, np.reshape(angles, (1, -1)))[0]
 
 
 def n_angles(dims):
     return sum(d * (d - 1) for d in dims)
+
+
+def _projector_groups(dims, angles):
+    """Rank-1 projectors of the angle-parametrized bases of every party, with
+    one Givens build per distinct dimension. ``angles`` has shape
+    (k, n_angles(dims)); yields (d, parties, P) where P[z, q, a] is the a-th
+    projector of party parties[q] for row z."""
+    starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
+    for d in dict.fromkeys(dims):
+        parties = [p for p, dp in enumerate(dims) if dp == d]
+        cols = [c for p in parties for c in range(starts[p], starts[p + 1])]
+        u = unitaries_from_angles(d, angles[:, cols].reshape(-1, d * (d - 1)))
+        yield d, parties, _rank1_projectors(u).reshape(len(angles), len(parties), d, d, d)
+
+
+def _rank1_projectors(u):
+    """Projectors onto the columns of each unitary: P[..., a, m, n] = u_a[m] u_a[n]*."""
+    cols = np.swapaxes(u, -1, -2)
+    return cols[..., :, None] * cols.conj()[..., None, :]
+
+
+def _projector_coordinates(ops, projectors):
+    """V[..., i, a] = tr(B_i P_a): the d² × d matrix of one party's projector
+    coordinates in its operator basis ``ops``. For rank-1 orthogonal
+    projectors the columns are orthonormal, and V Vᵀ is the dephasing
+    channel acting on that party's correlation coordinates."""
+    d = projectors.shape[-1]
+    # tr(B P) = Σ P[m, n] B[n, m], and B[n, m] = conj(B[m, n]) for Hermitian B
+    flat = projectors.reshape(projectors.shape[:-2] + (d * d,))
+    return np.swapaxes(flat @ ops.reshape(d * d, d * d).conj().T, -1, -2).real
 
 
 def measurement_from_angles(dims, angles) -> MeasurementFamily:
@@ -75,15 +116,12 @@ def measurement_from_angles(dims, angles) -> MeasurementFamily:
     angle-parametrized unitaries."""
     dims = tuple(int(d) for d in dims)
     angles = np.asarray(angles, dtype=float)
-    stacks = []
-    at = 0
-    for d in dims:
-        take = d * (d - 1)
-        u = unitary_from_angles(d, angles[at : at + take])
-        at += take
-        stacks.append(np.array([np.outer(u[:, i], u[:, i].conj()) for i in range(d)]))
-    if at != angles.size:
+    if angles.size != n_angles(dims):
         raise ValueError("angle vector length does not match dims")
+    stacks = [None] * len(dims)
+    for _, parties, projectors in _projector_groups(dims, angles.reshape(1, -1)):
+        for q, p in enumerate(parties):
+            stacks[p] = projectors[0, q]
     return MeasurementFamily(dims, tuple(stacks))
 
 
@@ -119,80 +157,150 @@ class OptimizerCfg:
     min_step: float = 1e-5
     opt_tol: float = 1e-6
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if not 0 < self.min_step <= self.init_step:
+            raise ValueError(
+                f"need 0 < min_step <= init_step, got min_step={self.min_step} "
+                f"and init_step={self.init_step}"
+            )
+
 
 @dataclass(frozen=True)
 class DiscordResult:
     value: float
     best_measurement: MeasurementFamily
     evaluations: int
-    converged: bool
+    converged: bool  # the two best restarts agree to opt_tol
+    best_angles: tuple  # angles of the measured parties' bases, in party order
+    restart_spread: float  # best minus worst final objective across restarts
 
 
-def _coordinate_search(objective, x0, cfg):
-    """Maximize by cyclic coordinate moves with a shrinking step."""
-    x = np.array(x0, dtype=float)
-    best = objective(x)
-    evals = 1
-    step = cfg.init_step
-    while step >= cfg.min_step:
-        improved = False
-        for i in range(x.size):
-            for delta in (step, -step):
-                trial = x.copy()
-                trial[i] += delta
-                val = objective(trial)
-                evals += 1
-                if val > best:
-                    best, x = val, trial
-                    improved = True
-                    break
-        if not improved:
-            step /= 2
-    return best, x, evals
+def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
+    """Maximize by cyclic coordinate moves with a shrinking step, from
+    ``cfg.restarts`` starting points at once.
 
+    Each restart makes the moves of a search on its own: try +step, then
+    -step, on each coordinate in turn, keep the first strict improvement and
+    go on to the next coordinate; halve the step after a sweep without
+    improvement and stop once it falls below min_step. One tick evaluates
+    the next trial of every unfinished restart in one call of ``objective``,
+    which maps a (k, n_params) array of points to k values.
 
-def _maximize(objective, n_params, cfg: OptimizerCfg):
+    Returns the final value and point of each restart and the number of
+    evaluations.
+    """
     rng = np.random.default_rng(cfg.seed)
-    results = []
-    evals = 0
-    for r in range(cfg.restarts):
-        x0 = rng.uniform(0, 2 * math.pi, size=n_params) if r else np.zeros(n_params)
-        val, x, n = _coordinate_search(objective, x0, cfg)
-        evals += n
-        results.append((val, r, x))
-    results.sort(key=lambda t: (-t[0], t[1]))
-    best_val, _, best_x = results[0]
-    converged = len(results) > 1 and results[0][0] - results[1][0] <= cfg.opt_tol
-    return best_val, best_x, evals, converged
+    n = cfg.restarts
+    x = np.zeros((n, n_params))
+    x[1:] = rng.uniform(0, 2 * math.pi, size=(n - 1, n_params))
+    best = objective(x)
+    evals = n
+    final_best, final_x = best.copy(), x.copy()
+    # state of the unfinished restarts, compacted whenever some finish
+    ids = np.arange(n)
+    step = np.full(n, cfg.init_step)
+    coord = np.zeros(n, dtype=int)
+    minus = np.zeros(n, dtype=bool)  # trying -step on this coordinate
+    improved = np.zeros(n, dtype=bool)
+    while ids.size:
+        trial = x.copy()
+        trial[np.arange(ids.size), coord] += np.where(minus, -step, step)
+        val = objective(trial)
+        evals += ids.size
+        up = val > best
+        x = np.where(up[:, None], trial, x)
+        best = np.where(up, val, best)
+        improved |= up
+        # a failed +step retries the coordinate with -step; all else moves on
+        minus = ~(up | minus)
+        coord += ~minus
+        swept = coord == n_params
+        if not swept.any():
+            continue
+        coord[swept] = 0
+        step = np.where(swept & ~improved, step / 2, step)
+        improved &= ~swept
+        done = step < cfg.min_step
+        if done.any():
+            final_best[ids[done]], final_x[ids[done]] = best[done], x[done]
+            keep = ~done
+            ids, x, best, step = ids[keep], x[keep], best[keep], step[keep]
+            coord, minus, improved = coord[keep], minus[keep], improved[keep]
+    return final_best, final_x, evals
+
+
+def _contraction(n_parties, party):
+    """einsum sublists (tensor, V, result) contracting one party's axis of a
+    batched correlation tensor with a stack of projector-coordinate matrices
+    V. Labels 0..n-1 are the party axes, n the measured outcome and n + 1
+    the batch."""
+    axes = list(range(n_parties))
+    batch, outcome = [n_parties + 1], [n_parties]
+    result = batch + [outcome[0] if a == party else a for a in axes]
+    return batch + axes, batch + [party] + outcome, result
+
+
+def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
+    """Map a (k, n_angles) array of measurement angles for the ``measured``
+    parties (ascending) to the k singular spectra of the dephased state's
+    matricization, without leaving correlation space.
+
+    Dephasing party p maps its axis of T through V_p V_pᵀ. V_p has
+    orthonormal columns, so contracting with V_p alone keeps the nonzero
+    spectrum; zeros pad it back to the undisturbed length, so every h that
+    the undisturbed matricization allows still works.
+    """
+    measured_dims = tuple(t.dims[p] for p in measured)
+    bases = canonical_bases(t.dims)
+    ops = {t.dims[p]: bases[p].ops for p in measured}
+    sublists = {p: _contraction(t.n_parties, p) for p in measured}
+    width = min(matricize(t, part).shape)
+
+    def spectra(angles):
+        c = t.data[None]  # a batch of one broadcasts against the k trials
+        for d, group, projectors in _projector_groups(measured_dims, angles):
+            v = _projector_coordinates(ops[d], projectors)
+            for q, k in enumerate(group):
+                t_axes, v_axes, out = sublists[measured[k]]
+                c = np.einsum(c, t_axes, v[:, q], v_axes, out)
+        sigma = singular_values(_matricize_array(c, t.dims, part))
+        return np.concatenate([sigma, np.zeros((len(sigma), width - sigma.shape[1]))], axis=1)
+
+    return spectra
 
 
 def _discord(rho, part, params, opt, measured_parties):
-    m0 = matricize(build(rho), part)
-    base = cmn_power_from_matrix(m0, params)
+    t = build(rho)
+    base = cmn_power(matricize(t, part), params)
     dims = rho.dims
     measured = sorted(set(int(p) for p in measured_parties))
     measured_dims = tuple(dims[p] for p in measured)
-
-    def family_of(angles):
-        # unmeasured parties get the computational basis; only measured
-        # parties' angles are free parameters
-        stacks = list(computational_measurement(dims).projectors)
-        sub = measurement_from_angles(measured_dims, angles)
-        for k, p in enumerate(measured):
-            stacks[p] = sub.projectors[k]
-        return MeasurementFamily(dims, tuple(stacks))
+    spectra = _dephased_spectra(t, part, measured)
 
     def objective(angles):
-        fam = family_of(angles)
-        after = measure_state(rho, fam, measured)
-        return cmn_power_from_matrix(matricize(build(after), part), params)
+        return spectrum_power(spectra(angles), params)
 
-    best_val, best_x, evals, converged = _maximize(objective, n_angles(measured_dims), opt)
-    return DiscordResult(base - best_val, family_of(best_x), evals, converged)
+    values, points, evals = _lockstep_search(objective, n_angles(measured_dims), opt)
+    order = np.argsort(-values, kind="stable")  # ties go to the earlier restart
+    top = order[0]
+    converged = len(values) > 1 and values[top] - values[order[1]] <= opt.opt_tol
 
-
-def cmn_power_from_matrix(m, params: CmnParams) -> float:
-    return cmn_power(m, params)
+    # unmeasured parties get the computational basis; only measured parties'
+    # angles are free parameters
+    stacks = list(computational_measurement(dims).projectors)
+    sub = measurement_from_angles(measured_dims, points[top])
+    for k, p in enumerate(measured):
+        stacks[p] = sub.projectors[k]
+    return DiscordResult(
+        value=float(base - values[top]),
+        best_measurement=MeasurementFamily(dims, tuple(stacks)),
+        evaluations=int(evals),
+        converged=bool(converged),
+        best_angles=tuple(float(a) for a in points[top]),
+        restart_spread=float(values[top] - values.min()),
+    )
 
 
 def bipartite_discord_cmn(rho: DensityMatrix, part: Bipartition, side: str,
@@ -215,16 +323,6 @@ def global_discord_cmn(rho: DensityMatrix, part: Bipartition,
 def correlation_space_map(family: MeasurementFamily, party: int):
     """Matrix of the measurement channel acting on one party's correlation
     coordinates; its largest singular value is 1 for projective families."""
-    from .basis import normalized_generalized_gell_mann
-
-    d = family.dims[party]
-    basis = normalized_generalized_gell_mann(d)
-    stack = family.projectors[party]
-    out = np.zeros((d * d, d * d))
-    for i in range(d * d):
-        for j in range(d * d):
-            acc = 0.0
-            for p in stack:
-                acc += np.trace(basis.ops[i] @ p @ basis.ops[j] @ p).real
-            out[i, j] = acc
-    return out
+    v = _projector_coordinates(canonical_bases(family.dims)[party].ops,
+                               family.projectors[party])
+    return v @ v.T

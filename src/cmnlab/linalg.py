@@ -196,7 +196,8 @@ def bloch_to_qubit(r: BlochVector) -> DensityMatrix:
 
 
 def singular_values(m):
-    """Full singular spectrum of ``m``, sorted descending."""
+    """Full singular spectrum of ``m``, sorted descending; for a stack of
+    matrices, one spectrum per matrix."""
     return np.linalg.svd(np.asarray(m), compute_uv=False)
 
 

@@ -81,6 +81,8 @@ def discord_result_to_dict(res, partition_label):
         "value": res.value,
         "evaluations": res.evaluations,
         "converged": res.converged,
+        "best_angles": list(res.best_angles),
+        "restart_spread": res.restart_spread,
     }
 
 

@@ -3,6 +3,7 @@ matricization over bipartitions, interior extraction, face extraction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -106,10 +107,12 @@ def build(rho: DensityMatrix) -> CorrelationTensor:
 def _matricize_array(data, dims, part: Bipartition):
     # Mixed-radix composite indices with the FIRST listed party varying
     # fastest on each side: for column sides (B, C) the composite column
-    # index is j + d_B²·k.
-    axes = list(part.side_a[::-1]) + list(part.side_b[::-1])
-    rows = int(np.prod([data.shape[i] for i in part.side_a]))
-    return np.transpose(data, axes).reshape(rows, -1)
+    # index is j + d_B²·k. Axes before the last n_parties ones are batch
+    # axes and are kept in front.
+    lead = data.ndim - part.n_parties
+    axes = list(range(lead)) + [lead + i for i in part.side_a[::-1] + part.side_b[::-1]]
+    rows = math.prod(data.shape[lead + i] for i in part.side_a)
+    return np.transpose(data, axes).reshape(data.shape[:lead] + (rows, -1))
 
 
 def matricize(t: CorrelationTensor, part: Bipartition) -> np.ndarray:

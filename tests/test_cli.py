@@ -162,6 +162,21 @@ class TestDiscord:
         assert len(doc["results"]) == 1
         assert abs(doc["results"][0]["value"] - 1.25) < 1e-5
 
+    def test_reports_best_angles_and_spread(self, capsys):
+        code, out, _ = run(capsys, "discord", "zoo:bell-phi-plus",
+                           "--restarts", "4", "--partition", "0")
+        assert code == EXIT_OK
+        result = json.loads(out)["results"][0]
+        assert len(result["best_angles"]) == 4
+        assert result["restart_spread"] >= 0
+
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_bad_restarts_is_usage_error(self, capsys, restarts):
+        code, out, err = run(capsys, "discord", "zoo:bell-phi-plus", "--restarts", restarts)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "restarts" in err
+
     def test_deterministic_given_seed(self, capsys):
         argv = ["discord", "zoo:classical-cc", "--restarts", "3", "--seed", "5"]
         _, out1, _ = run(capsys, *argv)

@@ -6,9 +6,12 @@ import pytest
 from cmnlab.cmn import (
     CmnParams,
     cmn,
+    clamp_singular_values,
     cmn_from_singular_values,
+    cmn_power,
     elementary_symmetric,
     signed_det,
+    spectrum_power,
 )
 from cmnlab.tensor import Bipartition, build, matricize
 from cmnlab.zoo import bell, rho1
@@ -85,6 +88,32 @@ class TestCmn:
     def test_h_beyond_spectrum_rejected(self):
         with pytest.raises(ValueError):
             cmn(np.eye(3), CmnParams(4, 1.0))
+
+
+class TestSpectrumPower:
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, math.inf])
+    def test_rows_match_scalar_sweep(self, p, rng):
+        # each row equals the clamp / sort / S_h of one spectrum at a time,
+        # with the same arithmetic, so the values agree exactly
+        sigma = rng.uniform(0, 1, size=(7, 5))
+        sigma[2, 3] = 1e-14  # clamped
+        sigma[4] = 0.0
+        for h in range(1, 6):
+            got = spectrum_power(sigma, CmnParams(h, p))
+            for row, value in zip(sigma, got):
+                s = np.sort(clamp_singular_values(row))[::-1]
+                want = np.prod(s[:h]) if math.isinf(p) else elementary_symmetric(h, s**p)
+                assert value == want
+
+    def test_cmn_power_is_the_one_row_case(self, rng):
+        m = rng.normal(size=(4, 9))
+        sigma = np.linalg.svd(m, compute_uv=False)
+        for params in (CmnParams(2, 1.0), CmnParams(3, math.inf), CmnParams(4, 1.5)):
+            assert cmn_power(m, params) == spectrum_power(sigma[None], params)[0]
+
+    def test_h_beyond_row_length_rejected(self):
+        with pytest.raises(ValueError):
+            spectrum_power(np.ones((2, 3)), CmnParams(4, 1.0))
 
 
 class TestParams:

@@ -7,6 +7,8 @@ from cmnlab.cmn import CmnParams, cmn_power
 from cmnlab.discord import (
     MeasurementFamily,
     OptimizerCfg,
+    _dephased_spectra,
+    _lockstep_search,
     bipartite_discord_cmn,
     computational_measurement,
     correlation_space_map,
@@ -14,16 +16,68 @@ from cmnlab.discord import (
     measure_state,
     measurement_from_angles,
     n_angles,
+    unitaries_from_angles,
     unitary_from_angles,
 )
-from cmnlab.linalg import DensityMatrix
-from cmnlab.tensor import Bipartition, build, matricize
+from cmnlab.linalg import DensityMatrix, singular_values
+from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize
 from cmnlab.zoo import bell, classical_state, ghz, maximally_mixed
 
 from conftest import random_density
 
 PART2 = Bipartition.of((0,), 2)
 FAST = OptimizerCfg(restarts=4, init_step=0.4, min_step=1e-4)
+
+
+def givens_reference(d, angles):
+    """Product of explicit d×d Givens matrices, one per (j, k) plane."""
+    u = np.eye(d, dtype=complex)
+    idx = 0
+    for j in range(d):
+        for k in range(j + 1, d):
+            theta, phi = angles[idx], angles[idx + 1]
+            idx += 2
+            g = np.eye(d, dtype=complex)
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            g[j, j] = c
+            g[k, k] = c
+            g[j, k] = -s * np.exp(-1j * phi)
+            g[k, j] = s * np.exp(1j * phi)
+            u = g @ u
+    return u
+
+
+def sequential_search(objective, x0, cfg):
+    """One restart of the cyclic coordinate search, one evaluation at a time."""
+    x = np.array(x0, dtype=float)
+    best = objective(x)
+    evals = 1
+    step = cfg.init_step
+    while step >= cfg.min_step:
+        improved = False
+        for i in range(x.size):
+            for delta in (step, -step):
+                trial = x.copy()
+                trial[i] += delta
+                val = objective(trial)
+                evals += 1
+                if val > best:
+                    best, x = val, trial
+                    improved = True
+                    break
+        if not improved:
+            step /= 2
+    return best, x, evals
+
+
+def family_on(dims, measured, angles):
+    """Angle-parametrized bases on the measured parties, the computational
+    basis on the rest."""
+    stacks = list(computational_measurement(dims).projectors)
+    sub = measurement_from_angles(tuple(dims[p] for p in measured), angles)
+    for k, p in enumerate(measured):
+        stacks[p] = sub.projectors[k]
+    return MeasurementFamily(dims, tuple(stacks))
 
 
 class TestMeasurementFamily:
@@ -48,6 +102,12 @@ class TestMeasurementFamily:
         with pytest.raises(ValueError, match="idempotent"):
             MeasurementFamily((2,), (stack,))
 
+    def test_rejects_higher_rank(self):
+        # Hermitian, idempotent and a resolution of the identity, but rank 2
+        stack = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        with pytest.raises(ValueError, match="rank-1"):
+            MeasurementFamily((2,), (stack,))
+
     def test_angle_count_guard(self):
         with pytest.raises(ValueError):
             unitary_from_angles(2, [0.1])
@@ -64,6 +124,18 @@ class TestUnitaryFromAngles:
 
     def test_zero_angles_identity(self):
         assert np.abs(unitary_from_angles(3, np.zeros(6)) - np.eye(3)).max() < 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_explicit_givens_product(self, d, rng):
+        for _ in range(5):
+            angles = rng.uniform(0, 2 * math.pi, size=d * (d - 1))
+            assert np.abs(unitary_from_angles(d, angles) - givens_reference(d, angles)).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_batched_rows_match_single(self, d, rng):
+        angles = rng.uniform(0, 2 * math.pi, size=(6, d * (d - 1)))
+        for u, row in zip(unitaries_from_angles(d, angles), angles):
+            assert np.abs(u - unitary_from_angles(d, row)).max() <= 1e-15
 
     def test_qubit_bloch_form(self):
         u = unitary_from_angles(2, [math.pi / 2, 0.0])
@@ -138,6 +210,66 @@ class TestCorrelationSpaceMap:
         assert np.abs(m - np.diag([1, 0, 0, 1])).max() < 1e-12
 
 
+class TestCorrelationSpaceSpectrum:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3)])
+    def test_matches_dephased_state(self, dims, rng):
+        # oracle: dephase the density matrix, rebuild T, take the full spectrum
+        rho = random_density(dims, 3, 900 + sum(dims))
+        t = build(rho)
+        everyone = tuple(range(len(dims)))
+        for part in iter_bipartitions(len(dims)):
+            for measured in (everyone, part.side_a, part.side_b):
+                measured_dims = tuple(dims[p] for p in measured)
+                angles = rng.uniform(0, 2 * math.pi, size=(3, n_angles(measured_dims)))
+                spectra = _dephased_spectra(t, part, measured)(angles)
+                for got, row in zip(spectra, angles):
+                    after = measure_state(rho, family_on(dims, measured, row), measured)
+                    want = singular_values(matricize(build(after), part))
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-12
+
+
+class TestLockstepSearch:
+    def test_each_restart_moves_as_a_sequential_search(self):
+        # a tie-free objective evaluated row by row with the same arithmetic,
+        # so every comparison, value and point must agree exactly
+        target = np.sin([0.7, -1.2, 2.0])
+
+        def objective(x):
+            return -((np.sin(x) - target) ** 2).sum(axis=-1)
+
+        cfg = OptimizerCfg(restarts=5, seed=7, init_step=0.4, min_step=1e-4)
+        values, points, evals = _lockstep_search(objective, 3, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        total = 0
+        for r in range(cfg.restarts):
+            x0 = rng.uniform(0, 2 * math.pi, size=3) if r else np.zeros(3)
+            val, x, n = sequential_search(objective, x0, cfg)
+            assert values[r] == val
+            assert np.array_equal(points[r], x)
+            total += n
+        assert evals == total
+
+
+class TestOptimizerCfg:
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": 0},
+        {"restarts": -3},
+        {"min_step": 0.0},
+        {"min_step": -1e-5},
+        {"min_step": math.nan},
+        {"init_step": 0.1, "min_step": 0.2},
+    ])
+    def test_rejects_settings_that_break_the_search(self, kwargs):
+        with pytest.raises(ValueError):
+            OptimizerCfg(**kwargs)
+
+    def test_accepts_boundary(self):
+        cfg = OptimizerCfg(restarts=1, init_step=0.1, min_step=0.1)
+        res = global_discord_cmn(bell(1).to_density(), PART2, CmnParams(2, 1.0), cfg)
+        assert res.evaluations >= 1
+
+
 class TestDiscordValues:
     def test_bell_h2_p1(self):
         res = global_discord_cmn(
@@ -172,6 +304,44 @@ class TestDiscordValues:
         a = bipartite_discord_cmn(rho, PART2, "a", params, FAST)
         g = global_discord_cmn(rho, PART2, params, FAST)
         assert abs(a.value - g.value) < 1e-6
+
+    def test_closed_form_one_qubit_h1_p2(self):
+        # Dakić-Vedral-Brukner: measuring qubit A removes tr K - λ_max(K),
+        # K = T[1:,:] T[1:,:]ᵀ, from the squared Frobenius norm
+        for dims in [(2, 2), (2, 3)]:
+            for seed in range(5):
+                rho = random_density(dims, int(np.prod(dims)), 500 + seed)
+                t = matricize(build(rho), PART2)
+                k = t[1:, :] @ t[1:, :].T
+                oracle = np.trace(k) - np.linalg.eigvalsh(k).max()
+                res = bipartite_discord_cmn(rho, PART2, "a", CmnParams(1, 2.0))
+                assert abs(res.value - oracle) <= 1e-8
+
+    def test_bell_full_minor_inf(self):
+        # every dephased spectrum has rank <= 2, so the h = 4 product of the
+        # zero-padded spectrum vanishes and the whole (1/2)^4 is lost
+        rho = bell(1).to_density()
+        params = CmnParams(4, math.inf)
+        assert abs(global_discord_cmn(rho, PART2, params, FAST).value - 1 / 16) <= 1e-12
+        assert abs(bipartite_discord_cmn(rho, PART2, "b", params, FAST).value - 1 / 16) <= 1e-12
+
+    def test_best_measurement_reproduces_value(self):
+        rho = random_density((2, 2), 3, 77)
+        params = CmnParams(2, 1.0)
+        res = global_discord_cmn(rho, PART2, params, FAST)
+        base = cmn_power(matricize(build(rho), PART2), params)
+        after = measure_state(rho, res.best_measurement)
+        assert abs(base - cmn_power(matricize(build(after), PART2), params) - res.value) <= 1e-10
+        same = measurement_from_angles((2, 2), res.best_angles)
+        for a, b in zip(same.projectors, res.best_measurement.projectors):
+            assert np.array_equal(a, b)
+        assert res.restart_spread >= 0
+
+    def test_single_restart(self):
+        res = global_discord_cmn(bell(1).to_density(), PART2, CmnParams(2, 1.0),
+                                 OptimizerCfg(restarts=1))
+        assert res.restart_spread == 0.0
+        assert not res.converged
 
     def test_side_validation(self):
         with pytest.raises(ValueError):
