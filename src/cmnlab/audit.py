@@ -21,7 +21,7 @@ from .bounds import (
 )
 from .cmn import CmnParams, cmn
 from .linalg import DensityMatrix, hermitize
-from .normal_form import filter_to_fnf
+from .normal_form import FilteringError, filter_to_fnf
 from .tensor import Bipartition, build, interior, matricize, matricize_interior
 
 
@@ -33,6 +33,7 @@ class AuditReport:
     violations: int
     worst_margin: float  # max of (value - bound)/bound over trials
     seed: int
+    rejected: int = 0  # samples redrawn because filtering failed
 
 
 def compound_matrix(m, h):
@@ -82,9 +83,10 @@ def ppt_check(rho: DensityMatrix, part: Bipartition, tol=1e-10) -> bool:
 _PART_A_BC = lambda dims: Bipartition.of((0,), len(dims))
 
 
+# A sampler maps a seed to (state, number of draws rejected on the way).
 def _fullsep_sfnf_sampler(dims):
     def sample(seed):
-        return zoo.random_fully_separable_sfnf(dims, seed)
+        return zoo.random_fully_separable_sfnf(dims, seed), 0
     return sample
 
 
@@ -93,8 +95,8 @@ def _bisep_filtered_sampler(dims, part, k_terms=24):
         for attempt in range(8):
             rho = zoo.random_biseparable(dims, part, k_terms, seed + 10_000_019 * attempt)
             try:
-                return filter_to_fnf(rho, groups=[part.side_a, part.side_b])
-            except Exception:
+                return filter_to_fnf(rho, groups=[part.side_a, part.side_b]), attempt
+            except FilteringError:
                 continue
         raise RuntimeError("could not produce a filtered bi-separable sample")
     return sample
@@ -136,7 +138,7 @@ def _ghz_mixture_sampler(dims):
         rng = np.random.default_rng(seed)
         p = rng.uniform(0.6, 1.0)
         noise = np.eye(ghz_rho.shape[0]) / ghz_rho.shape[0]
-        return DensityMatrix(dims, p * ghz_rho + (1 - p) * noise)
+        return DensityMatrix(dims, p * ghz_rho + (1 - p) * noise), 0
     return sample
 
 
@@ -154,13 +156,14 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
     else:
         sampler = _ghz_mixture_sampler(dims)
 
-    violations = 0
+    violations = rejected = 0
     worst = -math.inf
     for t in range(trials):
-        rho = sampler(seed + t)
+        rho, redrawn = sampler(seed + t)
+        rejected += redrawn
         value, bound = _criterion_value_and_bound(rho, criterion, part)
         margin = (value - bound) / max(abs(bound), 1e-300)
         worst = max(worst, margin)
         if margin > EPS_CMP:
             violations += 1
-    return AuditReport(family, criterion, trials, violations, worst, seed)
+    return AuditReport(family, criterion, trials, violations, worst, seed, rejected)

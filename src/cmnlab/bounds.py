@@ -1,25 +1,17 @@
 """Separability bounds on the correlation minor norm, the dVH trace-norm
-criterion, and the detection sweep with recursive reduced-state inspection."""
+criterion, and the detection sweep over every reduced state."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cmn import CmnParams, cmn, elementary_symmetric
 from .linalg import DensityMatrix, partial_trace, singular_values
-from .normal_form import (
-    FilteringError,
-    filter_to_fnf,
-    fnf_residual,
-    is_sfnf,
-    sfnf_residual,
-)
+from .normal_form import FilteringError, filter_to_fnf, fnf_residual, sfnf_residual
 from .tensor import (
-    Bipartition,
-    CorrelationTensor,
     build,
     interior,
     iter_bipartitions,
@@ -188,14 +180,29 @@ class DetectConfig:
 class DetectionVerdict:
     dims: tuple
     reports: tuple  # per-partition and "full" BoundReports
-    reduced: tuple  # (kept_parties, DetectionVerdict) pairs
+    reduced: tuple  # (kept_parties, DetectionVerdict) pairs; shared across paths
     not_fully_separable: bool
     bi_entangled_partitions: tuple
 
+    def subsets(self):
+        """(parties, verdict) for each distinct reduced state, with parties as
+        indices into this state's parties, in first-visit (depth-first) order."""
+        seen = {}
+
+        def visit(verdict, parties):
+            for keep, sub in verdict.reduced:
+                key = tuple(parties[k] for k in keep)
+                if key not in seen:
+                    seen[key] = sub
+                    visit(sub, key)
+
+        visit(self, tuple(range(len(self.dims))))
+        return list(seen.items())
+
     def all_reports(self):
         out = list(self.reports)
-        for _, sub in self.reduced:
-            out.extend(sub.all_reports())
+        for _, sub in self.subsets():
+            out.extend(sub.reports)
         return out
 
 
@@ -203,12 +210,28 @@ def _h_for(cfg, min_side_sq):
     return min_side_sq if cfg.h is None else cfg.h
 
 
+def _has_bound(p):
+    return math.isinf(p) or p == 1
+
+
+def _criterion(kind, p):
+    return f"cmn-{kind}-inf" if math.isinf(p) else f"cmn-{kind}-p{p:g}"
+
+
+def _unbounded(part, kind, p):
+    """Inconclusive report for a p with no known separability bound."""
+    return _report(part, _criterion(kind, p), math.nan, math.nan, ok=False,
+                   reason=f"no separability bound for p={p:g}")
+
+
 def _bisep_reports(tensor, dims, part, cfg, rho):
     reports = []
     fnf_res = fnf_residual(tensor, part)
     work = tensor
     fnf_note = ""
-    if fnf_res > cfg.fnf_tol and cfg.filter:
+    failed = ""
+    # only a bounded p reads the filtered tensor
+    if fnf_res > cfg.fnf_tol and cfg.filter and any(map(_has_bound, cfg.ps)):
         try:
             filtered = filter_to_fnf(
                 rho,
@@ -220,11 +243,7 @@ def _bisep_reports(tensor, dims, part, cfg, rho):
             fnf_res = fnf_residual(work, part)
             fnf_note = "after SLOCC filtering; "
         except FilteringError as exc:
-            reports.append(_report(part, "cmn-bisep-inf", math.nan, math.nan,
-                                   ok=False, reason=str(exc)))
-            reports.append(_report(part, "cmn-bisep-p1", math.nan, math.nan,
-                                   ok=False, reason=str(exc)))
-            return reports
+            failed = str(exc)
     fnf_ok = fnf_res <= cfg.fnf_tol
 
     d_a = int(np.prod([dims[i] for i in part.side_a]))
@@ -233,13 +252,16 @@ def _bisep_reports(tensor, dims, part, cfg, rho):
     min_side_sq = min(d_a, d_b) ** 2
     h = _h_for(cfg, min_side_sq)
     for p in cfg.ps:
-        crit = "cmn-bisep-inf" if math.isinf(p) else "cmn-bisep-p1"
+        if not _has_bound(p):
+            reports.append(_unbounded(part, "bisep", p))
+            continue
+        crit = _criterion("bisep", p)
         if math.isinf(p):
             ok, why = bisep_preconditions_inf(d_a, d_b, h)
         else:
             ok, why = bisep_preconditions_p1(d_a, d_b, h)
         if not fnf_ok:
-            ok, why = False, f"not in FNF (residual {fnf_res:.3e})"
+            ok, why = False, failed or f"not in FNF (residual {fnf_res:.3e})"
         if not ok:
             reports.append(_report(part, crit, math.nan, math.nan, ok=False, reason=why))
             continue
@@ -262,7 +284,10 @@ def _fullsep_reports(tensor, dims, cfg):
         h = _h_for(cfg, min_side_sq)
         m = matricize(tensor, part)
         for p in cfg.ps:
-            crit = "cmn-full-inf" if math.isinf(p) else "cmn-full-p1"
+            if not _has_bound(p):
+                reports.append(_unbounded(part, "full", p))
+                continue
+            crit = _criterion("full", p)
             if math.isinf(p):
                 ok, why = fullsep_preconditions_inf(dims, h, min_side_sq)
             else:
@@ -289,8 +314,19 @@ def _fullsep_reports(tensor, dims, cfg):
 
 
 def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionVerdict:
-    """Run every separability criterion on ``rho`` and, recursively, on its
-    single-party-traced reductions down to bipartite states."""
+    """Run every separability criterion on ``rho`` and on each of its
+    reductions down to bipartite states.
+
+    Reductions trace out one party at a time, so the subsets of parties form
+    a DAG: a subset reached along several paths is analyzed once, from the
+    state on the first path that reaches it, and every later path shares
+    that verdict."""
+    return _detect(rho, tuple(range(len(rho.dims))), cfg, {})
+
+
+def _detect(rho, parties, cfg, seen):
+    """``parties`` names rho's parties in the outermost state; ``seen`` maps
+    every subset analyzed so far to its verdict."""
     dims = rho.dims
     tensor = build(rho)
     reports = []
@@ -302,8 +338,10 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
     if cfg.recursive and len(dims) > 2:
         for dropped in range(len(dims)):
             keep = tuple(i for i in range(len(dims)) if i != dropped)
-            sub = detect(partial_trace(rho, keep), cfg)
-            reduced.append((keep, sub))
+            key = tuple(parties[i] for i in keep)
+            if key not in seen:
+                seen[key] = _detect(partial_trace(rho, keep), key, cfg, seen)
+            reduced.append((keep, seen[key]))
 
     bi_entangled = tuple(sorted(
         {r.partition_label() for r in reports

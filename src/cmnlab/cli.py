@@ -137,7 +137,7 @@ def cmd_analyze(args):
         {"verdict": report.verdict_to_dict(verdict)},
         timing=time.perf_counter() - start,
     )
-    _emit(args, doc, report.verdict_to_csv_rows(verdict))
+    _emit(args, doc, report.verdict_to_csv_rows(verdict) if args.csv else None)
     return EXIT_OK
 
 
@@ -155,15 +155,23 @@ def cmd_discord(args):
         parts = [Bipartition.of(side_a, n)]
     else:
         parts = list(iter_bipartitions(n))
-    results = []
+    solves = []
     for part in parts:
         d_min = min(
             int(np.prod([rho.dims[i] for i in part.side_a])),
             int(np.prod([rho.dims[i] for i in part.side_b])),
         )
         h = args.h if args.h is not None else min(2, d_min**2)
-        res = global_discord_cmn(rho, part, CmnParams(h, p), opt)
-        results.append(report.discord_result_to_dict(res, part.label()))
+        if h > d_min**2:
+            raise InputError(f"h={h} exceeds d^2={d_min**2} for partition {part.label()}")
+        try:
+            solves.append((part, CmnParams(h, p)))
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+    results = [
+        report.discord_result_to_dict(global_discord_cmn(rho, part, params, opt), part.label())
+        for part, params in solves
+    ]
     doc = report.document(
         "discord",
         report.input_digest(payload),

@@ -35,6 +35,24 @@ class CmnParams:
         return f"h={self.h},p={p}"
 
 
+def _symmetric_sweep(x, h):
+    """S_h of each row of ``x`` (shape (k, n), 1 <= h <= n), in input order.
+
+    The coefficient sweep e_j += x_l · e_{j-1} over the values x_l, run one
+    order at a time: after the first m values, e_j = Σ_{l<m} x_l · e_{j-1}
+    (after l values), a running sum that adds the terms in the sweep's order.
+    """
+    n = x.shape[1]
+    # e[:, m] holds e_j after the first m values, and e_j = 0 after none
+    e = np.zeros((x.shape[0], n + 1))
+    terms = x.copy()  # x_l · e_0, as e_0 = 1 after any number of values
+    for j in range(h):
+        if j:
+            np.multiply(x, e[:, :n], out=terms)
+        terms.cumsum(axis=1, out=e[:, 1:])
+    return e[:, n]
+
+
 def elementary_symmetric(h: int, xs) -> float:
     """h-th elementary symmetric polynomial S_h of the given values.
 
@@ -44,13 +62,7 @@ def elementary_symmetric(h: int, xs) -> float:
     xs = np.asarray(xs, dtype=float)
     if not 1 <= h <= xs.size:
         raise ValueError(f"h={h} out of range for {xs.size} values")
-    e = np.zeros(h + 1)
-    e[0] = 1.0
-    for x in xs:
-        # descending sweep so each value enters every coefficient once
-        for j in range(h, 0, -1):
-            e[j] += x * e[j - 1]
-    return float(e[h])
+    return float(_symmetric_sweep(xs.reshape(1, -1), h)[0])
 
 
 def clamp_singular_values(sigma):
@@ -63,17 +75,8 @@ def clamp_singular_values(sigma):
 
 def cmn_from_singular_values(sigma, params: CmnParams) -> float:
     """CMN from a precomputed singular spectrum (descending or not)."""
-    sigma = clamp_singular_values(sigma)
-    sigma = np.sort(sigma)[::-1]
-    if params.h > sigma.size:
-        raise ValueError(
-            f"h={params.h} exceeds the {sigma.size}-value singular spectrum"
-        )
-    if math.isinf(params.p):
-        return float(np.prod(sigma[: params.h]))
-    if params.p == 1.0:
-        return elementary_symmetric(params.h, sigma)
-    return float(elementary_symmetric(params.h, sigma**params.p) ** (1 / params.p))
+    power = float(spectrum_power(sigma, params)[0])
+    return power if math.isinf(params.p) else power ** (1 / params.p)
 
 
 def cmn(m, params: CmnParams) -> float:
@@ -97,20 +100,11 @@ def spectrum_power(sigma, params: CmnParams) -> np.ndarray:
     # singular values are >= 0, so an all-zero row clamps nothing
     sigma = sigma * (sigma >= SV_CLAMP * sigma.max(axis=1, keepdims=True))
     sigma = np.sort(sigma, axis=1)[:, ::-1]
+    if params.h > sigma.shape[1]:
+        raise ValueError(f"h={params.h} exceeds the {sigma.shape[1]}-value singular spectrum")
     if math.isinf(params.p):
         return np.prod(sigma[:, : params.h], axis=1)
-    if params.h > sigma.shape[1]:
-        raise ValueError(f"h={params.h} out of range for {sigma.shape[1]} values")
-    # The coefficient sweep of elementary_symmetric, one order at a time:
-    # after the first m values, e_j = Σ_{l<m} x_l · e_{j-1}(after l values),
-    # a running sum that adds the terms in the sweep's order.
-    x = sigma**params.p
-    prev = np.ones_like(x)  # e_0 = 1 after any number of values
-    for _ in range(params.h):
-        e = np.cumsum(x * prev, axis=1)
-        prev[:, 0] = 0.0
-        prev[:, 1:] = e[:, :-1]
-    return e[:, -1]
+    return _symmetric_sweep(sigma**params.p, params.h)
 
 
 def cmn_power(m, params: CmnParams) -> float:

@@ -3,7 +3,7 @@ reductions to the maximally mixed state."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ def _single_party_residual(data, dims, parties):
     index, that index belonging to one of ``parties``."""
     worst = 0.0
     for p in parties:
-        idx = [0] * len(dims)
         sl = tuple(slice(1, None) if i == p else 0 for i in range(len(dims)))
         worst = max(worst, float(np.abs(data[sl]).max()))
     return worst
@@ -127,24 +126,28 @@ def filter_to_fnf(
     def group_dim(g):
         return int(np.prod([dims[p] for p in g]))
 
-    def det_product():
+    def reductions(data):
+        return [_group_reduction(data, dims, g) for g in groups]
+
+    def det_product(reds):
         out = 1.0
-        for g in groups:
-            red = _group_reduction(data, dims, g)
+        for g, red in zip(groups, reds):
             out *= float(np.linalg.det(group_dim(g) * red).real)
         return out
 
-    def residual():
+    def residual(reds):
         worst = 0.0
-        for g in groups:
+        for g, red in zip(groups, reds):
             d_g = group_dim(g)
-            red = _group_reduction(data, dims, g)
             worst = max(worst, trace_distance(red, np.eye(d_g) / d_g))
         return worst
 
+    # one set of reductions per sweep serves the history, the residual and
+    # the next sweep's first filter
+    reds = reductions(data)
     if history is not None:
-        history.append(det_product())
-    res = residual()
+        history.append(det_product(reds))
+    res = residual(reds)
     sweeps = 0
     while res > tol:
         if sweeps >= max_iters:
@@ -152,15 +155,16 @@ def filter_to_fnf(
                 f"filtering did not converge in {max_iters} sweeps "
                 f"(last residual {res:.3e})"
             )
-        for g in groups:
+        for k, g in enumerate(groups):
             d_g = group_dim(g)
-            red = _group_reduction(data, dims, g)
+            red = reds[0] if k == 0 else _group_reduction(data, dims, g)
             label = "party " + "+".join(str(p) for p in g)
             f = _inverse_sqrt(d_g * red, RANK_TOL, label)
             data = apply_local(f, data, g, dims)
             data = data / data.trace().real
+        reds = reductions(data)
         if history is not None:
-            history.append(det_product())
-        res = residual()
+            history.append(det_product(reds))
+        res = residual(reds)
         sweeps += 1
     return DensityMatrix(dims, hermitize(data))

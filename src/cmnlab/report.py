@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL_VERSION = "0.1.0"
 
 
@@ -63,12 +63,21 @@ def bound_report_to_dict(r):
 
 
 def verdict_to_dict(v):
+    """The verdict, with one flat ``reduced`` entry per distinct reduced state
+    in first-visit order. An entry's ``parties`` are 0-based indices into
+    ``v``'s parties, and its partition labels are its own (A is parties[0])."""
     return {
         "dims": list(v.dims),
         "reports": [bound_report_to_dict(r) for r in v.reports],
         "reduced": [
-            {"kept_parties": list(keep), "verdict": verdict_to_dict(sub)}
-            for keep, sub in v.reduced
+            {
+                "parties": list(parties),
+                "dims": list(sub.dims),
+                "reports": [bound_report_to_dict(r) for r in sub.reports],
+                "not_fully_separable": sub.not_fully_separable,
+                "bi_entangled_partitions": list(sub.bi_entangled_partitions),
+            }
+            for parties, sub in v.subsets()
         ],
         "not_fully_separable": v.not_fully_separable,
         "bi_entangled_partitions": list(v.bi_entangled_partitions),
@@ -94,6 +103,7 @@ def audit_report_to_dict(r):
         "violations": r.violations,
         "worst_margin": r.worst_margin,
         "seed": r.seed,
+        "rejected": r.rejected,
     }
 
 
@@ -111,7 +121,8 @@ def document(kind, digest, body, timing=None):
 
 
 def verdict_to_csv_rows(v):
-    """One row per (partition, criterion), recursing into reductions."""
+    """One row per (partition, criterion), for the state and then for each
+    distinct reduced state once, in the order of ``verdict_to_dict``."""
     rows = []
     for r in v.all_reports():
         rows.append(

@@ -160,3 +160,37 @@ class TestWitnessedInequalities:
             mixed = sv.copy()
             mixed[0] = mixed[1] = (sv[0] + sv[1]) / 2
             assert elementary_symmetric(2, mixed) >= elementary_symmetric(2, sv) - 1e-12
+
+
+class TestSamplerRejections:
+    def test_filtering_failures_are_counted(self, monkeypatch):
+        from cmnlab import audit
+        from cmnlab.normal_form import FilteringError
+
+        real = audit.filter_to_fnf
+        calls = []
+
+        def flaky(rho, **kwargs):
+            calls.append(1)
+            if len(calls) % 3 == 1:  # the first draw of every trial fails
+                raise FilteringError("rank deficient")
+            return real(rho, **kwargs)
+
+        monkeypatch.setattr(audit, "filter_to_fnf", flaky)
+        rep = separability_audit("biseparable-filtered-222", "cmn-bisep-inf", 4, 3)
+        assert rep.rejected == len(calls) - 4
+        assert rep.rejected >= 2
+
+    def test_other_errors_propagate(self, monkeypatch):
+        from cmnlab import audit
+
+        def broken(rho, **kwargs):
+            raise ZeroDivisionError("a bug, not a rejected sample")
+
+        monkeypatch.setattr(audit, "filter_to_fnf", broken)
+        with pytest.raises(ZeroDivisionError):
+            separability_audit("biseparable-filtered-222", "cmn-bisep-inf", 1, 3)
+
+    def test_unfiltered_families_reject_nothing(self):
+        rep = separability_audit("fully-separable-sfnf-222", "cmn-full-inf", 3, 9)
+        assert rep.rejected == 0

@@ -132,6 +132,34 @@ class TestAnalyze:
             val = line.split(",")[2]
             assert float(val) == float(repr(float(val)))
 
+    def test_schema2_flat_reduced(self, capsys):
+        code, out, _ = run(capsys, "analyze", "zoo:rho1")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["schema_version"] == 2
+        reduced = doc["verdict"]["reduced"]
+        assert [e["parties"] for e in reduced] == [[1, 2], [0, 2], [0, 1]]
+        for e in reduced:
+            assert set(e) == {"parties", "dims", "reports", "not_fully_separable",
+                              "bi_entangled_partitions"}
+            assert e["dims"] == [2, 2]
+
+    def test_csv_has_one_row_set_per_subset(self, capsys, tmp_path):
+        csv_path = tmp_path / "out.csv"
+        code, out, _ = run(capsys, "analyze", "zoo:ghz-3-2", "--csv", str(csv_path))
+        assert code == EXIT_OK
+        v = json.loads(out)["verdict"]
+        rows = csv_path.read_text().strip().split("\n")[1:]
+        assert len(rows) == len(v["reports"]) + sum(len(e["reports"]) for e in v["reduced"])
+
+    def test_finite_p_is_inconclusive(self, capsys):
+        code, out, _ = run(capsys, "analyze", "zoo:ghz-3-2", "--p", "0.5", "--h", "2")
+        assert code == EXIT_OK
+        cmn_reports = [r for r in json.loads(out)["verdict"]["reports"]
+                       if r["criterion"].startswith("cmn-")]
+        assert {r["criterion"] for r in cmn_reports} == {"cmn-bisep-p0.5", "cmn-full-p0.5"}
+        assert all(r["preconditions_met"] is False for r in cmn_reports)
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "analyze", "zoo:maximally-mixed-2q",
@@ -177,6 +205,14 @@ class TestDiscord:
         assert out == ""
         assert err.startswith("error:") and "restarts" in err
 
+    @pytest.mark.parametrize("h,reason", [("5", "exceeds"), ("0", "h must be")])
+    def test_bad_h_is_usage_error(self, capsys, h, reason):
+        code, out, err = run(capsys, "discord", "zoo:bell-phi-plus", "--h", h,
+                             "--partition", "0")
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and reason in err
+
     def test_deterministic_given_seed(self, capsys):
         argv = ["discord", "zoo:classical-cc", "--restarts", "3", "--seed", "5"]
         _, out1, _ = run(capsys, *argv)
@@ -202,6 +238,7 @@ class TestAuditCommand:
         doc = json.loads(out)
         assert doc["audit"]["violations"] == 0
         assert doc["audit"]["trials"] == 5
+        assert doc["audit"]["rejected"] == 0
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "audit", "nope", "cmn-full-inf")

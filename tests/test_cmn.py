@@ -133,3 +133,53 @@ def test_signed_det(rng):
     assert abs(signed_det(m) - np.linalg.det(m)) < 1e-12
     with pytest.raises(ValueError):
         signed_det(rng.normal(size=(2, 3)))
+
+
+def _loop_elementary_symmetric(h, xs):
+    """The coefficient sweep as an explicit double loop, the oracle for the
+    vectorized kernel."""
+    xs = np.asarray(xs, dtype=float)
+    e = np.zeros(h + 1)
+    e[0] = 1.0
+    for x in xs:
+        for j in range(h, 0, -1):
+            e[j] += x * e[j - 1]
+    return float(e[h])
+
+
+class TestOneSweepKernel:
+    def test_matches_loop_exactly(self, rng):
+        for n in (1, 2, 4, 9, 16):
+            for scale in (1e-3, 1.0, 1e3, 1e200):
+                xs = rng.uniform(0, 1, size=n) * scale  # unsorted, may overflow
+                for h in range(1, n + 1):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = _loop_elementary_symmetric(h, xs)
+                        got = elementary_symmetric(h, xs)
+                    assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_bound_shaped_input_matches_loop(self):
+        # [alpha] + [beta / (d^2 - 1)] * (d^2 - 1), as the p = 1 bounds use it
+        for d2 in (4, 9, 16):
+            xs = [0.25] + [0.75 / (d2 - 1)] * (d2 - 1)
+            for h in range(1, d2 + 1):
+                assert elementary_symmetric(h, xs) == _loop_elementary_symmetric(h, xs)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_cmn_from_spectrum_matches_loop(self, p, rng):
+        for _ in range(50):
+            sigma = rng.uniform(0, 1, size=6)
+            sigma[rng.integers(6)] = 1e-14  # clamped
+            s = np.sort(clamp_singular_values(sigma))[::-1]
+            for h in range(1, 7):
+                want = _loop_elementary_symmetric(h, s**p)
+                if p != 1.0:
+                    want = want ** (1 / p)
+                assert cmn_from_singular_values(sigma, CmnParams(h, p)) == want
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_h_beyond_spectrum_rejected_for_every_p(self, p):
+        with pytest.raises(ValueError):
+            spectrum_power(np.ones((2, 3)), CmnParams(4, p))
+        with pytest.raises(ValueError):
+            cmn_from_singular_values(np.ones(3), CmnParams(4, p))

@@ -113,3 +113,39 @@ class TestFilterToFnf:
         rho = random_density((2, 2, 2), 8, 8)
         with pytest.raises(FilteringError, match="residual"):
             filter_to_fnf(rho, max_iters=1, tol=1e-15)
+
+
+def _filter_recomputing(rho, groups, tol=1e-9, max_iters=500):
+    """filter_to_fnf with every reduction computed afresh where it is used,
+    the oracle for the shared reductions."""
+    from cmnlab.linalg import apply_local, hermitize, partial_trace_raw
+    from cmnlab.normal_form import RANK_TOL, _inverse_sqrt
+
+    dims = rho.dims
+    data = rho.data.copy()
+    dim = lambda g: int(np.prod([dims[p] for p in g]))
+    red = lambda g: partial_trace_raw(data, dims, g)
+    det = lambda: np.prod([float(np.linalg.det(dim(g) * red(g)).real) for g in groups])
+    res = lambda: max(trace_distance(red(g), np.eye(dim(g)) / dim(g)) for g in groups)
+    history = [det()]
+    sweeps = 0
+    while res() > tol:
+        assert sweeps < max_iters
+        for g in groups:
+            f = _inverse_sqrt(dim(g) * red(g), RANK_TOL, "")
+            data = apply_local(f, data, g, dims)
+            data = data / data.trace().real
+        history.append(det())
+        sweeps += 1
+    return hermitize(data), history
+
+
+@pytest.mark.parametrize("groups", [[(0,), (1,), (2,)], [(0,), (1, 2)], [(0, 2), (1,)]])
+def test_shared_reductions_are_bit_identical(groups):
+    for seed in range(4):
+        rho = random_density((2, 2, 2), 8, 60 + seed)
+        hist = []
+        out = filter_to_fnf(rho, groups=groups, history=hist)
+        want, want_hist = _filter_recomputing(rho, groups)
+        assert np.array_equal(out.data, want)
+        assert hist == want_hist
