@@ -10,19 +10,15 @@ from itertools import combinations
 import numpy as np
 
 from . import zoo
-from .bounds import (
-    EPS_CMP,
-    bisep_bound_inf,
-    bisep_bound_p1,
-    dvh_fullsep_bound,
-    dvh_interior_sum,
-    fullsep_bound_inf,
-    fullsep_bound_p1,
-)
-from .cmn import CmnParams, cmn
+from .bounds import CRITERIA, EPS_CMP
 from .linalg import DensityMatrix, hermitize
 from .normal_form import FilteringError, filter_to_fnf
-from .tensor import Bipartition, build, interior, matricize, matricize_interior
+from .tensor import Bipartition, build
+
+
+class AuditInputError(ValueError):
+    """An audit request that names no family or criterion, whose criterion
+    does not apply to the family, or that asks for fewer than one trial."""
 
 
 @dataclass(frozen=True)
@@ -102,26 +98,6 @@ def _bisep_filtered_sampler(dims, part, k_terms=24):
     return sample
 
 
-def _criterion_value_and_bound(rho, criterion, part):
-    dims = rho.dims
-    tensor = build(rho)
-    d_a = int(np.prod([dims[i] for i in part.side_a]))
-    d_b = int(np.prod([dims[i] for i in part.side_b]))
-    d2 = min(d_a, d_b) ** 2
-    if criterion == "cmn-bisep-inf":
-        return cmn(matricize(tensor, part), CmnParams(d2, math.inf)), bisep_bound_inf(d_a, d_b, d2)
-    if criterion == "cmn-bisep-p1":
-        return cmn(matricize(tensor, part), CmnParams(d2, 1.0)), bisep_bound_p1(d_a, d_b, d2)
-    if criterion == "cmn-full-inf":
-        return cmn(matricize(tensor, part), CmnParams(d2, math.inf)), fullsep_bound_inf(dims, d2)
-    if criterion == "cmn-full-p1":
-        return cmn(matricize(tensor, part), CmnParams(d2, 1.0)), fullsep_bound_p1(dims, d2, d2)
-    if criterion == "dvh-full":
-        w = matricize_interior(interior(tensor), part)
-        return dvh_interior_sum(w), dvh_fullsep_bound(dims)
-    raise ValueError(f"unknown criterion {criterion!r}")
-
-
 FAMILIES = {
     "fully-separable-sfnf-222": ((2, 2, 2), "full"),
     "fully-separable-sfnf-223": ((2, 2, 3), "full"),
@@ -144,11 +120,25 @@ def _ghz_mixture_sampler(dims):
 
 def separability_audit(family: str, criterion: str, trials: int, seed: int) -> AuditReport:
     """Sample ``trials`` states from the family, apply the required normal
-    form preprocessing, and count bound violations of the criterion."""
+    form preprocessing, and count bound violations of the criterion on the
+    A|rest cut at h = d². Raises AuditInputError before any sampling when
+    the request cannot be audited."""
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; available: {', '.join(sorted(FAMILIES))}")
+        raise AuditInputError(
+            f"unknown family {family!r}; available: {', '.join(sorted(FAMILIES))}")
+    if criterion not in CRITERIA:
+        raise AuditInputError(f"unknown criterion {criterion!r}; available: {', '.join(CRITERIA)}")
+    if trials < 1:
+        raise AuditInputError(f"trials must be at least 1, got {trials}")
     dims, kind = FAMILIES[family]
     part = _PART_A_BC(dims)
+    entry = CRITERIA[criterion]
+    d_a, d_b = part.side_dims(dims)
+    h = min(d_a, d_b) ** 2
+    ok, why = entry.preconditions(dims, d_a, d_b, h)
+    if not ok:
+        raise AuditInputError(f"{criterion} does not apply to {family}: {why}")
+    bound = entry.bound(dims, d_a, d_b, h)
     if kind == "full":
         sampler = _fullsep_sfnf_sampler(dims)
     elif kind == "bisep":
@@ -161,7 +151,7 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
     for t in range(trials):
         rho, redrawn = sampler(seed + t)
         rejected += redrawn
-        value, bound = _criterion_value_and_bound(rho, criterion, part)
+        value = entry.value(build(rho), part, h)
         margin = (value - bound) / max(abs(bound), 1e-300)
         worst = max(worst, margin)
         if margin > EPS_CMP:

@@ -4,6 +4,7 @@ criterion, and the detection sweep over every reduced state."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +21,6 @@ from .tensor import (
 )
 
 EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
-
-CRITERIA = (
-    "cmn-bisep-inf",
-    "cmn-bisep-p1",
-    "cmn-full-inf",
-    "cmn-full-p1",
-    "dvh-full",
-    "dvh-bisep",
-)
 
 
 @dataclass(frozen=True)
@@ -59,15 +51,6 @@ def compare(value, bound):
     saturated = abs(rel) <= EPS_CMP
     violated = (not saturated) and rel > EPS_CMP
     return violated, saturated
-
-
-def _report(partition, criterion, value, bound, ok=True, reason=""):
-    if ok:
-        violated, saturated = compare(value, bound)
-    else:
-        violated = saturated = False
-    return BoundReport(partition, criterion, float(value), float(bound), violated,
-                       saturated, ok, reason)
 
 
 def bisep_bound_inf(d_a, d_b, h) -> float:
@@ -164,6 +147,63 @@ def dvh_bisep_bound_3qubit() -> float:
 
 
 @dataclass(frozen=True)
+class Criterion:
+    """A separability criterion: its value on one cut, and the bound that no
+    state of its ``kind`` ("bisep" across the cut, or "full") exceeds when the
+    preconditions hold. ``p`` is the Schatten exponent of M_{h,p}, which
+    assumes the (S)FNF, or None for the dVH trace norm, which assumes no
+    normal form. ``bound`` and ``preconditions`` take (dims, d_A, d_B, h);
+    ``preconditions`` returns (ok, reason)."""
+
+    kind: str
+    p: float | None
+    bound: Callable
+    preconditions: Callable
+
+    def value(self, tensor, part, h):
+        """M_{h,p} of the cut's matricization, or the dVH trace norm of its interior."""
+        if self.p is None:
+            return dvh_interior_sum(matricize_interior(interior(tensor), part))
+        return cmn(matricize(tensor, part), CmnParams(h, self.p))
+
+
+def _dvh_bisep_preconditions(dims, d_a, d_b, h):
+    if tuple(dims) == (2, 2, 2):
+        return True, ""
+    return False, "dVH bi-separable bound is only known for (2,2,2)"
+
+
+CRITERIA = {
+    "cmn-bisep-inf": Criterion(
+        "bisep", math.inf,
+        lambda dims, d_a, d_b, h: bisep_bound_inf(d_a, d_b, h),
+        lambda dims, d_a, d_b, h: bisep_preconditions_inf(d_a, d_b, h)),
+    "cmn-bisep-p1": Criterion(
+        "bisep", 1.0,
+        lambda dims, d_a, d_b, h: bisep_bound_p1(d_a, d_b, h),
+        lambda dims, d_a, d_b, h: bisep_preconditions_p1(d_a, d_b, h)),
+    "cmn-full-inf": Criterion(
+        "full", math.inf,
+        lambda dims, d_a, d_b, h: fullsep_bound_inf(dims, h),
+        lambda dims, d_a, d_b, h: fullsep_preconditions_inf(dims, h, min(d_a, d_b) ** 2)),
+    "cmn-full-p1": Criterion(
+        "full", 1.0,
+        lambda dims, d_a, d_b, h: fullsep_bound_p1(dims, h, min(d_a, d_b) ** 2),
+        lambda dims, d_a, d_b, h: fullsep_preconditions_p1(dims, h, min(d_a, d_b) ** 2)),
+    "dvh-full": Criterion(
+        "full", None,
+        lambda dims, d_a, d_b, h: dvh_fullsep_bound(dims),
+        lambda dims, d_a, d_b, h: (True, "")),
+    "dvh-bisep": Criterion(
+        "bisep", None,
+        lambda dims, d_a, d_b, h: dvh_bisep_bound_3qubit(),
+        _dvh_bisep_preconditions),
+}
+# the M_{h,p} entry of each (kind, p)
+_CMN_NAMES = {(c.kind, c.p): name for name, c in CRITERIA.items() if c.p is not None}
+
+
+@dataclass(frozen=True)
 class DetectConfig:
     """Detection sweep configuration. ``h = None`` selects h = d² per
     matricization; ``ps`` chooses which Schatten exponents to evaluate."""
@@ -173,7 +213,6 @@ class DetectConfig:
     filter: bool = True
     recursive: bool = True
     fnf_tol: float = 1e-9
-    filter_max_iters: int = 500
 
 
 @dataclass(frozen=True)
@@ -206,110 +245,60 @@ class DetectionVerdict:
         return out
 
 
-def _h_for(cfg, min_side_sq):
-    return min_side_sq if cfg.h is None else cfg.h
-
-
-def _has_bound(p):
-    return math.isinf(p) or p == 1
-
-
-def _criterion(kind, p):
-    return f"cmn-{kind}-inf" if math.isinf(p) else f"cmn-{kind}-p{p:g}"
-
-
-def _unbounded(part, kind, p):
-    """Inconclusive report for a p with no known separability bound."""
-    return _report(part, _criterion(kind, p), math.nan, math.nan, ok=False,
-                   reason=f"no separability bound for p={p:g}")
-
-
-def _bisep_reports(tensor, dims, part, cfg, rho):
-    reports = []
-    fnf_res = fnf_residual(tensor, part)
-    work = tensor
-    fnf_note = ""
-    failed = ""
-    # only a bounded p reads the filtered tensor
-    if fnf_res > cfg.fnf_tol and cfg.filter and any(map(_has_bound, cfg.ps)):
-        try:
-            filtered = filter_to_fnf(
-                rho,
-                max_iters=cfg.filter_max_iters,
-                tol=cfg.fnf_tol,
-                groups=[part.side_a, part.side_b],
-            )
-            work = build(filtered)
-            fnf_res = fnf_residual(work, part)
-            fnf_note = "after SLOCC filtering; "
-        except FilteringError as exc:
-            failed = str(exc)
-    fnf_ok = fnf_res <= cfg.fnf_tol
-
-    d_a = int(np.prod([dims[i] for i in part.side_a]))
-    d_b = int(np.prod([dims[i] for i in part.side_b]))
-    m = matricize(work, part)
-    min_side_sq = min(d_a, d_b) ** 2
-    h = _h_for(cfg, min_side_sq)
+def _cut_reports(tensor, dims, part, cfg, kind, gate, note=""):
+    """Reports on one cut: the M_{h,p} entry of ``kind`` for each p in
+    ``cfg.ps``, in order, then, in the full sweep, every dVH entry. A
+    nonempty ``gate`` says why ``tensor`` is not in the normal form that the
+    M_{h,p} bounds assume; ``note`` prefixes their reasons otherwise."""
+    jobs = []  # (name, reason it is inconclusive whatever its preconditions, reason prefix)
     for p in cfg.ps:
-        if not _has_bound(p):
-            reports.append(_unbounded(part, "bisep", p))
-            continue
-        crit = _criterion("bisep", p)
-        if math.isinf(p):
-            ok, why = bisep_preconditions_inf(d_a, d_b, h)
+        name = _CMN_NAMES.get((kind, p))
+        if name is None:
+            jobs.append((f"cmn-{kind}-p{p:g}", f"no separability bound for p={p:g}", ""))
         else:
-            ok, why = bisep_preconditions_p1(d_a, d_b, h)
-        if not fnf_ok:
-            ok, why = False, failed or f"not in FNF (residual {fnf_res:.3e})"
+            jobs.append((name, gate, note))
+    if kind == "full":
+        # the dVH trace norms need no normal form, so they read the unfiltered tensor
+        jobs.extend((name, "", "") for name, c in CRITERIA.items() if c.p is None)
+
+    d_a, d_b = part.side_dims(dims)
+    h = min(d_a, d_b) ** 2 if cfg.h is None else cfg.h
+    reports = []
+    for name, fail, prefix in jobs:
+        ok, why = (False, fail) if fail else CRITERIA[name].preconditions(dims, d_a, d_b, h)
         if not ok:
-            reports.append(_report(part, crit, math.nan, math.nan, ok=False, reason=why))
+            reports.append(BoundReport(part, name, math.nan, math.nan, False, False, False, why))
             continue
-        value = cmn(m, CmnParams(h, p))
-        bound = bisep_bound_inf(d_a, d_b, h) if math.isinf(p) else bisep_bound_p1(d_a, d_b, h)
-        reports.append(_report(part, crit, value, bound, reason=fnf_note + why))
+        value = float(CRITERIA[name].value(tensor, part, h))
+        bound = float(CRITERIA[name].bound(dims, d_a, d_b, h))
+        reports.append(BoundReport(part, name, value, bound, *compare(value, bound), True,
+                                   prefix + why))
     return reports
 
 
+def _bisep_reports(tensor, dims, part, cfg, rho):
+    fnf_res = fnf_residual(tensor, part)
+    note = failed = ""
+    # only an M_{h,p} entry reads the filtered tensor
+    if (fnf_res > cfg.fnf_tol and cfg.filter
+            and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)):
+        try:
+            filtered = filter_to_fnf(rho, tol=cfg.fnf_tol, groups=[part.side_a, part.side_b])
+            tensor = build(filtered)
+            fnf_res = fnf_residual(tensor, part)
+            note = "after SLOCC filtering; "
+        except FilteringError as exc:
+            failed = str(exc)
+    gate = "" if fnf_res <= cfg.fnf_tol else failed or f"not in FNF (residual {fnf_res:.3e})"
+    return _cut_reports(tensor, dims, part, cfg, "bisep", gate, note)
+
+
 def _fullsep_reports(tensor, dims, cfg):
-    reports = []
     sfnf_res = sfnf_residual(tensor)
-    sfnf_ok = sfnf_res <= cfg.fnf_tol
-    w = interior(tensor)
-    dvh_bound = dvh_fullsep_bound(dims)
+    gate = "" if sfnf_res <= cfg.fnf_tol else f"not in SFNF (residual {sfnf_res:.3e})"
+    reports = []
     for part in iter_bipartitions(len(dims)):
-        d_a = int(np.prod([dims[i] for i in part.side_a]))
-        d_b = int(np.prod([dims[i] for i in part.side_b]))
-        min_side_sq = min(d_a, d_b) ** 2
-        h = _h_for(cfg, min_side_sq)
-        m = matricize(tensor, part)
-        for p in cfg.ps:
-            if not _has_bound(p):
-                reports.append(_unbounded(part, "full", p))
-                continue
-            crit = _criterion("full", p)
-            if math.isinf(p):
-                ok, why = fullsep_preconditions_inf(dims, h, min_side_sq)
-            else:
-                ok, why = fullsep_preconditions_p1(dims, h, min_side_sq)
-            if not sfnf_ok:
-                ok, why = False, f"not in SFNF (residual {sfnf_res:.3e})"
-            if not ok:
-                reports.append(_report(part, crit, math.nan, math.nan, ok=False, reason=why))
-                continue
-            value = cmn(m, CmnParams(h, p))
-            bound = (fullsep_bound_inf(dims, h) if math.isinf(p)
-                     else fullsep_bound_p1(dims, h, min_side_sq))
-            reports.append(_report(part, crit, value, bound, reason=why))
-        # dVH needs no normal-form assumption
-        w_flat = matricize_interior(w, part)
-        reports.append(_report(part, "dvh-full", dvh_interior_sum(w_flat), dvh_bound))
-        if tuple(dims) == (2, 2, 2):
-            reports.append(_report(part, "dvh-bisep", dvh_interior_sum(w_flat),
-                                   dvh_bisep_bound_3qubit()))
-        else:
-            reports.append(_report(part, "dvh-bisep", math.nan, math.nan, ok=False,
-                                   reason="dVH bi-separable bound is only known for (2,2,2)"))
+        reports.extend(_cut_reports(tensor, dims, part, cfg, "full", gate))
     return reports
 
 
@@ -345,12 +334,11 @@ def _detect(rho, parties, cfg, seen):
 
     bi_entangled = tuple(sorted(
         {r.partition_label() for r in reports
-         if r.violated and r.criterion in ("cmn-bisep-inf", "cmn-bisep-p1", "dvh-bisep")}
+         if r.violated and CRITERIA[r.criterion].kind == "bisep"}
     ))
     # entanglement anywhere in a reduction rules out full separability too
     not_full = any(
-        r.violated and r.criterion in ("cmn-full-inf", "cmn-full-p1", "dvh-full")
-        for r in reports
+        r.violated and CRITERIA[r.criterion].kind == "full" for r in reports
     ) or bool(bi_entangled) or any(
         sub.not_fully_separable or sub.bi_entangled_partitions for _, sub in reduced
     )

@@ -16,8 +16,8 @@ import time
 import numpy as np
 
 from . import report, zoo
-from .audit import FAMILIES, separability_audit
-from .bounds import CRITERIA, DetectConfig, detect
+from .audit import AuditInputError, separability_audit
+from .bounds import DetectConfig, detect
 from .cmn import CmnParams
 from .discord import OptimizerCfg, global_discord_cmn
 from .linalg import DensityMatrix, ValidationError
@@ -109,7 +109,8 @@ def _emit(args, doc, csv_rows=None):
     text = report.dumps(doc)
     if getattr(args, "csv", None):
         with open(args.csv, "w") as fh:
-            fh.write("partition,criterion,value,bound,violated,saturated,preconditions_met\n")
+            fh.write("partition,criterion,value,bound,violated,saturated,preconditions_met,"
+                     "parties\n")
             for row in csv_rows or []:
                 fh.write(",".join(row) + "\n")
     if getattr(args, "output", None):
@@ -157,10 +158,7 @@ def cmd_discord(args):
         parts = list(iter_bipartitions(n))
     solves = []
     for part in parts:
-        d_min = min(
-            int(np.prod([rho.dims[i] for i in part.side_a])),
-            int(np.prod([rho.dims[i] for i in part.side_b])),
-        )
+        d_min = min(part.side_dims(rho.dims))
         h = args.h if args.h is not None else min(2, d_min**2)
         if h > d_min**2:
             raise InputError(f"h={h} exceeds d^2={d_min**2} for partition {part.label()}")
@@ -183,16 +181,11 @@ def cmd_discord(args):
 
 
 def cmd_audit(args):
-    if args.family not in FAMILIES:
-        raise InputError(
-            f"unknown family {args.family!r}; available: {', '.join(sorted(FAMILIES))}"
-        )
-    if args.criterion not in CRITERIA:
-        raise InputError(
-            f"unknown criterion {args.criterion!r}; available: {', '.join(CRITERIA)}"
-        )
     start = time.perf_counter()
-    rep = separability_audit(args.family, args.criterion, args.trials, args.seed)
+    try:
+        rep = separability_audit(args.family, args.criterion, args.trials, args.seed)
+    except AuditInputError as exc:
+        raise InputError(str(exc)) from exc
     doc = report.document(
         "audit",
         report.input_digest(f"{args.family}:{args.criterion}:{args.trials}:{args.seed}"),

@@ -7,8 +7,9 @@ import hashlib
 import json
 import math
 
+from . import __version__
+
 SCHEMA_VERSION = 2
-TOOL_VERSION = "0.1.0"
 
 
 def _format_float(x: float) -> str:
@@ -110,7 +111,7 @@ def audit_report_to_dict(r):
 def document(kind, digest, body, timing=None):
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "kind": kind,
         "input_digest": digest,
     }
@@ -122,18 +123,23 @@ def document(kind, digest, body, timing=None):
 
 def verdict_to_csv_rows(v):
     """One row per (partition, criterion), for the state and then for each
-    distinct reduced state once, in the order of ``verdict_to_dict``."""
+    distinct reduced state once, in the order of ``verdict_to_dict``. The
+    last column lists the row set's parties as 0-based indices into ``v``'s
+    parties, space-separated."""
     rows = []
-    for r in v.all_reports():
-        rows.append(
-            [
-                r.partition_label(),
-                r.criterion,
-                _format_float(r.value).strip('"'),
-                _format_float(r.bound).strip('"'),
-                str(r.violated).lower(),
-                str(r.saturated).lower(),
-                str(r.preconditions_met).lower(),
-            ]
-        )
+    for parties, verdict in [(range(len(v.dims)), v)] + v.subsets():
+        party_list = " ".join(map(str, parties))
+        for r in verdict.reports:
+            rows.append(
+                [
+                    r.partition_label(),
+                    r.criterion,
+                    _format_float(r.value).strip('"'),
+                    _format_float(r.bound).strip('"'),
+                    str(r.violated).lower(),
+                    str(r.saturated).lower(),
+                    str(r.preconditions_met).lower(),
+                    party_list,
+                ]
+            )
     return rows

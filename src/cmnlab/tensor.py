@@ -47,6 +47,10 @@ class Bipartition:
         fmt = lambda side: "".join(chr(ord("A") + i) for i in side)
         return f"{fmt(self.side_a)}|{fmt(self.side_b)}"
 
+    def side_dims(self, dims):
+        """Hilbert-space dimensions (d_A, d_B) of the two sides."""
+        return math.prod(dims[i] for i in self.side_a), math.prod(dims[i] for i in self.side_b)
+
 
 def iter_bipartitions(n_parties):
     """All bipartitions of n parties, one per unordered split (party 0 is

@@ -138,8 +138,7 @@ def random_biseparable(dims, part: Bipartition, k_terms, seed) -> DensityMatrix:
         raise ValueError("k_terms must be >= 1")
     rng = np.random.default_rng(seed)
     dims = tuple(int(d) for d in dims)
-    d_a = int(np.prod([dims[i] for i in part.side_a]))
-    d_b = int(np.prod([dims[i] for i in part.side_b]))
+    d_a, d_b = part.side_dims(dims)
     weights = rng.dirichlet(np.ones(k_terms))
     total = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
     for w in weights:

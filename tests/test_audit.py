@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cmnlab.audit import (
+    AuditInputError,
     compound_matrix,
     elementary_symmetric_bruteforce,
     ppt_check,
@@ -130,6 +131,20 @@ class TestAudits:
         rep = separability_audit("ghz-mixtures-222", "cmn-bisep-inf", 20, 7)
         assert rep.violations >= 15
         assert rep.worst_margin > 0
+
+    def test_rejected_before_sampling(self, monkeypatch):
+        from cmnlab import audit
+
+        def no_sampling(*args):
+            raise AssertionError("sampled a request that cannot be audited")
+
+        monkeypatch.setattr(audit.zoo, "random_fully_separable_sfnf", no_sampling)
+        for criterion, trials, match in (("dvh-bisep", 5, r"only known for \(2,2,2\)"),
+                                         ("nope", 5, "available: cmn-bisep-inf"),
+                                         ("cmn-full-inf", 0, "trials"),
+                                         ("cmn-full-inf", -3, "trials")):
+            with pytest.raises(AuditInputError, match=match):
+                separability_audit("fully-separable-sfnf-223", criterion, trials, 0)
 
     def test_report_fields(self):
         rep = separability_audit("fully-separable-sfnf-222", "cmn-full-inf", 3, 9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cmnlab.bounds import (
+    CRITERIA,
     DetectConfig,
     bisep_bound_inf,
     bisep_bound_p1,
@@ -136,6 +137,10 @@ class TestDetect:
         full = [r for r in v.reports if r.criterion == "cmn-full-inf"]
         assert all(not r.preconditions_met for r in full)
         assert all("SFNF" in r.reason for r in full)
+
+    def test_reports_cover_the_registry(self):
+        v = detect(ghz(3, 2).to_density())
+        assert {r.criterion for r in v.reports} == set(CRITERIA)
 
     def test_recursion_reaches_bipartite_reductions(self):
         v = detect(rho1())

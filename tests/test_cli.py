@@ -1,10 +1,14 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cmnlab
 from cmnlab import report
+from cmnlab.bounds import CRITERIA
 from cmnlab.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -152,6 +156,19 @@ class TestAnalyze:
         rows = csv_path.read_text().strip().split("\n")[1:]
         assert len(rows) == len(v["reports"]) + sum(len(e["reports"]) for e in v["reduced"])
 
+    def test_csv_parties_column(self, capsys, tmp_path):
+        csv_path = tmp_path / "out.csv"
+        code, out, _ = run(capsys, "analyze", "zoo:ghz-3-2", "--csv", str(csv_path))
+        assert code == EXIT_OK
+        v = json.loads(out)["verdict"]
+        header, *rows = csv_path.read_text().strip().split("\n")
+        assert header.split(",")[-1] == "parties"
+        expected = ["0 1 2"] * len(v["reports"])
+        for e in v["reduced"]:
+            expected += [" ".join(map(str, e["parties"]))] * len(e["reports"])
+        assert [row.split(",")[-1] for row in rows] == expected
+        assert {"1 2", "0 2", "0 1"} <= set(expected)
+
     def test_finite_p_is_inconclusive(self, capsys):
         code, out, _ = run(capsys, "analyze", "zoo:ghz-3-2", "--p", "0.5", "--h", "2")
         assert code == EXIT_OK
@@ -248,6 +265,54 @@ class TestAuditCommand:
     def test_unknown_criterion(self, capsys):
         code, _, err = run(capsys, "audit", "fully-separable-sfnf-222", "nope")
         assert code == EXIT_INVALID_INPUT
+
+    def test_accepts_exactly_the_registry(self, capsys):
+        for name in CRITERIA:
+            code, out, _ = run(capsys, "audit", "fully-separable-sfnf-222", name,
+                               "--trials", "1", "--seed", "3")
+            assert code == EXIT_OK, name
+            assert json.loads(out)["audit"]["criterion"] == name
+        code, _, err = run(capsys, "audit", "fully-separable-sfnf-222", "cmn-bisep-p2")
+        assert code == EXIT_INVALID_INPUT
+        assert all(name in err for name in CRITERIA)
+
+    def test_dvh_bisep(self, capsys):
+        code, out, _ = run(capsys, "audit", "ghz-mixtures-222", "dvh-bisep",
+                           "--trials", "5", "--seed", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["audit"]["violations"] == 5
+        code, out, err = run(capsys, "audit", "fully-separable-sfnf-223", "dvh-bisep")
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "only known for (2,2,2)" in err
+
+    def test_other_value_errors_are_not_input_errors(self, monkeypatch):
+        from cmnlab import audit
+
+        def broken(dims, seed):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(audit.zoo, "random_fully_separable_sfnf", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["audit", "fully-separable-sfnf-222", "cmn-full-inf", "--trials", "1"])
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one(self, capsys, trials):
+        code, out, err = run(capsys, "audit", "fully-separable-sfnf-222", "cmn-full-inf",
+                             "--trials", trials)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "trials" in err
+
+
+class TestVersion:
+    def test_one_version_string(self, capsys):
+        code, out, _ = run(capsys, "analyze", "zoo:bell-phi-plus")
+        assert code == EXIT_OK
+        assert json.loads(out)["tool_version"] == cmnlab.__version__
+        pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+        assert version == cmnlab.__version__
 
 
 class TestDumps:
