@@ -133,6 +133,10 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
     dims, kind = FAMILIES[family]
     part = _PART_A_BC(dims)
     entry = CRITERIA[criterion]
+    if entry.kind == "full" and kind == "bisep":
+        raise AuditInputError(
+            f"{criterion} bounds fully separable states, but {family} samples "
+            "bi-separable ones")
     d_a, d_b = part.side_dims(dims)
     h = min(d_a, d_b) ** 2
     ok, why = entry.preconditions(dims, d_a, d_b, h)

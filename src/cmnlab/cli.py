@@ -95,8 +95,8 @@ def _parse_p(text):
         val = float(text)
     except ValueError:
         raise InputError(f"invalid p value {text!r}")
-    if val <= 0:
-        raise InputError("p must be positive")
+    if not val > 0:  # also rejects nan
+        raise InputError(f"p must be positive, got {text!r}")
     return val
 
 

@@ -3,17 +3,12 @@ reductions to the maximally mixed state."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DensityMatrix,
-    apply_local,
-    hermitize,
-    partial_trace_raw,
-    trace_distance,
-)
+from .linalg import DensityMatrix, hermitize, trace_distance
 from .tensor import Bipartition, CorrelationTensor
 
 RANK_TOL = 1e-8
@@ -85,10 +80,6 @@ def normal_form_status(t: CorrelationTensor, tol=DEFAULT_TOL) -> NormalFormStatu
     return NormalFormStatus(per_part, is_sfnf(t, tol), max(worst, sfnf_residual(t)))
 
 
-def _group_reduction(data, dims, group):
-    return partial_trace_raw(data, dims, group)
-
-
 def _inverse_sqrt(m, rank_tol, label):
     w, v = np.linalg.eigh(hermitize(m))
     if w.min() <= rank_tol:
@@ -96,7 +87,7 @@ def _inverse_sqrt(m, rank_tol, label):
             f"filtering not possible: reduction of {label} is rank deficient "
             f"(min eigenvalue {w.min():.3e})"
         )
-    return v @ np.diag(w**-0.5) @ v.conj().T
+    return (v * w**-0.5) @ v.conj().T
 
 
 def filter_to_fnf(
@@ -113,38 +104,47 @@ def filter_to_fnf(
     reduction is within ``tol`` trace distance of 1/d_g. A bipartition can
     be passed as two groups to reach FNF with respect to that cut.
 
+    The iteration works on one group-major copy of ρ (the parties of group
+    0 first, then group 1, ...): a group reduction is one einsum trace and a
+    filter two broadcast matmuls, and the layout is undone once at the end.
+    Groups must be disjoint; a party in no group is never filtered.
+
     If ``history`` is a list, the product of the normalized reduction
     determinants det(d_g ρ_g) is appended after every sweep; this product is
     a standard non-decreasing convergence diagnostic.
     """
     dims = rho.dims
+    n = len(dims)
     if groups is None:
-        groups = [(p,) for p in range(len(dims))]
+        groups = [(p,) for p in range(n)]
     groups = [tuple(sorted(int(p) for p in g)) for g in groups]
-    data = rho.data.copy()
+    order = [p for g in groups for p in g]
+    if len(set(order)) != len(order):
+        raise ValueError(f"filtering groups must be disjoint, got {groups}")
+    order += [p for p in range(n) if p not in order]
+    side = rho.dim
+    sizes = [math.prod(dims[p] for p in g) for g in groups]
+    # (L, D, R): product of the group dimensions before, at and after group k
+    before = [math.prod(sizes[:k]) for k in range(len(sizes))]
+    blocks = [(L, D, side // (L * D)) for L, D in zip(before, sizes)]
+    axes = order + [n + p for p in order]
+    m = rho.data.reshape(dims + dims).transpose(axes).reshape(side, side)
+    labels = ["party " + "+".join(str(p) for p in g) for g in groups]
 
-    def group_dim(g):
-        return int(np.prod([dims[p] for p in g]))
-
-    def reductions(data):
-        return [_group_reduction(data, dims, g) for g in groups]
+    def reduction(m, k):
+        L, D, R = blocks[k]
+        return np.einsum("aibajb->ij", m.reshape(L, D, R, L, D, R))
 
     def det_product(reds):
-        out = 1.0
-        for g, red in zip(groups, reds):
-            out *= float(np.linalg.det(group_dim(g) * red).real)
-        return out
+        return math.prod(float(np.linalg.det(d_g * red).real) for d_g, red in zip(sizes, reds))
 
     def residual(reds):
-        worst = 0.0
-        for g, red in zip(groups, reds):
-            d_g = group_dim(g)
-            worst = max(worst, trace_distance(red, np.eye(d_g) / d_g))
-        return worst
+        return max((trace_distance(red, np.eye(d_g) / d_g) for d_g, red in zip(sizes, reds)),
+                   default=0.0)
 
     # one set of reductions per sweep serves the history, the residual and
     # the next sweep's first filter
-    reds = reductions(data)
+    reds = [reduction(m, k) for k in range(len(groups))]
     if history is not None:
         history.append(det_product(reds))
     res = residual(reds)
@@ -155,16 +155,17 @@ def filter_to_fnf(
                 f"filtering did not converge in {max_iters} sweeps "
                 f"(last residual {res:.3e})"
             )
-        for k, g in enumerate(groups):
-            d_g = group_dim(g)
-            red = reds[0] if k == 0 else _group_reduction(data, dims, g)
-            label = "party " + "+".join(str(p) for p in g)
-            f = _inverse_sqrt(d_g * red, RANK_TOL, label)
-            data = apply_local(f, data, g, dims)
-            data = data / data.trace().real
-        reds = reductions(data)
+        for k, (L, D, R) in enumerate(blocks):
+            red = reds[0] if k == 0 else reduction(m, k)
+            f = _inverse_sqrt(D * red, RANK_TOL, labels[k])
+            m = (f @ m.reshape(L, D, R * side)).reshape(side * L, D, R)
+            m = (f.conj() @ m).reshape(side, side)
+            m = m / m.trace().real
+        reds = [reduction(m, k) for k in range(len(groups))]
         if history is not None:
             history.append(det_product(reds))
         res = residual(reds)
         sweeps += 1
+    back = np.argsort(axes)
+    data = m.reshape([dims[p] for p in order] * 2).transpose(back).reshape(side, side)
     return DensityMatrix(dims, hermitize(data))

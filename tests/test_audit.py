@@ -11,6 +11,7 @@ from cmnlab.audit import (
     schatten_norm,
     separability_audit,
 )
+from cmnlab.bounds import CRITERIA
 from cmnlab.cmn import CmnParams, cmn, elementary_symmetric
 from cmnlab.linalg import singular_values
 from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize
@@ -145,6 +146,25 @@ class TestAudits:
                                          ("cmn-full-inf", -3, "trials")):
             with pytest.raises(AuditInputError, match=match):
                 separability_audit("fully-separable-sfnf-223", criterion, trials, 0)
+
+    def test_full_criteria_rejected_on_bisep_families(self, monkeypatch):
+        from cmnlab import audit
+
+        def no_sampling(*args):
+            raise AssertionError("sampled a request that cannot be audited")
+
+        monkeypatch.setattr(audit.zoo, "random_biseparable", no_sampling)
+        full = [name for name, entry in CRITERIA.items() if entry.kind == "full"]
+        assert full
+        for family in ("biseparable-filtered-222", "biseparable-filtered-223"):
+            for criterion in full:
+                with pytest.raises(AuditInputError, match="samples bi-separable"):
+                    separability_audit(family, criterion, 5, 0)
+
+    def test_ghz_mixtures_accept_every_criterion(self):
+        for criterion in CRITERIA:
+            rep = separability_audit("ghz-mixtures-222", criterion, 2, 4)
+            assert rep.trials == 2
 
     def test_report_fields(self):
         rep = separability_audit("fully-separable-sfnf-222", "cmn-full-inf", 3, 9)

@@ -197,6 +197,12 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "zoo:bell-phi-plus", "--p", "zero")
         assert code == EXIT_INVALID_INPUT
 
+    def test_nan_p_rejected(self, capsys):
+        code, out, err = run(capsys, "analyze", "zoo:bell-phi-plus", "--p", "nan")
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and "nan" in err
+
 
 class TestDiscord:
     def test_bell_value(self, capsys):
@@ -237,6 +243,13 @@ class TestDiscord:
         d1, d2 = json.loads(out1), json.loads(out2)
         d1.pop("timing_seconds"), d2.pop("timing_seconds")
         assert d1 == d2
+
+    def test_nan_p_rejected(self, capsys):
+        code, out, err = run(capsys, "discord", "zoo:bell-phi-plus", "--p", "nan",
+                             "--restarts", "2", "--partition", "0")
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and "nan" in err
 
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("CMNLAB_SEED", "11")
@@ -285,6 +298,13 @@ class TestAuditCommand:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert "only known for (2,2,2)" in err
+
+    def test_full_criterion_on_bisep_family(self, capsys):
+        code, out, err = run(capsys, "audit", "biseparable-filtered-222", "cmn-full-inf",
+                             "--trials", "100", "--seed", "5")
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and "bi-separable" in err
 
     def test_other_value_errors_are_not_input_errors(self, monkeypatch):
         from cmnlab import audit

@@ -109,6 +109,15 @@ class TestFilterToFnf:
         t = build(out)
         assert is_fnf(t, PART)
 
+    def test_overlapping_groups_rejected(self):
+        rho = random_density((2, 2, 2), 8, 9)
+        with pytest.raises(ValueError, match="disjoint"):
+            filter_to_fnf(rho, groups=[(0, 1), (1, 2)])
+
+    def test_party_in_no_group_is_not_filtered(self):
+        rho = random_density((2, 2, 2), 8, 10)
+        _assert_matches_oracle(rho, [(2,), (0,)])
+
     def test_nonconvergence_reports_residual(self):
         rho = random_density((2, 2, 2), 8, 8)
         with pytest.raises(FilteringError, match="residual"):
@@ -140,12 +149,60 @@ def _filter_recomputing(rho, groups, tol=1e-9, max_iters=500):
     return hermitize(data), history
 
 
+def _assert_matches_oracle(rho, groups):
+    """Same sweep count as the oracle; data and determinant history within
+    1e-13 (the kernel sums in another order, so bit equality is not owed)."""
+    hist = []
+    out = filter_to_fnf(rho, groups=groups, history=hist)
+    if groups is None:
+        groups = [(p,) for p in range(len(rho.dims))]
+    want, want_hist = _filter_recomputing(rho, groups)
+    assert len(hist) == len(want_hist)
+    assert np.abs(out.data - want).max() <= 1e-13
+    assert np.abs(np.subtract(hist, want_hist)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("groups", [[(0,), (1,), (2,)], [(0,), (1, 2)], [(0, 2), (1,)]])
-def test_shared_reductions_are_bit_identical(groups):
+def test_filter_matches_recomputing_oracle(groups):
     for seed in range(4):
-        rho = random_density((2, 2, 2), 8, 60 + seed)
-        hist = []
-        out = filter_to_fnf(rho, groups=groups, history=hist)
-        want, want_hist = _filter_recomputing(rho, groups)
-        assert np.array_equal(out.data, want)
-        assert hist == want_hist
+        _assert_matches_oracle(random_density((2, 2, 2), 8, 60 + seed), groups)
+
+
+@pytest.mark.parametrize("dims,groups", [
+    ((2, 2, 3), [(0,), (1, 2)]),
+    ((2, 2, 3), [(2,), (0, 1)]),
+    ((3, 3), None),
+    ((2, 2, 2, 2), [(0, 3), (1, 2)]),
+    ((2, 2, 2, 2), None),
+])
+def test_group_major_kernel_matches_oracle(dims, groups):
+    side = int(np.prod(dims))
+    for seed in range(3):
+        _assert_matches_oracle(random_density(dims, side, 70 + seed), groups)
+
+
+def test_w3_failure_texts_unchanged():
+    from cmnlab.zoo import w_state
+
+    w3 = w_state(3).to_density()
+    msg = "filtering did not converge in 500 sweeps (last residual 4.995e-04)"
+    with pytest.raises(FilteringError) as err:
+        filter_to_fnf(partial_trace(w3, (0, 1)))
+    assert str(err.value) == msg
+    with pytest.raises(FilteringError, match=r"reduction of party 1\+2 is rank deficient"):
+        filter_to_fnf(w3, groups=[(0,), (1, 2)])
+
+
+def test_kernel_calls_no_per_step_linalg(monkeypatch):
+    from cmnlab import linalg, normal_form
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("filter_to_fnf called a per-step linalg helper")
+
+    for module in (linalg, normal_form):
+        for name in ("apply_local", "partial_trace_raw"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    rho = random_density((2, 2, 3), 12, 80)
+    out = filter_to_fnf(rho, groups=[(0,), (1, 2)])
+    assert out.dims == (2, 2, 3)
+    filter_to_fnf(rho)
