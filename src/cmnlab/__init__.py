@@ -31,13 +31,11 @@ from .linalg import (
     PureState,
     ValidationError,
     bloch_to_qubit,
-    kron,
     partial_trace,
     singular_values,
 )
 from .normal_form import (
     FilteringError,
-    NormalFormStatus,
     filter_to_fnf,
     is_fnf,
     is_sfnf,

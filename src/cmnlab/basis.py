@@ -65,25 +65,36 @@ def basis_expectations(rho: DensityMatrix, bases) -> np.ndarray:
 
     Entry (i₁, …, i_N) is trace(ρ · ⊗ₖ bases[k].ops[iₖ]); the imaginary
     residue of every entry is checked against IMAG_RESIDUE_TOL before being
-    discarded.
+    discarded. The one-row case of :func:`expectations_stack`.
     """
-    dims = rho.dims
+    return expectations_stack(rho.data[None], rho.dims, bases)[0]
+
+
+def expectations_stack(data, dims, bases) -> np.ndarray:
+    """:func:`basis_expectations` of each matrix in the stack ``data``
+    (shape (k, side, side), every state over ``dims``); shape (k, d₁², …).
+    Raises ValueError for the first matrix whose imaginary residue exceeds
+    IMAG_RESIDUE_TOL."""
+    dims = tuple(dims)
     if len(bases) != len(dims):
         raise ValueError("need exactly one operator basis per party")
     for b, d in zip(bases, dims):
         if b.dim != d:
             raise ValueError(f"basis dimension {b.dim} does not match party dimension {d}")
     n = len(dims)
-    # rho as a 2N-axis tensor; contract each party's (row, col) pair with its
-    # operator stack, accumulating one basis-index axis per party.
-    t = rho.data.reshape(tuple(dims) * 2)
+    # each matrix as a 2N-axis tensor after the stack axis; contract each
+    # party's (row, col) pair with its operator stack, accumulating one
+    # basis-index axis per party.
+    t = data.reshape((len(data),) + dims * 2)
     for k in range(n):
-        # after k contractions the leading k axes are basis indices; party
-        # k's row axis sits at position k and its column axis at position n.
+        # after k contractions axes 1..k are basis indices; party k's row
+        # axis sits at position k + 1 and its column axis at position n + 1.
         # tr(ρ·O) pairs O's first matrix index with the column axis.
-        t = np.tensordot(bases[k].ops, t, axes=([1, 2], [n, k]))
-        t = np.moveaxis(t, 0, k)
-    residue = np.abs(t.imag).max()
-    if residue > IMAG_RESIDUE_TOL:
-        raise ValueError(f"imaginary residue {residue:.3e} exceeds tolerance")
+        t = np.tensordot(bases[k].ops, t, axes=([1, 2], [n + 1, k + 1]))
+        t = np.moveaxis(t, 0, k + 1)
+    residue = np.abs(t.imag)
+    if residue.max(initial=0) > IMAG_RESIDUE_TOL:
+        residue = residue.reshape(len(t), -1).max(axis=1)
+        first = residue[residue > IMAG_RESIDUE_TOL][0]
+        raise ValueError(f"imaginary residue {first:.3e} exceeds tolerance")
     return np.ascontiguousarray(t.real)

@@ -9,16 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmn import CmnParams, cmn, elementary_symmetric
+from .cmn import CmnParams, elementary_symmetric, spectrum_power
 from .linalg import DensityMatrix, partial_trace, singular_values
 from .normal_form import FilteringError, filter_to_fnf, fnf_residual, sfnf_residual
-from .tensor import (
-    build,
-    interior,
-    iter_bipartitions,
-    matricize,
-    matricize_interior,
-)
+from .tensor import _matricize_array, build, iter_bipartitions
 
 EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
 
@@ -161,10 +155,19 @@ class Criterion:
     preconditions: Callable
 
     def value(self, tensor, part, h):
-        """M_{h,p} of the cut's matricization, or the dVH trace norm of its interior."""
+        """M_{h,p} of the cut's matricization, or the dVH trace norm of its
+        interior; the one-row case of :meth:`values`."""
+        return float(self.values(tensor.data[None], tensor.dims, part, h)[0])
+
+    def values(self, tensors, dims, part, h):
+        """:meth:`value` of each correlation tensor over ``dims`` in the
+        stack ``tensors`` (shape (k, d₁², …)), from one batched SVD."""
         if self.p is None:
-            return dvh_interior_sum(matricize_interior(interior(tensor), part))
-        return cmn(matricize(tensor, part), CmnParams(h, self.p))
+            sl = (slice(None),) + (slice(1, None),) * part.n_parties
+            return singular_values(_matricize_array(tensors[sl], dims, part)).sum(axis=1)
+        params = CmnParams(h, self.p)
+        power = spectrum_power(singular_values(_matricize_array(tensors, dims, part)), params)
+        return power if math.isinf(self.p) else power ** (1 / self.p)
 
 
 def _dvh_bisep_preconditions(dims, d_a, d_b, h):

@@ -1,5 +1,5 @@
-"""Dense linear algebra substrate: validated quantum states, Kronecker
-products, partial traces and singular spectra.
+"""Dense linear algebra substrate: validated quantum states, partial traces
+and singular spectra.
 
 All state-like objects are immutable; every function here is pure.
 """
@@ -33,8 +33,30 @@ def _frozen_array(a, dtype):
 
 
 def hermitize(m):
-    """(m + m†)/2 — used before eigenvalue-based PSD checks."""
-    return (m + m.conj().T) / 2
+    """(m + m†)/2 — used before eigenvalue-based PSD checks; for a stack of
+    matrices, each one."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def check_density_stack(data):
+    """Raise :class:`ValidationError` for the first matrix of the stack
+    ``data`` (shape (k, side, side)) that is not Hermitian, of unit trace
+    and positive semidefinite, naming the first invariant it violates."""
+    adj = data.conj().swapaxes(-1, -2)
+    herm_res = np.abs(data - adj)
+    tr = data.trace(axis1=-2, axis2=-1)
+    min_eig = np.linalg.eigvalsh((data + adj) / 2)[:, 0]  # eigvalsh sorts ascending
+    if (herm_res.max(initial=0) <= EPS_HERM and abs(tr - 1).max(initial=0) <= EPS_TRACE
+            and min_eig.min(initial=0) >= -EPS_PSD):
+        return
+    herm_res = herm_res.max(axis=(-2, -1))
+    for i in range(len(data)):
+        if herm_res[i] > EPS_HERM:
+            raise ValidationError(f"not Hermitian (residual {herm_res[i]:.3e})")
+        if abs(tr[i] - 1) > EPS_TRACE:
+            raise ValidationError(f"unit trace violated (trace {tr[i]:.12g})")
+        if min_eig[i] < -EPS_PSD:
+            raise ValidationError(f"not positive semidefinite (min eigenvalue {min_eig[i]:.3e})")
 
 
 @dataclass(frozen=True)
@@ -61,17 +83,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"matrix shape {data.shape} does not match dims {dims}"
             )
-        herm_res = np.abs(data - data.conj().T).max()
-        if herm_res > EPS_HERM:
-            raise ValidationError(f"not Hermitian (residual {herm_res:.3e})")
-        tr = data.trace()
-        if abs(tr - 1) > EPS_TRACE:
-            raise ValidationError(f"unit trace violated (trace {tr:.12g})")
-        min_eig = np.linalg.eigvalsh(hermitize(data)).min()
-        if min_eig < -EPS_PSD:
-            raise ValidationError(
-                f"not positive semidefinite (min eigenvalue {min_eig:.3e})"
-            )
+        check_density_stack(data[None])
 
     @property
     def n_parties(self):
@@ -117,19 +129,6 @@ class BlochVector:
             raise ValidationError("Bloch vector must have exactly 3 components")
         if np.linalg.norm(r) > 1 + EPS_NORM:
             raise ValidationError("Bloch vector lies outside the unit ball")
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(mats):
-    """Kronecker product of a sequence of matrices, left to right."""
-    out = np.asarray(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, np.asarray(m))
-    return out
 
 
 def partial_trace_raw(data, dims, keep):

@@ -4,27 +4,22 @@ reductions to the maximally mixed state."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, hermitize, trace_distance
+from .linalg import DensityMatrix, hermitize
 from .tensor import Bipartition, CorrelationTensor
 
 RANK_TOL = 1e-8
+# a rank-deficient reduction's min eigenvalue at or below this magnitude is
+# rounding noise, and its digits would only echo the summation order
+EIG_NOISE = 1e-12
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 500
 
 
 class FilteringError(RuntimeError):
     """Raised when a state cannot be brought to filter normal form."""
-
-
-@dataclass(frozen=True)
-class NormalFormStatus:
-    is_fnf_per_partition: dict
-    is_sfnf: bool
-    max_residual: float
 
 
 def _single_party_residual(data, dims, parties):
@@ -68,26 +63,10 @@ def is_sfnf(t: CorrelationTensor, tol=DEFAULT_TOL) -> bool:
     return sfnf_residual(t) <= tol
 
 
-def normal_form_status(t: CorrelationTensor, tol=DEFAULT_TOL) -> NormalFormStatus:
-    from .tensor import iter_bipartitions
-
-    per_part = {}
-    worst = 0.0
-    for part in iter_bipartitions(t.n_parties):
-        res = fnf_residual(t, part)
-        per_part[part] = res <= tol
-        worst = max(worst, res)
-    return NormalFormStatus(per_part, is_sfnf(t, tol), max(worst, sfnf_residual(t)))
-
-
-def _inverse_sqrt(m, rank_tol, label):
-    w, v = np.linalg.eigh(hermitize(m))
-    if w.min() <= rank_tol:
-        raise FilteringError(
-            f"filtering not possible: reduction of {label} is rank deficient "
-            f"(min eigenvalue {w.min():.3e})"
-        )
-    return (v * w**-0.5) @ v.conj().T
+def _rank_deficient(label, w_min):
+    shown = f"{w_min:.3e}" if abs(w_min) > EIG_NOISE else f"within {EIG_NOISE:g} of 0"
+    return (f"filtering not possible: reduction of {label} is rank deficient "
+            f"(min eigenvalue {shown})")
 
 
 def filter_to_fnf(
@@ -102,18 +81,44 @@ def filter_to_fnf(
     Sweeps the party ``groups`` (default: each party separately) applying
     the filter (d_g · ρ_g)^{-1/2} on each group in turn, until every group
     reduction is within ``tol`` trace distance of 1/d_g. A bipartition can
-    be passed as two groups to reach FNF with respect to that cut.
-
-    The iteration works on one group-major copy of ρ (the parties of group
-    0 first, then group 1, ...): a group reduction is one einsum trace and a
-    filter two broadcast matmuls, and the layout is undone once at the end.
-    Groups must be disjoint; a party in no group is never filtered.
+    be passed as two groups to reach FNF with respect to that cut. Groups
+    must be disjoint; a party in no group is never filtered. Raises
+    FilteringError when a reduction is rank deficient or ``max_iters``
+    sweeps do not converge.
 
     If ``history`` is a list, the product of the normalized reduction
     determinants det(d_g ρ_g) is appended after every sweep; this product is
     a standard non-decreasing convergence diagnostic.
+
+    The one-row case of :func:`filter_stack`.
     """
-    dims = rho.dims
+    rows = None if history is None else [[]]
+    data, _, errors = filter_stack(rho.data[None], rho.dims, groups, max_iters, tol, rows)
+    if history is not None:
+        history.extend(rows[0])
+    if errors[0] is not None:
+        raise FilteringError(errors[0])
+    return DensityMatrix(rho.dims, data[0])
+
+
+def filter_stack(data, dims, groups=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL,
+                 history=None):
+    """:func:`filter_to_fnf` on each matrix of the stack ``data`` (shape
+    (k, side, side), every state over ``dims``) at once.
+
+    Returns ``(filtered, sweeps, errors)``: the filtered stack (Hermitian,
+    not validated as states), the sweep count of each row, and for each row
+    None or the text of the FilteringError that :func:`filter_to_fnf` raises
+    on it (its ``filtered`` row is then NaN). A row leaves the stack when it
+    converges, so its sweep count is that of its own run. If ``history`` is
+    a list of k lists, each row's determinant products go to its own list.
+
+    The iteration works on one group-major copy of each ρ (the parties of
+    group 0 first, then group 1, ...): a group reduction is one einsum trace
+    and a filter two broadcast matmuls, and the layout is undone once at the
+    end.
+    """
+    dims = tuple(dims)
     n = len(dims)
     if groups is None:
         groups = [(p,) for p in range(n)]
@@ -122,50 +127,93 @@ def filter_to_fnf(
     if len(set(order)) != len(order):
         raise ValueError(f"filtering groups must be disjoint, got {groups}")
     order += [p for p in range(n) if p not in order]
-    side = rho.dim
+    k = len(data)
+    side = math.prod(dims)
     sizes = [math.prod(dims[p] for p in g) for g in groups]
     # (L, D, R): product of the group dimensions before, at and after group k
-    before = [math.prod(sizes[:k]) for k in range(len(sizes))]
+    before = [math.prod(sizes[:g]) for g in range(len(sizes))]
     blocks = [(L, D, side // (L * D)) for L, D in zip(before, sizes)]
+    mixed = [np.eye(D) / D for D in sizes]
     axes = order + [n + p for p in order]
-    m = rho.data.reshape(dims + dims).transpose(axes).reshape(side, side)
+    m = data.reshape((k,) + dims * 2).transpose([0] + [1 + a for a in axes]).reshape(k, side, side)
     labels = ["party " + "+".join(str(p) for p in g) for g in groups]
 
-    def reduction(m, k):
-        L, D, R = blocks[k]
-        return np.einsum("aibajb->ij", m.reshape(L, D, R, L, D, R))
+    def _finish(out):
+        """Undo the group-major layout."""
+        back = [0] + [1 + b for b in np.argsort(axes)]
+        out = out.reshape((k,) + tuple(dims[p] for p in order) * 2).transpose(back)
+        return hermitize(out.reshape(k, side, side))
 
-    def det_product(reds):
-        return math.prod(float(np.linalg.det(d_g * red).real) for d_g, red in zip(sizes, reds))
+    def reduction(m, g):
+        L, D, R = blocks[g]
+        return np.einsum("kaibajb->kij", m.reshape(len(m), L, D, R, L, D, R))
 
+    def reductions(m):
+        return [reduction(m, g) for g in range(len(blocks))]
+
+    # eigh and eigvalsh read one triangle of their (Hermitian up to
+    # rounding) input, so the reductions are not hermitized first
     def residual(reds):
-        return max((trace_distance(red, np.eye(d_g) / d_g) for d_g, red in zip(sizes, reds)),
-                   default=0.0)
+        """Largest trace distance of a group reduction from 1/d_g, per row."""
+        res = np.zeros(len(m))
+        for red, eye in zip(reds, mixed):
+            res = np.maximum(res, np.abs(np.linalg.eigvalsh(red - eye)).sum(axis=1) / 2)
+        return res
 
+    def record(reds):
+        dets = np.ones(len(idx))
+        for D, red in zip(sizes, reds):
+            dets = dets * np.linalg.det(D * red).real
+        for i, det in zip(idx, dets):
+            history[i].append(float(det))
+
+    out = np.full_like(m, np.nan)
+    sweeps = np.zeros(k, dtype=int)
+    errors = [None] * k
+    idx = np.arange(k)  # the input row of each row still iterating
     # one set of reductions per sweep serves the history, the residual and
     # the next sweep's first filter
-    reds = [reduction(m, k) for k in range(len(groups))]
+    reds = reductions(m)
     if history is not None:
-        history.append(det_product(reds))
+        record(reds)
     res = residual(reds)
-    sweeps = 0
-    while res > tol:
-        if sweeps >= max_iters:
-            raise FilteringError(
-                f"filtering did not converge in {max_iters} sweeps "
-                f"(last residual {res:.3e})"
-            )
-        for k, (L, D, R) in enumerate(blocks):
-            red = reds[0] if k == 0 else reduction(m, k)
-            f = _inverse_sqrt(D * red, RANK_TOL, labels[k])
-            m = (f @ m.reshape(L, D, R * side)).reshape(side * L, D, R)
-            m = (f.conj() @ m).reshape(side, side)
-            m = m / m.trace().real
-        reds = [reduction(m, k) for k in range(len(groups))]
+    sweep = 0
+    while len(idx):
+        done = ~(res > tol)
+        if sweep >= max_iters:
+            for i, r in zip(idx[~done], res[~done]):
+                errors[i] = (f"filtering did not converge in {max_iters} sweeps "
+                             f"(last residual {r:.3e})")
+            out[idx[done]] = m[done]
+            sweeps[idx] = sweep
+            break
+        if done.any():
+            out[idx[done]] = m[done]
+            sweeps[idx[done]] = sweep
+            go = ~done
+            m, idx, reds = m[go], idx[go], [red[go] for red in reds]
+            if not len(idx):
+                break
+        for g, (L, D, R) in enumerate(blocks):
+            red = reds[0] if g == 0 else reduction(m, g)
+            w, v = np.linalg.eigh(D * red)
+            bad = w[:, 0] <= RANK_TOL  # eigh sorts ascending
+            if bad.any():
+                for i, w_min in zip(idx[bad], w[bad, 0]):
+                    errors[i] = _rank_deficient(labels[g], w_min)
+                    sweeps[i] = sweep
+                go = ~bad
+                m, idx, w, v = m[go], idx[go], w[go], v[go]
+                if not len(idx):
+                    return _finish(out), sweeps, errors
+            f = (v * w[:, None, :] ** -0.5) @ v.conj().swapaxes(1, 2)
+            rows = len(m)
+            m = (f[:, None] @ m.reshape(rows, L, D, R * side)).reshape(rows, side * L, D, R)
+            m = (f.conj()[:, None] @ m).reshape(rows, side, side)
+            m = m / m.trace(axis1=1, axis2=2).real[:, None, None]
+        sweep += 1
+        reds = reductions(m)
         if history is not None:
-            history.append(det_product(reds))
+            record(reds)
         res = residual(reds)
-        sweeps += 1
-    back = np.argsort(axes)
-    data = m.reshape([dims[p] for p in order] * 2).transpose(back).reshape(side, side)
-    return DensityMatrix(dims, hermitize(data))
+    return _finish(out), sweeps, errors

@@ -105,6 +105,7 @@ def audit_report_to_dict(r):
         "worst_margin": r.worst_margin,
         "seed": r.seed,
         "rejected": r.rejected,
+        "worst_seed": r.worst_seed,
     }
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import basis_expectations, canonical_bases
+from .basis import basis_expectations, canonical_bases, expectations_stack
 from .linalg import DensityMatrix
 
 VERTEX_TOL = 1e-12
@@ -77,12 +77,7 @@ class CorrelationTensor:
         object.__setattr__(self, "data", data)
         if data.shape != tuple(d * d for d in dims):
             raise ValueError("tensor shape does not match dims profile")
-        vertex = data[(0,) * len(dims)]
-        expected = float(np.prod([1 / np.sqrt(d) for d in dims]))
-        if abs(vertex - expected) > VERTEX_TOL:
-            raise ValueError(
-                f"vertex entry {vertex:.15g} differs from {expected:.15g}"
-            )
+        _check_vertex(data[None], dims)
 
     @property
     def n_parties(self):
@@ -102,10 +97,31 @@ class InteriorTensor:
     data: np.ndarray = field(repr=False)
 
 
+def _check_vertex(data, dims):
+    """Raise ValueError for the first tensor of the stack ``data`` whose
+    vertex entry is not ∏ 1/√d_i."""
+    vertex = data[(slice(None),) + (0,) * len(dims)]
+    expected = 1 / math.sqrt(math.prod(dims))
+    err = np.abs(vertex - expected)
+    if err.max(initial=0) > VERTEX_TOL:
+        first = vertex[err > VERTEX_TOL][0]
+        raise ValueError(f"vertex entry {first:.15g} differs from {expected:.15g}")
+
+
 def build(rho: DensityMatrix) -> CorrelationTensor:
-    """Correlation tensor of ``rho`` in the canonical per-party bases."""
-    data = basis_expectations(rho, canonical_bases(rho.dims))
-    return CorrelationTensor(rho.dims, data)
+    """Correlation tensor of ``rho`` in the canonical per-party bases; the
+    one-row case of :func:`build_stack` (the tensor checks its vertex)."""
+    return CorrelationTensor(rho.dims, basis_expectations(rho, canonical_bases(rho.dims)))
+
+
+def build_stack(data, dims) -> np.ndarray:
+    """Correlation tensors of a stack of states over ``dims`` (shape
+    (k, side, side)), with the imaginary-residue and vertex checks of
+    :func:`build` on every one; shape (k, d₁², …)."""
+    dims = tuple(dims)
+    t = expectations_stack(data, dims, canonical_bases(dims))
+    _check_vertex(t, dims)
+    return t
 
 
 def _matricize_array(data, dims, part: Bipartition):

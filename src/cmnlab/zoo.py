@@ -11,8 +11,8 @@ from .linalg import (
     DensityMatrix,
     PureState,
     bloch_to_qubit,
+    check_density_stack,
     hermitize,
-    kron_all,
 )
 from .tensor import Bipartition
 
@@ -133,78 +133,113 @@ def random_fully_separable(dims, k_terms, seed) -> DensityMatrix:
 
 def random_biseparable(dims, part: Bipartition, k_terms, seed) -> DensityMatrix:
     """Convex mixture of k pure states that are products across ``part``
-    (each factor Haar-random on its group's joint space)."""
+    (each factor Haar-random on its group's joint space); the one-row case
+    of :func:`random_biseparable_stack`."""
+    return DensityMatrix(dims, random_biseparable_stack(dims, part, k_terms, [seed])[0])
+
+
+def random_biseparable_stack(dims, part: Bipartition, k_terms, seeds) -> np.ndarray:
+    """One :func:`random_biseparable` sample per seed, as a validated stack
+    of density matrices (shape (len(seeds), side, side)).
+
+    Each row draws from ``default_rng(seed)``: flat Dirichlet weights, then
+    per term the real and imaginary parts of the side-A vector and then of
+    the side-B vector. Consecutive normal draws concatenate, so one
+    ``normal`` call per row yields all of them."""
     if k_terms < 1:
         raise ValueError("k_terms must be >= 1")
-    rng = np.random.default_rng(seed)
     dims = tuple(int(d) for d in dims)
     d_a, d_b = part.side_dims(dims)
-    weights = rng.dirichlet(np.ones(k_terms))
-    total = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for w in weights:
-        va = haar_pure(d_a, rng)
-        vb = haar_pure(d_b, rng)
-        v = np.kron(va, vb)
-        total += w * np.outer(v, v.conj())
+    rows = len(seeds)
+    weights = np.empty((rows, k_terms))
+    g = np.empty((rows, k_terms, 2 * (d_a + d_b)))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        weights[row] = rng.dirichlet(np.ones(k_terms))
+        g[row] = rng.normal(size=(k_terms, 2 * (d_a + d_b)))
+    va = g[..., :d_a] + 1j * g[..., d_a:2 * d_a]
+    vb = g[..., 2 * d_a:2 * d_a + d_b] + 1j * g[..., 2 * d_a + d_b:]
+    va /= np.linalg.norm(va, axis=-1, keepdims=True)
+    vb /= np.linalg.norm(vb, axis=-1, keepdims=True)
+    v = (va[..., :, None] * vb[..., None, :]).reshape(rows, k_terms, d_a * d_b)
+    total = (v * weights[..., None]).swapaxes(1, 2) @ v.conj()
     # columns are ordered side_a then side_b; permute back to party order
     order = list(part.side_a) + list(part.side_b)
     perm = np.argsort(order)
-    block_dims = [dims[i] for i in order]
     n = len(dims)
-    t = total.reshape(block_dims + block_dims)
-    t = np.transpose(t, list(perm) + [n + p for p in perm])
-    return DensityMatrix(dims, hermitize(t.reshape(d_a * d_b, d_a * d_b)))
+    t = total.reshape((rows,) + tuple(dims[i] for i in order) * 2)
+    t = np.transpose(t, [0] + [1 + p for p in perm] + [1 + n + p for p in perm])
+    data = hermitize(t.reshape(rows, d_a * d_b, d_a * d_b))
+    check_density_stack(data)
+    return data
 
 
-def _random_bloch_state(d, rng, radius=0.5):
-    """State I/d + r·G with a random interior Bloch vector, chosen so that
-    both the state and its Bloch-negated partner are PSD."""
-    basis = normalized_generalized_gell_mann(d)
-    r = rng.normal(size=d * d - 1)
-    r *= radius * rng.uniform(0, 1) / np.linalg.norm(r)
-    pert = np.tensordot(r, basis.ops[1:], axes=(0, 0))
+def _shrink_into_body(pert, d):
+    """Halve, in place, each perturbation of the stack ``pert`` until both
+    1/d + pert and 1/d - pert have eigenvalues >= 1e-6 (at most 60 times)."""
+    body = np.eye(d) / d
+    todo = np.arange(len(pert))
     for _ in range(60):
-        plus = np.eye(d) / d + pert
-        minus = np.eye(d) / d - pert
-        lo = min(
-            np.linalg.eigvalsh(hermitize(plus)).min(),
-            np.linalg.eigvalsh(hermitize(minus)).min(),
-        )
-        if lo >= 1e-6:
-            return hermitize(plus), hermitize(minus)
-        pert = pert / 2
+        both = np.concatenate([body + pert[todo], body - pert[todo]])
+        lo = np.linalg.eigvalsh(hermitize(both)).min(axis=1).reshape(2, -1).min(axis=0)
+        todo = todo[~(lo >= 1e-6)]
+        if not len(todo):
+            return
+        pert[todo] = pert[todo] / 2
     raise RuntimeError("could not shrink Bloch perturbation into the state body")
 
 
 def random_fully_separable_sfnf(dims, seed, n_blocks=3) -> DensityMatrix:
     """Fully-separable state that is in strong filter normal form by
-    construction.
+    construction; the one-row case of
+    :func:`random_fully_separable_sfnf_stack`."""
+    return DensityMatrix(dims, random_fully_separable_sfnf_stack(dims, [seed], n_blocks)[0])
+
+
+def random_fully_separable_sfnf_stack(dims, seeds, n_blocks=3) -> np.ndarray:
+    """One SFNF fully-separable sample per seed, as a validated stack of
+    density matrices (shape (len(seeds), side, side)).
 
     Each block mixes sign-flipped product states ρ(±r_1) ⊗ … ⊗ ρ(±r_N)
-    uniformly over even-parity sign patterns: every correlation with an
-    identity index cancels exactly, while the all-party correlation survives
-    as an outer product of the local Bloch vectors. The SFNF conditions are
-    linear, so a convex mixture of blocks is again SFNF (and gives the
-    interior tensor rank above one).
+    uniformly over even-parity sign patterns, with ρ(±r) = 1/d ± r·G a state
+    of random interior Bloch vector r (halved until both signs are PSD).
+    Every correlation with an identity index cancels exactly, and the
+    mixture is ⊗(1/d) + ⊗(r·G) term for term, so a block costs two
+    Kronecker products. The SFNF conditions are linear, so a convex mixture
+    of blocks is again SFNF (and gives the interior tensor rank above one).
+
+    Row t draws from ``default_rng(seeds[t])``: flat Dirichlet block
+    weights, then per block and party a Gaussian direction and a uniform
+    fraction of the Bloch radius 0.5.
     """
-    rng = np.random.default_rng(seed)
     dims = tuple(int(d) for d in dims)
-    n = len(dims)
+    rows = len(seeds)
     side = int(np.prod(dims))
-    weights = rng.dirichlet(np.ones(n_blocks))
-    total = np.zeros((side, side), dtype=complex)
-    for w in weights:
-        pairs = [_random_bloch_state(d, rng) for d in dims]
-        block = np.zeros((side, side), dtype=complex)
-        count = 0
-        for bits in range(2**n):
-            signs = [(bits >> k) & 1 for k in range(n)]
-            if sum(signs) % 2:
-                continue
-            block += kron_all([pairs[k][signs[k]] for k in range(n)])
-            count += 1
-        total += w * block / count
-    return DensityMatrix(dims, hermitize(total))
+    weights = np.empty((rows, n_blocks))
+    dirs = [np.empty((rows, n_blocks, d * d - 1)) for d in dims]
+    frac = np.empty((rows, n_blocks, len(dims)))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        weights[row] = rng.dirichlet(np.ones(n_blocks))
+        for b in range(n_blocks):
+            for k, d in enumerate(dims):
+                dirs[k][row, b] = rng.normal(size=d * d - 1)
+                frac[row, b, k] = rng.uniform(0, 1)
+    prod = np.ones((rows, n_blocks, 1, 1))  # ⊗(r·G), one Kronecker factor per party
+    for k, d in enumerate(dims):
+        r = dirs[k] * (0.5 * frac[..., k] / np.linalg.norm(dirs[k], axis=-1))[..., None]
+        ops = normalized_generalized_gell_mann(d).ops[1:]
+        pert = np.tensordot(r, ops, axes=(2, 0)).reshape(-1, d, d)
+        _shrink_into_body(pert, d)
+        pert = hermitize(pert).reshape(rows, n_blocks, d, d)
+        a = prod.shape[-1]
+        prod = (prod[..., :, None, :, None] * pert[..., None, :, None, :]).reshape(
+            rows, n_blocks, a * d, a * d)
+    total = (weights.sum(axis=1) / side)[:, None, None] * np.eye(side)
+    total = total + np.einsum("rb,rbij->rij", weights, prod)
+    data = hermitize(total)
+    check_density_stack(data)
+    return data
 
 
 ZOO = {

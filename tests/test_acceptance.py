@@ -33,7 +33,7 @@ from cmnlab.discord import (
     measure_state,
     measurement_from_angles,
 )
-from cmnlab.linalg import DensityMatrix, kron, partial_trace, singular_values, trace_distance
+from cmnlab.linalg import DensityMatrix, partial_trace, singular_values, trace_distance
 from cmnlab.normal_form import FilteringError, filter_to_fnf
 from cmnlab.tensor import (
     Bipartition,
@@ -168,7 +168,7 @@ def test_criterion_5_oracle_equivalence(capfd):
             for i in range(4):
                 for j in range(4):
                     for k in range(4):
-                        op = kron(kron(bases[0].ops[i], bases[1].ops[j]), bases[2].ops[k])
+                        op = np.kron(np.kron(bases[0].ops[i], bases[1].ops[j]), bases[2].ops[k])
                         direct[i, 4 * k + j] = np.trace(rho.data @ op).real
             assert np.abs(m - direct).max() <= 1e-12
 
@@ -255,7 +255,7 @@ def test_criterion_8_normal_form(capfd):
             assert np.diff(hist).min() >= -1e-12
         zero = np.zeros((2, 2), dtype=complex)
         zero[0, 0] = 1
-        bad = DensityMatrix((2, 2, 2), kron(kron(zero, np.eye(2) / 2), np.eye(2) / 2))
+        bad = DensityMatrix((2, 2, 2), np.kron(np.kron(zero, np.eye(2) / 2), np.eye(2) / 2))
         with pytest.raises(FilteringError, match="rank deficient"):
             filter_to_fnf(bad)
 

@@ -13,7 +13,7 @@ from cmnlab.audit import (
 )
 from cmnlab.bounds import CRITERIA
 from cmnlab.cmn import CmnParams, cmn, elementary_symmetric
-from cmnlab.linalg import singular_values
+from cmnlab.linalg import DensityMatrix, singular_values
 from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize
 from cmnlab.zoo import bell, ghz, random_fully_separable_sfnf, rho1
 
@@ -139,7 +139,7 @@ class TestAudits:
         def no_sampling(*args):
             raise AssertionError("sampled a request that cannot be audited")
 
-        monkeypatch.setattr(audit.zoo, "random_fully_separable_sfnf", no_sampling)
+        monkeypatch.setattr(audit.zoo, "random_fully_separable_sfnf_stack", no_sampling)
         for criterion, trials, match in (("dvh-bisep", 5, r"only known for \(2,2,2\)"),
                                          ("nope", 5, "available: cmn-bisep-inf"),
                                          ("cmn-full-inf", 0, "trials"),
@@ -153,7 +153,7 @@ class TestAudits:
         def no_sampling(*args):
             raise AssertionError("sampled a request that cannot be audited")
 
-        monkeypatch.setattr(audit.zoo, "random_biseparable", no_sampling)
+        monkeypatch.setattr(audit.zoo, "random_biseparable_stack", no_sampling)
         full = [name for name, entry in CRITERIA.items() if entry.kind == "full"]
         assert full
         for family in ("biseparable-filtered-222", "biseparable-filtered-223"):
@@ -202,16 +202,18 @@ class TestSamplerRejections:
         from cmnlab import audit
         from cmnlab.normal_form import FilteringError
 
-        real = audit.filter_to_fnf
+        real = audit.filter_stack
         calls = []
 
-        def flaky(rho, **kwargs):
-            calls.append(1)
-            if len(calls) % 3 == 1:  # the first draw of every trial fails
-                raise FilteringError("rank deficient")
-            return real(rho, **kwargs)
+        def flaky(data, dims, **kwargs):
+            filtered, sweeps, errors = real(data, dims, **kwargs)
+            for row in range(len(data)):  # one entry per filtered state
+                calls.append(1)
+                if len(calls) % 3 == 1:  # the first draw of every trial fails
+                    errors[row] = str(FilteringError("rank deficient"))
+            return filtered, sweeps, errors
 
-        monkeypatch.setattr(audit, "filter_to_fnf", flaky)
+        monkeypatch.setattr(audit, "filter_stack", flaky)
         rep = separability_audit("biseparable-filtered-222", "cmn-bisep-inf", 4, 3)
         assert rep.rejected == len(calls) - 4
         assert rep.rejected >= 2
@@ -219,13 +221,90 @@ class TestSamplerRejections:
     def test_other_errors_propagate(self, monkeypatch):
         from cmnlab import audit
 
-        def broken(rho, **kwargs):
+        def broken(*args, **kwargs):
             raise ZeroDivisionError("a bug, not a rejected sample")
 
-        monkeypatch.setattr(audit, "filter_to_fnf", broken)
+        monkeypatch.setattr(audit, "filter_stack", broken)
         with pytest.raises(ZeroDivisionError):
             separability_audit("biseparable-filtered-222", "cmn-bisep-inf", 1, 3)
 
     def test_unfiltered_families_reject_nothing(self):
         rep = separability_audit("fully-separable-sfnf-222", "cmn-full-inf", 3, 9)
         assert rep.rejected == 0
+
+
+def _one_row_margin(family, criterion, drawn_seed):
+    """Margin of the sample drawn from ``drawn_seed``, through the one-state
+    samplers, filter_to_fnf, build and Criterion.value."""
+    from cmnlab import audit
+    from cmnlab.normal_form import filter_to_fnf
+    from cmnlab.zoo import random_biseparable
+
+    dims, kind = audit.FAMILIES[family]
+    part = Bipartition.of((0,), len(dims))
+    if kind == "full":
+        rho = random_fully_separable_sfnf(dims, drawn_seed)
+    elif kind == "bisep":
+        rho = random_biseparable(dims, part, 24, drawn_seed)
+        rho = filter_to_fnf(rho, groups=[part.side_a, part.side_b])
+    else:
+        rho = audit._ghz_mixture_sampler(dims)(np.array([drawn_seed]))[0][0]
+        rho = DensityMatrix(dims, rho)
+    entry = CRITERIA[criterion]
+    d_a, d_b = part.side_dims(dims)
+    h = min(d_a, d_b) ** 2
+    bound = entry.bound(dims, d_a, d_b, h)
+    return (entry.value(build(rho), part, h) - bound) / abs(bound)
+
+
+class TestWorstSeed:
+    @pytest.mark.parametrize("family,criterion", [
+        ("fully-separable-sfnf-223", "cmn-full-inf"),
+        ("fully-separable-sfnf-222", "dvh-full"),
+        ("biseparable-filtered-222", "cmn-bisep-p1"),
+        ("biseparable-filtered-223", "cmn-bisep-inf"),
+        ("ghz-mixtures-222", "dvh-bisep"),
+    ])
+    def test_redrawing_worst_seed_reproduces_worst_margin(self, family, criterion):
+        rep = separability_audit(family, criterion, 300, 41)  # two chunks
+        assert 41 <= rep.worst_seed < 341
+        assert abs(_one_row_margin(family, criterion, rep.worst_seed) - rep.worst_margin) <= 1e-12
+
+    def test_worst_seed_includes_the_redraw_offset(self, monkeypatch):
+        from cmnlab import audit
+
+        real = audit.filter_stack
+        calls = []
+
+        def first_call_fails(data, dims, **kwargs):
+            filtered, sweeps, errors = real(data, dims, **kwargs)
+            calls.append(len(data))
+            if len(calls) == 1:
+                errors = ["rank deficient"] * len(data)
+            return filtered, sweeps, errors
+
+        monkeypatch.setattr(audit, "filter_stack", first_call_fails)
+        rep = separability_audit("biseparable-filtered-222", "cmn-bisep-inf", 6, 50)
+        assert rep.rejected == 6 and calls == [6, 6]
+        assert 50 + audit.REDRAW <= rep.worst_seed < 56 + audit.REDRAW
+        margin = _one_row_margin("biseparable-filtered-222", "cmn-bisep-inf", rep.worst_seed)
+        assert abs(margin - rep.worst_margin) <= 1e-12
+
+
+@pytest.mark.parametrize("family,criterion", [
+    ("fully-separable-sfnf-222", "cmn-full-p1"),
+    ("biseparable-filtered-223", "cmn-bisep-inf"),
+    ("ghz-mixtures-222", "cmn-bisep-inf"),
+])
+def test_chunks_match_the_one_state_path(monkeypatch, family, criterion):
+    """Small chunks, so a 10-trial audit spans three stacks (the last one
+    short): the report equals a trial-by-trial run of the one-state path."""
+    from cmnlab import audit
+    from cmnlab.bounds import EPS_CMP
+
+    monkeypatch.setattr(audit, "CHUNK", 4)
+    rep = separability_audit(family, criterion, 10, 60)
+    margins = [_one_row_margin(family, criterion, 60 + t) for t in range(10)]
+    assert rep.violations == sum(m > EPS_CMP for m in margins)
+    assert abs(rep.worst_margin - max(margins)) <= 1e-12
+    assert rep.worst_seed == 60 + int(np.argmax(margins))

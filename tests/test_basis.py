@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmnlab.basis import basis_expectations, canonical_bases, normalized_generalized_gell_mann
-from cmnlab.linalg import DensityMatrix, kron, pauli
+from cmnlab.linalg import DensityMatrix, pauli
 from cmnlab.zoo import bell, maximally_mixed
 
 from conftest import random_density
@@ -49,7 +49,7 @@ def test_bell_state_correlation_matrix():
     rho = bell(1).to_density().data
     paulis = [np.eye(2), pauli("x"), pauli("y"), pauli("z")]
     oracle = np.array(
-        [[np.trace(rho @ kron(a, b)).real / 2 for b in paulis] for a in paulis]
+        [[np.trace(rho @ np.kron(a, b)).real / 2 for b in paulis] for a in paulis]
     )
     assert np.abs(t - oracle).max() < 1e-12
     assert np.abs(t - np.diag([0.5, 0.5, -0.5, 0.5])).max() < 1e-12
@@ -58,7 +58,7 @@ def test_bell_state_correlation_matrix():
 def test_product_state_factorizes():
     rho_a = random_density((2,), 2, 11)
     rho_b = random_density((3,), 2, 12)
-    joint = DensityMatrix((2, 3), kron(rho_a.data, rho_b.data))
+    joint = DensityMatrix((2, 3), np.kron(rho_a.data, rho_b.data))
     t = basis_expectations(joint, canonical_bases((2, 3)))
     va = basis_expectations(rho_a, canonical_bases((2,)))
     vb = basis_expectations(rho_b, canonical_bases((3,)))

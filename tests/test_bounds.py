@@ -187,3 +187,28 @@ def test_soundness_sample_bisep():
 
     rep = separability_audit("biseparable-filtered-222", "cmn-bisep-inf", 50, 2)
     assert rep.violations == 0
+
+
+@pytest.mark.parametrize("name", ["cmn-bisep-inf", "cmn-bisep-p1", "cmn-full-inf",
+                                  "cmn-full-p1", "dvh-full", "dvh-bisep"])
+def test_criterion_values_match_per_tensor_oracle(name):
+    """Each row of the batched values equals M_{h,p} of that tensor's
+    matricization (or the dVH trace norm of its interior), and value() is
+    its one-row case."""
+    from cmnlab.bounds import CRITERIA
+    from cmnlab.cmn import CmnParams, cmn
+    from cmnlab.tensor import matricize
+
+    entry = CRITERIA[name]
+    dims = (2, 2, 2)
+    part = Bipartition.of((1,), 3)
+    tensors = [build(random_density(dims, 3, 230 + s)) for s in range(4)]
+    values = entry.values(np.stack([t.data for t in tensors]), dims, part, 4)
+    assert values.shape == (4,)
+    for value, t in zip(values, tensors):
+        if entry.p is None:
+            want = dvh_interior_sum(matricize_interior(interior(t), part))
+        else:
+            want = cmn(matricize(t, part), CmnParams(4, entry.p))
+        assert abs(value - want) <= 1e-15
+        assert entry.value(t, part, 4) == value

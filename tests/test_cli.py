@@ -309,10 +309,10 @@ class TestAuditCommand:
     def test_other_value_errors_are_not_input_errors(self, monkeypatch):
         from cmnlab import audit
 
-        def broken(dims, seed):
+        def broken(dims, seeds):
             raise ValueError("a bug, not bad input")
 
-        monkeypatch.setattr(audit.zoo, "random_fully_separable_sfnf", broken)
+        monkeypatch.setattr(audit.zoo, "random_fully_separable_sfnf_stack", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["audit", "fully-separable-sfnf-222", "cmn-full-inf", "--trials", "1"])
 

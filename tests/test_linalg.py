@@ -7,7 +7,7 @@ from cmnlab.linalg import (
     ValidationError,
     apply_local,
     bloch_to_qubit,
-    kron,
+    check_density_stack,
     partial_trace,
     singular_values,
 )
@@ -18,23 +18,23 @@ from conftest import random_density
 
 class TestKron:
     def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_projectors(self):
         p = np.diag([1.0, 0.0])
-        assert np.allclose(kron(p, p), np.diag([1.0, 0, 0, 0]))
+        assert np.allclose(np.kron(p, p), np.diag([1.0, 0, 0, 0]))
 
     def test_elementwise_oracle(self, rng):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         # brute-force block assembly: block (i,j) is a_ij * b
         expected = np.block([[a[i, j] * b for j in range(2)] for i in range(2)])
-        assert np.abs(kron(a, b) - expected).max() < 1e-15
+        assert np.abs(np.kron(a, b) - expected).max() < 1e-15
 
     def test_mixed_product_property(self, rng):
         a, b, c, d = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
+        lhs = np.kron(a, b) @ np.kron(c, d)
+        rhs = np.kron(a @ c, b @ d)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -46,7 +46,7 @@ class TestPartialTrace:
     def test_product_state(self, rng):
         rho_a = random_density((2,), 2, 1)
         rho_b = random_density((3,), 3, 2)
-        joint = DensityMatrix((2, 3), kron(rho_a.data, rho_b.data))
+        joint = DensityMatrix((2, 3), np.kron(rho_a.data, rho_b.data))
         red = partial_trace(joint, [0])
         assert np.abs(red.data - rho_a.data).max() < 1e-14
 
@@ -144,3 +144,27 @@ def test_apply_local_matches_embedded_operator(rng):
     expected = full @ rho.data @ full.conj().T
     got = apply_local(op, rho.data, [1], (2, 3, 2))
     assert np.abs(got - expected).max() < 1e-12
+
+
+class TestDensityStackCheck:
+    def _bad_rows(self):
+        good = random_density((2, 2), 4, 3).data
+        skew = good.copy()
+        skew[0, 1] += 1e-6
+        heavy = good * 1.01
+        negative = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
+        return good, [skew, heavy, negative]
+
+    def test_first_bad_row_raises_the_one_state_text(self):
+        good, bad = self._bad_rows()
+        for row in bad:
+            with pytest.raises(ValidationError) as one:
+                DensityMatrix((2, 2), row)
+            with pytest.raises(ValidationError) as stacked:
+                check_density_stack(np.stack([good, row, good]))
+            assert str(stacked.value) == str(one.value)
+        with pytest.raises(ValidationError, match="Hermitian"):
+            check_density_stack(np.stack([good] + bad))
+
+    def test_valid_stack_passes(self):
+        check_density_stack(np.stack([random_density((2, 3), r, 5).data for r in (1, 3, 6)]))

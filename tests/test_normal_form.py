@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from cmnlab.linalg import DensityMatrix, kron, partial_trace, trace_distance
+from cmnlab.linalg import DensityMatrix, partial_trace, trace_distance
 from cmnlab.normal_form import (
+    DEFAULT_TOL,
     FilteringError,
     filter_to_fnf,
+    fnf_residual,
     is_fnf,
     is_sfnf,
-    normal_form_status,
+    sfnf_residual,
 )
 from cmnlab.tensor import Bipartition, build, iter_bipartitions
 from cmnlab.zoo import bell, ghz, maximally_mixed, rho1
@@ -15,6 +17,18 @@ from cmnlab.zoo import bell, ghz, maximally_mixed, rho1
 from conftest import random_density
 
 PART = Bipartition.of((0,), 3)
+
+
+def normal_form_status(t, tol=DEFAULT_TOL):
+    """FNF verdict per bipartition, the SFNF verdict and the largest residual
+    of either kind, each from the residual functions directly."""
+    per_part = {}
+    worst = 0.0
+    for part in iter_bipartitions(t.n_parties):
+        res = fnf_residual(t, part)
+        per_part[part] = res <= tol
+        worst = max(worst, res)
+    return per_part, is_sfnf(t, tol), max(worst, sfnf_residual(t))
 
 
 class TestIsFnf:
@@ -31,7 +45,7 @@ class TestIsFnf:
     def test_pure_product_state_fails(self):
         zero = np.zeros((2, 2), dtype=complex)
         zero[0, 0] = 1
-        rho = DensityMatrix((2, 2), kron(zero, zero))
+        rho = DensityMatrix((2, 2), np.kron(zero, zero))
         assert not is_fnf(build(rho), Bipartition.of((0,), 2))
 
     def test_ghz_is_fnf(self):
@@ -52,9 +66,9 @@ class TestIsSfnf:
         assert is_sfnf(build(maximally_mixed((2, 2, 2))))
 
     def test_status_summary(self):
-        status = normal_form_status(build(rho1()))
-        assert status.is_sfnf
-        assert all(status.is_fnf_per_partition.values())
+        per_part, sfnf, _ = normal_form_status(build(rho1()))
+        assert sfnf
+        assert all(per_part.values())
 
 
 class TestFilterToFnf:
@@ -68,7 +82,7 @@ class TestFilterToFnf:
 
     def test_biased_mixture_converges(self):
         bias = np.diag([0.6, 0.4]).astype(complex)
-        product = kron(kron(bias, bias), np.diag([0.55, 0.45]).astype(complex))
+        product = np.kron(np.kron(bias, bias), np.diag([0.55, 0.45]).astype(complex))
         rho = DensityMatrix((2, 2, 2), 0.8 * rho1().data + 0.2 * product)
         out = filter_to_fnf(rho)
         for p in range(3):
@@ -78,7 +92,7 @@ class TestFilterToFnf:
     def test_rank_deficient_reduction_fails(self):
         zero = np.zeros((2, 2), dtype=complex)
         zero[0, 0] = 1
-        rho = DensityMatrix((2, 2), kron(zero, np.eye(2) / 2))
+        rho = DensityMatrix((2, 2), np.kron(zero, np.eye(2) / 2))
         with pytest.raises(FilteringError, match="party 0"):
             filter_to_fnf(rho)
 
@@ -128,7 +142,13 @@ def _filter_recomputing(rho, groups, tol=1e-9, max_iters=500):
     """filter_to_fnf with every reduction computed afresh where it is used,
     the oracle for the shared reductions."""
     from cmnlab.linalg import apply_local, hermitize, partial_trace_raw
-    from cmnlab.normal_form import RANK_TOL, _inverse_sqrt
+    from cmnlab.normal_form import RANK_TOL
+
+    def _inverse_sqrt(m, rank_tol, label):
+        w, v = np.linalg.eigh(hermitize(m))
+        if w.min() <= rank_tol:
+            raise FilteringError(f"reduction of {label} is rank deficient")
+        return (v * w**-0.5) @ v.conj().T
 
     dims = rho.dims
     data = rho.data.copy()
@@ -206,3 +226,62 @@ def test_kernel_calls_no_per_step_linalg(monkeypatch):
     out = filter_to_fnf(rho, groups=[(0,), (1, 2)])
     assert out.dims == (2, 2, 3)
     filter_to_fnf(rho)
+
+
+def test_stack_rows_match_oracle_and_one_row_errors():
+    """One stack mixing rows that converge after different sweep counts, a
+    rank-deficient row and a row that never converges: each converged row
+    matches the recomputing oracle, and each failing row carries the exact
+    text filter_to_fnf raises on it alone."""
+    from cmnlab.normal_form import filter_stack
+    from cmnlab.zoo import w_state
+
+    groups = [(0,), (1, 2)]
+    w3 = w_state(3).to_density()
+    # filtering the group B+C of rho_AB ⊗ 1/2 filters B alone, so this row
+    # runs the two-qubit W-3 reduction's non-converging iteration
+    pair = np.kron(partial_trace(w3, (0, 1)).data, np.eye(2) / 2)
+    converging = [random_density((2, 2, 2), 8, 90 + s) for s in range(3)]
+    rows = [converging[0].data, w3.data, converging[1].data, pair, converging[2].data]
+    out, sweeps, errors = filter_stack(np.stack(rows), (2, 2, 2), groups=groups)
+
+    assert errors[1] == ("filtering not possible: reduction of party 1+2 is rank deficient "
+                         "(min eigenvalue within 1e-12 of 0)")
+    assert errors[3] == "filtering did not converge in 500 sweeps (last residual 4.995e-04)"
+    for row in (1, 3):
+        assert np.isnan(out[row]).all()
+        with pytest.raises(FilteringError) as err:
+            filter_to_fnf(DensityMatrix((2, 2, 2), rows[row]), groups=groups)
+        assert str(err.value) == errors[row]
+    assert sweeps[3] == 500
+    for row, rho in zip((0, 2, 4), converging):
+        want, want_hist = _filter_recomputing(rho, groups)
+        assert errors[row] is None
+        assert sweeps[row] == len(want_hist) - 1
+        assert np.abs(out[row] - want).max() <= 1e-13
+    assert len(set(sweeps[[0, 2, 4]])) > 1  # rows left the stack at different sweeps
+
+
+def test_stack_history_per_row():
+    from cmnlab.normal_form import filter_stack
+
+    rhos = [random_density((2, 2, 3), 12, 95 + s) for s in range(3)]
+    history = [[] for _ in rhos]
+    _, sweeps, _ = filter_stack(np.stack([r.data for r in rhos]), (2, 2, 3), history=history)
+    for rho, hist, n_sweeps in zip(rhos, history, sweeps):
+        _, want_hist = _filter_recomputing(rho, [(0,), (1,), (2,)])
+        assert len(hist) == len(want_hist) == n_sweeps + 1
+        assert np.abs(np.subtract(hist, want_hist)).max() <= 1e-13
+
+
+def test_rank_deficient_text_hides_rounding_noise():
+    zero = np.zeros((2, 2), dtype=complex)
+    zero[0, 0] = 1
+    with pytest.raises(FilteringError) as err:
+        filter_to_fnf(DensityMatrix((2, 2), np.kron(zero, np.eye(2) / 2)))
+    assert str(err.value).endswith("(min eigenvalue within 1e-12 of 0)")
+    # an eigenvalue above the noise level keeps its digits
+    tiny = np.diag([1 - 5e-10, 5e-10]).astype(complex)
+    with pytest.raises(FilteringError) as err:
+        filter_to_fnf(DensityMatrix((2, 2), np.kron(tiny, np.eye(2) / 2)))
+    assert str(err.value).endswith("(min eigenvalue 1.000e-09)")

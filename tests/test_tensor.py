@@ -3,7 +3,7 @@ import pytest
 from itertools import product
 
 from cmnlab.basis import canonical_bases
-from cmnlab.linalg import DensityMatrix, kron, singular_values
+from cmnlab.linalg import DensityMatrix, singular_values
 from cmnlab.tensor import (
     Bipartition,
     build,
@@ -56,7 +56,7 @@ class TestBuild:
         t = build(rho)
         bases = canonical_bases((2, 2, 2))
         for idx in [(0, 0, 0), (3, 3, 0), (3, 0, 3), (0, 3, 3), (1, 1, 1), (2, 2, 1)]:
-            op = kron(kron(bases[0].ops[idx[0]], bases[1].ops[idx[1]]), bases[2].ops[idx[2]])
+            op = np.kron(np.kron(bases[0].ops[idx[0]], bases[1].ops[idx[1]]), bases[2].ops[idx[2]])
             oracle = np.trace(rho.data @ op).real
             assert abs(t.data[idx] - oracle) < 1e-12
         assert abs(t.data[3, 3, 0] - 2**-1.5) < 1e-12
@@ -88,7 +88,7 @@ class TestMatricize:
         for i in range(4):
             for j in range(4):
                 for k in range(4):
-                    op = kron(kron(bases[0].ops[i], bases[1].ops[j]), bases[2].ops[k])
+                    op = np.kron(np.kron(bases[0].ops[i], bases[1].ops[j]), bases[2].ops[k])
                     direct[i, 4 * k + j] = np.trace(rho.data @ op).real
         assert np.abs(m - direct).max() <= 1e-12
 
@@ -165,3 +165,24 @@ def test_sfnf_spectrum_contains_interior_plus_vertex():
             w = singular_values(matricize_interior(interior(t), part))
             expected = np.sort(np.concatenate([w, [2**-1.5], np.zeros(len(full) - len(w) - 1)]))
             assert np.abs(full - expected).max() <= 1e-10
+
+
+def test_build_stack_rows_equal_build():
+    from cmnlab.tensor import build_stack
+
+    rhos = [random_density((2, 2, 3), 4, 210 + s) for s in range(4)]
+    stack = build_stack(np.stack([r.data for r in rhos]), (2, 2, 3))
+    for row, rho in zip(stack, rhos):
+        assert np.abs(row - build(rho).data).max() <= 1e-15
+
+
+def test_build_stack_checks_every_row():
+    from cmnlab.tensor import build_stack
+
+    good = random_density((2, 2), 4, 220).data
+    bad = good.copy()
+    bad[0, 1] += 1e-3j  # not Hermitian: its expectations pick up an imaginary part
+    with pytest.raises(ValueError, match="imaginary residue"):
+        build_stack(np.stack([good, bad]), (2, 2))
+    with pytest.raises(ValueError, match="vertex entry"):
+        build_stack(np.stack([good, 2 * good]), (2, 2))

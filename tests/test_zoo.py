@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cmnlab.linalg import DensityMatrix, partial_trace, pauli, singular_values
+from cmnlab.basis import normalized_generalized_gell_mann
+from cmnlab.linalg import DensityMatrix, hermitize, partial_trace, pauli, singular_values
 from cmnlab.normal_form import is_sfnf
 from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize
 from cmnlab.zoo import (
@@ -15,9 +16,11 @@ from cmnlab.zoo import (
     ghz,
     maximally_mixed,
     random_biseparable,
+    random_biseparable_stack,
     random_density,
     random_fully_separable,
     random_fully_separable_sfnf,
+    random_fully_separable_sfnf_stack,
     rho1,
     sic_povm_qubit,
     w_state,
@@ -194,3 +197,102 @@ class TestRegistry:
     def test_maximally_mixed(self):
         rho = maximally_mixed((2, 3))
         assert abs(np.trace(rho.data) - 1) < 1e-14
+
+
+def _bloch_pair(d, rng, radius=0.5):
+    """1/d ± r·G for a random interior Bloch vector r, halved until both
+    signs are PSD: the per-party draw of the SFNF sampler."""
+    basis = normalized_generalized_gell_mann(d)
+    r = rng.normal(size=d * d - 1)
+    r *= radius * rng.uniform(0, 1) / np.linalg.norm(r)
+    pert = np.tensordot(r, basis.ops[1:], axes=(0, 0))
+    for _ in range(60):
+        plus = np.eye(d) / d + pert
+        minus = np.eye(d) / d - pert
+        lo = min(np.linalg.eigvalsh(hermitize(plus)).min(),
+                 np.linalg.eigvalsh(hermitize(minus)).min())
+        if lo >= 1e-6:
+            return hermitize(plus), hermitize(minus)
+        pert = pert / 2
+    raise RuntimeError("could not shrink Bloch perturbation into the state body")
+
+
+def _sfnf_oracle(dims, seed, n_blocks=3):
+    """The per-state SFNF sampler: each block averages the 2^(n-1)
+    even-parity sign patterns of product states, one Kronecker product per
+    pattern."""
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    side = int(np.prod(dims))
+    total = np.zeros((side, side), dtype=complex)
+    for w in rng.dirichlet(np.ones(n_blocks)):
+        pairs = [_bloch_pair(d, rng) for d in dims]
+        block = np.zeros((side, side), dtype=complex)
+        count = 0
+        for bits in range(2**n):
+            signs = [(bits >> k) & 1 for k in range(n)]
+            if sum(signs) % 2:
+                continue
+            term = pairs[0][signs[0]]
+            for k in range(1, n):
+                term = np.kron(term, pairs[k][signs[k]])
+            block += term
+            count += 1
+        total += w * block / count
+    return hermitize(total)
+
+
+def _biseparable_oracle(dims, part, k_terms, seed):
+    """The per-term bi-separable sampler: one Haar vector per side and term,
+    drawn in turn, mixed with flat Dirichlet weights."""
+    rng = np.random.default_rng(seed)
+    d_a, d_b = part.side_dims(dims)
+    weights = rng.dirichlet(np.ones(k_terms))
+    total = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+    for w in weights:
+        va = rng.normal(size=d_a) + 1j * rng.normal(size=d_a)
+        vb = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
+        v = np.kron(va / np.linalg.norm(va), vb / np.linalg.norm(vb))
+        total += w * np.outer(v, v.conj())
+    order = list(part.side_a) + list(part.side_b)
+    perm = np.argsort(order)
+    n = len(dims)
+    t = total.reshape([dims[i] for i in order] * 2)
+    t = np.transpose(t, list(perm) + [n + p for p in perm])
+    return hermitize(t.reshape(d_a * d_b, d_a * d_b))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3)])
+def test_sfnf_stack_matches_sign_pattern_oracle(dims):
+    seeds = list(range(300, 350))
+    stack = random_fully_separable_sfnf_stack(dims, seeds)
+    assert stack.shape == (50,) + (int(np.prod(dims)),) * 2
+    for row, seed in zip(stack, seeds):
+        assert np.abs(row - _sfnf_oracle(dims, seed)).max() <= 1e-15
+    for seed in seeds[:3]:
+        one = random_fully_separable_sfnf(dims, seed).data
+        assert np.abs(one - _sfnf_oracle(dims, seed)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3)])
+@pytest.mark.parametrize("side_a", [(0,), (2,)])
+def test_biseparable_stack_matches_per_term_oracle(dims, side_a):
+    part = Bipartition.of(side_a, 3)
+    seeds = list(range(400, 450))
+    stack = random_biseparable_stack(dims, part, 24, seeds)
+    for row, seed in zip(stack, seeds):
+        assert np.abs(row - _biseparable_oracle(dims, part, 24, seed)).max() <= 1e-15
+    for seed in seeds[:3]:
+        one = random_biseparable(dims, part, 24, seed).data
+        assert np.abs(one - _biseparable_oracle(dims, part, 24, seed)).max() <= 1e-15
+
+
+def test_stack_samplers_validate_every_row(monkeypatch):
+    from cmnlab import linalg, zoo
+
+    calls = []
+    real = linalg.check_density_stack
+    monkeypatch.setattr(zoo, "check_density_stack", lambda data: calls.append(len(data)) or real(data))
+    random_fully_separable_sfnf_stack((2, 2, 2), [1, 2, 3])
+    random_biseparable_stack((2, 2, 2), Bipartition.of((0,), 3), 4, [1, 2])
+    assert calls == [3, 2]
