@@ -11,11 +11,10 @@ from .bounds import (
     detect,
     dvh_bisep_bound_3qubit,
     dvh_fullsep_bound,
-    dvh_interior_sum,
     fullsep_bound_inf,
     fullsep_bound_p1,
 )
-from .cmn import CmnParams, cmn, elementary_symmetric, signed_det
+from .cmn import CmnParams, cmn, elementary_symmetric
 from .discord import (
     DiscordResult,
     MeasurementFamily,

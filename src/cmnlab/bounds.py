@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmn import CmnParams, elementary_symmetric, spectrum_power
+from .cmn import CmnParams, cmn, elementary_symmetric
 from .linalg import DensityMatrix, partial_trace, singular_values
 from .normal_form import FilteringError, filter_to_fnf, fnf_residual, sfnf_residual
 from .tensor import _matricize_array, build, iter_bipartitions
@@ -48,14 +48,9 @@ def compare(value, bound):
 
 
 def bisep_bound_inf(d_a, d_b, h) -> float:
-    """Bound on M_{h,∞} for bi-separable states in FNF under the A/B cut."""
-    if h < 2:
-        raise ValueError("the p=inf bound needs h >= 2")
-    # alpha * beta^(h-1) / (h-1)^(h-1) arranged as a single square root of a
-    # ratio of integers, so clean cases like 1/1728 come out exactly rounded
-    num = ((d_a - 1) * (d_b - 1)) ** (h - 1)
-    den = (d_a * d_b) ** h
-    return math.sqrt(num / den) / (h - 1) ** (h - 1)
+    """Bound on M_{h,∞} for bi-separable states in FNF under the A/B cut: the
+    fully-separable bound of the two-party profile (d_A, d_B)."""
+    return fullsep_bound_inf((d_a, d_b), h)
 
 
 def bisep_preconditions_inf(d_a, d_b, h):
@@ -94,8 +89,10 @@ def fullsep_bound_inf(dims, h) -> float:
     """Bound on M_{h,∞} for fully-separable states in SFNF, any matricization."""
     if h < 2:
         raise ValueError("the p=inf bound needs h >= 2")
-    num = int(np.prod([(d - 1) ** (h - 1) for d in dims]))
-    den = int(np.prod([d**h for d in dims]))
+    # alpha * beta^(h-1) / (h-1)^(h-1) as one square root of a ratio of exact
+    # integers, so clean cases like 1/1728 come out exactly rounded
+    num = math.prod((d - 1) ** (h - 1) for d in dims)
+    den = math.prod(d**h for d in dims)
     return math.sqrt(num / den) / (h - 1) ** (h - 1)
 
 
@@ -130,11 +127,6 @@ def dvh_fullsep_bound(dims) -> float:
     return float(np.prod([math.sqrt((d - 1) / d) for d in dims]))
 
 
-def dvh_interior_sum(w_flat) -> float:
-    """Trace norm (sum of singular values) of a matricized interior tensor."""
-    return float(singular_values(w_flat).sum())
-
-
 def dvh_bisep_bound_3qubit() -> float:
     """dVH trace-norm bound for three-qubit bi-separable states."""
     return math.sqrt(3 / 8)
@@ -165,9 +157,7 @@ class Criterion:
         if self.p is None:
             sl = (slice(None),) + (slice(1, None),) * part.n_parties
             return singular_values(_matricize_array(tensors[sl], dims, part)).sum(axis=1)
-        params = CmnParams(h, self.p)
-        power = spectrum_power(singular_values(_matricize_array(tensors, dims, part)), params)
-        return power if math.isinf(self.p) else power ** (1 / self.p)
+        return cmn(_matricize_array(tensors, dims, part), CmnParams(h, self.p))
 
 
 def _dvh_bisep_preconditions(dims, d_a, d_b, h):
@@ -240,12 +230,6 @@ class DetectionVerdict:
 
         visit(self, tuple(range(len(self.dims))))
         return list(seen.items())
-
-    def all_reports(self):
-        out = list(self.reports)
-        for _, sub in self.subsets():
-            out.extend(sub.reports)
-        return out
 
 
 def _cut_reports(tensor, dims, part, cfg, kind, gate, note=""):

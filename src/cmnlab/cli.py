@@ -65,26 +65,26 @@ def load_state(path: str) -> tuple:
     Returns (state, canonical payload string used for the input digest).
     """
     if path.startswith("zoo:"):
-        name = path[4:]
         try:
-            rho = zoo.from_name(name)
+            rho = zoo.from_name(path[4:])
         except KeyError as exc:
             raise InputError(str(exc)) from exc
-        payload = report.dumps(state_to_statefile(rho))
-        return rho, payload
-    if path == "-":
-        text = sys.stdin.read()
     else:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            try:
+                with open(path) as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise InputError(f"cannot read {path}: {exc}") from exc
         try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"state file is not valid JSON: {exc}") from exc
-    rho = statefile_to_state(doc)
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"state file is not valid JSON: {exc}") from exc
+        rho = statefile_to_state(doc)
+    if len(rho.dims) < 2:
+        raise InputError(f"need at least two parties, got dims {list(rho.dims)}")
     return rho, report.dumps(state_to_statefile(rho))
 
 
@@ -152,8 +152,10 @@ def cmd_discord(args):
         raise InputError(str(exc)) from exc
     n = len(rho.dims)
     if args.partition:
-        side_a = tuple(int(s) for s in args.partition.split(","))
-        parts = [Bipartition.of(side_a, n)]
+        try:
+            parts = [Bipartition.of([int(s) for s in args.partition.split(",")], n)]
+        except ValueError as exc:
+            raise InputError(f"invalid --partition {args.partition!r}: {exc}") from exc
     else:
         parts = list(iter_bipartitions(n))
     solves = []

@@ -65,36 +65,26 @@ def elementary_symmetric(h: int, xs) -> float:
     return float(_symmetric_sweep(xs.reshape(1, -1), h)[0])
 
 
-def clamp_singular_values(sigma):
-    """Zero out singular values below SV_CLAMP times the largest."""
-    sigma = np.asarray(sigma, dtype=float).copy()
-    if sigma.size and sigma.max() > 0:
-        sigma[sigma < SV_CLAMP * sigma.max()] = 0.0
-    return sigma
-
-
-def cmn_from_singular_values(sigma, params: CmnParams) -> float:
-    """CMN from a precomputed singular spectrum (descending or not)."""
-    power = float(spectrum_power(sigma, params)[0])
-    return power if math.isinf(params.p) else power ** (1 / params.p)
-
-
-def cmn(m, params: CmnParams) -> float:
-    """M_{h,p} of a matricized correlation tensor.
+def cmn(m, params: CmnParams):
+    """M_{h,p} of a matricized correlation tensor, or an array of M_{h,p}
+    of each matrix of a stack (shape (k, r, c)).
 
     p = ∞ gives the product of the h largest singular values; p = 1 the
     h-th elementary symmetric polynomial of the spectrum; finite p the
     corresponding power-sum combination (S_h(σᵖ))^{1/p}.
     """
-    return cmn_from_singular_values(singular_values(m), params)
+    power = spectrum_power(singular_values(m), params)
+    if not math.isinf(params.p):
+        power = power ** (1 / params.p)
+    return float(power[0]) if np.ndim(m) == 2 else power
 
 
 def spectrum_power(sigma, params: CmnParams) -> np.ndarray:
     """[M_{h,p}]^p of each row of a stack of singular spectra, shape (k, n).
 
-    Each row is clamped as in :func:`clamp_singular_values` and sorted
-    descending; p = ∞ then gives the product of its h largest values and
-    finite p the sum S_h of its p-th powers.
+    Values below SV_CLAMP times the row's largest are zeroed and the row is
+    sorted descending; p = ∞ then gives the product of its h largest values
+    and finite p the sum S_h of its p-th powers.
     """
     sigma = np.array(sigma, dtype=float, ndmin=2)
     # singular values are >= 0, so an all-zero row clamps nothing
@@ -105,18 +95,3 @@ def spectrum_power(sigma, params: CmnParams) -> np.ndarray:
     if math.isinf(params.p):
         return np.prod(sigma[:, : params.h], axis=1)
     return _symmetric_sweep(sigma**params.p, params.h)
-
-
-def cmn_power(m, params: CmnParams) -> float:
-    """[M_{h,p}]^p as used by the discord measure; for p = ∞ this is the
-    plain product of the h largest singular values."""
-    return float(spectrum_power(singular_values(m), params)[0])
-
-
-def signed_det(m) -> float:
-    """Signed determinant of a square matricization, exposed for
-    diagnostics; the CMN itself only ever uses |det| via singular values."""
-    m = np.asarray(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("signed determinant requires a square matrix")
-    return float(np.linalg.det(m))

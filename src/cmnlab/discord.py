@@ -11,7 +11,7 @@ from itertools import accumulate
 import numpy as np
 
 from .basis import canonical_bases
-from .cmn import CmnParams, cmn_power, spectrum_power
+from .cmn import CmnParams, spectrum_power
 from .linalg import DensityMatrix, apply_local, hermitize, singular_values
 from .tensor import Bipartition, CorrelationTensor, _matricize_array, build, matricize
 
@@ -273,7 +273,7 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
 
 def _discord(rho, part, params, opt, measured_parties):
     t = build(rho)
-    base = cmn_power(matricize(t, part), params)
+    base = spectrum_power(singular_values(matricize(t, part)), params)[0]
     dims = rho.dims
     measured = sorted(set(int(p) for p in measured_parties))
     measured_dims = tuple(dims[p] for p in measured)
@@ -287,15 +287,13 @@ def _discord(rho, part, params, opt, measured_parties):
     top = order[0]
     converged = len(values) > 1 and values[top] - values[order[1]] <= opt.opt_tol
 
-    # unmeasured parties get the computational basis; only measured parties'
-    # angles are free parameters
-    stacks = list(computational_measurement(dims).projectors)
-    sub = measurement_from_angles(measured_dims, points[top])
-    for k, p in enumerate(measured):
-        stacks[p] = sub.projectors[k]
+    # unmeasured parties keep the computational basis: all their angles are 0
+    starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
+    angles = np.zeros(starts[-1])
+    angles[[c for p in measured for c in range(starts[p], starts[p + 1])]] = points[top]
     return DiscordResult(
         value=float(base - values[top]),
-        best_measurement=MeasurementFamily(dims, tuple(stacks)),
+        best_measurement=measurement_from_angles(dims, angles),
         evaluations=int(evals),
         converged=bool(converged),
         best_angles=tuple(float(a) for a in points[top]),

@@ -3,6 +3,9 @@ classical states and seeded random separable/bi-separable samplers."""
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate
+
 import numpy as np
 
 from .basis import normalized_generalized_gell_mann
@@ -93,11 +96,6 @@ def classical_state(dims, probs) -> DensityMatrix:
     return DensityMatrix(dims, np.diag(probs).astype(complex))
 
 
-def haar_pure(dim, rng) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def random_density(dims, rank, seed) -> DensityMatrix:
     """Normalized Wishart state of the given rank."""
     rng = np.random.default_rng(seed)
@@ -108,27 +106,12 @@ def random_density(dims, rank, seed) -> DensityMatrix:
     return DensityMatrix(dims, hermitize(m / m.trace().real))
 
 
-def _random_product_projector(group_dims, rng):
-    vecs = [haar_pure(d, rng) for d in group_dims]
-    v = vecs[0]
-    for u in vecs[1:]:
-        v = np.kron(v, u)
-    return np.outer(v, v.conj())
-
-
 def random_fully_separable(dims, k_terms, seed) -> DensityMatrix:
     """Convex mixture of k Haar-random product pure states with flat
-    Dirichlet weights."""
-    if k_terms < 1:
-        raise ValueError("k_terms must be >= 1")
-    rng = np.random.default_rng(seed)
-    dims = tuple(int(d) for d in dims)
-    weights = rng.dirichlet(np.ones(k_terms))
-    side = int(np.prod(dims))
-    total = np.zeros((side, side), dtype=complex)
-    for w in weights:
-        total += w * _random_product_projector(dims, rng)
-    return DensityMatrix(dims, hermitize(total))
+    Dirichlet weights; the one-row case of :func:`_product_mixture_stack`
+    with one group per party."""
+    groups = [(p,) for p in range(len(dims))]
+    return DensityMatrix(dims, _product_mixture_stack(dims, groups, k_terms, [seed])[0])
 
 
 def random_biseparable(dims, part: Bipartition, k_terms, seed) -> DensityMatrix:
@@ -140,36 +123,43 @@ def random_biseparable(dims, part: Bipartition, k_terms, seed) -> DensityMatrix:
 
 def random_biseparable_stack(dims, part: Bipartition, k_terms, seeds) -> np.ndarray:
     """One :func:`random_biseparable` sample per seed, as a validated stack
-    of density matrices (shape (len(seeds), side, side)).
+    of density matrices (shape (len(seeds), side, side))."""
+    return _product_mixture_stack(dims, [part.side_a, part.side_b], k_terms, seeds)
+
+
+def _product_mixture_stack(dims, groups, k_terms, seeds) -> np.ndarray:
+    """One convex mixture of k pure states that are products across the
+    party ``groups`` (each factor Haar-random on its group's joint space) per
+    seed, as a validated stack of density matrices.
 
     Each row draws from ``default_rng(seed)``: flat Dirichlet weights, then
-    per term the real and imaginary parts of the side-A vector and then of
-    the side-B vector. Consecutive normal draws concatenate, so one
-    ``normal`` call per row yields all of them."""
+    per term and group the real and then the imaginary parts of the group's
+    vector. Consecutive normal draws concatenate, so one ``normal`` call per
+    row yields all of them."""
     if k_terms < 1:
         raise ValueError("k_terms must be >= 1")
     dims = tuple(int(d) for d in dims)
-    d_a, d_b = part.side_dims(dims)
-    rows = len(seeds)
+    sizes = [math.prod(dims[p] for p in group) for group in groups]
+    rows, side = len(seeds), math.prod(sizes)
     weights = np.empty((rows, k_terms))
-    g = np.empty((rows, k_terms, 2 * (d_a + d_b)))
+    g = np.empty((rows, k_terms, 2 * sum(sizes)))
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         weights[row] = rng.dirichlet(np.ones(k_terms))
-        g[row] = rng.normal(size=(k_terms, 2 * (d_a + d_b)))
-    va = g[..., :d_a] + 1j * g[..., d_a:2 * d_a]
-    vb = g[..., 2 * d_a:2 * d_a + d_b] + 1j * g[..., 2 * d_a + d_b:]
-    va /= np.linalg.norm(va, axis=-1, keepdims=True)
-    vb /= np.linalg.norm(vb, axis=-1, keepdims=True)
-    v = (va[..., :, None] * vb[..., None, :]).reshape(rows, k_terms, d_a * d_b)
+        g[row] = rng.normal(size=(k_terms, 2 * sum(sizes)))
+    v = np.ones((rows, k_terms, 1))
+    for start, d in zip(accumulate((2 * d for d in sizes), initial=0), sizes):
+        u = g[..., start:start + d] + 1j * g[..., start + d:start + 2 * d]
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        v = (v[..., :, None] * u[..., None, :]).reshape(rows, k_terms, -1)
     total = (v * weights[..., None]).swapaxes(1, 2) @ v.conj()
-    # columns are ordered side_a then side_b; permute back to party order
-    order = list(part.side_a) + list(part.side_b)
+    # columns are ordered group by group; permute back to party order
+    order = [p for group in groups for p in group]
     perm = np.argsort(order)
     n = len(dims)
     t = total.reshape((rows,) + tuple(dims[i] for i in order) * 2)
     t = np.transpose(t, [0] + [1 + p for p in perm] + [1 + n + p for p in perm])
-    data = hermitize(t.reshape(rows, d_a * d_b, d_a * d_b))
+    data = hermitize(t.reshape(rows, side, side))
     check_density_stack(data)
     return data
 

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from cmnlab.linalg import DensityMatrix, hermitize
-
-
-def random_density(dims, rank, seed):
-    rng = np.random.default_rng(seed)
-    side = int(np.prod(dims))
-    g = rng.normal(size=(side, rank)) + 1j * rng.normal(size=(side, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(tuple(dims), hermitize(m / m.trace().real))
+from cmnlab.zoo import random_density  # noqa: F401  (test modules import it from here)
 
 
 @pytest.fixture

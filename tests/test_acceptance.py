@@ -21,7 +21,6 @@ from cmnlab.bounds import (
     detect,
     dvh_bisep_bound_3qubit,
     dvh_fullsep_bound,
-    dvh_interior_sum,
     fullsep_bound_inf,
     fullsep_bound_p1,
 )
@@ -71,7 +70,7 @@ def test_criterion_1_rho1_reproduction(capfd):
             got = cmn(m, CmnParams(4, math.inf))
             assert abs(got - value) <= 1e-9 * value
             assert abs(got - bisep_bound_inf(2, 4, 4)) <= 1e-9 * value
-            s = dvh_interior_sum(matricize_interior(interior(t), part))
+            s = float(singular_values(matricize_interior(interior(t), part)).sum())
             assert abs(s - math.sqrt(3 / 8)) <= 1e-9
             assert abs(s - dvh_bisep_bound_3qubit()) <= 1e-9
         assert time.perf_counter() - start < 1.0
@@ -220,10 +219,10 @@ def test_criterion_7_discord(capfd):
         # Bell-state one-sided discord against a 1 degree grid oracle
         rho = bell(1).to_density()
         params = CmnParams(2, 1.0)
-        from cmnlab.cmn import cmn_power
+        from cmnlab.cmn import spectrum_power
         from cmnlab.discord import MeasurementFamily, computational_measurement
 
-        base = cmn_power(matricize(build(rho), part), params)
+        base = float(spectrum_power(singular_values(matricize(build(rho), part)), params)[0])
         best = -math.inf
         stacks0 = computational_measurement((2, 2)).projectors
         for theta_deg in range(0, 181):
@@ -233,7 +232,8 @@ def test_criterion_7_discord(capfd):
                 )
                 fam = MeasurementFamily((2, 2), (sub.projectors[0], stacks0[1]))
                 after = measure_state(rho, fam, parties=(0,))
-                best = max(best, cmn_power(matricize(build(after), part), params))
+                m = matricize(build(after), part)
+                best = max(best, float(spectrum_power(singular_values(m), params)[0]))
         oracle = base - best
         res = bipartite_discord_cmn(rho, part, "a", params, OptimizerCfg(restarts=8))
         assert abs(res.value - oracle) <= 1e-4

@@ -14,13 +14,13 @@ from cmnlab.bounds import (
     detect,
     dvh_bisep_bound_3qubit,
     dvh_fullsep_bound,
-    dvh_interior_sum,
     fullsep_bound_inf,
     fullsep_bound_p1,
 )
 from cmnlab.cmn import elementary_symmetric
+from cmnlab.linalg import singular_values
 from cmnlab.tensor import Bipartition, build, interior, matricize_interior
-from cmnlab.zoo import ghz, maximally_mixed, rho1
+from cmnlab.zoo import ghz, maximally_mixed, random_fully_separable_sfnf, rho1
 
 from conftest import random_density
 
@@ -73,6 +73,20 @@ class TestFullsepBounds:
         expected = elementary_symmetric(2, [alpha] + [beta / 3] * 3)
         assert abs(fullsep_bound_p1((2, 2, 2), 2, 4) - expected) < 1e-15
 
+    def test_inf_beyond_int64(self):
+        # at AB|CD of four qubits, h = 16 and prod d_i^h = 2^64
+        assert fullsep_bound_inf((2, 2, 2, 2), 16) == 2.0**-32 / 15**15
+        assert fullsep_bound_inf((2, 2, 2, 2, 2), 16) == 2.0**-40 / 15**15
+
+    def test_bisep_inf_is_the_two_party_profile(self):
+        # the closed form bisep_bound_inf had before it read fullsep_bound_inf
+        for d_a in range(2, 13):
+            for d_b in range(2, 13):
+                for h in range(2, min(d_a, d_b) ** 2 + 1):
+                    num = ((d_a - 1) * (d_b - 1)) ** (h - 1)
+                    want = math.sqrt(num / (d_a * d_b) ** h) / (h - 1) ** (h - 1)
+                    assert bisep_bound_inf(d_a, d_b, h) == want
+
 
 class TestDvh:
     def test_fullsep_bound_three_qubits(self):
@@ -84,13 +98,13 @@ class TestDvh:
     def test_rho1_saturates_bisep(self):
         t = build(rho1())
         for part in (Bipartition.of((0,), 3), Bipartition.of((1,), 3)):
-            s = dvh_interior_sum(matricize_interior(interior(t), part))
+            s = float(singular_values(matricize_interior(interior(t), part)).sum())
             assert abs(s - dvh_bisep_bound_3qubit()) <= 1e-9
 
     def test_maximally_mixed_interior_sum_zero(self):
         t = build(maximally_mixed((2, 2, 2)))
         w = matricize_interior(interior(t), Bipartition.of((0,), 3))
-        assert dvh_interior_sum(w) <= 1e-14
+        assert float(singular_values(w).sum()) <= 1e-14
 
 
 class TestCompare:
@@ -123,7 +137,24 @@ class TestDetect:
         v = detect(maximally_mixed((2, 2, 2)))
         assert not v.not_fully_separable
         assert v.bi_entangled_partitions == ()
-        assert not any(r.violated for r in v.all_reports())
+        all_reports = list(v.reports) + [r for _, sub in v.subsets() for r in sub.reports]
+        assert not any(r.violated for r in all_reports)
+
+    @pytest.mark.parametrize("make", [
+        lambda: maximally_mixed((2, 2, 2, 2)),
+        lambda: maximally_mixed((2, 2, 2, 2, 2)),
+        *[lambda s=s: random_fully_separable_sfnf((2, 2, 2, 2), s) for s in range(3)],
+    ])
+    def test_sfnf_states_beyond_three_qubits(self, make):
+        v = detect(make())
+        all_reports = list(v.reports) + [r for _, sub in v.subsets() for r in sub.reports]
+        assert not v.not_fully_separable and v.bi_entangled_partitions == ()
+        assert not any(r.violated for r in all_reports)
+        assert all(math.isfinite(r.bound) for r in all_reports if r.preconditions_met)
+        # at AB|rest, h = 16 and prod d_i^h >= 2^64
+        ab = [r for r in v.reports
+              if r.partition_label().startswith("AB|") and r.criterion == "cmn-full-inf"]
+        assert ab and all(r.preconditions_met for r in ab)
 
     def test_ghz_regression(self):
         # regression fixture: which criteria fire on GHZ3
@@ -207,7 +238,7 @@ def test_criterion_values_match_per_tensor_oracle(name):
     assert values.shape == (4,)
     for value, t in zip(values, tensors):
         if entry.p is None:
-            want = dvh_interior_sum(matricize_interior(interior(t), part))
+            want = float(singular_values(matricize_interior(interior(t), part)).sum())
         else:
             want = cmn(matricize(t, part), CmnParams(4, entry.p))
         assert abs(value - want) <= 1e-15

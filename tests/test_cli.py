@@ -16,7 +16,7 @@ from cmnlab.cli import (
     state_to_statefile,
     statefile_to_state,
 )
-from cmnlab.zoo import rho1
+from cmnlab.zoo import maximally_mixed, rho1
 
 
 def run(capsys, *argv):
@@ -84,6 +84,18 @@ class TestStateFiles:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "/no/such/file.json")
         assert code == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize("command", ["analyze", "discord"])
+    @pytest.mark.parametrize("dims", [[], [2]])
+    def test_rejects_fewer_than_two_parties(self, tmp_path, capsys, command, dims):
+        side = math.prod(dims)
+        matrix = [{"re": (i == j) / side, "im": 0.0} for i in range(side) for j in range(side)]
+        path = tmp_path / "few.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": matrix}))
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "two parties" in err
 
 
 class TestAnalyze:
@@ -177,6 +189,14 @@ class TestAnalyze:
         assert {r["criterion"] for r in cmn_reports} == {"cmn-bisep-p0.5", "cmn-full-p0.5"}
         assert all(r["preconditions_met"] is False for r in cmn_reports)
 
+    def test_four_qubit_maximally_mixed(self, capsys, tmp_path):
+        # the fully-separable p = inf bound at h = 16 needs prod d_i^h = 2^64
+        path = tmp_path / "mm4.json"
+        path.write_text(json.dumps(state_to_statefile(maximally_mixed((2, 2, 2, 2)))))
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == EXIT_OK
+        assert not json.loads(out)["verdict"]["not_fully_separable"]
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "analyze", "zoo:maximally-mixed-2q",
@@ -235,6 +255,14 @@ class TestDiscord:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err.startswith("error:") and reason in err
+
+    @pytest.mark.parametrize("partition", ["0,1", "5", "x"])
+    def test_bad_partition_is_usage_error(self, capsys, partition):
+        code, out, err = run(capsys, "discord", "zoo:bell-phi-plus", "--restarts", "2",
+                             "--partition", partition)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "--partition" in err
 
     def test_deterministic_given_seed(self, capsys):
         argv = ["discord", "zoo:classical-cc", "--restarts", "3", "--seed", "5"]

@@ -105,7 +105,8 @@ def test_dag_matches_nested_walk(name, make):
     assert report.dumps(entries) == report.dumps(expected)
     # the library view: every (keep, sub) pair of the tree, subs shared
     assert [keep for keep, _ in got.reduced] == [keep for keep, _ in want.reduced]
-    assert len(got.all_reports()) == len(got.reports) + sum(
+    all_reports = list(got.reports) + [r for _, sub in got.subsets() for r in sub.reports]
+    assert len(all_reports) == len(got.reports) + sum(
         len(node.reports) for _, node in first_occurrences(want))
 
 
@@ -140,7 +141,8 @@ def test_finite_p_without_bound_is_inconclusive():
     for seed in range(100):
         v = detect(zoo.random_biseparable((2, 2, 2), a_bc, 24, seed), cfg)
         flagged += "A|BC" in v.bi_entangled_partitions
-        cmn_reports = [r for r in v.all_reports() if r.criterion.startswith("cmn-")]
+        all_reports = list(v.reports) + [r for _, sub in v.subsets() for r in sub.reports]
+        cmn_reports = [r for r in all_reports if r.criterion.startswith("cmn-")]
         assert {r.criterion for r in cmn_reports} == {"cmn-bisep-p0.5", "cmn-full-p0.5"}
         assert not any(r.preconditions_met for r in cmn_reports)
         assert all(r.reason == "no separability bound for p=0.5" for r in cmn_reports)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmnlab.cmn import CmnParams, cmn_power
+from cmnlab.cmn import CmnParams, spectrum_power
 from cmnlab.discord import (
     MeasurementFamily,
     OptimizerCfg,
@@ -193,7 +193,8 @@ class TestDominance:
             m0 = matricize(build(rho), PART2)
             m1 = matricize(build(after), PART2)
             for params in params_list:
-                assert cmn_power(m1, params) <= cmn_power(m0, params) + 1e-10
+                after_power = spectrum_power(singular_values(m1), params)[0]
+                assert after_power <= spectrum_power(singular_values(m0), params)[0] + 1e-10
 
 
 class TestCorrelationSpaceMap:
@@ -329,13 +330,24 @@ class TestDiscordValues:
         rho = random_density((2, 2), 3, 77)
         params = CmnParams(2, 1.0)
         res = global_discord_cmn(rho, PART2, params, FAST)
-        base = cmn_power(matricize(build(rho), PART2), params)
+        base = float(spectrum_power(singular_values(matricize(build(rho), PART2)), params)[0])
         after = measure_state(rho, res.best_measurement)
-        assert abs(base - cmn_power(matricize(build(after), PART2), params) - res.value) <= 1e-10
+        m1 = matricize(build(after), PART2)
+        after_power = float(spectrum_power(singular_values(m1), params)[0])
+        assert abs(base - after_power - res.value) <= 1e-10
         same = measurement_from_angles((2, 2), res.best_angles)
         for a, b in zip(same.projectors, res.best_measurement.projectors):
             assert np.array_equal(a, b)
         assert res.restart_spread >= 0
+
+    def test_one_sided_measurement_keeps_the_other_party_computational(self):
+        comp = computational_measurement((2, 3)).projectors[1]
+        for seed in range(3):
+            rho = random_density((2, 3), 4, seed)
+            res = bipartite_discord_cmn(rho, PART2, "a", CmnParams(2, 1.0), FAST)
+            measured = measurement_from_angles((2,), res.best_angles).projectors[0]
+            assert np.array_equal(res.best_measurement.projectors[0], measured)
+            assert np.array_equal(res.best_measurement.projectors[1], comp)
 
     def test_single_restart(self):
         res = global_discord_cmn(bell(1).to_density(), PART2, CmnParams(2, 1.0),
@@ -364,7 +376,7 @@ class TestDiscordValues:
         part = Bipartition.of((0,), 3)
         params = CmnParams(2, 1.0)
         m0 = matricize(build(rho), part)
-        base = cmn_power(m0, params)
+        base = float(spectrum_power(singular_values(m0), params)[0])
 
         from cmnlab.discord import measurement_from_angles as mfa
 
@@ -375,7 +387,8 @@ class TestDiscordValues:
                 for t2 in grid:
                     fam = mfa((2, 2, 2), [t0, 0, t1, 0, t2, 0])
                     after = measure_state(rho, fam)
-                    best = max(best, cmn_power(matricize(build(after), part), params))
+                    m1 = matricize(build(after), part)
+                    best = max(best, float(spectrum_power(singular_values(m1), params)[0]))
         res = global_discord_cmn(rho, part, params, OptimizerCfg(restarts=8))
         assert res.value <= base - best + 1e-6
         assert res.value >= -1e-6

@@ -262,6 +262,34 @@ def _biseparable_oracle(dims, part, k_terms, seed):
     return hermitize(t.reshape(d_a * d_b, d_a * d_b))
 
 
+def _fully_separable_oracle(dims, k_terms, seed):
+    """The per-term fully-separable sampler: one Haar vector per party and
+    term, drawn in turn, Kronecker-multiplied and mixed with flat Dirichlet
+    weights."""
+    rng = np.random.default_rng(seed)
+    side = int(np.prod(dims))
+    weights = rng.dirichlet(np.ones(k_terms))
+    total = np.zeros((side, side), dtype=complex)
+    for w in weights:
+        v = np.ones(1)
+        for d in dims:
+            u = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v = np.kron(v, u / np.linalg.norm(u))
+        total += w * np.outer(v, v.conj())
+    return hermitize(total)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (3, 3), (2, 3, 2, 2)])
+def test_fully_separable_matches_per_term_oracle(dims):
+    from cmnlab.audit import ppt_check
+
+    for k_terms in (1, 5, 24):
+        for seed in range(10):
+            rho = random_fully_separable(dims, k_terms, seed)
+            assert np.abs(rho.data - _fully_separable_oracle(dims, k_terms, seed)).max() <= 1e-15
+            assert all(ppt_check(rho, part) for part in iter_bipartitions(len(dims)))
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3)])
 def test_sfnf_stack_matches_sign_pattern_oracle(dims):
     seeds = list(range(300, 350))
