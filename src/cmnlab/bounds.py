@@ -297,6 +297,8 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
     a DAG: a subset reached along several paths is analyzed once, from the
     state on the first path that reaches it, and every later path shares
     that verdict."""
+    if len(rho.dims) < 2:
+        raise ValueError(f"detect needs at least two parties, got {len(rho.dims)}")
     return _detect(rho, tuple(range(len(rho.dims))), cfg, {})
 
 

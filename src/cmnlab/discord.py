@@ -169,53 +169,75 @@ class OptimizerCfg:
 
 @dataclass(frozen=True)
 class DiscordResult:
+    """``evaluations`` counts the trials a one-point-at-a-time search would
+    make, not the points scored: the search scores each restart's rest of
+    the sweep at once and discards the trials after its first improvement.
+    ``restart_evaluations`` and ``restart_values`` give, per restart in
+    restart order, that trial count (they sum to ``evaluations``) and the
+    final objective, the dephased CMN power the search maximizes."""
+
     value: float
     best_measurement: MeasurementFamily
     evaluations: int
     converged: bool  # the two best restarts agree to opt_tol
     best_angles: tuple  # angles of the measured parties' bases, in party order
     restart_spread: float  # best minus worst final objective across restarts
+    restart_evaluations: tuple
+    restart_values: tuple
 
 
-def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
+def _lockstep_search(objective, n_params, cfg: OptimizerCfg, restart_evals=None):
     """Maximize by cyclic coordinate moves with a shrinking step, from
     ``cfg.restarts`` starting points at once.
 
     Each restart makes the moves of a search on its own: try +step, then
     -step, on each coordinate in turn, keep the first strict improvement and
     go on to the next coordinate; halve the step after a sweep without
-    improvement and stop once it falls below min_step. One tick evaluates
-    the next trial of every unfinished restart in one call of ``objective``,
-    which maps a (k, n_params) array of points to k values.
+    improvement and stop once it falls below min_step.
+
+    Every trial from coordinate c to the end of a sweep starts from the same
+    point, so one tick scores them all as slots 2c .. 2n-1 (+step, then
+    -step, per coordinate), for every unfinished restart in one call of
+    ``objective``, which maps a (k, n_params) array of points to k values.
+    The first slot that beats the restart's best is the move the one-trial
+    search makes; if none does, the sweep ends.
 
     Returns the final value and point of each restart and the number of
-    evaluations.
+    trials consumed: the first improving slot + 1 - 2c per tick, or the
+    rest of the sweep, plus one starting evaluation per restart. Each
+    restart's count goes into ``restart_evals`` when one is given.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.restarts
     x = np.zeros((n, n_params))
     x[1:] = rng.uniform(0, 2 * math.pi, size=(n - 1, n_params))
-    best = objective(x)
-    evals = n
+    best = np.array(objective(x), dtype=float)  # updated in place below
+    evals = np.ones(n, dtype=int)
     final_best, final_x = best.copy(), x.copy()
+    slots = np.arange(2 * n_params)
+    slot_coord, slot_minus = slots // 2, slots % 2 == 1
     # state of the unfinished restarts, compacted whenever some finish
     ids = np.arange(n)
     step = np.full(n, cfg.init_step)
     coord = np.zeros(n, dtype=int)
-    minus = np.zeros(n, dtype=bool)  # trying -step on this coordinate
     improved = np.zeros(n, dtype=bool)
     while ids.size:
-        trial = x.copy()
-        trial[np.arange(ids.size), coord] += np.where(minus, -step, step)
-        val = objective(trial)
-        evals += ids.size
-        up = val > best
-        x = np.where(up[:, None], trial, x)
-        best = np.where(up, val, best)
-        improved |= up
-        # a failed +step retries the coordinate with -step; all else moves on
-        minus = ~(up | minus)
-        coord += ~minus
+        rows, cols = np.nonzero(slots >= 2 * coord[:, None])
+        delta = np.where(slot_minus, -step[:, None], step[:, None])
+        trial = x[rows]
+        trial[np.arange(rows.size), slot_coord[cols]] += delta[rows, cols]
+        # slots before a restart's coordinate are not scored and never improve
+        score = np.full((ids.size, slots.size), -np.inf)
+        score[rows, cols] = objective(trial)
+        up = score > best[:, None]
+        hit = up.any(axis=1)
+        first = np.where(hit, up.argmax(axis=1), slots.size - 1)
+        evals[ids] += first + 1 - 2 * coord
+        moved = np.nonzero(hit)[0]
+        x[moved, slot_coord[first[moved]]] += delta[moved, first[moved]]
+        best[moved] = score[moved, first[moved]]
+        improved |= hit
+        coord = np.where(hit, slot_coord[first] + 1, n_params)
         swept = coord == n_params
         if not swept.any():
             continue
@@ -227,8 +249,10 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
             final_best[ids[done]], final_x[ids[done]] = best[done], x[done]
             keep = ~done
             ids, x, best, step = ids[keep], x[keep], best[keep], step[keep]
-            coord, minus, improved = coord[keep], minus[keep], improved[keep]
-    return final_best, final_x, evals
+            coord, improved = coord[keep], improved[keep]
+    if restart_evals is not None:
+        restart_evals[:] = evals
+    return final_best, final_x, int(evals.sum())
 
 
 def _contraction(n_parties, party):
@@ -282,7 +306,9 @@ def _discord(rho, part, params, opt, measured_parties):
     def objective(angles):
         return spectrum_power(spectra(angles), params)
 
-    values, points, evals = _lockstep_search(objective, n_angles(measured_dims), opt)
+    restart_evals = np.zeros(opt.restarts, dtype=int)
+    values, points, evals = _lockstep_search(objective, n_angles(measured_dims), opt,
+                                             restart_evals)
     order = np.argsort(-values, kind="stable")  # ties go to the earlier restart
     top = order[0]
     converged = len(values) > 1 and values[top] - values[order[1]] <= opt.opt_tol
@@ -298,6 +324,8 @@ def _discord(rho, part, params, opt, measured_parties):
         converged=bool(converged),
         best_angles=tuple(float(a) for a in points[top]),
         restart_spread=float(values[top] - values.min()),
+        restart_evaluations=tuple(int(e) for e in restart_evals),
+        restart_values=tuple(float(v) for v in values),
     )
 
 

@@ -93,6 +93,8 @@ def discord_result_to_dict(res, partition_label):
         "converged": res.converged,
         "best_angles": list(res.best_angles),
         "restart_spread": res.restart_spread,
+        "restart_evaluations": list(res.restart_evaluations),
+        "restart_values": list(res.restart_values),
     }
 
 

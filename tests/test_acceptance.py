@@ -31,12 +31,21 @@ from cmnlab.discord import (
     global_discord_cmn,
     measure_state,
     measurement_from_angles,
+    unitaries_from_angles,
 )
-from cmnlab.linalg import DensityMatrix, partial_trace, singular_values, trace_distance
+from cmnlab.linalg import (
+    DensityMatrix,
+    hermitize,
+    partial_trace,
+    singular_values,
+    trace_distance,
+)
 from cmnlab.normal_form import FilteringError, filter_to_fnf
 from cmnlab.tensor import (
     Bipartition,
+    _matricize_array,
     build,
+    build_stack,
     interior,
     iter_bipartitions,
     matricize,
@@ -222,19 +231,27 @@ def test_criterion_7_discord(capfd):
         from cmnlab.cmn import spectrum_power
         from cmnlab.discord import MeasurementFamily, computational_measurement
 
+        def grid_powers(angles):
+            # (P_a ⊗ I) ρ (P_a ⊗ I) summed over a, for every row of angles at once
+            u = unitaries_from_angles(2, angles)
+            proj = np.einsum("kma,kna->kamn", u, u.conj())
+            rho4 = rho.data.reshape(2, 2, 2, 2)
+            after = np.einsum("kaim,mbnc,kanj->kibjc", proj, rho4, proj).reshape(-1, 4, 4)
+            t = build_stack(hermitize(after), (2, 2))
+            return spectrum_power(singular_values(_matricize_array(t, (2, 2), part)), params)
+
         base = float(spectrum_power(singular_values(matricize(build(rho), part)), params)[0])
-        best = -math.inf
+        theta, phi = np.meshgrid(np.arange(181), np.arange(360), indexing="ij")
+        grid = np.radians(np.stack([theta.ravel(), phi.ravel()], axis=1))
+        powers = np.concatenate([grid_powers(chunk) for chunk in np.array_split(grid, 6)])
+        # spot-check the batched dephasing against measure_state
         stacks0 = computational_measurement((2, 2)).projectors
-        for theta_deg in range(0, 181):
-            for phi_deg in range(0, 360):
-                sub = measurement_from_angles(
-                    (2,), [math.radians(theta_deg), math.radians(phi_deg)]
-                )
-                fam = MeasurementFamily((2, 2), (sub.projectors[0], stacks0[1]))
-                after = measure_state(rho, fam, parties=(0,))
-                m = matricize(build(after), part)
-                best = max(best, float(spectrum_power(singular_values(m), params)[0]))
-        oracle = base - best
+        for k in rng.choice(len(grid), size=12, replace=False):
+            sub = measurement_from_angles((2,), grid[k])
+            fam = MeasurementFamily((2, 2), (sub.projectors[0], stacks0[1]))
+            m = matricize(build(measure_state(rho, fam, parties=(0,))), part)
+            assert abs(spectrum_power(singular_values(m), params)[0] - powers[k]) <= 1e-12
+        oracle = base - float(powers.max())
         res = bipartite_discord_cmn(rho, part, "a", params, OptimizerCfg(restarts=8))
         assert abs(res.value - oracle) <= 1e-4
         assert abs(res.value - 1.25) <= 1e-4

@@ -140,6 +140,10 @@ class TestDetect:
         all_reports = list(v.reports) + [r for _, sub in v.subsets() for r in sub.reports]
         assert not any(r.violated for r in all_reports)
 
+    def test_one_party_state_is_rejected(self):
+        with pytest.raises(ValueError, match="at least two parties, got 1"):
+            detect(maximally_mixed((2,)))
+
     @pytest.mark.parametrize("make", [
         lambda: maximally_mixed((2, 2, 2, 2)),
         lambda: maximally_mixed((2, 2, 2, 2, 2)),

@@ -241,6 +241,19 @@ class TestDiscord:
         assert len(result["best_angles"]) == 4
         assert result["restart_spread"] >= 0
 
+    def test_reports_per_restart_diagnostics(self, capsys):
+        code, out, _ = run(capsys, "discord", "zoo:bell-phi-plus",
+                           "--restarts", "4", "--partition", "0")
+        assert code == EXIT_OK
+        result = json.loads(out)["results"][0]
+        # the new keys trail the existing ones, which keep their order
+        assert list(result) == ["partition", "value", "evaluations", "converged", "best_angles",
+                                "restart_spread", "restart_evaluations", "restart_values"]
+        counts, values = result["restart_evaluations"], result["restart_values"]
+        assert len(counts) == len(values) == 4
+        assert sum(counts) == result["evaluations"]
+        assert max(values) - min(values) == result["restart_spread"]
+
     @pytest.mark.parametrize("restarts", ["0", "-2"])
     def test_bad_restarts_is_usage_error(self, capsys, restarts):
         code, out, err = run(capsys, "discord", "zoo:bell-phi-plus", "--restarts", restarts)

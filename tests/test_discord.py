@@ -70,6 +70,50 @@ def sequential_search(objective, x0, cfg):
     return best, x, evals
 
 
+def one_trial_lockstep_search(objective, n_params, cfg, restart_evals=None):
+    """The search one trial per restart per tick: the same moves as
+    ``sequential_search`` for every restart, in lockstep."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.restarts
+    x = np.zeros((n, n_params))
+    x[1:] = rng.uniform(0, 2 * math.pi, size=(n - 1, n_params))
+    best = objective(x)
+    evals = np.ones(n, dtype=int)
+    final_best, final_x = best.copy(), x.copy()
+    ids = np.arange(n)
+    step = np.full(n, cfg.init_step)
+    coord = np.zeros(n, dtype=int)
+    minus = np.zeros(n, dtype=bool)  # trying -step on this coordinate
+    improved = np.zeros(n, dtype=bool)
+    while ids.size:
+        trial = x.copy()
+        trial[np.arange(ids.size), coord] += np.where(minus, -step, step)
+        val = objective(trial)
+        evals[ids] += 1
+        up = val > best
+        x = np.where(up[:, None], trial, x)
+        best = np.where(up, val, best)
+        improved |= up
+        # a failed +step retries the coordinate with -step; all else moves on
+        minus = ~(up | minus)
+        coord += ~minus
+        swept = coord == n_params
+        if not swept.any():
+            continue
+        coord[swept] = 0
+        step = np.where(swept & ~improved, step / 2, step)
+        improved &= ~swept
+        done = step < cfg.min_step
+        if done.any():
+            final_best[ids[done]], final_x[ids[done]] = best[done], x[done]
+            keep = ~done
+            ids, x, best, step = ids[keep], x[keep], best[keep], step[keep]
+            coord, minus, improved = coord[keep], minus[keep], improved[keep]
+    if restart_evals is not None:
+        restart_evals[:] = evals
+    return final_best, final_x, int(evals.sum())
+
+
 def family_on(dims, measured, angles):
     """Angle-parametrized bases on the measured parties, the computational
     basis on the rest."""
@@ -251,6 +295,88 @@ class TestLockstepSearch:
             total += n
         assert evals == total
 
+    @staticmethod
+    def assert_same_search(objective, n_params, cfg):
+        got_counts = np.zeros(cfg.restarts, dtype=int)
+        want_counts = np.zeros(cfg.restarts, dtype=int)
+        values, points, evals = _lockstep_search(objective, n_params, cfg, got_counts)
+        want = one_trial_lockstep_search(objective, n_params, cfg, want_counts)
+        assert np.array_equal(values, want[0])
+        assert np.array_equal(points, want[1])
+        assert evals == want[2] == got_counts.sum()
+        assert np.array_equal(got_counts, want_counts)
+        return values, points, evals
+
+    @pytest.mark.parametrize("n_params,cfg", [
+        (3, OptimizerCfg(restarts=5, seed=7, init_step=0.4, min_step=1e-4)),
+        (1, OptimizerCfg(restarts=5, seed=8, init_step=0.4, min_step=1e-4)),
+        (4, OptimizerCfg(restarts=1, seed=9, init_step=0.4, min_step=1e-4)),
+    ])
+    def test_matches_one_trial_per_tick_oracle(self, n_params, cfg):
+        target = np.sin(np.linspace(-1.2, 2.0, n_params))
+
+        def objective(x):
+            return -((np.sin(x) - target) ** 2).sum(axis=-1)
+
+        self.assert_same_search(objective, n_params, cfg)
+
+    def test_constant_objective_fails_every_sweep(self):
+        cfg = OptimizerCfg(restarts=3, seed=4, init_step=0.4, min_step=1e-3)
+        values, points, evals = self.assert_same_search(lambda x: np.zeros(len(x)), 2, cfg)
+        # 0.4 / 2^8 is the last step >= 1e-3: nine failed sweeps of 2 * 2 trials
+        assert evals == cfg.restarts * (1 + 9 * 4)
+        assert np.array_equal(points[0], np.zeros(2))
+
+    def test_restart_counts_match_sequential_search(self):
+        target = np.sin([0.3, 1.1])
+
+        def objective(x):
+            return -((np.sin(x) - target) ** 2).sum(axis=-1)
+
+        cfg = OptimizerCfg(restarts=4, seed=3, init_step=0.4, min_step=1e-4)
+        counts = np.zeros(cfg.restarts, dtype=int)
+        _lockstep_search(objective, 2, cfg, counts)
+        rng = np.random.default_rng(cfg.seed)
+        for r in range(cfg.restarts):
+            x0 = rng.uniform(0, 2 * math.pi, size=2) if r else np.zeros(2)
+            assert counts[r] == sequential_search(objective, x0, cfg)[2]
+
+
+def _oracle_solves():
+    """The benchmark's five solve types and a (2,2,2) global solve at p = inf."""
+    h2p1, h1p2 = CmnParams(2, 1.0), CmnParams(1, 2.0)
+    a_bc = Bipartition.of((0,), 3)
+    bell_state, ghz3 = bell(1).to_density(), ghz(3, 2).to_density()
+    cc = classical_state((2, 2), (0.4, 0.1, 0.2, 0.3))  # zoo "classical-cc"
+    rand22, rand23 = random_density((2, 2), 4, 610), random_density((2, 3), 6, 611)
+    rand222 = random_density((2, 2, 2), 4, 612)
+    return {
+        "bell-global": lambda opt: global_discord_cmn(bell_state, PART2, h2p1, opt),
+        "classical-cc-global": lambda opt: global_discord_cmn(cc, PART2, h2p1, opt),
+        "ghz3-global-A|BC": lambda opt: global_discord_cmn(ghz3, a_bc, h2p1, opt),
+        "random-22-side-a": lambda opt: bipartite_discord_cmn(rand22, PART2, "a", h1p2, opt),
+        "random-23-side-a": lambda opt: bipartite_discord_cmn(rand23, PART2, "a", h1p2, opt),
+        "random-222-global-inf": lambda opt: global_discord_cmn(
+            rand222, a_bc, CmnParams(2, math.inf), opt),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_solves()))
+def test_solves_match_one_trial_per_tick_oracle(name, monkeypatch):
+    import cmnlab.discord as discord_module
+
+    solve = _oracle_solves()[name]
+    opts = [OptimizerCfg(restarts=8, seed=seed) for seed in range(5)]
+    got = [solve(opt) for opt in opts]
+    monkeypatch.setattr(discord_module, "_lockstep_search", one_trial_lockstep_search)
+    for res, opt in zip(got, opts):
+        want = solve(opt)
+        assert res.value == want.value
+        assert res.best_angles == want.best_angles
+        assert res.evaluations == want.evaluations
+        assert res.restart_evaluations == want.restart_evaluations
+        assert res.restart_values == want.restart_values
+
 
 class TestOptimizerCfg:
     @pytest.mark.parametrize("kwargs", [
@@ -339,6 +465,16 @@ class TestDiscordValues:
         for a, b in zip(same.projectors, res.best_measurement.projectors):
             assert np.array_equal(a, b)
         assert res.restart_spread >= 0
+
+    def test_per_restart_diagnostics(self):
+        rho = random_density((2, 2), 3, 77)
+        params = CmnParams(2, 1.0)
+        res = global_discord_cmn(rho, PART2, params, FAST)
+        assert len(res.restart_evaluations) == len(res.restart_values) == FAST.restarts
+        assert sum(res.restart_evaluations) == res.evaluations
+        assert max(res.restart_values) - min(res.restart_values) == res.restart_spread
+        base = spectrum_power(singular_values(matricize(build(rho), PART2)), params)[0]
+        assert res.value == float(base - max(res.restart_values))
 
     def test_one_sided_measurement_keeps_the_other_party_computational(self):
         comp = computational_measurement((2, 3)).projectors[1]
