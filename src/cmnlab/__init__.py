@@ -1,7 +1,7 @@
 """Multipartite entanglement detection and global quantum discord via
 correlation minor norms of matricized correlation tensors."""
 
-from .basis import OperatorBasis, basis_expectations, normalized_generalized_gell_mann
+from .basis import basis_expectations, normalized_generalized_gell_mann
 from .bounds import (
     BoundReport,
     DetectConfig,
@@ -43,10 +43,8 @@ from .zoo import ZOO, bell, from_name, ghz, maximally_mixed, rho1, w_state
 from .tensor import (
     Bipartition,
     CorrelationTensor,
-    InteriorTensor,
     build,
     face,
-    interior,
     iter_bipartitions,
     matricize,
 )

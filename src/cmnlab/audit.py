@@ -18,7 +18,8 @@ from .tensor import Bipartition, build_stack
 
 class AuditInputError(ValueError):
     """An audit request that names no family or criterion, whose criterion
-    does not apply to the family, or that asks for fewer than one trial."""
+    does not apply to the family, or that asks for fewer than one trial or
+    gives a negative seed."""
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,8 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
         raise AuditInputError(f"unknown criterion {criterion!r}; available: {', '.join(CRITERIA)}")
     if trials < 1:
         raise AuditInputError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise AuditInputError(f"seed must be >= 0, got {seed}")
     dims, kind = FAMILIES[family]
     part = _PART_A_BC(dims)
     entry = CRITERIA[criterion]

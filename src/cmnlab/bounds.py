@@ -12,7 +12,7 @@ import numpy as np
 from .cmn import CmnParams, cmn, elementary_symmetric
 from .linalg import DensityMatrix, partial_trace, singular_values
 from .normal_form import FilteringError, filter_to_fnf, fnf_residual, sfnf_residual
-from .tensor import _matricize_array, build, iter_bipartitions
+from .tensor import Bipartition, _matricize_array, build, iter_bipartitions
 
 EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
 
@@ -21,7 +21,7 @@ EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
 class BoundReport:
     """Verdict of one criterion on one partition."""
 
-    partition: object  # Bipartition or the string "full"
+    partition: Bipartition
     criterion: str
     value: float
     bound: float
@@ -31,7 +31,7 @@ class BoundReport:
     reason: str = ""
 
     def partition_label(self):
-        return self.partition if isinstance(self.partition, str) else self.partition.label()
+        return self.partition.label()
 
 
 def compare(value, bound):
@@ -211,7 +211,7 @@ class DetectConfig:
 @dataclass(frozen=True)
 class DetectionVerdict:
     dims: tuple
-    reports: tuple  # per-partition and "full" BoundReports
+    reports: tuple  # one BoundReport per (partition, criterion)
     reduced: tuple  # (kept_parties, DetectionVerdict) pairs; shared across paths
     not_fully_separable: bool
     bi_entangled_partitions: tuple

@@ -100,20 +100,19 @@ def _parse_p(text):
     return val
 
 
-def _default_seed():
-    env = os.environ.get("CMNLAB_SEED")
-    return int(env) if env else 0
+def _seed(args):
+    """--seed, else the CMNLAB_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("CMNLAB_SEED") or "0"
+    if not env.isdecimal():
+        raise InputError(f"CMNLAB_SEED must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
-def _emit(args, doc, csv_rows=None):
+def _emit(args, doc):
     text = report.dumps(doc)
-    if getattr(args, "csv", None):
-        with open(args.csv, "w") as fh:
-            fh.write("partition,criterion,value,bound,violated,saturated,preconditions_met,"
-                     "parties\n")
-            for row in csv_rows or []:
-                fh.write(",".join(row) + "\n")
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -124,6 +123,8 @@ def cmd_analyze(args):
     rho, payload = load_state(args.state)
     start = time.perf_counter()
     ps = (math.inf, 1.0) if args.p == "both" else (_parse_p(args.p),)
+    if not 0 < args.tolerance < math.inf:  # also rejects nan
+        raise InputError(f"--tolerance must be finite and positive, got {args.tolerance!r}")
     cfg = DetectConfig(
         h=args.h,
         ps=ps,
@@ -138,7 +139,10 @@ def cmd_analyze(args):
         {"verdict": report.verdict_to_dict(verdict)},
         timing=time.perf_counter() - start,
     )
-    _emit(args, doc, report.verdict_to_csv_rows(verdict) if args.csv else None)
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(report.verdict_to_csv(verdict))
+    _emit(args, doc)
     return EXIT_OK
 
 
@@ -146,8 +150,9 @@ def cmd_discord(args):
     rho, payload = load_state(args.state)
     start = time.perf_counter()
     p = _parse_p(args.p)
+    seed = _seed(args)
     try:
-        opt = OptimizerCfg(restarts=args.restarts, seed=args.seed)
+        opt = OptimizerCfg(restarts=args.restarts, seed=seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     n = len(rho.dims)
@@ -161,7 +166,7 @@ def cmd_discord(args):
     solves = []
     for part in parts:
         d_min = min(part.side_dims(rho.dims))
-        h = args.h if args.h is not None else min(2, d_min**2)
+        h = args.h if args.h is not None else 2
         if h > d_min**2:
             raise InputError(f"h={h} exceeds d^2={d_min**2} for partition {part.label()}")
         try:
@@ -175,7 +180,7 @@ def cmd_discord(args):
     doc = report.document(
         "discord",
         report.input_digest(payload),
-        {"h": args.h, "p": args.p, "seed": args.seed, "results": results},
+        {"h": args.h, "p": args.p, "seed": seed, "results": results},
         timing=time.perf_counter() - start,
     )
     _emit(args, doc)
@@ -184,13 +189,14 @@ def cmd_discord(args):
 
 def cmd_audit(args):
     start = time.perf_counter()
+    seed = _seed(args)
     try:
-        rep = separability_audit(args.family, args.criterion, args.trials, args.seed)
+        rep = separability_audit(args.family, args.criterion, args.trials, seed)
     except AuditInputError as exc:
         raise InputError(str(exc)) from exc
     doc = report.document(
         "audit",
-        report.input_digest(f"{args.family}:{args.criterion}:{args.trials}:{args.seed}"),
+        report.input_digest(f"{args.family}:{args.criterion}:{args.trials}:{seed}"),
         {"audit": report.audit_report_to_dict(rep)},
         timing=time.perf_counter() - start,
     )
@@ -239,7 +245,7 @@ def build_parser():
     pd.add_argument("--p", default="1")
     pd.add_argument("--partition", help="comma-separated party indices of side A")
     pd.add_argument("--restarts", type=int, default=32)
-    pd.add_argument("--seed", type=int, default=_default_seed())
+    pd.add_argument("--seed", type=int, help="default: $CMNLAB_SEED, else 0")
     pd.add_argument("--output")
     pd.set_defaults(func=cmd_discord)
 
@@ -247,7 +253,7 @@ def build_parser():
     pu.add_argument("family")
     pu.add_argument("criterion")
     pu.add_argument("--trials", type=int, default=1000)
-    pu.add_argument("--seed", type=int, default=_default_seed())
+    pu.add_argument("--seed", type=int, help="default: $CMNLAB_SEED, else 0")
     pu.add_argument("--output")
     pu.set_defaults(func=cmd_audit)
 

@@ -30,10 +30,6 @@ class CmnParams:
         if not self.p > 0:
             raise ValueError("p must be positive (or infinite)")
 
-    def label(self):
-        p = "inf" if math.isinf(self.p) else f"{self.p:g}"
-        return f"h={self.h},p={p}"
-
 
 def _symmetric_sweep(x, h):
     """S_h of each row of ``x`` (shape (k, n), 1 <= h <= n), in input order.

@@ -10,12 +10,14 @@ from itertools import accumulate
 
 import numpy as np
 
-from .basis import canonical_bases
+from .basis import normalized_generalized_gell_mann
 from .cmn import CmnParams, spectrum_power
 from .linalg import DensityMatrix, apply_local, hermitize, singular_values
 from .tensor import Bipartition, CorrelationTensor, _matricize_array, build, matricize
 
 PROJECTOR_TOL = 1e-10
+# A search has converged when its two best restarts agree to within this.
+CONVERGED_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -155,11 +157,12 @@ class OptimizerCfg:
     seed: int = 0
     init_step: float = 0.3
     min_step: float = 1e-5
-    opt_tol: float = 1e-6
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.min_step <= self.init_step:
             raise ValueError(
                 f"need 0 < min_step <= init_step, got min_step={self.min_step} "
@@ -179,7 +182,7 @@ class DiscordResult:
     value: float
     best_measurement: MeasurementFamily
     evaluations: int
-    converged: bool  # the two best restarts agree to opt_tol
+    converged: bool  # the two best restarts agree to CONVERGED_TOL
     best_angles: tuple  # angles of the measured parties' bases, in party order
     restart_spread: float  # best minus worst final objective across restarts
     restart_evaluations: tuple
@@ -277,8 +280,7 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
     the undisturbed matricization allows still works.
     """
     measured_dims = tuple(t.dims[p] for p in measured)
-    bases = canonical_bases(t.dims)
-    ops = {t.dims[p]: bases[p].ops for p in measured}
+    ops = {d: normalized_generalized_gell_mann(d) for d in measured_dims}
     sublists = {p: _contraction(t.n_parties, p) for p in measured}
     width = min(matricize(t, part).shape)
 
@@ -311,7 +313,7 @@ def _discord(rho, part, params, opt, measured_parties):
                                              restart_evals)
     order = np.argsort(-values, kind="stable")  # ties go to the earlier restart
     top = order[0]
-    converged = len(values) > 1 and values[top] - values[order[1]] <= opt.opt_tol
+    converged = len(values) > 1 and values[top] - values[order[1]] <= CONVERGED_TOL
 
     # unmeasured parties keep the computational basis: all their angles are 0
     starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
@@ -349,6 +351,6 @@ def global_discord_cmn(rho: DensityMatrix, part: Bipartition,
 def correlation_space_map(family: MeasurementFamily, party: int):
     """Matrix of the measurement channel acting on one party's correlation
     coordinates; its largest singular value is 1 for projective families."""
-    v = _projector_coordinates(canonical_bases(family.dims)[party].ops,
+    v = _projector_coordinates(normalized_generalized_gell_mann(family.dims[party]),
                                family.projectors[party])
     return v @ v.T

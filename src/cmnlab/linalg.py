@@ -40,8 +40,10 @@ def hermitize(m):
 
 def check_density_stack(data):
     """Raise :class:`ValidationError` for the first matrix of the stack
-    ``data`` (shape (k, side, side)) that is not Hermitian, of unit trace
-    and positive semidefinite, naming the first invariant it violates."""
+    ``data`` (shape (k, side, side)) that is not finite, Hermitian, of unit
+    trace and positive semidefinite, naming the first invariant it violates."""
+    if not np.isfinite(data).all():
+        raise ValidationError("matrix has a non-finite entry")
     adj = data.conj().swapaxes(-1, -2)
     herm_res = np.abs(data - adj)
     tr = data.trace(axis1=-2, axis2=-1)

@@ -111,38 +111,35 @@ def audit_report_to_dict(r):
     }
 
 
-def document(kind, digest, body, timing=None):
-    doc = {
+def document(kind, digest, body, timing):
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "kind": kind,
         "input_digest": digest,
+        **body,
+        "timing_seconds": timing,
     }
-    doc.update(body)
-    if timing is not None:
-        doc["timing_seconds"] = timing
-    return doc
 
 
-def verdict_to_csv_rows(v):
-    """One row per (partition, criterion), for the state and then for each
-    distinct reduced state once, in the order of ``verdict_to_dict``. The
-    last column lists the row set's parties as 0-based indices into ``v``'s
-    parties, space-separated."""
-    rows = []
+def verdict_to_csv(v):
+    """The CSV text of a verdict: a header line, then one line per
+    (partition, criterion), for the state and then for each distinct reduced
+    state once, in the order of ``verdict_to_dict``. The last column lists
+    the row set's parties as 0-based indices into ``v``'s parties,
+    space-separated."""
+    lines = ["partition,criterion,value,bound,violated,saturated,preconditions_met,parties"]
     for parties, verdict in [(range(len(v.dims)), v)] + v.subsets():
         party_list = " ".join(map(str, parties))
         for r in verdict.reports:
-            rows.append(
-                [
-                    r.partition_label(),
-                    r.criterion,
-                    _format_float(r.value).strip('"'),
-                    _format_float(r.bound).strip('"'),
-                    str(r.violated).lower(),
-                    str(r.saturated).lower(),
-                    str(r.preconditions_met).lower(),
-                    party_list,
-                ]
-            )
-    return rows
+            lines.append(",".join([
+                r.partition_label(),
+                r.criterion,
+                _format_float(r.value).strip('"'),
+                _format_float(r.bound).strip('"'),
+                str(r.violated).lower(),
+                str(r.saturated).lower(),
+                str(r.preconditions_met).lower(),
+                party_list,
+            ]))
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Correlation tensor of a multipartite state and its structural surgery:
-matricization over bipartitions, interior extraction, face extraction."""
+matricization over bipartitions, of the whole tensor or of its interior,
+and face extraction."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import basis_expectations, canonical_bases, expectations_stack
+from .basis import basis_expectations, expectations_stack
 from .linalg import DensityMatrix
 
 VERTEX_TOL = 1e-12
@@ -88,15 +89,6 @@ class CorrelationTensor:
         return float(self.data[(0,) * len(self.dims)])
 
 
-@dataclass(frozen=True)
-class InteriorTensor:
-    """Correlation tensor restricted to all-traceless indices (every axis
-    index >= 1); the object bounded by the dVH criterion."""
-
-    dims: tuple
-    data: np.ndarray = field(repr=False)
-
-
 def _check_vertex(data, dims):
     """Raise ValueError for the first tensor of the stack ``data`` whose
     vertex entry is not ∏ 1/√d_i."""
@@ -109,9 +101,9 @@ def _check_vertex(data, dims):
 
 
 def build(rho: DensityMatrix) -> CorrelationTensor:
-    """Correlation tensor of ``rho`` in the canonical per-party bases; the
+    """Correlation tensor of ``rho`` in the per-party Gell-Mann bases; the
     one-row case of :func:`build_stack` (the tensor checks its vertex)."""
-    return CorrelationTensor(rho.dims, basis_expectations(rho, canonical_bases(rho.dims)))
+    return CorrelationTensor(rho.dims, basis_expectations(rho))
 
 
 def build_stack(data, dims) -> np.ndarray:
@@ -119,7 +111,7 @@ def build_stack(data, dims) -> np.ndarray:
     (k, side, side)), with the imaginary-residue and vertex checks of
     :func:`build` on every one; shape (k, d₁², …)."""
     dims = tuple(dims)
-    t = expectations_stack(data, dims, canonical_bases(dims))
+    t = expectations_stack(data, dims)
     _check_vertex(t, dims)
     return t
 
@@ -142,16 +134,13 @@ def matricize(t: CorrelationTensor, part: Bipartition) -> np.ndarray:
     return _matricize_array(t.data, t.dims, part)
 
 
-def interior(t: CorrelationTensor) -> InteriorTensor:
-    """Subtensor with every identity-index hyperplane removed."""
-    sl = tuple(slice(1, None) for _ in t.dims)
-    return InteriorTensor(t.dims, np.ascontiguousarray(t.data[sl]))
-
-
-def matricize_interior(w: InteriorTensor, part: Bipartition) -> np.ndarray:
-    """Flatten an interior tensor with the same index conventions as
-    :func:`matricize`."""
-    return _matricize_array(w.data, w.dims, part)
+def matricize_interior(t: CorrelationTensor, part: Bipartition) -> np.ndarray:
+    """Flatten the interior of the tensor (every identity-index hyperplane
+    removed: the object bounded by the dVH criterion) with the same index
+    conventions as :func:`matricize`."""
+    if part.n_parties != t.n_parties:
+        raise ValueError("bipartition does not match the tensor's party count")
+    return _matricize_array(t.data[(slice(1, None),) * t.n_parties], t.dims, part)
 
 
 def face(t: CorrelationTensor, dropped: int) -> np.ndarray:

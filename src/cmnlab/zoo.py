@@ -179,14 +179,18 @@ def _shrink_into_body(pert, d):
     raise RuntimeError("could not shrink Bloch perturbation into the state body")
 
 
-def random_fully_separable_sfnf(dims, seed, n_blocks=3) -> DensityMatrix:
+# Bloch-vector blocks mixed into each SFNF sample (see the stack sampler).
+SFNF_BLOCKS = 3
+
+
+def random_fully_separable_sfnf(dims, seed) -> DensityMatrix:
     """Fully-separable state that is in strong filter normal form by
     construction; the one-row case of
     :func:`random_fully_separable_sfnf_stack`."""
-    return DensityMatrix(dims, random_fully_separable_sfnf_stack(dims, [seed], n_blocks)[0])
+    return DensityMatrix(dims, random_fully_separable_sfnf_stack(dims, [seed])[0])
 
 
-def random_fully_separable_sfnf_stack(dims, seeds, n_blocks=3) -> np.ndarray:
+def random_fully_separable_sfnf_stack(dims, seeds) -> np.ndarray:
     """One SFNF fully-separable sample per seed, as a validated stack of
     density matrices (shape (len(seeds), side, side)).
 
@@ -205,26 +209,26 @@ def random_fully_separable_sfnf_stack(dims, seeds, n_blocks=3) -> np.ndarray:
     dims = tuple(int(d) for d in dims)
     rows = len(seeds)
     side = int(np.prod(dims))
-    weights = np.empty((rows, n_blocks))
-    dirs = [np.empty((rows, n_blocks, d * d - 1)) for d in dims]
-    frac = np.empty((rows, n_blocks, len(dims)))
+    weights = np.empty((rows, SFNF_BLOCKS))
+    dirs = [np.empty((rows, SFNF_BLOCKS, d * d - 1)) for d in dims]
+    frac = np.empty((rows, SFNF_BLOCKS, len(dims)))
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        weights[row] = rng.dirichlet(np.ones(n_blocks))
-        for b in range(n_blocks):
+        weights[row] = rng.dirichlet(np.ones(SFNF_BLOCKS))
+        for b in range(SFNF_BLOCKS):
             for k, d in enumerate(dims):
                 dirs[k][row, b] = rng.normal(size=d * d - 1)
                 frac[row, b, k] = rng.uniform(0, 1)
-    prod = np.ones((rows, n_blocks, 1, 1))  # ⊗(r·G), one Kronecker factor per party
+    prod = np.ones((rows, SFNF_BLOCKS, 1, 1))  # ⊗(r·G), one Kronecker factor per party
     for k, d in enumerate(dims):
         r = dirs[k] * (0.5 * frac[..., k] / np.linalg.norm(dirs[k], axis=-1))[..., None]
-        ops = normalized_generalized_gell_mann(d).ops[1:]
+        ops = normalized_generalized_gell_mann(d)[1:]
         pert = np.tensordot(r, ops, axes=(2, 0)).reshape(-1, d, d)
         _shrink_into_body(pert, d)
-        pert = hermitize(pert).reshape(rows, n_blocks, d, d)
+        pert = hermitize(pert).reshape(rows, SFNF_BLOCKS, d, d)
         a = prod.shape[-1]
         prod = (prod[..., :, None, :, None] * pert[..., None, :, None, :]).reshape(
-            rows, n_blocks, a * d, a * d)
+            rows, SFNF_BLOCKS, a * d, a * d)
     total = (weights.sum(axis=1) / side)[:, None, None] * np.eye(side)
     total = total + np.einsum("rb,rbij->rij", weights, prod)
     data = hermitize(total)

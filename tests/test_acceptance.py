@@ -14,7 +14,7 @@ from cmnlab.audit import (
     schatten_norm,
     separability_audit,
 )
-from cmnlab.basis import canonical_bases
+from cmnlab.basis import normalized_generalized_gell_mann
 from cmnlab.bounds import (
     bisep_bound_inf,
     bisep_bound_p1,
@@ -46,7 +46,6 @@ from cmnlab.tensor import (
     _matricize_array,
     build,
     build_stack,
-    interior,
     iter_bipartitions,
     matricize,
     matricize_interior,
@@ -79,7 +78,7 @@ def test_criterion_1_rho1_reproduction(capfd):
             got = cmn(m, CmnParams(4, math.inf))
             assert abs(got - value) <= 1e-9 * value
             assert abs(got - bisep_bound_inf(2, 4, 4)) <= 1e-9 * value
-            s = float(singular_values(matricize_interior(interior(t), part)).sum())
+            s = float(singular_values(matricize_interior(t, part)).sum())
             assert abs(s - math.sqrt(3 / 8)) <= 1e-9
             assert abs(s - dvh_bisep_bound_3qubit()) <= 1e-9
         assert time.perf_counter() - start < 1.0
@@ -168,7 +167,7 @@ def test_criterion_5_oracle_equivalence(capfd):
                 rhs = schatten_norm(compound_matrix(m, int(h)), float(p))
                 assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
         # flattening against the direct bipartite construction
-        bases = canonical_bases((2, 2, 2))
+        bases = [normalized_generalized_gell_mann(d) for d in (2, 2, 2)]
         for seed in range(100):
             rho = random_density((2, 2, 2), 4, 5000 + seed)
             m = matricize(build(rho), Bipartition.of((0,), 3))
@@ -176,7 +175,7 @@ def test_criterion_5_oracle_equivalence(capfd):
             for i in range(4):
                 for j in range(4):
                     for k in range(4):
-                        op = np.kron(np.kron(bases[0].ops[i], bases[1].ops[j]), bases[2].ops[k])
+                        op = np.kron(np.kron(bases[0][i], bases[1][j]), bases[2][k])
                         direct[i, 4 * k + j] = np.trace(rho.data @ op).real
             assert np.abs(m - direct).max() <= 1e-12
 
@@ -192,7 +191,7 @@ def test_criterion_6_sfnf_spectrum_relation(capfd):
             vertex = float(np.prod([1 / math.sqrt(d) for d in dims]))
             for part in iter_bipartitions(len(dims)):
                 full = np.sort(singular_values(matricize(t, part)))
-                w = singular_values(matricize_interior(interior(t), part))
+                w = singular_values(matricize_interior(t, part))
                 pad = len(full) - len(w) - 1
                 expected = np.sort(np.concatenate([w, [vertex], np.zeros(pad)]))
                 assert np.abs(full - expected).max() <= 1e-10

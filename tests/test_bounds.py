@@ -19,7 +19,7 @@ from cmnlab.bounds import (
 )
 from cmnlab.cmn import elementary_symmetric
 from cmnlab.linalg import singular_values
-from cmnlab.tensor import Bipartition, build, interior, matricize_interior
+from cmnlab.tensor import Bipartition, build, matricize_interior
 from cmnlab.zoo import ghz, maximally_mixed, random_fully_separable_sfnf, rho1
 
 from conftest import random_density
@@ -98,12 +98,12 @@ class TestDvh:
     def test_rho1_saturates_bisep(self):
         t = build(rho1())
         for part in (Bipartition.of((0,), 3), Bipartition.of((1,), 3)):
-            s = float(singular_values(matricize_interior(interior(t), part)).sum())
+            s = float(singular_values(matricize_interior(t, part)).sum())
             assert abs(s - dvh_bisep_bound_3qubit()) <= 1e-9
 
     def test_maximally_mixed_interior_sum_zero(self):
         t = build(maximally_mixed((2, 2, 2)))
-        w = matricize_interior(interior(t), Bipartition.of((0,), 3))
+        w = matricize_interior(t, Bipartition.of((0,), 3))
         assert float(singular_values(w).sum()) <= 1e-14
 
 
@@ -242,7 +242,7 @@ def test_criterion_values_match_per_tensor_oracle(name):
     assert values.shape == (4,)
     for value, t in zip(values, tensors):
         if entry.p is None:
-            want = float(singular_values(matricize_interior(interior(t), part)).sum())
+            want = float(singular_values(matricize_interior(t, part)).sum())
         else:
             want = cmn(matricize(t, part), CmnParams(4, entry.p))
         assert abs(value - want) <= 1e-15

@@ -40,6 +40,12 @@ class TestZooCommand:
         rho = statefile_to_state(doc)
         assert np.abs(rho.data - rho1().data).max() < 1e-15
 
+    def test_list_ignores_bad_seed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("CMNLAB_SEED", "abc")
+        code, out, _ = run(capsys, "zoo", "list")
+        assert code == EXIT_OK
+        assert "rho1" in out.split()
+
     def test_emit_unknown(self, capsys):
         code, _, err = run(capsys, "zoo", "emit", "nope")
         assert code == EXIT_INVALID_INPUT
@@ -67,6 +73,17 @@ class TestStateFiles:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == EXIT_INVALID_INPUT
         assert "trace" in err
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, tmp_path, capsys, entry):
+        doc = state_to_statefile(rho1())
+        doc["matrix"][1]["re"] = entry
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "non-finite" in err
 
     def test_rejects_wrong_length(self, tmp_path, capsys):
         path = tmp_path / "short.json"
@@ -224,6 +241,14 @@ class TestAnalyze:
         assert err.startswith("error: ") and "nan" in err
 
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_rejected(self, capsys, tolerance):
+        code, out, err = run(capsys, "analyze", "zoo:rho1", "--tolerance", tolerance)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "--tolerance" in err
+
+
 class TestDiscord:
     def test_bell_value(self, capsys):
         code, out, _ = run(capsys, "discord", "zoo:bell-phi-plus",
@@ -301,6 +326,25 @@ class TestDiscord:
         assert json.loads(out)["seed"] == 11
 
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "discord", "zoo:bell-phi-plus", "--seed", "-1")
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+
+    @pytest.mark.parametrize("command", [
+        ["discord", "zoo:bell-phi-plus", "--restarts", "2"],
+        ["audit", "fully-separable-sfnf-222", "cmn-full-inf", "--trials", "2"],
+    ])
+    @pytest.mark.parametrize("env", ["abc", "-3"])
+    def test_bad_seed_env_is_usage_error(self, capsys, monkeypatch, command, env):
+        monkeypatch.setenv("CMNLAB_SEED", env)
+        code, out, err = run(capsys, *command)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "CMNLAB_SEED" in err
+
+
 class TestAuditCommand:
     def test_small_audit(self, capsys):
         code, out, _ = run(capsys, "audit", "fully-separable-sfnf-222",
@@ -356,6 +400,13 @@ class TestAuditCommand:
         monkeypatch.setattr(audit.zoo, "random_fully_separable_sfnf_stack", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["audit", "fully-separable-sfnf-222", "cmn-full-inf", "--trials", "1"])
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "audit", "fully-separable-sfnf-222", "cmn-full-inf",
+                             "--trials", "2", "--seed", "-5")
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one(self, capsys, trials):

@@ -138,10 +138,6 @@ class TestParams:
         with pytest.raises(ValueError):
             CmnParams(2, -1.0)
 
-    def test_label(self):
-        assert CmnParams(4, math.inf).label() == "h=4,p=inf"
-        assert CmnParams(2, 1.0).label() == "h=2,p=1"
-
 
 def _loop_elementary_symmetric(h, xs):
     """The coefficient sweep as an explicit double loop, the oracle for the

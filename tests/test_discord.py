@@ -386,6 +386,7 @@ class TestOptimizerCfg:
         {"min_step": -1e-5},
         {"min_step": math.nan},
         {"init_step": 0.1, "min_step": 0.2},
+        {"seed": -1},
     ])
     def test_rejects_settings_that_break_the_search(self, kwargs):
         with pytest.raises(ValueError):

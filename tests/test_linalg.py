@@ -131,6 +131,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError, match="semidefinite"):
             DensityMatrix((2,), np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry(self, entry):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = entry
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix((2,), m)
+
     def test_data_is_immutable(self):
         rho = random_density((2,), 2, 0)
         with pytest.raises(ValueError):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from itertools import product
 
-from cmnlab.basis import canonical_bases
+from cmnlab.basis import normalized_generalized_gell_mann
 from cmnlab.linalg import DensityMatrix, singular_values
 from cmnlab.tensor import (
     Bipartition,
     build,
     face,
-    interior,
     iter_bipartitions,
     matricize,
     matricize_interior,
@@ -54,9 +53,9 @@ class TestBuild:
     def test_ghz_entries_match_trace_oracle(self):
         rho = ghz(3, 2).to_density()
         t = build(rho)
-        bases = canonical_bases((2, 2, 2))
+        bases = [normalized_generalized_gell_mann(d) for d in (2, 2, 2)]
         for idx in [(0, 0, 0), (3, 3, 0), (3, 0, 3), (0, 3, 3), (1, 1, 1), (2, 2, 1)]:
-            op = np.kron(np.kron(bases[0].ops[idx[0]], bases[1].ops[idx[1]]), bases[2].ops[idx[2]])
+            op = np.kron(np.kron(bases[0][idx[0]], bases[1][idx[1]]), bases[2][idx[2]])
             oracle = np.trace(rho.data @ op).real
             assert abs(t.data[idx] - oracle) < 1e-12
         assert abs(t.data[3, 3, 0] - 2**-1.5) < 1e-12
@@ -83,12 +82,12 @@ class TestMatricize:
         rho = random_density((2, 2, 2), 5, 2)
         t = build(rho)
         m = matricize(t, Bipartition.of((0,), 3))
-        bases = canonical_bases((2, 2, 2))
+        bases = [normalized_generalized_gell_mann(d) for d in (2, 2, 2)]
         direct = np.empty((4, 16))
         for i in range(4):
             for j in range(4):
                 for k in range(4):
-                    op = np.kron(np.kron(bases[0].ops[i], bases[1].ops[j]), bases[2].ops[k])
+                    op = np.kron(np.kron(bases[0][i], bases[1][j]), bases[2][k])
                     direct[i, 4 * k + j] = np.trace(rho.data @ op).real
         assert np.abs(m - direct).max() <= 1e-12
 
@@ -103,17 +102,23 @@ class TestMatricize:
 
 class TestInterior:
     def test_maximally_mixed(self):
-        w = interior(build(maximally_mixed((2, 2))))
-        assert np.abs(w.data).max() < 1e-14
+        w = matricize_interior(build(maximally_mixed((2, 2))), Bipartition.of((0,), 2))
+        assert np.abs(w).max() < 1e-14
 
     def test_bell(self):
-        w = interior(build(bell(1).to_density()))
-        assert np.abs(w.data - np.diag([0.5, -0.5, 0.5])).max() < 1e-12
+        w = matricize_interior(build(bell(1).to_density()), Bipartition.of((0,), 2))
+        assert np.abs(w - np.diag([0.5, -0.5, 0.5])).max() < 1e-12
+
+    def test_party_count_mismatch_rejected(self):
+        t = build(bell(1).to_density())
+        for flatten in (matricize, matricize_interior):
+            with pytest.raises(ValueError, match="party count"):
+                flatten(t, Bipartition.of((0,), 3))
 
     def test_rho1_interior_sum(self):
         t = build(rho1())
         for part in iter_bipartitions(3):
-            w = matricize_interior(interior(t), part)
+            w = matricize_interior(t, part)
             assert abs(singular_values(w).sum() - np.sqrt(3 / 8)) < 1e-12
 
 
@@ -162,7 +167,7 @@ def test_sfnf_spectrum_contains_interior_plus_vertex():
         t = build(rho)
         for part in iter_bipartitions(3):
             full = np.sort(singular_values(matricize(t, part)))
-            w = singular_values(matricize_interior(interior(t), part))
+            w = singular_values(matricize_interior(t, part))
             expected = np.sort(np.concatenate([w, [2**-1.5], np.zeros(len(full) - len(w) - 1)]))
             assert np.abs(full - expected).max() <= 1e-10
 

@@ -205,7 +205,7 @@ def _bloch_pair(d, rng, radius=0.5):
     basis = normalized_generalized_gell_mann(d)
     r = rng.normal(size=d * d - 1)
     r *= radius * rng.uniform(0, 1) / np.linalg.norm(r)
-    pert = np.tensordot(r, basis.ops[1:], axes=(0, 0))
+    pert = np.tensordot(r, basis[1:], axes=(0, 0))
     for _ in range(60):
         plus = np.eye(d) / d + pert
         minus = np.eye(d) / d - pert
