@@ -100,6 +100,8 @@ def fullsep_preconditions_inf(dims, h, min_side_sq):
     need = float(np.prod([math.sqrt(d - 1) for d in dims]))
     if h < need:
         return False, f"h={h} below prod(sqrt(d_i-1))={need:g}"
+    if h < 2:  # reached only by h = 1 on qubits, where need is 1
+        return False, "h must exceed 1"
     if h > min_side_sq:
         return False, f"h={h} exceeds d^2={min_side_sq}"
     return True, ""

@@ -39,6 +39,20 @@ def state_to_statefile(rho: DensityMatrix) -> dict:
     return {"dims": list(rho.dims), "matrix": matrix}
 
 
+_ENTRY = '\n    {\n      "re": %.17g,\n      "im": %.17g\n    }'
+
+
+def statefile_text(rho: DensityMatrix) -> str:
+    """The state file of ``rho``: ``report.dumps(state_to_statefile(rho))``,
+    written directly from the matrix entries (finite, as a DensityMatrix's
+    are). Its text is what the input digest hashes."""
+    flat = rho.data.reshape(-1)
+    parts = np.stack([flat.real, flat.imag], axis=1).reshape(-1).tolist()
+    dims = ",".join(f"\n    {d}" for d in rho.dims)
+    matrix = ",".join([_ENTRY] * len(flat)) % tuple(parts)
+    return f'{{\n  "dims": [{dims}\n  ],\n  "matrix": [{matrix}\n  ]\n}}'
+
+
 def statefile_to_state(doc) -> DensityMatrix:
     try:
         dims = tuple(int(d) for d in doc["dims"])
@@ -85,7 +99,7 @@ def load_state(path: str) -> tuple:
         rho = statefile_to_state(doc)
     if len(rho.dims) < 2:
         raise InputError(f"need at least two parties, got dims {list(rho.dims)}")
-    return rho, report.dumps(state_to_statefile(rho))
+    return rho, statefile_text(rho)
 
 
 def _parse_p(text):
@@ -111,7 +125,10 @@ def _seed(args):
 
 
 def _emit(args, doc):
-    text = report.dumps(doc)
+    _write(args, report.dumps(doc))
+
+
+def _write(args, text):
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -120,6 +137,8 @@ def _emit(args, doc):
 
 
 def cmd_analyze(args):
+    if args.h is not None and args.h < 1:
+        raise InputError(f"--h must be at least 1, got {args.h}")
     rho, payload = load_state(args.state)
     start = time.perf_counter()
     ps = (math.inf, 1.0) if args.p == "both" else (_parse_p(args.p),)
@@ -215,7 +234,7 @@ def cmd_zoo(args):
         rho = zoo.from_name(args.name)
     except KeyError as exc:
         raise InputError(str(exc)) from exc
-    _emit(args, state_to_statefile(rho))
+    _write(args, statefile_text(rho))
     return EXIT_OK
 
 

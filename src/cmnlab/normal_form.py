@@ -16,6 +16,13 @@ RANK_TOL = 1e-8
 EIG_NOISE = 1e-12
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 500
+# A run whose residual falls like a power of the sweep count k, not
+# geometrically, has stalled (on the boundary of the scalable set, as W-n's
+# two-qubit reductions do): at each k in STALL_SWEEPS a running row whose
+# log2(res_{k/2} / res_k) is below STALL_EXPONENT stops. RESULTS.md gives
+# the margin measured on runs that converge.
+STALL_SWEEPS = (64, 128, 256)
+STALL_EXPONENT = 1.25
 
 
 class FilteringError(RuntimeError):
@@ -69,6 +76,11 @@ def _rank_deficient(label, w_min):
             f"(min eigenvalue {shown})")
 
 
+def _stalled(sweep, res, alpha):
+    return (f"filtering stalled after {sweep} sweeps: residual {res:.1e} "
+            f"falls like k^{-alpha:.1f}, not geometrically")
+
+
 def filter_to_fnf(
     rho: DensityMatrix,
     max_iters=DEFAULT_MAX_ITERS,
@@ -83,8 +95,9 @@ def filter_to_fnf(
     reduction is within ``tol`` trace distance of 1/d_g. A bipartition can
     be passed as two groups to reach FNF with respect to that cut. Groups
     must be disjoint; a party in no group is never filtered. Raises
-    FilteringError when a reduction is rank deficient or ``max_iters``
-    sweeps do not converge.
+    FilteringError when a reduction is rank deficient, when the residual
+    falls only like a power of the sweep count (see ``STALL_SWEEPS``), or
+    when ``max_iters`` sweeps do not converge.
 
     If ``history`` is a list, the product of the normalized reduction
     determinants det(d_g ρ_g) is appended after every sweep; this product is
@@ -112,6 +125,7 @@ def filter_stack(data, dims, groups=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAU
     on it (its ``filtered`` row is then NaN). A row leaves the stack when it
     converges, so its sweep count is that of its own run. If ``history`` is
     a list of k lists, each row's determinant products go to its own list.
+    A row whose residual stalls leaves the stack at that checkpoint sweep.
 
     The iteration works on one group-major copy of each ρ (the parties of
     group 0 first, then group 1, ...): a group reduction is one einsum trace
@@ -171,6 +185,7 @@ def filter_stack(data, dims, groups=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAU
     sweeps = np.zeros(k, dtype=int)
     errors = [None] * k
     idx = np.arange(k)  # the input row of each row still iterating
+    half = np.zeros(k)  # each input row's residual at the last snapshot sweep
     # one set of reductions per sweep serves the history, the residual and
     # the next sweep's first filter
     reds = reductions(m)
@@ -187,10 +202,19 @@ def filter_stack(data, dims, groups=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAU
             out[idx[done]] = m[done]
             sweeps[idx] = sweep
             break
-        if done.any():
+        leave = done
+        if sweep in STALL_SWEEPS:
+            alpha = np.log2(half[idx] / res)
+            stalled = ~done & (alpha < STALL_EXPONENT)
+            for i, r, a in zip(idx[stalled], res[stalled], alpha[stalled]):
+                errors[i] = _stalled(sweep, r, a)
+            leave = done | stalled
+        if 2 * sweep in STALL_SWEEPS:
+            half[idx] = res
+        if leave.any():
             out[idx[done]] = m[done]
-            sweeps[idx[done]] = sweep
-            go = ~done
+            sweeps[idx[leave]] = sweep
+            go = ~leave
             m, idx, reds = m[go], idx[go], [red[go] for red in reds]
             if not len(idx):
                 break

@@ -20,30 +20,52 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# what json.dumps returns for a str at its default ensure_ascii
+_encode_str = json.encoder.encode_basestring_ascii
+_SCALARS = {True: "true", False: "false", None: "null"}
+
+
 def dumps(obj, indent=0) -> str:
     """Serialize dicts/lists/scalars to JSON, printing every float with 17
     significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
+    out = []
+    _dump(obj, "  " * indent, out)
+    return "".join(out)
+
+
+def _dump(obj, pad, out):
+    """Append the JSON text of ``obj``, nested at ``pad``, to ``out``."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_encode_str(obj))
+    elif kind is bool or obj is None:
+        out.append(_SCALARS[obj])
+    elif isinstance(obj, float):
+        out.append(_format_float(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+            out.append("{}")
+            return
+        inner, sep = pad + "  ", "{\n"
+        for k, v in obj.items():
+            out.append(f"{sep}{inner}{_encode_str(str(k))}: ")
+            _dump(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = ",\n".join(f"{inner}{dumps(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    return json.dumps(obj)
+            out.append("[]")
+            return
+        inner, sep = pad + "  ", "[\n"
+        for v in obj:
+            out.append(sep + inner)
+            _dump(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def input_digest(payload: str) -> str:

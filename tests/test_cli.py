@@ -12,11 +12,15 @@ from cmnlab.bounds import CRITERIA
 from cmnlab.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
+    load_state,
     main,
     state_to_statefile,
+    statefile_text,
     statefile_to_state,
 )
-from cmnlab.zoo import maximally_mixed, rho1
+from cmnlab.zoo import ZOO, from_name, ghz, maximally_mixed, rho1
+
+from conftest import random_density
 
 
 def run(capsys, *argv):
@@ -62,6 +66,29 @@ class TestStateFiles:
         text = report.dumps(doc)
         back = statefile_to_state(json.loads(text))
         assert np.abs(back.data - rho1().data).max() == 0
+
+    def test_text_is_dumps_of_the_statefile(self):
+        states = [from_name(name) for name in sorted(ZOO)]
+        states += [ghz(n).to_density() for n in (3, 4, 5, 6)]
+        for dims in [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (3, 3)]:
+            side = int(np.prod(dims))
+            states += [random_density(dims, rank, 30 + s) for rank in (2, side) for s in range(3)]
+        for rho in states:
+            assert statefile_text(rho) == report.dumps(state_to_statefile(rho))
+
+    def test_input_digest_pinned(self):
+        # report.dumps(state_to_statefile(rho)) hashes to these
+        for name, digest in [
+            ("rho1", "c027a1a0dbffa719588a9ae2a522521e9bfc12e13d7aa5bfbb4884aed11ff4c4"),
+            ("w-3", "be419b9665b129e62a9f1efd54f2096a1ffeb05581e918c6aa49b839ff71ed3c"),
+        ]:
+            _, payload = load_state(f"zoo:{name}")
+            assert report.input_digest(payload) == digest
+
+    def test_emit_writes_the_statefile_text(self, capsys):
+        code, out, _ = run(capsys, "zoo", "emit", "ghz-3-2")
+        assert code == EXIT_OK
+        assert out == statefile_text(ghz(3, 2).to_density()) + "\n"
 
     def test_rejects_bad_trace(self, tmp_path, capsys):
         doc = state_to_statefile(rho1())
@@ -240,6 +267,22 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: ") and "nan" in err
 
+
+    @pytest.mark.parametrize("h", ["0", "-3"])
+    def test_h_below_one_rejected(self, capsys, h):
+        code, out, err = run(capsys, "analyze", "zoo:rho1", "--h", h)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == f"error: --h must be at least 1, got {h}\n"
+
+    def test_h_one_is_inconclusive(self, capsys):
+        # the p = inf bounds need h >= 2, so at h = 1 they are inconclusive
+        code, out, _ = run(capsys, "analyze", "zoo:rho1", "--h", "1")
+        assert code == EXIT_OK
+        reports = json.loads(out)["verdict"]["reports"]
+        inf = [r for r in reports if r["criterion"].endswith("-inf")]
+        assert inf and not any(r["preconditions_met"] for r in inf)
+        assert {r["reason"] for r in inf if r["criterion"] == "cmn-full-inf"} == {"h must exceed 1"}
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
     def test_bad_tolerance_rejected(self, capsys, tolerance):

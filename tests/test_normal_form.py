@@ -137,6 +137,12 @@ class TestFilterToFnf:
         with pytest.raises(FilteringError, match="residual"):
             filter_to_fnf(rho, max_iters=1, tol=1e-15)
 
+    def test_max_iters_text(self):
+        # a geometric run cut short keeps the sweep-budget text
+        with pytest.raises(FilteringError) as err:
+            filter_to_fnf(random_density((2, 2, 2), 8, 8), max_iters=3)
+        assert str(err.value) == "filtering did not converge in 3 sweeps (last residual 1.239e-04)"
+
 
 def _filter_recomputing(rho, groups, tol=1e-9, max_iters=500):
     """filter_to_fnf with every reduction computed afresh where it is used,
@@ -201,14 +207,21 @@ def test_group_major_kernel_matches_oracle(dims, groups):
         _assert_matches_oracle(random_density(dims, side, 70 + seed), groups)
 
 
+W3_STALL = ("filtering stalled after 64 sweeps: residual 3.9e-03 falls like k^-1.0, "
+            "not geometrically")
+
+
 def test_w3_failure_texts_unchanged():
+    from cmnlab.normal_form import filter_stack
     from cmnlab.zoo import w_state
 
     w3 = w_state(3).to_density()
-    msg = "filtering did not converge in 500 sweeps (last residual 4.995e-04)"
+    pair = partial_trace(w3, (0, 1))
     with pytest.raises(FilteringError) as err:
-        filter_to_fnf(partial_trace(w3, (0, 1)))
-    assert str(err.value) == msg
+        filter_to_fnf(pair)
+    assert str(err.value) == W3_STALL
+    _, sweeps, _ = filter_stack(pair.data[None], pair.dims)
+    assert sweeps[0] == 64
     with pytest.raises(FilteringError, match=r"reduction of party 1\+2 is rank deficient"):
         filter_to_fnf(w3, groups=[(0,), (1, 2)])
 
@@ -247,13 +260,13 @@ def test_stack_rows_match_oracle_and_one_row_errors():
 
     assert errors[1] == ("filtering not possible: reduction of party 1+2 is rank deficient "
                          "(min eigenvalue within 1e-12 of 0)")
-    assert errors[3] == "filtering did not converge in 500 sweeps (last residual 4.995e-04)"
+    assert errors[3] == W3_STALL
     for row in (1, 3):
         assert np.isnan(out[row]).all()
         with pytest.raises(FilteringError) as err:
             filter_to_fnf(DensityMatrix((2, 2, 2), rows[row]), groups=groups)
         assert str(err.value) == errors[row]
-    assert sweeps[3] == 500
+    assert sweeps[3] == 64
     for row, rho in zip((0, 2, 4), converging):
         want, want_hist = _filter_recomputing(rho, groups)
         assert errors[row] is None
@@ -285,3 +298,94 @@ def test_rank_deficient_text_hides_rounding_noise():
     with pytest.raises(FilteringError) as err:
         filter_to_fnf(DensityMatrix((2, 2), np.kron(tiny, np.eye(2) / 2)))
     assert str(err.value).endswith("(min eigenvalue 1.000e-09)")
+
+
+def _stall_corpus():
+    """Every filtering ``detect`` can ask for on the zoo, GHZ/W-3..5 and
+    seeded rank-2/3 random states, plus each state's party-by-party
+    filtering, as {(dims, groups): [matrix, ...]}."""
+    from itertools import combinations
+
+    from cmnlab.zoo import ZOO, from_name, w_state
+
+    states = [from_name(name) for name in sorted(ZOO)]
+    states += [ghz(n).to_density() for n in (3, 4, 5)]
+    states += [w_state(n).to_density() for n in (3, 4, 5)]
+    for dims in [(2, 2, 2), (2, 2, 3), (2, 3), (3, 3)]:
+        states += [random_density(dims, rank, 100 * rank + s) for rank in (2, 3) for s in range(4)]
+    stacks = {}
+    for rho in states:
+        n = len(rho.dims)
+        stacks.setdefault((rho.dims, None), []).append(rho.data)
+        for size in range(2, n + 1):
+            for keep in combinations(range(n), size):
+                red = partial_trace(rho, keep) if size < n else rho
+                for part in iter_bipartitions(size):
+                    key = (red.dims, (part.side_a, part.side_b))
+                    stacks.setdefault(key, []).append(red.data)
+    return stacks
+
+
+def test_stall_rule_fires_only_where_500_sweeps_do_not_converge(monkeypatch):
+    """The oracle for the stall rule: each filtering it stops also fails
+    with the whole 500-sweep budget and the rule switched off, and every
+    other filtering ends exactly as it does without the rule."""
+    from cmnlab import normal_form
+    from cmnlab.normal_form import filter_stack
+
+    stalled = 0
+    for (dims, groups), rows in _stall_corpus().items():
+        stack = np.stack(rows)
+        out, sweeps, errors = filter_stack(stack, dims, groups)
+        with monkeypatch.context() as m:
+            m.setattr(normal_form, "STALL_SWEEPS", ())
+            want, want_sweeps, want_errors = filter_stack(stack, dims, groups)
+        for i, (err, want_err) in enumerate(zip(errors, want_errors)):
+            if err is not None and err.startswith("filtering stalled"):
+                stalled += 1
+                assert want_err.startswith("filtering did not converge in 500 sweeps"), want_err
+                assert sweeps[i] in normal_form.STALL_SWEEPS
+            else:
+                assert (err, sweeps[i]) == (want_err, want_sweeps[i])
+                assert np.array_equal(out[i], want[i], equal_nan=True)
+    # the W-3..5 two-qubit reductions stall, at least
+    assert stalled >= 9
+
+
+def test_stalled_row_leaves_the_stack_without_changing_the_others():
+    from cmnlab.normal_form import filter_stack
+    from cmnlab.zoo import w_state
+
+    groups = [(0, 1), (2,)]
+    # converges after 381 sweeps, so it runs on past the row that stalls
+    slow = random_density((2, 2, 2), 3, 3006)
+    # group 0+1 of 1/2 ⊗ rho_BC filters B alone: the W-3 pair's iteration
+    pair = np.kron(np.eye(2) / 2, partial_trace(w_state(3).to_density(), (1, 2)).data)
+    out, sweeps, errors = filter_stack(np.stack([slow.data, pair]), (2, 2, 2), groups)
+    alone, alone_sweeps, _ = filter_stack(slow.data[None], (2, 2, 2), groups)
+    assert errors == [None, W3_STALL]
+    assert list(sweeps) == [alone_sweeps[0], 64] and alone_sweeps[0] > 256
+    assert np.array_equal(out[0], alone[0])
+    assert np.isnan(out[1]).all()
+
+
+def test_w3_detect_sweeps_stop_at_the_first_checkpoint(monkeypatch):
+    """A count, not a timing, guards the W-3 speed-up: its three two-qubit
+    pair filterings stall at the first checkpoint, and its three-qubit
+    cuts are rank deficient at sweep 0."""
+    from cmnlab import normal_form
+    from cmnlab.bounds import detect
+    from cmnlab.zoo import w_state
+
+    counted = []
+    real = normal_form.filter_stack
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        counted.extend(out[1])
+        return out
+
+    monkeypatch.setattr(normal_form, "filter_stack", counting)
+    detect(w_state(3).to_density())
+    assert len(counted) == 6
+    assert sum(counted) <= 3 * normal_form.STALL_SWEEPS[0]
