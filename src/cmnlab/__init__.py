@@ -33,18 +33,12 @@ from .linalg import (
     partial_trace,
     singular_values,
 )
-from .normal_form import (
-    FilteringError,
-    filter_to_fnf,
-    is_fnf,
-    is_sfnf,
-)
+from .normal_form import FilteringError, filter_to_fnf
 from .zoo import ZOO, bell, from_name, ghz, maximally_mixed, rho1, w_state
 from .tensor import (
     Bipartition,
     CorrelationTensor,
     build,
-    face,
     iter_bipartitions,
     matricize,
 )

@@ -6,12 +6,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from .cmn import CmnParams, cmn, elementary_symmetric
+from .cmn import CmnParams, elementary_symmetric, minor_norm
+from . import normal_form
 from .linalg import DensityMatrix, partial_trace, singular_values
-from .normal_form import FilteringError, filter_to_fnf, fnf_residual, sfnf_residual
+from .normal_form import fnf_residual, group_label, sfnf_residual
 from .tensor import Bipartition, _matricize_array, build, iter_bipartitions
 
 EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
@@ -156,10 +159,19 @@ class Criterion:
     def values(self, tensors, dims, part, h):
         """:meth:`value` of each correlation tensor over ``dims`` in the
         stack ``tensors`` (shape (k, d₁², …)), from one batched SVD."""
+        return self.from_spectra(singular_values(self.matrices(tensors, dims, part)), h)
+
+    def matrices(self, tensors, dims, part):
+        """Each tensor's matricization across the cut (its interior's for dVH)."""
         if self.p is None:
-            sl = (slice(None),) + (slice(1, None),) * part.n_parties
-            return singular_values(_matricize_array(tensors[sl], dims, part)).sum(axis=1)
-        return cmn(_matricize_array(tensors, dims, part), CmnParams(h, self.p))
+            tensors = tensors[(slice(None),) + (slice(1, None),) * part.n_parties]
+        return _matricize_array(tensors, dims, part)
+
+    def from_spectra(self, sigma, h):
+        """The values of the :meth:`matrices` whose spectra are the rows of ``sigma``."""
+        if self.p is None:
+            return sigma.sum(axis=1)
+        return minor_norm(sigma, CmnParams(h, self.p))
 
 
 def _dvh_bisep_preconditions(dims, d_a, d_b, h):
@@ -234,60 +246,112 @@ class DetectionVerdict:
         return list(seen.items())
 
 
-def _cut_reports(tensor, dims, part, cfg, kind, gate, note=""):
-    """Reports on one cut: the M_{h,p} entry of ``kind`` for each p in
-    ``cfg.ps``, in order, then, in the full sweep, every dVH entry. A
-    nonempty ``gate`` says why ``tensor`` is not in the normal form that the
-    M_{h,p} bounds assume; ``note`` prefixes their reasons otherwise."""
-    jobs = []  # (name, reason it is inconclusive whatever its preconditions, reason prefix)
-    for p in cfg.ps:
-        name = _CMN_NAMES.get((kind, p))
-        if name is None:
-            jobs.append((f"cmn-{kind}-p{p:g}", f"no separability bound for p={p:g}", ""))
-        else:
-            jobs.append((name, gate, note))
+@lru_cache(maxsize=None)
+def _cut_plan(dims, part, h, ps, kind):
+    """The ``kind`` entries on one cut: the M_{h,p} entry of ``kind`` for
+    each p in ``ps``, in order, then, in the full sweep, every dVH entry.
+    Each is (criterion name, h, whether the cut's normal-form gate applies,
+    preconditions hold, reason, bound)."""
+    d_a, d_b = part.side_dims(dims)
+    h = min(d_a, d_b) ** 2 if h is None else h
+    # (name, whether the gate applies, reason it is inconclusive whatever the state)
+    jobs = [(_CMN_NAMES[kind, p], True, "") if (kind, p) in _CMN_NAMES else
+            (f"cmn-{kind}-p{p:g}", False, f"no separability bound for p={p:g}") for p in ps]
     if kind == "full":
         # the dVH trace norms need no normal form, so they read the unfiltered tensor
-        jobs.extend((name, "", "") for name, c in CRITERIA.items() if c.p is None)
-
-    d_a, d_b = part.side_dims(dims)
-    h = min(d_a, d_b) ** 2 if cfg.h is None else cfg.h
-    reports = []
-    for name, fail, prefix in jobs:
+        jobs += [(name, False, "") for name, c in CRITERIA.items() if c.p is None]
+    plan = []
+    for name, gated, fail in jobs:
         ok, why = (False, fail) if fail else CRITERIA[name].preconditions(dims, d_a, d_b, h)
-        if not ok:
-            reports.append(BoundReport(part, name, math.nan, math.nan, False, False, False, why))
-            continue
-        value = float(CRITERIA[name].value(tensor, part, h))
-        bound = float(CRITERIA[name].bound(dims, d_a, d_b, h))
-        reports.append(BoundReport(part, name, value, bound, *compare(value, bound), True,
-                                   prefix + why))
-    return reports
+        bound = float(CRITERIA[name].bound(dims, d_a, d_b, h)) if ok else None
+        plan.append((name, h, gated, ok, why, bound))
+    return plan
 
 
-def _bisep_reports(tensor, dims, part, cfg, rho):
-    fnf_res = fnf_residual(tensor, part)
-    note = failed = ""
+def _permuted(data, dims, order):
+    """The matrix ``data`` over ``dims`` with its parties in ``order``."""
+    axes = list(order) + [len(dims) + p for p in order]
+    return data.reshape(tuple(dims) * 2).transpose(axes).reshape(data.shape)
+
+
+def _filter_cuts(states, cuts, tol):
+    """Filter each (parties, part) of ``cuts`` side-wise, one
+    :func:`filter_stack` call per cut shape: each state is permuted so that
+    side A's parties come first, and cuts that then share |A| and dims share
+    a stack. Returns the tensor of each filtered state, in its own party
+    order, and the error text of each cut that failed."""
+    shapes, filtered, failed = {}, {}, {}
+    for m, part in cuts:
+        order = part.side_a + part.side_b
+        key = (len(part.side_a), tuple(states[m].dims[p] for p in order))
+        shapes.setdefault(key, []).append((m, part, order))
+    for (k, dims), members in shapes.items():
+        groups = [range(k), range(k, len(dims))]
+        rows = [_permuted(states[m].data, states[m].dims, order) for m, _, order in members]
+        out, _, errors = normal_form.filter_stack(np.stack(rows), dims, groups, tol=tol)
+        for (m, part, order), row, err in zip(members, out, errors):
+            if err is None:
+                row = _permuted(row, dims, np.argsort(order))
+                filtered[m, part] = build(DensityMatrix(states[m].dims, row))
+                continue
+            # name the failing group by its side's parties in the state's own indices
+            for g, side in zip(groups, (part.side_a, part.side_b)):
+                err = err.replace(f"of {group_label(g)} is", f"of {group_label(side)} is")
+            failed[m, part] = err
+    return filtered, failed
+
+
+def _level_reports(states, cfg):
+    """The reports of every state of one level of the subset DAG, keyed like
+    ``states``. The cuts whose side-wise residual exceeds ``cfg.fnf_tol`` are
+    filtered side-wise, one :func:`filter_stack` call per cut shape, and the
+    spectra that the reports read come from one SVD per matrix shape."""
+    tol, ps = cfg.fnf_tol, tuple(cfg.ps)
+    parts = list(iter_bipartitions(len(next(iter(states)))))
+    tensors = {m: build(rho) for m, rho in states.items()}
+    residual = {(m, part): fnf_residual(t, part) for m, t in tensors.items() for part in parts}
     # only an M_{h,p} entry reads the filtered tensor
-    if (fnf_res > cfg.fnf_tol and cfg.filter
-            and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)):
-        try:
-            filtered = filter_to_fnf(rho, tol=cfg.fnf_tol, groups=[part.side_a, part.side_b])
-            tensor = build(filtered)
-            fnf_res = fnf_residual(tensor, part)
-            note = "after SLOCC filtering; "
-        except FilteringError as exc:
-            failed = str(exc)
-    gate = "" if fnf_res <= cfg.fnf_tol else failed or f"not in FNF (residual {fnf_res:.3e})"
-    return _cut_reports(tensor, dims, part, cfg, "bisep", gate, note)
+    wanted = cfg.filter and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)
+    filtered, failed = _filter_cuts(states, [c for c, r in residual.items() if wanted and r > tol],
+                                    tol)
+    residual.update((cut, fnf_residual(t, cut[1])) for cut, t in filtered.items())
 
+    matrices, pending, reports = {}, {}, {}  # (parties, part, "interior" or note) -> matrix
+    for m, rho in states.items():
+        sfnf_res = sfnf_residual(tensors[m])
+        sfnf_gate = "" if sfnf_res <= tol else f"not in SFNF (residual {sfnf_res:.3e})"
+        node = reports[m] = []
+        for kind, part in [("bisep", part) for part in parts] + [("full", part) for part in parts]:
+            t, gate, note = tensors[m], sfnf_gate, ""
+            if kind == "bisep":
+                r = residual[m, part]
+                gate = "" if r <= tol else failed.get((m, part), f"not in FNF (residual {r:.3e})")
+                if (m, part) in filtered:
+                    t, note = filtered[m, part], "after SLOCC filtering; "
+            for name, h, gated, ok, why, bound in _cut_plan(rho.dims, part, cfg.h, ps, kind):
+                if gated and gate or not ok:
+                    why, nan = gate if gated and gate else why, math.nan
+                    node.append(BoundReport(part, name, nan, nan, False, False, False, why))
+                    continue
+                criterion = CRITERIA[name]
+                key = (m, part, "interior" if criterion.p is None else note)
+                if key not in matrices:
+                    matrices[key] = criterion.matrices(t.data[None], rho.dims, part)[0]
+                pending.setdefault((name, h, matrices[key].shape), []).append(
+                    (node, len(node), key, bound, (note if gated else "") + why))
+                node.append(part)  # until its value is known
 
-def _fullsep_reports(tensor, dims, cfg):
-    sfnf_res = sfnf_residual(tensor)
-    gate = "" if sfnf_res <= cfg.fnf_tol else f"not in SFNF (residual {sfnf_res:.3e})"
-    reports = []
-    for part in iter_bipartitions(len(dims)):
-        reports.extend(_cut_reports(tensor, dims, part, cfg, "full", gate))
+    # one SVD per matrix shape, then one value call per (criterion, h, matrix shape)
+    by_shape, spectra = {}, {}
+    for key, mat in matrices.items():
+        by_shape.setdefault(mat.shape, []).append(key)
+    for keys in by_shape.values():
+        spectra.update(zip(keys, singular_values(np.stack([matrices[k] for k in keys]))))
+    for (name, h, _), entries in pending.items():
+        values = CRITERIA[name].from_spectra(np.stack([spectra[e[2]] for e in entries]), h)
+        for (node, i, _, bound, why), value in zip(entries, values):
+            value = float(value)
+            node[i] = BoundReport(node[i], name, value, bound, *compare(value, bound), True, why)
     return reports
 
 
@@ -296,41 +360,33 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
     reductions down to bipartite states.
 
     Reductions trace out one party at a time, so the subsets of parties form
-    a DAG: a subset reached along several paths is analyzed once, from the
-    state on the first path that reaches it, and every later path shares
-    that verdict."""
-    if len(rho.dims) < 2:
-        raise ValueError(f"detect needs at least two parties, got {len(rho.dims)}")
-    return _detect(rho, tuple(range(len(rho.dims))), cfg, {})
-
-
-def _detect(rho, parties, cfg, seen):
-    """``parties`` names rho's parties in the outermost state; ``seen`` maps
-    every subset analyzed so far to its verdict."""
-    dims = rho.dims
-    tensor = build(rho)
-    reports = []
-    for part in iter_bipartitions(len(dims)):
-        reports.extend(_bisep_reports(tensor, dims, part, cfg, rho))
-    reports.extend(_fullsep_reports(tensor, dims, cfg))
-
-    reduced = []
-    if cfg.recursive and len(dims) > 2:
-        for dropped in range(len(dims)):
-            keep = tuple(i for i in range(len(dims)) if i != dropped)
-            key = tuple(parties[i] for i in keep)
-            if key not in seen:
-                seen[key] = _detect(partial_trace(rho, keep), key, cfg, seen)
-            reduced.append((keep, seen[key]))
-
-    bi_entangled = tuple(sorted(
-        {r.partition_label() for r in reports
-         if r.violated and CRITERIA[r.criterion].kind == "bisep"}
-    ))
-    # entanglement anywhere in a reduction rules out full separability too
-    not_full = any(
-        r.violated and CRITERIA[r.criterion].kind == "full" for r in reports
-    ) or bool(bi_entangled) or any(
-        sub.not_fully_separable or sub.bi_entangled_partitions for _, sub in reduced
-    )
-    return DetectionVerdict(dims, tuple(reports), tuple(reduced), not_full, bi_entangled)
+    a DAG, which is analyzed one level (subset size) at a time, largest
+    first. Each subset is analyzed once, from the reduction of its first
+    parent in depth-first order (the subset plus its largest missing party),
+    and every path through the DAG shares that verdict."""
+    n = len(rho.dims)
+    if n < 2:
+        raise ValueError(f"detect needs at least two parties, got {n}")
+    levels = [{tuple(range(n)): rho}]
+    for size in range(n - 1, 1 if cfg.recursive else n, -1):
+        levels.append({})
+        for subset in combinations(range(n), size):
+            parent = tuple(sorted(subset + (max(set(range(n)) - set(subset)),)))
+            levels[-1][subset] = partial_trace(levels[-2][parent],
+                                               [parent.index(p) for p in subset])
+    verdicts = {}
+    for level in reversed(levels):
+        for parties, reports in _level_reports(level, cfg).items():
+            reduced = tuple(
+                (keep, verdicts[tuple(parties[i] for i in keep)])
+                for keep in reversed(list(combinations(range(len(parties)), len(parties) - 1)))
+            ) if level is not levels[-1] else ()
+            bi_entangled = tuple(sorted({r.partition_label() for r in reports if r.violated
+                                         and CRITERIA[r.criterion].kind == "bisep"}))
+            # entanglement anywhere in a reduction rules out full separability too
+            not_full = bool(bi_entangled) or any(
+                r.violated and CRITERIA[r.criterion].kind == "full" for r in reports
+            ) or any(sub.not_fully_separable or sub.bi_entangled_partitions for _, sub in reduced)
+            verdicts[parties] = DetectionVerdict(level[parties].dims, tuple(reports), reduced,
+                                                 not_full, bi_entangled)
+    return verdicts[tuple(range(n))]

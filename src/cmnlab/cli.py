@@ -26,6 +26,9 @@ from .tensor import Bipartition, iter_bipartitions
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL = 3
+# the FNF/SFNF residuals of states in normal form sit at rounding level
+# (3.1e-17 on rho1), so a smaller --tolerance makes every bound inconclusive
+MIN_TOLERANCE = 1e-15
 
 
 class InputError(Exception):
@@ -142,8 +145,9 @@ def cmd_analyze(args):
     rho, payload = load_state(args.state)
     start = time.perf_counter()
     ps = (math.inf, 1.0) if args.p == "both" else (_parse_p(args.p),)
-    if not 0 < args.tolerance < math.inf:  # also rejects nan
-        raise InputError(f"--tolerance must be finite and positive, got {args.tolerance!r}")
+    if not MIN_TOLERANCE <= args.tolerance < math.inf:  # also rejects nan
+        raise InputError(f"--tolerance must be finite and at least {MIN_TOLERANCE:g}, "
+                         f"got {args.tolerance!r}")
     cfg = DetectConfig(
         h=args.h,
         ps=ps,

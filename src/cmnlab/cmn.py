@@ -69,10 +69,14 @@ def cmn(m, params: CmnParams):
     h-th elementary symmetric polynomial of the spectrum; finite p the
     corresponding power-sum combination (S_h(σᵖ))^{1/p}.
     """
-    power = spectrum_power(singular_values(m), params)
-    if not math.isinf(params.p):
-        power = power ** (1 / params.p)
-    return float(power[0]) if np.ndim(m) == 2 else power
+    value = minor_norm(singular_values(m), params)
+    return float(value[0]) if np.ndim(m) == 2 else value
+
+
+def minor_norm(sigma, params: CmnParams) -> np.ndarray:
+    """M_{h,p} of each row of a stack of singular spectra, shape (k, n)."""
+    power = spectrum_power(sigma, params)
+    return power if math.isinf(params.p) else power ** (1 / params.p)
 
 
 def spectrum_power(sigma, params: CmnParams) -> np.ndarray:

@@ -29,29 +29,16 @@ class FilteringError(RuntimeError):
     """Raised when a state cannot be brought to filter normal form."""
 
 
-def _single_party_residual(data, dims, parties):
-    """Largest |entry| over tensor entries with exactly one non-identity
-    index, that index belonging to one of ``parties``."""
-    worst = 0.0
-    for p in parties:
-        sl = tuple(slice(1, None) if i == p else 0 for i in range(len(dims)))
-        worst = max(worst, float(np.abs(data[sl]).max()))
-    return worst
-
-
 def fnf_residual(t: CorrelationTensor, part: Bipartition) -> float:
-    """Largest single-party correlation magnitude, split over the partition
-    (⟨A_i ⊗ 1⟩ and ⟨1 ⊗ B_j⟩ patterns)."""
-    return max(
-        _single_party_residual(t.data, t.dims, part.side_a),
-        _single_party_residual(t.data, t.dims, part.side_b),
-    )
-
-
-def is_fnf(t: CorrelationTensor, part: Bipartition, tol=DEFAULT_TOL) -> bool:
-    """True iff every single-party traceless observable has vanishing
-    expectation (within tol)."""
-    return fnf_residual(t, part) <= tol
+    """Largest |entry| whose non-identity indices all lie on one side of the
+    cut, vertex excluded: zero iff both side reductions are maximally mixed,
+    which is FNF across the cut."""
+    worst = 0.0
+    for side in (part.side_a, part.side_b):
+        face = np.abs(t.data[tuple(slice(None) if i in side else 0 for i in range(t.n_parties))])
+        face[(0,) * len(side)] = 0  # the vertex
+        worst = max(worst, float(face.max()))
+    return worst
 
 
 def sfnf_residual(t: CorrelationTensor) -> float:
@@ -65,9 +52,9 @@ def sfnf_residual(t: CorrelationTensor) -> float:
     return float(np.abs(t.data[mask]).max())
 
 
-def is_sfnf(t: CorrelationTensor, tol=DEFAULT_TOL) -> bool:
-    """True iff only all-party correlations (and the vertex) are nonzero."""
-    return sfnf_residual(t) <= tol
+def group_label(group):
+    """How a filtering error text names a party group."""
+    return "party " + "+".join(str(p) for p in group)
 
 
 def _rank_deficient(label, w_min):
@@ -150,7 +137,7 @@ def filter_stack(data, dims, groups=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAU
     mixed = [np.eye(D) / D for D in sizes]
     axes = order + [n + p for p in order]
     m = data.reshape((k,) + dims * 2).transpose([0] + [1 + a for a in axes]).reshape(k, side, side)
-    labels = ["party " + "+".join(str(p) for p in g) for g in groups]
+    labels = [group_label(g) for g in groups]
 
     def _finish(out):
         """Undo the group-major layout."""

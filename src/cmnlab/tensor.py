@@ -1,6 +1,5 @@
 """Correlation tensor of a multipartite state and its structural surgery:
-matricization over bipartitions, of the whole tensor or of its interior,
-and face extraction."""
+matricization over bipartitions, of the whole tensor or of its interior."""
 
 from __future__ import annotations
 
@@ -84,10 +83,6 @@ class CorrelationTensor:
     def n_parties(self):
         return len(self.dims)
 
-    @property
-    def vertex(self):
-        return float(self.data[(0,) * len(self.dims)])
-
 
 def _check_vertex(data, dims):
     """Raise ValueError for the first tensor of the stack ``data`` whose
@@ -142,13 +137,3 @@ def matricize_interior(t: CorrelationTensor, part: Bipartition) -> np.ndarray:
         raise ValueError("bipartition does not match the tensor's party count")
     return _matricize_array(t.data[(slice(1, None),) * t.n_parties], t.dims, part)
 
-
-def face(t: CorrelationTensor, dropped: int) -> np.ndarray:
-    """Tensor face obtained by fixing the dropped party's index at the
-    identity; equals 1/√d_dropped times the correlation tensor of the
-    reduced state over the remaining parties."""
-    if t.n_parties < 2:
-        raise ValueError("faces require at least two parties")
-    if not 0 <= dropped < t.n_parties:
-        raise ValueError(f"party index {dropped} out of range")
-    return np.ascontiguousarray(np.take(t.data, 0, axis=dropped))

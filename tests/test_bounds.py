@@ -18,7 +18,8 @@ from cmnlab.bounds import (
     fullsep_bound_p1,
 )
 from cmnlab.cmn import elementary_symmetric
-from cmnlab.linalg import singular_values
+from cmnlab.linalg import DensityMatrix, singular_values
+from cmnlab.normal_form import fnf_residual
 from cmnlab.tensor import Bipartition, build, matricize_interior
 from cmnlab.zoo import ghz, maximally_mixed, random_fully_separable_sfnf, rho1
 
@@ -166,8 +167,13 @@ class TestDetect:
         assert v.not_fully_separable
         assert v.bi_entangled_partitions == ("AB|C", "AC|B", "A|BC")
         fired = {(r.partition_label(), r.criterion) for r in v.reports if r.violated}
-        assert ("A|BC", "cmn-bisep-inf") in fired
+        assert ("A|BC", "dvh-bisep") in fired
         assert ("A|BC", "dvh-full") in fired
+        # each cut has a rank-2 two-qubit side, which filtering cannot
+        # bring to FNF, so the bi-separable CMN bounds are inconclusive
+        bisep = [r for r in v.reports if r.criterion.startswith("cmn-bisep")]
+        assert bisep and not any(r.preconditions_met for r in bisep)
+        assert all("is rank deficient" in r.reason for r in bisep)
         # GHZ is not SFNF, so the fully-separable CMN bounds are inconclusive
         full = [r for r in v.reports if r.criterion == "cmn-full-inf"]
         assert all(not r.preconditions_met for r in full)
@@ -247,3 +253,69 @@ def test_criterion_values_match_per_tensor_oracle(name):
             want = cmn(matricize(t, part), CmnParams(4, entry.p))
         assert abs(value - want) <= 1e-15
         assert entry.value(t, part, 4) == value
+
+
+# An A|BC bi-separable three-qubit state: an equal mixture of six products
+# |a><a| ⊗ |b><b| (a a qubit vector, b a two-qubit vector), filtered party by
+# party with filter_to_fnf, which keeps A|BC separability. A seeded hill climb
+# over the products (default_rng(2), 200 random starts, Gaussian steps of 0.3
+# shrunk x0.6 every 500) found it. Its single-party reductions are maximally
+# mixed to 3e-10, its BC reduction is not, and unfiltered its A|BC M_{2,1}
+# exceeds the bi-separable bound.
+COUNTEREXAMPLE_RE = [
+    [0.1577126215995596, 0.006491735458570432, 0.06305941872914236, -0.029052013280086837,
+     -0.05544243249510293, 0.036482352381991906, -0.05053354851728034, -0.0017400586582197895],
+    [0.006491735458570432, 0.10914850146324796, -0.06886550716926318, -0.03502347757385771,
+     -0.025102633147456893, 0.05023440027531463, -0.05717419145995757, 0.02038236736834946],
+    [0.06305941872914236, -0.06886550716926318, 0.12505231356782298, -0.011814027837564066,
+     -0.007774795332749601, -0.013769804011080813, 0.04285568230667505, -0.04204665624152213],
+    [-0.029052013280086837, -0.03502347757385771, -0.011814027837564066, 0.10808656345192243,
+     0.02513517084365533, 0.012071974065806443, 0.02674153054317008, -0.037647650097597685],
+    [-0.05544243249510293, -0.025102633147456893, -0.007774795332749601, 0.02513517084365533,
+     0.10958156744264733, 0.057082183276146184, -0.007049564172238183, -0.0017198298889264834],
+    [0.036482352381991906, 0.05023440027531463, -0.013769804011080813, 0.012071974065806443,
+     0.057082183276146184, 0.12355730968902165, -0.06340906458633228, -0.02098637737155626],
+    [-0.05053354851728034, -0.05717419145995757, 0.04285568230667505, 0.02674153054317008,
+     -0.007049564172238183, -0.06340906458633228, 0.10765349738997006, -0.051759890897152584],
+    [-0.0017400586582197895, 0.02038236736834946, -0.04204665624152213, -0.037647650097597685,
+     -0.0017198298889264834, -0.02098637737155626, -0.051759890897152584, 0.15920762539580796],
+]
+COUNTEREXAMPLE_IM = [
+    [0.0, 0.029321035310048073, -0.025585106840831838, -0.06030580162541359,
+     -0.017484294965435083, -0.004990368237531628, 0.03065125238008215, 0.0022249888618861235],
+    [-0.029321035310048073, 0.0, 0.04930640026043836, 0.015085806641301715,
+     0.007650982725837514, 0.016027081356287713, 0.06184351378045165, -0.06537733325058152],
+    [0.025585106840831838, -0.04930640026043836, 0.0, -0.03248291612001886,
+     -8.909576342024743e-05, -0.033950048354773464, -0.006437635024677647, 0.03943347152435964],
+    [0.06030580162541359, -0.015085806641301715, 0.03248291612001886, 0.0,
+     -0.025254074318651974, -0.021218610368656875, 0.0007538871825454193, 0.007894848523249814],
+    [0.017484294965435083, -0.007650982725837514, 8.909576342024743e-05, 0.025254074318651974,
+     0.0, -0.003242732761110487, -0.028249768915859133, 0.10038709862771333],
+    [0.004990368237531628, -0.016027081356287713, 0.033950048354773464, 0.021218610368656875,
+     0.003242732761110487, 0.0, 0.05163329312889817, 0.03874906946853935],
+    [-0.03065125238008215, -0.06184351378045165, 0.006437635024677647, -0.0007538871825454193,
+     0.028249768915859133, -0.05163329312889817, 0.0, 0.006404613571081245],
+    [-0.0022249888618861235, 0.06537733325058152, -0.03943347152435964, -0.007894848523249814,
+     -0.10038709862771333, -0.03874906946853935, -0.006404613571081245, 0.0],
+]
+
+
+def test_party_wise_fnf_counterexample_is_not_flagged():
+    rho = DensityMatrix((2, 2, 2), np.array(COUNTEREXAMPLE_RE) + 1j * np.array(COUNTEREXAMPLE_IM))
+    a_bc = Bipartition.of((0,), 3)
+    t = build(rho)
+    # a gate that read only single-party entries would skip filtering, and
+    # the unfiltered value violates the bound
+    single = [np.abs(t.data[tuple(slice(1, None) if i == p else 0 for i in range(3))]).max()
+              for p in range(3)]
+    assert max(single) <= 1e-9
+    assert CRITERIA["cmn-bisep-p1"].value(t, a_bc, 2) > bisep_bound_p1(2, 4, 2) * (1 + 1e-4)
+    assert fnf_residual(t, a_bc) > 1e-2
+    for h in (2, 3, 4):
+        v = detect(rho, DetectConfig(h=h))
+        assert "A|BC" not in v.bi_entangled_partitions
+        bisep = [r for r in v.reports
+                 if r.partition == a_bc and r.criterion.startswith("cmn-bisep")]
+        assert any(r.preconditions_met for r in bisep)
+        assert all(r.reason.startswith("after SLOCC filtering") for r in bisep
+                   if r.preconditions_met)

@@ -291,6 +291,22 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error:") and "--tolerance" in err
 
+    @pytest.mark.parametrize("tolerance", ["1e-300", "9e-16"])
+    def test_tolerance_below_rounding_floor_rejected(self, capsys, tolerance):
+        code, out, err = run(capsys, "analyze", "zoo:rho1", "--tolerance", tolerance)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "at least 1e-15" in err
+
+    def test_tolerance_at_rounding_floor_accepted(self, capsys):
+        # rho1's residuals are 3.1e-17, under the floor, so its bounds apply
+        code, out, _ = run(capsys, "analyze", "zoo:rho1", "--tolerance", "1e-15",
+                           "--no-recursive")
+        assert code == EXIT_OK
+        reports = json.loads(out)["verdict"]["reports"]
+        assert all(r["preconditions_met"] for r in reports
+                   if r["criterion"] in ("cmn-bisep-inf", "cmn-full-inf"))
+
 
 class TestDiscord:
     def test_bell_value(self, capsys):

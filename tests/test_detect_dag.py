@@ -1,38 +1,99 @@
-"""detect as a DAG over party subsets: each reduced state is analyzed once,
-and the result matches the nested walk that re-analyzes a subset on every
-path reaching it, kept here as the oracle."""
+"""detect as a DAG over party subsets, walked one level at a time: each
+reduced state is analyzed once, and every report equals the per-cut walk
+kept here as the oracle (one cut, one filtering and one SVD at a time)."""
 
+import importlib
 import math
 
+import numpy as np
 import pytest
 
-from cmnlab import report, zoo
-from cmnlab.bounds import (
-    DetectConfig,
-    DetectionVerdict,
-    _bisep_reports,
-    _fullsep_reports,
-    detect,
-)
+from cmnlab import bounds, normal_form, report, zoo
+from cmnlab.bounds import CRITERIA, BoundReport, DetectConfig, DetectionVerdict, compare, detect
 from cmnlab.linalg import partial_trace
+from cmnlab.normal_form import FilteringError, filter_to_fnf, fnf_residual, sfnf_residual
 from cmnlab.tensor import Bipartition, build, iter_bipartitions
 
 from conftest import random_density
 
+CMN_NAMES = {(c.kind, c.p): name for name, c in CRITERIA.items() if c.p is not None}
 
-def nested_detect(rho, cfg=DetectConfig()):
-    """The tree walk: drop one party at a time and analyze every path anew."""
+
+def cut_reports(tensor, dims, part, cfg, kind, gate, note=""):
+    """The reports of one cut, each value from its own SVD."""
+    jobs = []
+    for p in cfg.ps:
+        name = CMN_NAMES.get((kind, p))
+        if name is None:
+            jobs.append((f"cmn-{kind}-p{p:g}", f"no separability bound for p={p:g}", ""))
+        else:
+            jobs.append((name, gate, note))
+    if kind == "full":
+        jobs.extend((name, "", "") for name, c in CRITERIA.items() if c.p is None)
+    d_a, d_b = part.side_dims(dims)
+    h = min(d_a, d_b) ** 2 if cfg.h is None else cfg.h
+    reports = []
+    for name, fail, prefix in jobs:
+        ok, why = (False, fail) if fail else CRITERIA[name].preconditions(dims, d_a, d_b, h)
+        if not ok:
+            reports.append(BoundReport(part, name, math.nan, math.nan, False, False, False, why))
+            continue
+        value = float(CRITERIA[name].value(tensor, part, h))
+        bound = float(CRITERIA[name].bound(dims, d_a, d_b, h))
+        reports.append(BoundReport(part, name, value, bound, *compare(value, bound), True,
+                                   prefix + why))
+    return reports
+
+
+def bisep_reports(tensor, dims, part, cfg, rho):
+    """One cut's bi-separable reports, filtering the state side-wise alone."""
+    fnf_res = fnf_residual(tensor, part)
+    note = failed = ""
+    if (fnf_res > cfg.fnf_tol and cfg.filter
+            and any(("bisep", p) in CMN_NAMES for p in cfg.ps)):
+        try:
+            filtered = filter_to_fnf(rho, tol=cfg.fnf_tol, groups=[part.side_a, part.side_b])
+            tensor = build(filtered)
+            fnf_res = fnf_residual(tensor, part)
+            note = "after SLOCC filtering; "
+        except FilteringError as exc:
+            failed = str(exc)
+    gate = "" if fnf_res <= cfg.fnf_tol else failed or f"not in FNF (residual {fnf_res:.3e})"
+    return cut_reports(tensor, dims, part, cfg, "bisep", gate, note)
+
+
+def fullsep_reports(tensor, dims, cfg):
+    sfnf_res = sfnf_residual(tensor)
+    gate = "" if sfnf_res <= cfg.fnf_tol else f"not in SFNF (residual {sfnf_res:.3e})"
+    reports = []
+    for part in iter_bipartitions(len(dims)):
+        reports.extend(cut_reports(tensor, dims, part, cfg, "full", gate))
+    return reports
+
+
+def oracle_detect(rho, cfg=DetectConfig(), seen=None, parties=None):
+    """The depth-first walk, one cut at a time. With a dict ``seen``, a
+    subset reached again shares the verdict of its first visit; with None,
+    every path is analyzed anew (the tree walk)."""
     dims = rho.dims
+    parties = tuple(range(len(dims))) if parties is None else parties
     tensor = build(rho)
     reports = []
     for part in iter_bipartitions(len(dims)):
-        reports.extend(_bisep_reports(tensor, dims, part, cfg, rho))
-    reports.extend(_fullsep_reports(tensor, dims, cfg))
+        reports.extend(bisep_reports(tensor, dims, part, cfg, rho))
+    reports.extend(fullsep_reports(tensor, dims, cfg))
     reduced = []
     if cfg.recursive and len(dims) > 2:
         for dropped in range(len(dims)):
             keep = tuple(i for i in range(len(dims)) if i != dropped)
-            reduced.append((keep, nested_detect(partial_trace(rho, keep), cfg)))
+            key = tuple(parties[i] for i in keep)
+            if seen is None:
+                sub = oracle_detect(partial_trace(rho, keep), cfg, None, key)
+            elif key in seen:
+                sub = seen[key]
+            else:
+                sub = seen[key] = oracle_detect(partial_trace(rho, keep), cfg, seen, key)
+            reduced.append((keep, sub))
     bi_entangled = tuple(sorted(
         {r.partition_label() for r in reports
          if r.violated and r.criterion in ("cmn-bisep-inf", "cmn-bisep-p1", "dvh-bisep")}
@@ -82,6 +143,25 @@ def distinct_nodes(v):
     return seen
 
 
+def report_fields(r):
+    """Every field of a report, each float as its exact bits."""
+    return (r.partition_label(), r.criterion, np.float64(r.value).tobytes(),
+            np.float64(r.bound).tobytes(), r.violated, r.saturated, r.preconditions_met,
+            r.reason)
+
+
+def assert_same_verdict(got, want):
+    nodes_got = [((), got)] + got.subsets()
+    nodes_want = [((), want)] + first_occurrences(want)
+    assert [p for p, _ in nodes_got] == [p for p, _ in nodes_want]
+    for (_, g), (_, w) in zip(nodes_got, nodes_want):
+        assert g.dims == w.dims
+        assert [report_fields(r) for r in g.reports] == [report_fields(r) for r in w.reports]
+        assert g.not_fully_separable == w.not_fully_separable
+        assert g.bi_entangled_partitions == w.bi_entangled_partitions
+        assert [keep for keep, _ in g.reduced] == [keep for keep, _ in w.reduced]
+
+
 STATES = (
     [(name, lambda name=name: zoo.from_name(name)) for name in sorted(zoo.ZOO)]
     + [(f"ghz-{n}", lambda n=n: zoo.ghz(n).to_density()) for n in (3, 4, 5, 6)]
@@ -89,25 +169,78 @@ STATES = (
         lambda dims=dims, seed=seed: random_density(dims, math.prod(dims), seed))
        for dims in ((2, 2, 2), (2, 2, 3), (2, 2, 2, 2)) for seed in (11, 12)]
 )
+# the zoo (W-3 among it), GHZ-3..6, W-4, and seeded random states at full
+# rank and at rank 2
+ORACLE_STATES = (
+    STATES[:len(zoo.ZOO) + 4]
+    + [("w-4", lambda: zoo.w_state(4).to_density())]
+    + [(f"random-{''.join(map(str, dims))}-rank{rank}",
+        lambda dims=dims, rank=rank: random_density(dims, rank, 13))
+       for dims in ((2, 2, 2), (2, 2, 3), (2, 2, 2, 2), (2, 3), (3, 3))
+       for rank in (math.prod(dims), 2)]
+)
+CONFIGS = [DetectConfig(), DetectConfig(h=2), DetectConfig(ps=(1.0,)),
+           DetectConfig(filter=False), DetectConfig(recursive=False)]
+
+
+@pytest.mark.parametrize("name,make", ORACLE_STATES, ids=[s[0] for s in ORACLE_STATES])
+def test_level_walk_matches_per_cut_oracle(name, make):
+    rho = make()
+    for cfg in CONFIGS:
+        assert_same_verdict(detect(rho, cfg), oracle_detect(rho, cfg, {}))
 
 
 @pytest.mark.parametrize("name,make", STATES, ids=[s[0] for s in STATES])
 def test_dag_matches_nested_walk(name, make):
     rho = make()
     got = detect(rho)
-    want = nested_detect(rho)
-    assert got.not_fully_separable == want.not_fully_separable
-    assert got.bi_entangled_partitions == want.bi_entangled_partitions
-    # repr compares every float bit for bit, NaN included
-    assert repr(got.reports) == repr(want.reports)
+    want = oracle_detect(rho)
+    assert_same_verdict(got, want)
     entries = report.verdict_to_dict(got)["reduced"]
     expected = [schema2_entry(parties, node) for parties, node in first_occurrences(want)]
     assert report.dumps(entries) == report.dumps(expected)
     # the library view: every (keep, sub) pair of the tree, subs shared
-    assert [keep for keep, _ in got.reduced] == [keep for keep, _ in want.reduced]
     all_reports = list(got.reports) + [r for _, sub in got.subsets() for r in sub.reports]
     assert len(all_reports) == len(got.reports) + sum(
         len(node.reports) for _, node in first_occurrences(want))
+
+
+def test_filter_failures_name_the_cut_sides():
+    """A cut filtered in a permuted stack keeps the text filter_to_fnf
+    writes on the state itself: AC|B of W-3 is rank deficient on side B."""
+    w3 = zoo.w_state(3).to_density()
+    v = detect(w3, DetectConfig(recursive=False))
+    ac_b = Bipartition.of((0, 2), 3)
+    reasons = {r.reason for r in v.reports
+               if r.partition == ac_b and r.criterion == "cmn-bisep-inf"}
+    with pytest.raises(FilteringError) as err:
+        filter_to_fnf(w3, groups=[ac_b.side_a, ac_b.side_b])
+    assert reasons == {str(err.value)}
+    # the permuted stack filters parties 0+1 of (A, C, B)
+    assert "reduction of party 0+2 is" in str(err.value)
+
+
+def test_ghz6_calls_scale_with_levels_times_shapes(monkeypatch):
+    """On GHZ-6 (qubits), a level of m parties has m - 1 cut shapes (|A|)
+    and 2(m - 1) matrix shapes (whole and interior matricizations), so the
+    call counts are bounded by sums over the levels, not by the 301 cuts."""
+    calls = {"filter": 0, "svd": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(normal_form, "filter_stack", counted("filter", normal_form.filter_stack))
+    # the package's name cmn is the function, not its module
+    for module in (bounds, importlib.import_module("cmnlab.cmn")):
+        monkeypatch.setattr(module, "singular_values", counted("svd", module.singular_values))
+    v = detect(zoo.ghz(6).to_density())
+    assert v.not_fully_separable
+    levels = range(2, 7)
+    assert 0 < calls["filter"] <= sum(m - 1 for m in levels)
+    assert 0 < calls["svd"] <= sum(2 * (m - 1) for m in levels)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -7,8 +7,6 @@ from cmnlab.normal_form import (
     FilteringError,
     filter_to_fnf,
     fnf_residual,
-    is_fnf,
-    is_sfnf,
     sfnf_residual,
 )
 from cmnlab.tensor import Bipartition, build, iter_bipartitions
@@ -28,7 +26,16 @@ def normal_form_status(t, tol=DEFAULT_TOL):
         res = fnf_residual(t, part)
         per_part[part] = res <= tol
         worst = max(worst, res)
-    return per_part, is_sfnf(t, tol), max(worst, sfnf_residual(t))
+    sfnf_res = sfnf_residual(t)
+    return per_part, sfnf_res <= tol, max(worst, sfnf_res)
+
+
+def is_fnf(t, part):
+    return fnf_residual(t, part) <= DEFAULT_TOL
+
+
+def is_sfnf(t):
+    return sfnf_residual(t) <= DEFAULT_TOL
 
 
 class TestIsFnf:
@@ -49,10 +56,26 @@ class TestIsFnf:
         assert not is_fnf(build(rho), Bipartition.of((0,), 2))
 
     def test_ghz_is_fnf(self):
-        # all single-party reductions of GHZ are maximally mixed
+        # GHZ is in FNF party by party: every single-party reduction is
+        # maximally mixed. Across a cut, FNF needs each side's whole
+        # reduction maximally mixed, and GHZ's two-party reductions carry
+        # the <Z⊗Z> correlation, entry 1/(2√2) of the tensor
         t = build(ghz(3, 2).to_density())
+        for p in range(3):
+            face = t.data[tuple(slice(1, None) if i == p else 0 for i in range(3))]
+            assert np.abs(face).max() <= DEFAULT_TOL
         for part in iter_bipartitions(3):
-            assert is_fnf(t, part)
+            assert abs(fnf_residual(t, part) - 2**-1.5) <= 1e-15
+            assert not is_fnf(t, part)
+
+    def test_residual_reads_whole_sides(self):
+        # 1/2 ⊗ |Φ+><Φ+|: every single-party reduction is maximally mixed,
+        # and so is every side of a cut that keeps B and C apart
+        bc = bell(1).to_density().data
+        t = build(DensityMatrix((2, 2, 2), np.kron(np.eye(2) / 2, bc)))
+        assert abs(fnf_residual(t, Bipartition.of((0,), 3)) - 2**-1.5) <= 1e-15
+        assert fnf_residual(t, Bipartition.of((0, 1), 3)) <= 1e-15
+        assert fnf_residual(t, Bipartition.of((0, 2), 3)) <= 1e-15
 
 
 class TestIsSfnf:

@@ -7,7 +7,6 @@ from cmnlab.linalg import DensityMatrix, singular_values
 from cmnlab.tensor import (
     Bipartition,
     build,
-    face,
     iter_bipartitions,
     matricize,
     matricize_interior,
@@ -124,19 +123,16 @@ class TestInterior:
 
 class TestFace:
     def test_face_equals_scaled_reduced_tensor(self):
+        # fixing one party's index at the identity leaves 1/sqrt(d) times
+        # the correlation tensor of the other parties' reduction
         for seed in range(3):
             rho = random_density((2, 2, 2), 6, 40 + seed)
             t = build(rho)
             for axis in range(3):
                 keep = [i for i in range(3) if i != axis]
                 reduced_tensor = build(partial_trace(rho, keep))
-                got = face(t, axis) * np.sqrt(2)
+                got = np.take(t.data, 0, axis=axis) * np.sqrt(2)
                 assert np.abs(got - reduced_tensor.data).max() <= 1e-12
-
-    def test_out_of_range(self):
-        t = build(maximally_mixed((2, 2)))
-        with pytest.raises(ValueError):
-            face(t, 2)
 
 
 def test_spectrum_invariant_under_local_orthogonal_mixing(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from cmnlab.basis import normalized_generalized_gell_mann
 from cmnlab.linalg import DensityMatrix, hermitize, partial_trace, pauli, singular_values
-from cmnlab.normal_form import is_sfnf
+from cmnlab.normal_form import DEFAULT_TOL, sfnf_residual
 from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize
 from cmnlab.zoo import (
     TETRAHEDRON,
@@ -107,7 +107,7 @@ class TestRho1:
             assert np.abs(np.sort(sv)[::-1] - expected).max() < 1e-12
 
     def test_is_sfnf(self):
-        assert is_sfnf(build(rho1()))
+        assert sfnf_residual(build(rho1())) <= DEFAULT_TOL
 
     def test_reductions_maximally_mixed(self):
         for p in range(3):
@@ -172,7 +172,7 @@ class TestSamplers:
             for seed in range(3):
                 rho = random_fully_separable_sfnf(dims, seed)
                 t = build(rho)
-                assert is_sfnf(t)
+                assert sfnf_residual(t) <= DEFAULT_TOL
 
     def test_sfnf_sampler_interior_nontrivial(self):
         rho = random_fully_separable_sfnf((2, 2, 2), 9)
