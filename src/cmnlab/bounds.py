@@ -12,9 +12,8 @@ from itertools import combinations
 import numpy as np
 
 from .cmn import CmnParams, elementary_symmetric, minor_norm
-from . import normal_form
 from .linalg import DensityMatrix, partial_trace, singular_values
-from .normal_form import fnf_residual, group_label, sfnf_residual
+from .normal_form import filter_cuts, fnf_residual, sfnf_residual
 from .tensor import Bipartition, _matricize_array, build, iter_bipartitions
 
 EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
@@ -268,52 +267,24 @@ def _cut_plan(dims, part, h, ps, kind):
     return plan
 
 
-def _permuted(data, dims, order):
-    """The matrix ``data`` over ``dims`` with its parties in ``order``."""
-    axes = list(order) + [len(dims) + p for p in order]
-    return data.reshape(tuple(dims) * 2).transpose(axes).reshape(data.shape)
-
-
-def _filter_cuts(states, cuts, tol):
-    """Filter each (parties, part) of ``cuts`` side-wise, one
-    :func:`filter_stack` call per cut shape: each state is permuted so that
-    side A's parties come first, and cuts that then share |A| and dims share
-    a stack. Returns the tensor of each filtered state, in its own party
-    order, and the error text of each cut that failed."""
-    shapes, filtered, failed = {}, {}, {}
-    for m, part in cuts:
-        order = part.side_a + part.side_b
-        key = (len(part.side_a), tuple(states[m].dims[p] for p in order))
-        shapes.setdefault(key, []).append((m, part, order))
-    for (k, dims), members in shapes.items():
-        groups = [range(k), range(k, len(dims))]
-        rows = [_permuted(states[m].data, states[m].dims, order) for m, _, order in members]
-        out, _, errors = normal_form.filter_stack(np.stack(rows), dims, groups, tol=tol)
-        for (m, part, order), row, err in zip(members, out, errors):
-            if err is None:
-                row = _permuted(row, dims, np.argsort(order))
-                filtered[m, part] = build(DensityMatrix(states[m].dims, row))
-                continue
-            # name the failing group by its side's parties in the state's own indices
-            for g, side in zip(groups, (part.side_a, part.side_b)):
-                err = err.replace(f"of {group_label(g)} is", f"of {group_label(side)} is")
-            failed[m, part] = err
-    return filtered, failed
-
-
 def _level_reports(states, cfg):
     """The reports of every state of one level of the subset DAG, keyed like
     ``states``. The cuts whose side-wise residual exceeds ``cfg.fnf_tol`` are
-    filtered side-wise, one :func:`filter_stack` call per cut shape, and the
-    spectra that the reports read come from one SVD per matrix shape."""
+    filtered side-wise by :func:`filter_cuts`, and the spectra that the
+    reports read come from one SVD per matrix shape."""
     tol, ps = cfg.fnf_tol, tuple(cfg.ps)
     parts = list(iter_bipartitions(len(next(iter(states)))))
     tensors = {m: build(rho) for m, rho in states.items()}
     residual = {(m, part): fnf_residual(t, part) for m, t in tensors.items() for part in parts}
     # only an M_{h,p} entry reads the filtered tensor
     wanted = cfg.filter and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)
-    filtered, failed = _filter_cuts(states, [c for c, r in residual.items() if wanted and r > tol],
-                                    tol)
+    cuts = [cut for cut, r in residual.items() if wanted and r > tol]
+    filtered, failed = {}, {}
+    for cut, out in zip(cuts, filter_cuts([(states[m], p) for m, p in cuts], tol)):
+        if isinstance(out, str):
+            failed[cut] = out
+        else:
+            filtered[cut] = build(out)
     residual.update((cut, fnf_residual(t, cut[1])) for cut, t in filtered.items())
 
     matrices, pending, reports = {}, {}, {}  # (parties, part, "interior" or note) -> matrix

@@ -68,7 +68,9 @@ def statefile_to_state(doc) -> DensityMatrix:
         flat = np.array(
             [complex(e["re"], e["im"]) for e in entries], dtype=complex
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"malformed state file: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed state file: {exc}") from exc
     try:
         return DensityMatrix(dims, flat.reshape(side, side))
@@ -84,8 +86,8 @@ def load_state(path: str) -> tuple:
     if path.startswith("zoo:"):
         try:
             rho = zoo.from_name(path[4:])
-        except KeyError as exc:
-            raise InputError(str(exc)) from exc
+        except KeyError as exc:  # str() of a KeyError is the repr of its message
+            raise InputError(exc.args[0]) from exc
     else:
         if path == "-":
             text = sys.stdin.read()
@@ -237,7 +239,7 @@ def cmd_zoo(args):
     try:
         rho = zoo.from_name(args.name)
     except KeyError as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError(exc.args[0]) from exc
     _write(args, statefile_text(rho))
     return EXIT_OK
 

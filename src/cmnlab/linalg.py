@@ -162,6 +162,15 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(kept_dims, reduced)
 
 
+def permute_parties(data, dims, order):
+    """The matrix ``data`` over ``dims`` (or each matrix of a stack of them)
+    with its parties reordered: party ``order[i]`` becomes party i. Exact,
+    since it only moves entries."""
+    n, lead = len(dims), data.ndim - 2
+    axes = list(range(lead)) + [lead + p for p in order] + [lead + n + p for p in order]
+    return data.reshape(data.shape[:lead] + tuple(dims) * 2).transpose(axes).reshape(data.shape)
+
+
 def apply_local(op, data, parties, dims):
     """Conjugate the row/column axes of the listed parties by ``op``.
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, hermitize
+from .linalg import DensityMatrix, hermitize, permute_parties
 from .tensor import Bipartition, CorrelationTensor
 
 RANK_TOL = 1e-8
@@ -15,7 +15,8 @@ RANK_TOL = 1e-8
 # rounding noise, and its digits would only echo the summation order
 EIG_NOISE = 1e-12
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITERS = 500
+# the sweep budget: the last checkpoint, where every running row fails
+MAX_SWEEPS = 500
 # A run whose residual falls like a power of the sweep count k, not
 # geometrically, has stalled (on the boundary of the scalable set, as W-n's
 # two-qubit reductions do): at each k in STALL_SWEEPS a running row whose
@@ -68,13 +69,7 @@ def _stalled(sweep, res, alpha):
             f"falls like k^{-alpha:.1f}, not geometrically")
 
 
-def filter_to_fnf(
-    rho: DensityMatrix,
-    max_iters=DEFAULT_MAX_ITERS,
-    tol=DEFAULT_TOL,
-    groups=None,
-    history=None,
-) -> DensityMatrix:
+def filter_to_fnf(rho: DensityMatrix, tol=DEFAULT_TOL, groups=None, history=None) -> DensityMatrix:
     """Bring ``rho`` to filter normal form by cyclic local filtering.
 
     Sweeps the party ``groups`` (default: each party separately) applying
@@ -84,7 +79,7 @@ def filter_to_fnf(
     must be disjoint; a party in no group is never filtered. Raises
     FilteringError when a reduction is rank deficient, when the residual
     falls only like a power of the sweep count (see ``STALL_SWEEPS``), or
-    when ``max_iters`` sweeps do not converge.
+    when ``MAX_SWEEPS`` sweeps do not converge.
 
     If ``history`` is a list, the product of the normalized reduction
     determinants det(d_g ρ_g) is appended after every sweep; this product is
@@ -93,7 +88,7 @@ def filter_to_fnf(
     The one-row case of :func:`filter_stack`.
     """
     rows = None if history is None else [[]]
-    data, _, errors = filter_stack(rho.data[None], rho.dims, groups, max_iters, tol, rows)
+    data, _, errors = filter_stack(rho.data[None], rho.dims, groups, tol, rows)
     if history is not None:
         history.extend(rows[0])
     if errors[0] is not None:
@@ -101,8 +96,30 @@ def filter_to_fnf(
     return DensityMatrix(rho.dims, data[0])
 
 
-def filter_stack(data, dims, groups=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL,
-                 history=None):
+def filter_cuts(cuts, tol=DEFAULT_TOL):
+    """Filter each (rho, part) of ``cuts`` to FNF across its cut: for each,
+    the filtered :class:`DensityMatrix`, or the text of the FilteringError
+    that ``filter_to_fnf(rho, tol, [part.side_a, part.side_b])`` raises.
+
+    Each state is permuted so that side A's parties come first, and the
+    cuts that then share |A| and dims share one :func:`filter_stack` call.
+    """
+    shapes, out = {}, [None] * len(cuts)
+    for i, (rho, part) in enumerate(cuts):
+        order = part.side_a + part.side_b
+        key = (len(part.side_a), tuple(rho.dims[p] for p in order))
+        shapes.setdefault(key, []).append((i, rho, order))
+    for (k, dims), members in shapes.items():
+        rows = np.stack([permute_parties(rho.data, rho.dims, order) for _, rho, order in members])
+        labels = [[group_label(order[:k]), group_label(order[k:])] for _, _, order in members]
+        filtered, _, errors = filter_stack(rows, dims, [range(k), range(k, len(dims))], tol,
+                                           labels=labels)
+        for (i, rho, order), row, err in zip(members, filtered, errors):
+            out[i] = err or DensityMatrix(rho.dims, permute_parties(row, dims, np.argsort(order)))
+    return out
+
+
+def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=None):
     """:func:`filter_to_fnf` on each matrix of the stack ``data`` (shape
     (k, side, side), every state over ``dims``) at once.
 
@@ -110,9 +127,11 @@ def filter_stack(data, dims, groups=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAU
     not validated as states), the sweep count of each row, and for each row
     None or the text of the FilteringError that :func:`filter_to_fnf` raises
     on it (its ``filtered`` row is then NaN). A row leaves the stack when it
-    converges, so its sweep count is that of its own run. If ``history`` is
-    a list of k lists, each row's determinant products go to its own list.
-    A row whose residual stalls leaves the stack at that checkpoint sweep.
+    converges, fails or reaches a checkpoint where it stalls, so its sweep
+    count is that of its own run. If ``history`` is a list of k lists, each
+    row's determinant products go to its own list. ``labels``, if given,
+    holds for each row how its error text names each group (by default,
+    by the group's parties).
 
     The iteration works on one group-major copy of each ρ (the parties of
     group 0 first, then group 1, ...): a group reduction is one einsum trace
@@ -135,22 +154,13 @@ def filter_stack(data, dims, groups=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAU
     before = [math.prod(sizes[:g]) for g in range(len(sizes))]
     blocks = [(L, D, side // (L * D)) for L, D in zip(before, sizes)]
     mixed = [np.eye(D) / D for D in sizes]
-    axes = order + [n + p for p in order]
-    m = data.reshape((k,) + dims * 2).transpose([0] + [1 + a for a in axes]).reshape(k, side, side)
-    labels = [group_label(g) for g in groups]
-
-    def _finish(out):
-        """Undo the group-major layout."""
-        back = [0] + [1 + b for b in np.argsort(axes)]
-        out = out.reshape((k,) + tuple(dims[p] for p in order) * 2).transpose(back)
-        return hermitize(out.reshape(k, side, side))
+    m = permute_parties(data, dims, order)
+    if labels is None:
+        labels = [[group_label(g) for g in groups]] * k
 
     def reduction(m, g):
         L, D, R = blocks[g]
         return np.einsum("kaibajb->kij", m.reshape(len(m), L, D, R, L, D, R))
-
-    def reductions(m):
-        return [reduction(m, g) for g in range(len(blocks))]
 
     # eigh and eigvalsh read one triangle of their (Hermitian up to
     # rounding) input, so the reductions are not hermitized first
@@ -173,58 +183,52 @@ def filter_stack(data, dims, groups=None, max_iters=DEFAULT_MAX_ITERS, tol=DEFAU
     errors = [None] * k
     idx = np.arange(k)  # the input row of each row still iterating
     half = np.zeros(k)  # each input row's residual at the last snapshot sweep
-    # one set of reductions per sweep serves the history, the residual and
-    # the next sweep's first filter
-    reds = reductions(m)
-    if history is not None:
-        record(reds)
-    res = residual(reds)
-    sweep = 0
+    step = 0  # one step filters one group
     while len(idx):
-        done = ~(res > tol)
-        if sweep >= max_iters:
-            for i, r in zip(idx[~done], res[~done]):
-                errors[i] = (f"filtering did not converge in {max_iters} sweeps "
-                             f"(last residual {r:.3e})")
-            out[idx[done]] = m[done]
-            sweeps[idx] = sweep
-            break
-        leave = done
-        if sweep in STALL_SWEEPS:
-            alpha = np.log2(half[idx] / res)
-            stalled = ~done & (alpha < STALL_EXPONENT)
-            for i, r, a in zip(idx[stalled], res[stalled], alpha[stalled]):
-                errors[i] = _stalled(sweep, r, a)
-            leave = done | stalled
-        if 2 * sweep in STALL_SWEEPS:
-            half[idx] = res
+        sweep, g = divmod(step, len(blocks))
+        L, D, R = blocks[g]
+        if g == 0:
+            # one set of reductions per sweep serves the history, the
+            # residual and the sweep's first filter
+            reds = [reduction(m, c) for c in range(len(blocks))]
+            if history is not None:
+                record(reds)
+            res = residual(reds)
+            # a row stops here once converged, at a checkpoint sweep if it
+            # has stalled, and at the budget (the last checkpoint) anyway
+            stop = done = ~(res > tol)
+            if sweep in STALL_SWEEPS:
+                alpha = np.log2(half[idx] / res)
+                stop = stop | (alpha < STALL_EXPONENT)
+            if sweep >= MAX_SWEEPS:
+                stop = np.ones_like(done)
+            if 2 * sweep in STALL_SWEEPS:
+                half[idx] = res
+        w, v = np.linalg.eigh(D * (reds[0] if g == 0 else reduction(m, g)))
+        bad = w[:, 0] <= RANK_TOL  # eigh sorts ascending
+        leave = stop | bad if g == 0 else bad
+        # the one place where rows leave: a converged row keeps its matrix,
+        # and any other fails with the first reason that applies
         if leave.any():
-            out[idx[done]] = m[done]
+            kept = done if g == 0 else np.zeros_like(leave)
+            out[idx[kept]] = m[kept]
             sweeps[idx[leave]] = sweep
+            for j in np.flatnonzero(leave & ~kept):
+                i = idx[j]
+                if g or not stop[j]:
+                    errors[i] = _rank_deficient(labels[i][g], w[j, 0])
+                elif sweep >= MAX_SWEEPS:
+                    errors[i] = (f"filtering did not converge in {sweep} sweeps "
+                                 f"(last residual {res[j]:.3e})")
+                else:
+                    errors[i] = _stalled(sweep, res[j], alpha[j])
             go = ~leave
-            m, idx, reds = m[go], idx[go], [red[go] for red in reds]
-            if not len(idx):
-                break
-        for g, (L, D, R) in enumerate(blocks):
-            red = reds[0] if g == 0 else reduction(m, g)
-            w, v = np.linalg.eigh(D * red)
-            bad = w[:, 0] <= RANK_TOL  # eigh sorts ascending
-            if bad.any():
-                for i, w_min in zip(idx[bad], w[bad, 0]):
-                    errors[i] = _rank_deficient(labels[g], w_min)
-                    sweeps[i] = sweep
-                go = ~bad
-                m, idx, w, v = m[go], idx[go], w[go], v[go]
-                if not len(idx):
-                    return _finish(out), sweeps, errors
-            f = (v * w[:, None, :] ** -0.5) @ v.conj().swapaxes(1, 2)
-            rows = len(m)
-            m = (f[:, None] @ m.reshape(rows, L, D, R * side)).reshape(rows, side * L, D, R)
-            m = (f.conj()[:, None] @ m).reshape(rows, side, side)
-            m = m / m.trace(axis1=1, axis2=2).real[:, None, None]
-        sweep += 1
-        reds = reductions(m)
-        if history is not None:
-            record(reds)
-        res = residual(reds)
-    return _finish(out), sweeps, errors
+            m, idx, w, v = m[go], idx[go], w[go], v[go]
+        f = (v * w[:, None, :] ** -0.5) @ v.conj().swapaxes(1, 2)
+        rows = len(m)
+        m = (f[:, None] @ m.reshape(rows, L, D, R * side)).reshape(rows, side * L, D, R)
+        m = (f.conj()[:, None] @ m).reshape(rows, side, side)
+        m = m / m.trace(axis1=1, axis2=2).real[:, None, None]
+        step += 1
+    out = permute_parties(out, [dims[p] for p in order], np.argsort(order))  # party order
+    return hermitize(out), sweeps, errors

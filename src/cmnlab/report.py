@@ -25,11 +25,11 @@ _encode_str = json.encoder.encode_basestring_ascii
 _SCALARS = {True: "true", False: "false", None: "null"}
 
 
-def dumps(obj, indent=0) -> str:
+def dumps(obj) -> str:
     """Serialize dicts/lists/scalars to JSON, printing every float with 17
     significant digits."""
     out = []
-    _dump(obj, "  " * indent, out)
+    _dump(obj, "", out)
     return "".join(out)
 
 

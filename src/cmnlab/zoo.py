@@ -16,6 +16,7 @@ from .linalg import (
     bloch_to_qubit,
     check_density_stack,
     hermitize,
+    permute_parties,
 )
 from .tensor import Bipartition
 
@@ -140,7 +141,7 @@ def _product_mixture_stack(dims, groups, k_terms, seeds) -> np.ndarray:
         raise ValueError("k_terms must be >= 1")
     dims = tuple(int(d) for d in dims)
     sizes = [math.prod(dims[p] for p in group) for group in groups]
-    rows, side = len(seeds), math.prod(sizes)
+    rows = len(seeds)
     weights = np.empty((rows, k_terms))
     g = np.empty((rows, k_terms, 2 * sum(sizes)))
     for row, seed in enumerate(seeds):
@@ -155,11 +156,7 @@ def _product_mixture_stack(dims, groups, k_terms, seeds) -> np.ndarray:
     total = (v * weights[..., None]).swapaxes(1, 2) @ v.conj()
     # columns are ordered group by group; permute back to party order
     order = [p for group in groups for p in group]
-    perm = np.argsort(order)
-    n = len(dims)
-    t = total.reshape((rows,) + tuple(dims[i] for i in order) * 2)
-    t = np.transpose(t, [0] + [1 + p for p in perm] + [1 + n + p for p in perm])
-    data = hermitize(t.reshape(rows, side, side))
+    data = hermitize(permute_parties(total, [dims[p] for p in order], np.argsort(order)))
     check_density_stack(data)
     return data
 

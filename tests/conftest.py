@@ -44,9 +44,9 @@ def dumps_matches_oracle(monkeypatch):
     files) is checked byte for byte against :func:`dumps_oracle`."""
     fast = report.dumps
 
-    def checked(obj, indent=0):
-        text = fast(obj, indent)
-        assert text == dumps_oracle(obj, indent)
+    def checked(obj):
+        text = fast(obj)
+        assert text == dumps_oracle(obj)
         return text
 
     monkeypatch.setattr(report, "dumps", checked)

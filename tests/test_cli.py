@@ -55,6 +55,13 @@ class TestZooCommand:
         assert code == EXIT_INVALID_INPUT
         assert "available" in err
 
+    @pytest.mark.parametrize("command", [["zoo", "emit", "nope"], ["analyze", "zoo:nope"]])
+    def test_unknown_name_text(self, capsys, command):
+        code, _, err = run(capsys, *command)
+        assert code == EXIT_INVALID_INPUT
+        assert err == ("error: unknown zoo state 'nope'; available: "
+                       + ", ".join(sorted(ZOO)) + "\n")
+
     def test_emit_requires_name(self, capsys):
         code, _, err = run(capsys, "zoo", "emit")
         assert code == EXIT_INVALID_INPUT
@@ -118,6 +125,13 @@ class TestStateFiles:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == EXIT_INVALID_INPUT
         assert "entries" in err
+
+    def test_missing_key_text(self, tmp_path, capsys):
+        path = tmp_path / "nomatrix.json"
+        path.write_text(json.dumps({"dims": [2, 2]}))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert err == "error: malformed state file: missing key 'matrix'\n"
 
     def test_rejects_bad_json(self, tmp_path, capsys):
         path = tmp_path / "junk.json"

@@ -9,6 +9,7 @@ from cmnlab.linalg import (
     bloch_to_qubit,
     check_density_stack,
     partial_trace,
+    permute_parties,
     singular_values,
 )
 from cmnlab.zoo import bell, rho1
@@ -175,3 +176,31 @@ class TestDensityStackCheck:
 
     def test_valid_stack_passes(self):
         check_density_stack(np.stack([random_density((2, 3), r, 5).data for r in (1, 3, 6)]))
+
+
+class TestPermuteParties:
+    @staticmethod
+    def _factors(rng, dims):
+        # integer entries, so every product of entries, in any order, is exact
+        return [rng.integers(-4, 5, (d, d)) + 1j * rng.integers(-4, 5, (d, d)) for d in dims]
+
+    def test_product_reorders_its_factors(self, rng):
+        a, b, c = self._factors(rng, (2, 3, 2))
+        out = permute_parties(np.kron(np.kron(a, b), c), (2, 3, 2), (2, 0, 1))
+        assert np.array_equal(out, np.kron(np.kron(c, a), b))
+
+    def test_stack_reorders_each_row(self, rng):
+        rows = [self._factors(rng, (2, 3, 2)) for _ in range(4)]
+        stack = np.stack([np.kron(np.kron(a, b), c) for a, b, c in rows])
+        want = np.stack([np.kron(np.kron(c, a), b) for a, b, c in rows])
+        assert np.array_equal(permute_parties(stack, (2, 3, 2), (2, 0, 1)), want)
+
+    @pytest.mark.parametrize("dims,order", [((2, 3, 2), (2, 0, 1)), ((2, 2, 3, 2), (1, 3, 0, 2))])
+    def test_inverse_order_restores_the_input(self, rng, dims, order):
+        side = int(np.prod(dims))
+        stack = rng.normal(size=(3, side, side)) + 1j * rng.normal(size=(3, side, side))
+        there = permute_parties(stack, dims, order)
+        back = permute_parties(there, [dims[p] for p in order], np.argsort(order))
+        assert np.array_equal(back, stack)
+        assert np.array_equal(permute_parties(there[0], [dims[p] for p in order],
+                                              np.argsort(order)), stack[0])

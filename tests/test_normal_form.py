@@ -155,15 +155,21 @@ class TestFilterToFnf:
         rho = random_density((2, 2, 2), 8, 10)
         _assert_matches_oracle(rho, [(2,), (0,)])
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
+        from cmnlab import normal_form
+
+        monkeypatch.setattr(normal_form, "MAX_SWEEPS", 1)
         rho = random_density((2, 2, 2), 8, 8)
         with pytest.raises(FilteringError, match="residual"):
-            filter_to_fnf(rho, max_iters=1, tol=1e-15)
+            filter_to_fnf(rho, tol=1e-15)
 
-    def test_max_iters_text(self):
+    def test_max_iters_text(self, monkeypatch):
         # a geometric run cut short keeps the sweep-budget text
+        from cmnlab import normal_form
+
+        monkeypatch.setattr(normal_form, "MAX_SWEEPS", 3)
         with pytest.raises(FilteringError) as err:
-            filter_to_fnf(random_density((2, 2, 2), 8, 8), max_iters=3)
+            filter_to_fnf(random_density((2, 2, 2), 8, 8))
         assert str(err.value) == "filtering did not converge in 3 sweeps (last residual 1.239e-04)"
 
 
@@ -412,3 +418,25 @@ def test_w3_detect_sweeps_stop_at_the_first_checkpoint(monkeypatch):
     detect(w_state(3).to_density())
     assert len(counted) == 6
     assert sum(counted) <= 3 * normal_form.STALL_SWEEPS[0]
+
+
+def test_filter_cuts_match_filter_to_fnf_on_each_cut():
+    """filter_cuts stacks the cuts that share a shape; each result is, bit
+    for bit, what filter_to_fnf gives on that cut alone or the text it
+    raises there."""
+    from cmnlab.normal_form import filter_cuts
+    from cmnlab.zoo import w_state
+
+    states = [w_state(3).to_density(), random_density((2, 2, 3), 12, 40),
+              random_density((2, 3, 2), 3, 41), random_density((3, 2, 2), 12, 42)]
+    cuts = [(rho, part) for rho in states for part in iter_bipartitions(3)]
+    texts = 0
+    for (rho, part), got in zip(cuts, filter_cuts(cuts)):
+        try:
+            want = filter_to_fnf(rho, groups=[part.side_a, part.side_b])
+        except FilteringError as exc:
+            texts += 1
+            assert got == str(exc)
+        else:
+            assert got.dims == rho.dims and np.array_equal(got.data, want.data)
+    assert texts == 3  # the three cuts of W-3

@@ -1,0 +1,23 @@
+"""tools/same_answers.py prints one ``label sha256`` line per artifact, and
+the same lines on every run."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_answers.py"
+
+
+def test_small_corpus_is_stable():
+    runs = [subprocess.run([sys.executable, str(TOOL), "--small"], capture_output=True,
+                           text=True, timeout=120, check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    lines = runs[0].splitlines()
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    labels = [line.split()[0] for line in lines]
+    assert len(set(labels)) == len(labels)
+    kinds = [label.split("/")[0] for label in labels]
+    # 13 states under 5 option sets, JSON and CSV; 10 audits; 2 states x 3 solves
+    assert [kinds.count(k) for k in ("analyze", "audit", "discord")] == [130, 10, 6]
+    assert "analyze/w-3/default/json" in labels

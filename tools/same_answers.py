@@ -1,0 +1,135 @@
+"""Print one ``label sha256`` line per artifact of a fixed corpus, so that two
+versions of cmnlab give the same answers exactly when their outputs diff
+clean:
+
+    python3 tools/same_answers.py > new.txt
+    python3 tools/same_answers.py --src ../other/src > old.txt
+    diff old.txt new.txt
+
+The corpus: ``cmnlab analyze`` JSON (cut before its timing) and CSV under
+five option sets, on the zoo, GHZ-3..6, W-3..5 and seeded random states at
+full rank and rank 2; every acceptance soundness audit at seed 2026; and
+global and one-sided discord solves. ``--small`` runs a subset in a few
+seconds. Needs only the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import math
+import os
+import sys
+import tempfile
+
+ANALYZE_OPTIONS = {
+    "default": [],
+    "h2": ["--h", "2"],
+    "p1": ["--p", "1"],
+    "pinf-h3": ["--p", "inf", "--h", "3"],
+    "no-filter": ["--no-filter"],
+}
+RANDOM_DIMS = [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2), (2, 3), (3, 3)]
+# the (family, criteria, trials) of the acceptance soundness audits
+AUDITS = [
+    ("fully-separable-sfnf-222", ("cmn-full-inf", "cmn-full-p1", "dvh-full"), 10_000),
+    ("fully-separable-sfnf-223", ("cmn-full-inf", "cmn-full-p1", "dvh-full"), 2_000),
+    ("biseparable-filtered-222", ("cmn-bisep-inf", "cmn-bisep-p1"), 10_000),
+    ("biseparable-filtered-223", ("cmn-bisep-inf", "cmn-bisep-p1"), 2_000),
+]
+SEED = 2026
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def states(small):
+    """(label, state) pairs: the zoo, GHZ-n, W-n and seeded random states."""
+    from cmnlab import zoo
+
+    out = [(f"zoo:{name}", zoo.from_name(name)) for name in sorted(zoo.ZOO)]
+    out += [(f"ghz-{n}", zoo.ghz(n).to_density()) for n in ((3,) if small else (3, 4, 5, 6))]
+    out += [(f"w-{n}", zoo.w_state(n).to_density()) for n in ((3,) if small else (3, 4, 5))]
+    for i, dims in enumerate(RANDOM_DIMS[:1] if small else RANDOM_DIMS):
+        for rank in (math.prod(dims), 2):
+            label = f"random-{''.join(map(str, dims))}-rank{rank}"
+            out.append((label, zoo.random_density(dims, rank, SEED + i)))
+    return out
+
+
+def analyze_lines(small, tmp):
+    from cmnlab import cli
+
+    for label, rho in states(small):
+        path = label if label.startswith("zoo:") else os.path.join(tmp, "state.json")
+        if path != label:
+            with open(path, "w") as fh:
+                fh.write(cli.statefile_text(rho))
+        for name, options in ANALYZE_OPTIONS.items():
+            csv = os.path.join(tmp, "out.csv")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["analyze", path, "--csv", csv] + options)
+            text = out.getvalue()
+            cut = text.rfind('"timing_seconds"')
+            with open(csv) as fh:
+                yield f"analyze/{label}/{name}/json", f"{code} {text[:cut] if cut >= 0 else text}"
+                yield f"analyze/{label}/{name}/csv", fh.read()
+            os.remove(csv)
+
+
+def audit_lines(small):
+    from cmnlab import report
+    from cmnlab.audit import separability_audit
+
+    for family, criteria, trials in AUDITS:
+        for criterion in criteria:
+            rep = separability_audit(family, criterion, 50 if small else trials, SEED)
+            yield f"audit/{family}/{criterion}", report.dumps(dataclasses.asdict(rep))
+
+
+def discord_lines(small):
+    from cmnlab import report, zoo
+    from cmnlab.cmn import CmnParams
+    from cmnlab.discord import OptimizerCfg, bipartite_discord_cmn, global_discord_cmn
+    from cmnlab.tensor import Bipartition
+
+    opt = OptimizerCfg(restarts=4, seed=SEED)
+    cases = [("bell", zoo.bell(1).to_density()), ("classical-cc", zoo.from_name("classical-cc"))]
+    if not small:
+        cases += [("ghz-3", zoo.ghz(3).to_density()),
+                  ("random-22", zoo.random_density((2, 2), 4, SEED)),
+                  ("random-23", zoo.random_density((2, 3), 6, SEED))]
+    for label, rho in cases:
+        part = Bipartition.of((0,), len(rho.dims))
+        params = CmnParams(2, 1.0)
+        solves = [("global", global_discord_cmn(rho, part, params, opt))]
+        solves += [(f"side-{side}", bipartite_discord_cmn(rho, part, side, params, opt))
+                   for side in ("a", "b")]
+        for kind, res in solves:
+            doc = report.discord_result_to_dict(res, part.label())
+            yield f"discord/{label}/{part.label()}/{kind}", report.dumps(doc)
+
+
+def main(argv=None):
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--small", action="store_true", help="a subset that runs in seconds")
+    parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
+                        help="the source tree to import cmnlab from (default: this repo's)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    with tempfile.TemporaryDirectory() as tmp:
+        for lines in (analyze_lines(args.small, tmp), audit_lines(args.small),
+                      discord_lines(args.small)):
+            for label, text in lines:
+                print(label, sha(text), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
