@@ -268,10 +268,11 @@ def _cut_plan(dims, part, h, ps, kind):
 
 
 def _level_reports(states, cfg):
-    """The reports of every state of one level of the subset DAG, keyed like
-    ``states``. The cuts whose side-wise residual exceeds ``cfg.fnf_tol`` are
-    filtered side-wise by :func:`filter_cuts`, and the spectra that the
-    reports read come from one SVD per matrix shape."""
+    """The reports of every state of one level of the subset DAG, one tuple
+    per state, keyed like ``states``. The cuts whose side-wise residual
+    exceeds ``cfg.fnf_tol`` are filtered side-wise by :func:`filter_cuts`,
+    and the spectra that the reports read come from one SVD per matrix
+    shape."""
     tol, ps = cfg.fnf_tol, tuple(cfg.ps)
     parts = list(iter_bipartitions(len(next(iter(states)))))
     tensors = {m: build(rho) for m, rho in states.items()}
@@ -323,7 +324,7 @@ def _level_reports(states, cfg):
         for (node, i, _, bound, why), value in zip(entries, values):
             value = float(value)
             node[i] = BoundReport(node[i], name, value, bound, *compare(value, bound), True, why)
-    return reports
+    return {m: tuple(node) for m, node in reports.items()}
 
 
 def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionVerdict:
@@ -332,9 +333,13 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
 
     Reductions trace out one party at a time, so the subsets of parties form
     a DAG, which is analyzed one level (subset size) at a time, largest
-    first. Each subset is analyzed once, from the reduction of its first
-    parent in depth-first order (the subset plus its largest missing party),
-    and every path through the DAG shares that verdict."""
+    first. Each subset is reduced once, from its first parent in depth-first
+    order (the subset plus its largest missing party), and every path
+    through the DAG shares its verdict. The reports are a function of the
+    state's bytes, so the subsets of a level whose states are equal (all of
+    them on a permutation-symmetric state) are analyzed once and share one
+    reports tuple; each still gets its own verdict, which reads its own
+    reductions."""
     n = len(rho.dims)
     if n < 2:
         raise ValueError(f"detect needs at least two parties, got {n}")
@@ -347,7 +352,13 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
                                                [parent.index(p) for p in subset])
     verdicts = {}
     for level in reversed(levels):
-        for parties, reports in _level_reports(level, cfg).items():
+        keys = {parties: (state.dims, state.data.tobytes()) for parties, state in level.items()}
+        firsts = {}  # state content -> the first subset holding it
+        for parties, key in keys.items():
+            firsts.setdefault(key, parties)
+        reports_of = _level_reports({p: level[p] for p in firsts.values()}, cfg)
+        for parties, state in level.items():
+            reports = reports_of[firsts[keys[parties]]]
             reduced = tuple(
                 (keep, verdicts[tuple(parties[i] for i in keep)])
                 for keep in reversed(list(combinations(range(len(parties)), len(parties) - 1)))
@@ -358,6 +369,6 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
             not_full = bool(bi_entangled) or any(
                 r.violated and CRITERIA[r.criterion].kind == "full" for r in reports
             ) or any(sub.not_fully_separable or sub.bi_entangled_partitions for _, sub in reduced)
-            verdicts[parties] = DetectionVerdict(level[parties].dims, tuple(reports), reduced,
-                                                 not_full, bi_entangled)
+            verdicts[parties] = DetectionVerdict(state.dims, reports, reduced, not_full,
+                                                 bi_entangled)
     return verdicts[tuple(range(n))]

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid input, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -56,6 +57,15 @@ def statefile_text(rho: DensityMatrix) -> str:
     return f'{{\n  "dims": [{dims}\n  ],\n  "matrix": [{matrix}\n  ]\n}}'
 
 
+def _entry(i, e):
+    """Matrix entry ``i`` of a state file, the object {"re": x, "im": y}, as x + iy."""
+    try:
+        return complex(e["re"], e["im"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f'malformed state file: matrix entry {i} is not '
+                         f'{{"re": number, "im": number}}') from exc
+
+
 def statefile_to_state(doc) -> DensityMatrix:
     try:
         dims = tuple(int(d) for d in doc["dims"])
@@ -65,9 +75,7 @@ def statefile_to_state(doc) -> DensityMatrix:
             raise InputError(
                 f"matrix has {len(entries)} entries, expected {side * side}"
             )
-        flat = np.array(
-            [complex(e["re"], e["im"]) for e in entries], dtype=complex
-        )
+        flat = np.array([_entry(i, e) for i, e in enumerate(entries)], dtype=complex)
     except KeyError as exc:
         raise InputError(f"malformed state file: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
@@ -135,10 +143,17 @@ def _emit(args, doc):
 
 def _write(args, text):
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        _write_file(args.output, text + "\n")
     else:
         print(text)
+
+
+def _write_file(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_analyze(args):
@@ -165,8 +180,7 @@ def cmd_analyze(args):
         timing=time.perf_counter() - start,
     )
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.verdict_to_csv(verdict))
+        _write_file(args.csv, report.verdict_to_csv(verdict))
     _emit(args, doc)
     return EXIT_OK
 
@@ -244,7 +258,10 @@ def cmd_zoo(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each parse fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="cmnlab",
         description="Multipartite entanglement detection and global discord "

@@ -27,14 +27,17 @@ _SCALARS = {True: "true", False: "false", None: "null"}
 
 def dumps(obj) -> str:
     """Serialize dicts/lists/scalars to JSON, printing every float with 17
-    significant digits."""
+    significant digits. A list object that the document holds more than once
+    is written once per nesting depth, and its text reused."""
     out = []
-    _dump(obj, "", out)
+    _dump(obj, "", out, {})
     return "".join(out)
 
 
-def _dump(obj, pad, out):
-    """Append the JSON text of ``obj``, nested at ``pad``, to ``out``."""
+def _dump(obj, pad, out, lists):
+    """Append the JSON text of ``obj``, nested at ``pad``, to ``out``.
+    ``lists`` maps (id, pad) of each list already written to its text; the
+    document keeps every object alive, so no id is reused within one call."""
     kind = type(obj)
     if kind is str:
         out.append(_encode_str(obj))
@@ -51,19 +54,23 @@ def _dump(obj, pad, out):
         inner, sep = pad + "  ", "{\n"
         for k, v in obj.items():
             out.append(f"{sep}{inner}{_encode_str(str(k))}: ")
-            _dump(v, inner, out)
+            _dump(v, inner, out, lists)
             sep = ",\n"
         out.append(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        inner, sep = pad + "  ", "[\n"
-        for v in obj:
-            out.append(sep + inner)
-            _dump(v, inner, out)
-            sep = ",\n"
-        out.append(f"\n{pad}]")
+        key = (id(obj), pad)
+        if key not in lists:
+            inner, sep, text = pad + "  ", "[\n", []
+            for v in obj:
+                text.append(sep + inner)
+                _dump(v, inner, text, lists)
+                sep = ",\n"
+            text.append(f"\n{pad}]")
+            lists[key] = "".join(text)
+        out.append(lists[key])
     else:
         out.append(json.dumps(obj))
 
@@ -88,15 +95,24 @@ def bound_report_to_dict(r):
 def verdict_to_dict(v):
     """The verdict, with one flat ``reduced`` entry per distinct reduced state
     in first-visit order. An entry's ``parties`` are 0-based indices into
-    ``v``'s parties, and its partition labels are its own (A is parties[0])."""
+    ``v``'s parties, and its partition labels are its own (A is parties[0]).
+    The entries whose verdicts share one reports tuple share one list."""
+    lists = {}  # id of a reports tuple -> its list
+
+    def reports(verdict):
+        key = id(verdict.reports)
+        if key not in lists:
+            lists[key] = [bound_report_to_dict(r) for r in verdict.reports]
+        return lists[key]
+
     return {
         "dims": list(v.dims),
-        "reports": [bound_report_to_dict(r) for r in v.reports],
+        "reports": reports(v),
         "reduced": [
             {
                 "parties": list(parties),
                 "dims": list(sub.dims),
-                "reports": [bound_report_to_dict(r) for r in sub.reports],
+                "reports": reports(sub),
                 "not_fully_separable": sub.not_fully_separable,
                 "bi_entangled_partitions": list(sub.bi_entangled_partitions),
             }
@@ -151,10 +167,11 @@ def verdict_to_csv(v):
     the row set's parties as 0-based indices into ``v``'s parties,
     space-separated."""
     lines = ["partition,criterion,value,bound,violated,saturated,preconditions_met,parties"]
+    rows = {}  # id of a reports tuple -> its rows up to the parties column
     for parties, verdict in [(range(len(v.dims)), v)] + v.subsets():
-        party_list = " ".join(map(str, parties))
-        for r in verdict.reports:
-            lines.append(",".join([
+        key = id(verdict.reports)
+        if key not in rows:
+            rows[key] = [",".join([
                 r.partition_label(),
                 r.criterion,
                 _format_float(r.value).strip('"'),
@@ -162,6 +179,7 @@ def verdict_to_csv(v):
                 str(r.violated).lower(),
                 str(r.saturated).lower(),
                 str(r.preconditions_met).lower(),
-                party_list,
-            ]))
+            ]) for r in verdict.reports]
+        party_list = " ".join(map(str, parties))
+        lines.extend(f"{row},{party_list}" for row in rows[key])
     return "\n".join(lines) + "\n"

@@ -8,10 +8,11 @@ import pytest
 
 import cmnlab
 from cmnlab import report
-from cmnlab.bounds import CRITERIA
+from cmnlab.bounds import CRITERIA, detect
 from cmnlab.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
+    build_parser,
     load_state,
     main,
     state_to_statefile,
@@ -20,7 +21,7 @@ from cmnlab.cli import (
 )
 from cmnlab.zoo import ZOO, from_name, ghz, maximally_mixed, rho1
 
-from conftest import random_density
+from conftest import dumps_oracle, random_density
 
 
 def run(capsys, *argv):
@@ -133,6 +134,29 @@ class TestStateFiles:
         assert code == EXIT_INVALID_INPUT
         assert err == "error: malformed state file: missing key 'matrix'\n"
 
+    @pytest.mark.parametrize("entry", [0.0, "0", [0, 0], {"re": 0.0}, {"re": "0", "im": 0}])
+    def test_bad_entry_is_named(self, tmp_path, capsys, entry):
+        doc = state_to_statefile(maximally_mixed((2, 2)))
+        doc["matrix"][5] = entry
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == ('error: malformed state file: matrix entry 5 is not '
+                       '{"re": number, "im": number}\n')
+
+    def test_entries_as_numbers(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        doc = {"dims": [2, 2], "matrix": [0.25 * (i % 5 == 0) for i in range(16)]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, _, err = run(capsys, "analyze", "-")
+        assert code == EXIT_INVALID_INPUT
+        assert err == ('error: malformed state file: matrix entry 0 is not '
+                       '{"re": number, "im": number}\n')
+
     def test_rejects_bad_json(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
@@ -205,6 +229,37 @@ class TestAnalyze:
         for line in lines[1:3]:
             val = line.split(",")[2]
             assert float(val) == float(repr(float(val)))
+
+    @pytest.mark.parametrize("command,option", [
+        (["analyze", "zoo:rho1"], "--output"),
+        (["analyze", "zoo:rho1"], "--csv"),
+        (["zoo", "emit", "rho1"], "--output"),
+    ])
+    def test_unwritable_output(self, capsys, tmp_path, command, option):
+        path = tmp_path / "missing" / "out"
+        code, out, err = run(capsys, *command, option, str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "No such file or directory" in err
+
+    def test_one_parser_keeps_no_option(self, capsys, tmp_path):
+        """The parser is built once per process, and an option of one run
+        does not carry over to the next."""
+        path = tmp_path / "state.json"
+        path.write_text(statefile_text(random_density((2, 2, 2), 8, 31)))
+        reasons = []
+        for extra in (["--no-filter"], []):
+            code, out, _ = run(capsys, "analyze", str(path), *extra)
+            assert code == EXIT_OK
+            verdict = json.loads(out)["verdict"]
+            reasons.append({r["reason"] for e in [verdict] + verdict["reduced"]
+                            for r in e["reports"]})
+            assert build_parser() is build_parser()
+        filtered = {r for r in reasons[1] if r.startswith("after SLOCC filtering")}
+        assert filtered and not any(r.startswith("after SLOCC") for r in reasons[0])
+        assert verdict == json.loads(report.dumps(report.verdict_to_dict(
+            detect(load_state(str(path))[0]))))
 
     def test_schema2_flat_reduced(self, capsys):
         code, out, _ = run(capsys, "analyze", "zoo:rho1")
@@ -512,3 +567,11 @@ class TestDumps:
     def test_nested(self):
         doc = {"a": [1, 2.5], "b": {"c": True, "d": None}}
         assert json.loads(report.dumps(doc)) == {"a": [1, 2.5], "b": {"c": True, "d": None}}
+
+    def test_shared_list_at_two_depths(self):
+        """A list object held twice at one depth and once at another is
+        written with each place's own indentation."""
+        shared = [{"x": 0.1, "y": [True, None]}, "s"]
+        doc = {"a": shared, "b": shared, "c": {"d": [shared, []]}, "e": []}
+        assert report.dumps(doc) == dumps_oracle(doc)
+        assert json.loads(report.dumps(doc))["c"]["d"][0] == json.loads(report.dumps(shared))

@@ -220,27 +220,64 @@ def test_filter_failures_name_the_cut_sides():
     assert "reduction of party 0+2 is" in str(err.value)
 
 
+def counted(calls, key, fn):
+    """``fn``, appending the first argument of each call to ``calls[key]``."""
+    def wrapper(*args, **kwargs):
+        calls.setdefault(key, []).append(args[0])
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_ghz6_calls_scale_with_levels_times_shapes(monkeypatch):
-    """On GHZ-6 (qubits), a level of m parties has m - 1 cut shapes (|A|)
-    and 2(m - 1) matrix shapes (whole and interior matricizations), so the
-    call counts are bounded by sums over the levels, not by the 301 cuts."""
-    calls = {"filter": 0, "svd": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(normal_form, "filter_stack", counted("filter", normal_form.filter_stack))
+    """GHZ-6 is permutation symmetric, so each level of its subset DAG holds
+    one distinct state: detect builds 5 level tensors, not 57, and filters
+    56 rows, not 286. A level of m parties has m - 1 cut shapes (|A|) and
+    2(m - 1) matrix shapes (whole and interior matricizations), so the call
+    counts are bounded by sums over the levels, not by the 301 cuts."""
+    calls = {}
+    monkeypatch.setattr(normal_form, "filter_stack",
+                        counted(calls, "filter", normal_form.filter_stack))
+    monkeypatch.setattr(bounds, "build", counted(calls, "build", bounds.build))
+    monkeypatch.setattr(bounds, "_level_reports",
+                        counted(calls, "states", bounds._level_reports))
     # the package's name cmn is the function, not its module
     for module in (bounds, importlib.import_module("cmnlab.cmn")):
-        monkeypatch.setattr(module, "singular_values", counted("svd", module.singular_values))
+        monkeypatch.setattr(module, "singular_values",
+                            counted(calls, "svd", module.singular_values))
     v = detect(zoo.ghz(6).to_density())
     assert v.not_fully_separable
     levels = range(2, 7)
-    assert 0 < calls["filter"] <= sum(m - 1 for m in levels)
-    assert 0 < calls["svd"] <= sum(2 * (m - 1) for m in levels)
+    assert sum(map(len, calls["states"])) == len(calls["build"]) == len(levels)
+    assert 0 < sum(map(len, calls["filter"])) <= 56
+    assert 0 < len(calls["filter"]) <= sum(m - 1 for m in levels)
+    assert 0 < len(calls["svd"]) <= sum(2 * (m - 1) for m in levels)
+
+
+def test_random_state_analyzes_every_subset(monkeypatch):
+    """No two reductions of a random (2,2,2,2) state are equal, so all 11
+    states are analyzed: the whole state and its 10 reductions."""
+    calls = {}
+    monkeypatch.setattr(bounds, "_level_reports",
+                        counted(calls, "states", bounds._level_reports))
+    v = detect(random_density((2, 2, 2, 2), 16, 14))
+    assert sum(map(len, calls["states"])) == 11 == len(distinct_nodes(v))
+    assert len({id(node.reports) for node in distinct_nodes(v).values()}) == 11
+
+
+def test_ghz5_subsets_of_one_size_share_reports():
+    v = detect(zoo.ghz(5).to_density())
+    by_size = {}
+    for parties, sub in v.subsets():
+        by_size.setdefault(len(parties), []).append(sub)
+    assert sorted(len(subs) for subs in by_size.values()) == [5, 10, 10]
+    for subs in by_size.values():
+        assert all(sub.reports is subs[0].reports for sub in subs)
+        # each subset has its own verdict, which reads its own reductions
+        assert len({id(sub) for sub in subs}) == len(subs)
+    doc = report.verdict_to_dict(v)
+    for size, subs in by_size.items():
+        lists = [e["reports"] for e in doc["reduced"] if len(e["parties"]) == size]
+        assert all(entry is lists[0] for entry in lists)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -400,8 +400,8 @@ def test_stalled_row_leaves_the_stack_without_changing_the_others():
 
 def test_w3_detect_sweeps_stop_at_the_first_checkpoint(monkeypatch):
     """A count, not a timing, guards the W-3 speed-up: its three two-qubit
-    pair filterings stall at the first checkpoint, and its three-qubit
-    cuts are rank deficient at sweep 0."""
+    pair reductions are one state, filtered as one row that stalls at the
+    first checkpoint, and its three-qubit cuts are rank deficient at sweep 0."""
     from cmnlab import normal_form
     from cmnlab.bounds import detect
     from cmnlab.zoo import w_state
@@ -416,7 +416,7 @@ def test_w3_detect_sweeps_stop_at_the_first_checkpoint(monkeypatch):
 
     monkeypatch.setattr(normal_form, "filter_stack", counting)
     detect(w_state(3).to_density())
-    assert len(counted) == 6
+    assert len(counted) == 4
     assert sum(counted) <= 3 * normal_form.STALL_SWEEPS[0]
 
 
