@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from .basis import normalized_generalized_gell_mann
 from .cmn import CmnParams, spectrum_power
 from .linalg import DensityMatrix, apply_local, hermitize, singular_values
-from .tensor import Bipartition, CorrelationTensor, _matricize_array, build, matricize
+from .tensor import Bipartition, CorrelationTensor, build, matricize
 
 PROJECTOR_TOL = 1e-10
 # A search has converged when its two best restarts agree to within this.
@@ -57,21 +58,29 @@ def unitaries_from_angles(d, angles):
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != d * (d - 1):
         raise ValueError(f"dimension {d} needs {d * (d - 1)} angles")
-    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    planes, flat = _givens_layout(d)
     half = angles[:, 0::2] / 2
     cos, sin = np.cos(half), np.sin(half)
     phase = np.exp(1j * angles[:, 1::2])
     # entries (j, j), (k, k), (j, k), (k, j) of the rotation in each (j, k) plane
     entries = np.stack([cos, cos, -sin * phase.conj(), sin * phase], axis=-1)
-    flat = [[j * (d + 1), k * (d + 1), j * d + k, k * d + j] for j, k in pairs]
-    g = np.zeros((len(angles), len(pairs), d * d), dtype=complex)
+    g = np.zeros((len(angles), len(flat), d * d), dtype=complex)
     g[..., :: d + 1] = 1.0
-    g[:, np.arange(len(pairs))[:, None], flat] = entries
-    g = g.reshape(len(angles), len(pairs), d, d)
+    g[:, planes, flat] = entries
+    g = g.reshape(len(angles), len(flat), d, d)
     u = g[:, 0]
-    for rot in range(1, len(pairs)):
+    for rot in range(1, len(flat)):
         u = g[:, rot] @ u
     return u
+
+
+@lru_cache(maxsize=None)
+def _givens_layout(d):
+    """Plane index and flat positions of entries (j, j), (k, k), (j, k), (k, j)
+    of each (j, k) plane's rotation, planes in lexicographic order."""
+    flat = [[j * (d + 1), k * (d + 1), j * d + k, k * d + j]
+            for j in range(d) for k in range(j + 1, d)]
+    return np.arange(len(flat))[:, None], np.array(flat)
 
 
 def unitary_from_angles(d, angles):
@@ -83,15 +92,22 @@ def n_angles(dims):
     return sum(d * (d - 1) for d in dims)
 
 
+@lru_cache(maxsize=None)
+def _angle_groups(dims):
+    """(d, parties, cols) per distinct d in ``dims``: the parties of
+    dimension d and the columns of their angles in a row of n_angles(dims)."""
+    starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
+    groups = {d: tuple(p for p, dp in enumerate(dims) if dp == d) for d in dims}
+    return tuple((d, ps, np.array([c for p in ps for c in range(starts[p], starts[p + 1])]))
+                 for d, ps in groups.items())
+
+
 def _projector_groups(dims, angles):
     """Rank-1 projectors of the angle-parametrized bases of every party, with
     one Givens build per distinct dimension. ``angles`` has shape
     (k, n_angles(dims)); yields (d, parties, P) where P[z, q, a] is the a-th
     projector of party parties[q] for row z."""
-    starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
-    for d in dict.fromkeys(dims):
-        parties = [p for p, dp in enumerate(dims) if dp == d]
-        cols = [c for p in parties for c in range(starts[p], starts[p + 1])]
+    for d, parties, cols in _angle_groups(dims):
         u = unitaries_from_angles(d, angles[:, cols].reshape(-1, d * (d - 1)))
         yield d, parties, _rank1_projectors(u).reshape(len(angles), len(parties), d, d, d)
 
@@ -102,15 +118,20 @@ def _rank1_projectors(u):
     return cols[..., :, None] * cols.conj()[..., None, :]
 
 
-def _projector_coordinates(ops, projectors):
-    """V[..., i, a] = tr(B_i P_a): the d² × d matrix of one party's projector
-    coordinates in its operator basis ``ops``. For rank-1 orthogonal
-    projectors the columns are orthonormal, and V Vᵀ is the dephasing
-    channel acting on that party's correlation coordinates."""
-    d = projectors.shape[-1]
+@lru_cache(maxsize=None)
+def _conjugated_basis(d):
     # tr(B P) = Σ P[m, n] B[n, m], and B[n, m] = conj(B[m, n]) for Hermitian B
-    flat = projectors.reshape(projectors.shape[:-2] + (d * d,))
-    return np.swapaxes(flat @ ops.reshape(d * d, d * d).conj().T, -1, -2).real
+    return normalized_generalized_gell_mann(d).reshape(d * d, d * d).conj().T
+
+
+def _projector_coordinates(projectors):
+    """V[..., i, a] = tr(B_i P_a): the d² × d matrix of one party's projector
+    coordinates in its Gell-Mann basis. For rank-1 orthogonal projectors the
+    columns are orthonormal, and V Vᵀ is the dephasing channel acting on
+    that party's correlation coordinates."""
+    d = projectors.shape[-1]
+    coords = projectors.reshape(-1, d * d) @ _conjugated_basis(d)
+    return np.swapaxes(coords.reshape(projectors.shape[:-2] + (d * d,)), -1, -2).real
 
 
 def measurement_from_angles(dims, angles) -> MeasurementFamily:
@@ -198,55 +219,55 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg, restart_evals=None)
     go on to the next coordinate; halve the step after a sweep without
     improvement and stop once it falls below min_step.
 
-    Every trial from coordinate c to the end of a sweep starts from the same
-    point, so one tick scores them all as slots 2c .. 2n-1 (+step, then
-    -step, per coordinate), for every unfinished restart in one call of
-    ``objective``, which maps a (k, n_params) array of points to k values.
-    The first slot that beats the restart's best is the move the one-trial
-    search makes; if none does, the sweep ends.
+    One tick scores the 2n slots around every unfinished restart's point
+    (+step, then -step, per coordinate) in one call of ``objective``, which
+    maps a (k, n_params) array of points to k values. Every trial from
+    coordinate c to the end of the sweep starts from that point, so the
+    first slot from 2c on that beats the restart's best is the move the
+    one-trial search makes. If there is none but the restart moved earlier
+    in the sweep, the next sweep starts from the same point with the same
+    step, so its move is the first improving slot before 2c; with none
+    there either, the step halves.
 
     Returns the final value and point of each restart and the number of
-    trials consumed: the first improving slot + 1 - 2c per tick, or the
-    rest of the sweep, plus one starting evaluation per restart. Each
+    trials consumed: one starting evaluation per restart, then per tick the
+    trials up to the move (from 2c on, then into the re-sweep), or the rest
+    of the sweep and, after a move earlier in it, the whole re-sweep. Each
     restart's count goes into ``restart_evals`` when one is given.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.restarts
     x = np.zeros((n, n_params))
     x[1:] = rng.uniform(0, 2 * math.pi, size=(n - 1, n_params))
-    best = np.array(objective(x), dtype=float)  # updated in place below
+    best = np.array(objective(x), dtype=float)
     evals = np.ones(n, dtype=int)
     final_best, final_x = best.copy(), x.copy()
     slots = np.arange(2 * n_params)
-    slot_coord, slot_minus = slots // 2, slots % 2 == 1
+    slot_coord, slot_sign = slots // 2, np.where(slots % 2, -1.0, 1.0)
+    offsets = slot_sign[:, None] * np.eye(n_params)[slot_coord]  # (2n, n_params)
+    # place[c, s]: slot s's index in the trials of a sweep from coordinate c,
+    # run on into the re-sweep from the same point
+    place = (slots - 2 * slots[:n_params, None]) % slots.size
     # state of the unfinished restarts, compacted whenever some finish
     ids = np.arange(n)
     step = np.full(n, cfg.init_step)
     coord = np.zeros(n, dtype=int)
     improved = np.zeros(n, dtype=bool)
     while ids.size:
-        rows, cols = np.nonzero(slots >= 2 * coord[:, None])
-        delta = np.where(slot_minus, -step[:, None], step[:, None])
-        trial = x[rows]
-        trial[np.arange(rows.size), slot_coord[cols]] += delta[rows, cols]
-        # slots before a restart's coordinate are not scored and never improve
-        score = np.full((ids.size, slots.size), -np.inf)
-        score[rows, cols] = objective(trial)
-        up = score > best[:, None]
-        hit = up.any(axis=1)
-        first = np.where(hit, up.argmax(axis=1), slots.size - 1)
-        evals[ids] += first + 1 - 2 * coord
-        moved = np.nonzero(hit)[0]
-        x[moved, slot_coord[first[moved]]] += delta[moved, first[moved]]
-        best[moved] = score[moved, first[moved]]
-        improved |= hit
-        coord = np.where(hit, slot_coord[first] + 1, n_params)
-        swept = coord == n_params
-        if not swept.any():
-            continue
-        coord[swept] = 0
-        step = np.where(swept & ~improved, step / 2, step)
-        improved &= ~swept
+        trial = x[:, None] + step[:, None, None] * offsets
+        score = objective(trial.reshape(-1, n_params)).reshape(ids.size, slots.size)
+        tried = np.where(score > best[:, None], place[coord], slots.size).min(axis=1)
+        rest = slots.size - 2 * coord
+        move = tried < np.where(improved, slots.size, rest)
+        evals[ids] += np.where(move, tried + 1, rest + slots.size * improved)
+        first = (tried + 2 * coord) % slots.size
+        pick = np.arange(ids.size), first
+        x = np.where(move[:, None], trial[pick], x)
+        best = np.where(move, score[pick], best)
+        # a move on the last coordinate ends the sweep; the next keeps the step
+        coord = np.where(move, slot_coord[first] + 1, 0) % n_params
+        improved = move & (coord > 0)
+        step = np.where(move, step, step / 2)
         done = step < cfg.min_step
         if done.any():
             final_best[ids[done]], final_x[ids[done]] = best[done], x[done]
@@ -277,22 +298,27 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
     Dephasing party p maps its axis of T through V_p V_pᵀ. V_p has
     orthonormal columns, so contracting with V_p alone keeps the nonzero
     spectrum; zeros pad it back to the undisturbed length, so every h that
-    the undisturbed matricization allows still works.
+    the undisturbed matricization allows still works. What does not depend
+    on the angles is set up here, once.
     """
     measured_dims = tuple(t.dims[p] for p in measured)
-    ops = {d: normalized_generalized_gell_mann(d) for d in measured_dims}
-    sublists = {p: _contraction(t.n_parties, p) for p in measured}
-    width = min(matricize(t, part).shape)
+    sublists = [_contraction(t.n_parties, p) for p in measured]
+    # the dephased tensor's matricization (as in tensor.matricize, behind
+    # the batch axis) and the zeros that pad its spectrum
+    shape = [d if p in measured else d * d for p, d in enumerate(t.dims)]
+    axes = [0] + [1 + p for p in part.side_a[::-1] + part.side_b[::-1]]
+    rows = math.prod(shape[p] for p in part.side_a)
+    pad = min(matricize(t, part).shape) - min(rows, math.prod(shape) // rows)
 
     def spectra(angles):
         c = t.data[None]  # a batch of one broadcasts against the k trials
-        for d, group, projectors in _projector_groups(measured_dims, angles):
-            v = _projector_coordinates(ops[d], projectors)
+        for _, group, projectors in _projector_groups(measured_dims, angles):
+            v = _projector_coordinates(projectors)
             for q, k in enumerate(group):
-                t_axes, v_axes, out = sublists[measured[k]]
+                t_axes, v_axes, out = sublists[k]
                 c = np.einsum(c, t_axes, v[:, q], v_axes, out)
-        sigma = singular_values(_matricize_array(c, t.dims, part))
-        return np.concatenate([sigma, np.zeros((len(sigma), width - sigma.shape[1]))], axis=1)
+        sigma = singular_values(c.transpose(axes).reshape(len(c), rows, -1))
+        return np.concatenate([sigma, np.zeros((len(sigma), pad))], axis=1) if pad else sigma
 
     return spectra
 
@@ -351,6 +377,5 @@ def global_discord_cmn(rho: DensityMatrix, part: Bipartition,
 def correlation_space_map(family: MeasurementFamily, party: int):
     """Matrix of the measurement channel acting on one party's correlation
     coordinates; its largest singular value is 1 for projective families."""
-    v = _projector_coordinates(normalized_generalized_gell_mann(family.dims[party]),
-                               family.projectors[party])
+    v = _projector_coordinates(family.projectors[party])
     return v @ v.T
