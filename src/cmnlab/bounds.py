@@ -333,29 +333,33 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
 
     Reductions trace out one party at a time, so the subsets of parties form
     a DAG, which is analyzed one level (subset size) at a time, largest
-    first. Each subset is reduced once, from its first parent in depth-first
-    order (the subset plus its largest missing party), and every path
-    through the DAG shares its verdict. The reports are a function of the
-    state's bytes, so the subsets of a level whose states are equal (all of
-    them on a permutation-symmetric state) are analyzed once and share one
-    reports tuple; each still gets its own verdict, which reads its own
-    reductions."""
+    first. Each subset is reduced from its first parent in depth-first order
+    (the subset plus its largest missing party), once per distinct parent
+    state and kept positions, and every path through the DAG shares its
+    verdict. The reports are a function of the state's bytes, so the subsets
+    of a level whose states are equal (all of them on a permutation-symmetric
+    state) are analyzed once and share one reports tuple; each still gets its
+    own verdict, which reads its own reductions."""
     n = len(rho.dims)
     if n < 2:
         raise ValueError(f"detect needs at least two parties, got {n}")
     levels = [{tuple(range(n)): rho}]
+    keys = {tuple(range(n)): (rho.dims, rho.data.tobytes())}  # each subset's state content
     for size in range(n - 1, 1 if cfg.recursive else n, -1):
         levels.append({})
+        traced = {}  # (parent's content, kept positions) -> (reduced state, its content)
         for subset in combinations(range(n), size):
             parent = tuple(sorted(subset + (max(set(range(n)) - set(subset)),)))
-            levels[-1][subset] = partial_trace(levels[-2][parent],
-                                               [parent.index(p) for p in subset])
+            keep = tuple(parent.index(p) for p in subset)
+            if (keys[parent], keep) not in traced:
+                state = partial_trace(levels[-2][parent], keep)
+                traced[keys[parent], keep] = state, (state.dims, state.data.tobytes())
+            levels[-1][subset], keys[subset] = traced[keys[parent], keep]
     verdicts = {}
     for level in reversed(levels):
-        keys = {parties: (state.dims, state.data.tobytes()) for parties, state in level.items()}
         firsts = {}  # state content -> the first subset holding it
-        for parties, key in keys.items():
-            firsts.setdefault(key, parties)
+        for parties in level:
+            firsts.setdefault(keys[parties], parties)
         reports_of = _level_reports({p: level[p] for p in firsts.values()}, cfg)
         for parties, state in level.items():
             reports = reports_of[firsts[keys[parties]]]

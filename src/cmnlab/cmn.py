@@ -94,4 +94,5 @@ def spectrum_power(sigma, params: CmnParams) -> np.ndarray:
         raise ValueError(f"h={params.h} exceeds the {sigma.shape[1]}-value singular spectrum")
     if math.isinf(params.p):
         return np.prod(sigma[:, : params.h], axis=1)
-    return _symmetric_sweep(sigma**params.p, params.h)
+    # numpy's power rounds a strided view (this one reversed) differently
+    return _symmetric_sweep(np.ascontiguousarray(sigma) ** params.p, params.h)

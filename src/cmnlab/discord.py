@@ -19,6 +19,8 @@ from .tensor import Bipartition, CorrelationTensor, build, matricize
 PROJECTOR_TOL = 1e-10
 # A search has converged when its two best restarts agree to within this.
 CONVERGED_TOL = 1e-6
+# A trial improves on a restart's best only by more than this times |best|.
+GAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,7 @@ def unitaries_from_angles(d, angles):
 
 @lru_cache(maxsize=None)
 def _givens_layout(d):
-    """Plane index and flat positions of entries (j, j), (k, k), (j, k), (k, j)
-    of each (j, k) plane's rotation, planes in lexicographic order."""
+    """Plane index and flat positions of entries (j, j), (k, k), (j, k), (k, j)."""
     flat = [[j * (d + 1), k * (d + 1), j * d + k, k * d + j]
             for j in range(d) for k in range(j + 1, d)]
     return np.arange(len(flat))[:, None], np.array(flat)
@@ -94,8 +95,7 @@ def n_angles(dims):
 
 @lru_cache(maxsize=None)
 def _angle_groups(dims):
-    """(d, parties, cols) per distinct d in ``dims``: the parties of
-    dimension d and the columns of their angles in a row of n_angles(dims)."""
+    """(d, parties, their angle columns) per distinct dimension d of ``dims``."""
     starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
     groups = {d: tuple(p for p, dp in enumerate(dims) if dp == d) for d in dims}
     return tuple((d, ps, np.array([c for p in ps for c in range(starts[p], starts[p + 1])]))
@@ -184,6 +184,8 @@ class OptimizerCfg:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not math.isfinite(self.init_step):
+            raise ValueError(f"init_step must be finite, got {self.init_step}")
         if not 0 < self.min_step <= self.init_step:
             raise ValueError(
                 f"need 0 < min_step <= init_step, got min_step={self.min_step} "
@@ -194,8 +196,8 @@ class OptimizerCfg:
 @dataclass(frozen=True)
 class DiscordResult:
     """``evaluations`` counts the trials a one-point-at-a-time search would
-    make, not the points scored: the search scores each restart's rest of
-    the sweep at once and discards the trials after its first improvement.
+    make, not the points scored: the search scores each restart's whole
+    neighbourhood at once and discards the trials after its first improvement.
     ``restart_evaluations`` and ``restart_values`` give, per restart in
     restart order, that trial count (they sum to ``evaluations``) and the
     final objective, the dephased CMN power the search maximizes."""
@@ -210,30 +212,25 @@ class DiscordResult:
     restart_values: tuple
 
 
-def _lockstep_search(objective, n_params, cfg: OptimizerCfg, restart_evals=None):
+def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
     """Maximize by cyclic coordinate moves with a shrinking step, from
     ``cfg.restarts`` starting points at once.
 
     Each restart makes the moves of a search on its own: try +step, then
-    -step, on each coordinate in turn, keep the first strict improvement and
-    go on to the next coordinate; halve the step after a sweep without
-    improvement and stop once it falls below min_step.
+    -step, on each coordinate in turn, keep the first improvement (a gain
+    above GAIN_TOL·|best|) and go on to the next coordinate; halve the step
+    after a sweep without improvement and stop once it falls below min_step.
 
-    One tick scores the 2n slots around every unfinished restart's point
-    (+step, then -step, per coordinate) in one call of ``objective``, which
-    maps a (k, n_params) array of points to k values. Every trial from
-    coordinate c to the end of the sweep starts from that point, so the
-    first slot from 2c on that beats the restart's best is the move the
-    one-trial search makes. If there is none but the restart moved earlier
-    in the sweep, the next sweep starts from the same point with the same
-    step, so its move is the first improving slot before 2c; with none
-    there either, the step halves.
+    One tick scores the 2n slots around every unfinished restart (+step,
+    then -step, per coordinate) in one call of ``objective``, which maps a
+    (k, n_params) array of points to k values. The trials from coordinate c
+    to the end of the sweep, and those of a re-sweep at the same step after
+    a move earlier in it, all start from that point: the move is the first
+    improving slot from 2c on, else (after such a move) the first before 2c.
 
     Returns the final value and point of each restart and the number of
-    trials consumed: one starting evaluation per restart, then per tick the
-    trials up to the move (from 2c on, then into the re-sweep), or the rest
-    of the sweep and, after a move earlier in it, the whole re-sweep. Each
-    restart's count goes into ``restart_evals`` when one is given.
+    trials the one-trial search consumes there, one starting evaluation
+    included.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.restarts
@@ -256,7 +253,8 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg, restart_evals=None)
     while ids.size:
         trial = x[:, None] + step[:, None, None] * offsets
         score = objective(trial.reshape(-1, n_params)).reshape(ids.size, slots.size)
-        tried = np.where(score > best[:, None], place[coord], slots.size).min(axis=1)
+        gain = score - best[:, None] > GAIN_TOL * np.abs(best[:, None])
+        tried = np.where(gain, place[coord], slots.size).min(axis=1)
         rest = slots.size - 2 * coord
         move = tried < np.where(improved, slots.size, rest)
         evals[ids] += np.where(move, tried + 1, rest + slots.size * improved)
@@ -274,20 +272,15 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg, restart_evals=None)
             keep = ~done
             ids, x, best, step = ids[keep], x[keep], best[keep], step[keep]
             coord, improved = coord[keep], improved[keep]
-    if restart_evals is not None:
-        restart_evals[:] = evals
-    return final_best, final_x, int(evals.sum())
+    return final_best, final_x, evals
 
 
-def _contraction(n_parties, party):
+def _contraction(n, party):
     """einsum sublists (tensor, V, result) contracting one party's axis of a
     batched correlation tensor with a stack of projector-coordinate matrices
-    V. Labels 0..n-1 are the party axes, n the measured outcome and n + 1
-    the batch."""
-    axes = list(range(n_parties))
-    batch, outcome = [n_parties + 1], [n_parties]
-    result = batch + [outcome[0] if a == party else a for a in axes]
-    return batch + axes, batch + [party] + outcome, result
+    V. Labels 0..n-1 are the party axes, n the measured outcome, n + 1 the batch."""
+    axes = [n + 1] + list(range(n))
+    return axes, [n + 1, party, n], [n if a == party else a for a in axes]
 
 
 def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
@@ -298,13 +291,12 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
     Dephasing party p maps its axis of T through V_p V_pᵀ. V_p has
     orthonormal columns, so contracting with V_p alone keeps the nonzero
     spectrum; zeros pad it back to the undisturbed length, so every h that
-    the undisturbed matricization allows still works. What does not depend
-    on the angles is set up here, once.
+    the undisturbed matricization allows still works. All that does not
+    depend on the angles is set up once, here.
     """
     measured_dims = tuple(t.dims[p] for p in measured)
     sublists = [_contraction(t.n_parties, p) for p in measured]
-    # the dephased tensor's matricization (as in tensor.matricize, behind
-    # the batch axis) and the zeros that pad its spectrum
+    # matricize as tensor.matricize does, behind the batch axis, and pad
     shape = [d if p in measured else d * d for p, d in enumerate(t.dims)]
     axes = [0] + [1 + p for p in part.side_a[::-1] + part.side_b[::-1]]
     rows = math.prod(shape[p] for p in part.side_a)
@@ -318,7 +310,7 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
                 t_axes, v_axes, out = sublists[k]
                 c = np.einsum(c, t_axes, v[:, q], v_axes, out)
         sigma = singular_values(c.transpose(axes).reshape(len(c), rows, -1))
-        return np.concatenate([sigma, np.zeros((len(sigma), pad))], axis=1) if pad else sigma
+        return np.concatenate([sigma, np.zeros((len(sigma), pad))], axis=1)
 
     return spectra
 
@@ -328,15 +320,12 @@ def _discord(rho, part, params, opt, measured_parties):
     base = spectrum_power(singular_values(matricize(t, part)), params)[0]
     dims = rho.dims
     measured = sorted(set(int(p) for p in measured_parties))
-    measured_dims = tuple(dims[p] for p in measured)
     spectra = _dephased_spectra(t, part, measured)
 
     def objective(angles):
         return spectrum_power(spectra(angles), params)
 
-    restart_evals = np.zeros(opt.restarts, dtype=int)
-    values, points, evals = _lockstep_search(objective, n_angles(measured_dims), opt,
-                                             restart_evals)
+    values, points, evals = _lockstep_search(objective, n_angles(dims[p] for p in measured), opt)
     order = np.argsort(-values, kind="stable")  # ties go to the earlier restart
     top = order[0]
     converged = len(values) > 1 and values[top] - values[order[1]] <= CONVERGED_TOL
@@ -348,11 +337,11 @@ def _discord(rho, part, params, opt, measured_parties):
     return DiscordResult(
         value=float(base - values[top]),
         best_measurement=measurement_from_angles(dims, angles),
-        evaluations=int(evals),
+        evaluations=int(evals.sum()),
         converged=bool(converged),
         best_angles=tuple(float(a) for a in points[top]),
         restart_spread=float(values[top] - values.min()),
-        restart_evaluations=tuple(int(e) for e in restart_evals),
+        restart_evaluations=tuple(int(e) for e in evals),
         restart_values=tuple(float(v) for v in values),
     )
 

@@ -253,6 +253,23 @@ def test_ghz6_calls_scale_with_levels_times_shapes(monkeypatch):
     assert 0 < len(calls["svd"]) <= sum(2 * (m - 1) for m in levels)
 
 
+@pytest.mark.parametrize("rho,traces", [
+    (zoo.ghz(6).to_density(), 6 + 5 + 4 + 3),
+    (zoo.ghz(5).to_density(), 5 + 4 + 3),
+    (random_density((2, 2, 2, 2), 16, 14), 4 + 6),
+])
+def test_each_distinct_reduction_is_traced_once(monkeypatch, rho, traces):
+    """A subset is traced from its first parent with the largest missing
+    party dropped. On GHZ-n every parent of a level of m parties holds the
+    same state, so the level needs one trace per position that party can
+    take in the parent (m + 1), not one per subset (56 on GHZ-6). A random
+    state's reductions are all distinct."""
+    calls = {}
+    monkeypatch.setattr(bounds, "partial_trace", counted(calls, "trace", bounds.partial_trace))
+    detect(rho)
+    assert len(calls["trace"]) == traces
+
+
 def test_random_state_analyzes_every_subset(monkeypatch):
     """No two reductions of a random (2,2,2,2) state are equal, so all 11
     states are analyzed: the whole state and its 10 reductions."""
