@@ -41,6 +41,7 @@ from .tensor import (
     build,
     iter_bipartitions,
     matricize,
+    matricize_interior,
 )
 
 __version__ = "0.1.0"

@@ -185,7 +185,7 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
         seeds = np.arange(seed + start, seed + min(start + CHUNK, trials))
         states, drawn, redrawn = sampler(seeds)
         rejected += redrawn
-        values = entry.values(build_stack(states, dims), dims, part, h)
+        values = entry.values(build_stack(states, dims), part, h)
         margins = (values - bound) / max(abs(bound), 1e-300)
         violations += int(np.count_nonzero(margins > EPS_CMP))
         i = int(np.argmax(margins))

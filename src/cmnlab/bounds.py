@@ -13,7 +13,7 @@ import numpy as np
 
 from .cmn import CmnParams, elementary_symmetric, minor_norm
 from .linalg import DensityMatrix, partial_trace, singular_values
-from .normal_form import filter_cuts, fnf_residual, sfnf_residual
+from .normal_form import DEFAULT_TOL, filter_cuts, fnf_residual, sfnf_residual
 from .tensor import Bipartition, _matricize_array, build, iter_bipartitions
 
 EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
@@ -153,18 +153,18 @@ class Criterion:
     def value(self, tensor, part, h):
         """M_{h,p} of the cut's matricization, or the dVH trace norm of its
         interior; the one-row case of :meth:`values`."""
-        return float(self.values(tensor.data[None], tensor.dims, part, h)[0])
+        return float(self.values(tensor.data[None], part, h)[0])
 
-    def values(self, tensors, dims, part, h):
-        """:meth:`value` of each correlation tensor over ``dims`` in the
-        stack ``tensors`` (shape (k, d₁², …)), from one batched SVD."""
-        return self.from_spectra(singular_values(self.matrices(tensors, dims, part)), h)
+    def values(self, tensors, part, h):
+        """:meth:`value` of each correlation tensor in the stack ``tensors``
+        (shape (k, d₁², …)), from one batched SVD."""
+        return self.from_spectra(singular_values(self.matrices(tensors, part)), h)
 
-    def matrices(self, tensors, dims, part):
+    def matrices(self, tensors, part):
         """Each tensor's matricization across the cut (its interior's for dVH)."""
         if self.p is None:
             tensors = tensors[(slice(None),) + (slice(1, None),) * part.n_parties]
-        return _matricize_array(tensors, dims, part)
+        return _matricize_array(tensors, part)
 
     def from_spectra(self, sigma, h):
         """The values of the :meth:`matrices` whose spectra are the rows of ``sigma``."""
@@ -218,7 +218,7 @@ class DetectConfig:
     ps: tuple = (math.inf, 1.0)
     filter: bool = True
     recursive: bool = True
-    fnf_tol: float = 1e-9
+    fnf_tol: float = DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -267,16 +267,15 @@ def _cut_plan(dims, part, h, ps, kind):
     return plan
 
 
-def _level_reports(states, cfg):
-    """The reports of every state of one level of the subset DAG, one tuple
-    per state, keyed like ``states``. The cuts whose side-wise residual
-    exceeds ``cfg.fnf_tol`` are filtered side-wise by :func:`filter_cuts`,
-    and the spectra that the reports read come from one SVD per matrix
-    shape."""
+def _state_reports(states, cfg):
+    """The reports of each state of ``states``, one tuple per state, keyed
+    like ``states``. The cuts whose side-wise residual exceeds
+    ``cfg.fnf_tol`` are filtered side-wise by :func:`filter_cuts`, and the
+    spectra that the reports read come from one SVD per matrix shape."""
     tol, ps = cfg.fnf_tol, tuple(cfg.ps)
-    parts = list(iter_bipartitions(len(next(iter(states)))))
+    parts = {m: list(iter_bipartitions(len(rho.dims))) for m, rho in states.items()}
     tensors = {m: build(rho) for m, rho in states.items()}
-    residual = {(m, part): fnf_residual(t, part) for m, t in tensors.items() for part in parts}
+    residual = {(m, part): fnf_residual(t, part) for m, t in tensors.items() for part in parts[m]}
     # only an M_{h,p} entry reads the filtered tensor
     wanted = cfg.filter and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)
     cuts = [cut for cut, r in residual.items() if wanted and r > tol]
@@ -288,12 +287,12 @@ def _level_reports(states, cfg):
             filtered[cut] = build(out)
     residual.update((cut, fnf_residual(t, cut[1])) for cut, t in filtered.items())
 
-    matrices, pending, reports = {}, {}, {}  # (parties, part, "interior" or note) -> matrix
+    matrices, pending, reports = {}, {}, {}  # (state, part, "interior" or note) -> matrix
     for m, rho in states.items():
         sfnf_res = sfnf_residual(tensors[m])
         sfnf_gate = "" if sfnf_res <= tol else f"not in SFNF (residual {sfnf_res:.3e})"
         node = reports[m] = []
-        for kind, part in [("bisep", part) for part in parts] + [("full", part) for part in parts]:
+        for kind, part in [(kind, part) for kind in ("bisep", "full") for part in parts[m]]:
             t, gate, note = tensors[m], sfnf_gate, ""
             if kind == "bisep":
                 r = residual[m, part]
@@ -308,7 +307,7 @@ def _level_reports(states, cfg):
                 criterion = CRITERIA[name]
                 key = (m, part, "interior" if criterion.p is None else note)
                 if key not in matrices:
-                    matrices[key] = criterion.matrices(t.data[None], rho.dims, part)[0]
+                    matrices[key] = criterion.matrices(t.data[None], part)[0]
                 pending.setdefault((name, h, matrices[key].shape), []).append(
                     (node, len(node), key, bound, (note if gated else "") + why))
                 node.append(part)  # until its value is known
@@ -332,47 +331,46 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
     reductions down to bipartite states.
 
     Reductions trace out one party at a time, so the subsets of parties form
-    a DAG, which is analyzed one level (subset size) at a time, largest
-    first. Each subset is reduced from its first parent in depth-first order
+    a DAG. Each subset is reduced from its first parent in depth-first order
     (the subset plus its largest missing party), once per distinct parent
-    state and kept positions, and every path through the DAG shares its
-    verdict. The reports are a function of the state's bytes, so the subsets
-    of a level whose states are equal (all of them on a permutation-symmetric
-    state) are analyzed once and share one reports tuple; each still gets its
-    own verdict, which reads its own reductions."""
+    state and kept positions. The reports are a function of the state's
+    bytes, so the DAG's distinct states (one per subset size on a
+    permutation-symmetric state) are analyzed together, in one pass, and
+    the subsets holding equal states share one reports tuple. The verdicts
+    are then assembled smallest subset first: each subset gets its own,
+    which reads its own reductions, and every path through the DAG shares
+    it."""
     n = len(rho.dims)
     if n < 2:
         raise ValueError(f"detect needs at least two parties, got {n}")
-    levels = [{tuple(range(n)): rho}]
-    keys = {tuple(range(n)): (rho.dims, rho.data.tobytes())}  # each subset's state content
+    whole = tuple(range(n))
+    content = {whole: (rho.dims, rho.data.tobytes())}  # each subset's state content
+    states = {content[whole]: rho}  # the distinct states, by content
+    traced = {}  # (parent's content, kept positions) -> the reduced state's content
     for size in range(n - 1, 1 if cfg.recursive else n, -1):
-        levels.append({})
-        traced = {}  # (parent's content, kept positions) -> (reduced state, its content)
         for subset in combinations(range(n), size):
-            parent = tuple(sorted(subset + (max(set(range(n)) - set(subset)),)))
+            parent = tuple(sorted(subset + (max(set(whole) - set(subset)),)))
             keep = tuple(parent.index(p) for p in subset)
-            if (keys[parent], keep) not in traced:
-                state = partial_trace(levels[-2][parent], keep)
-                traced[keys[parent], keep] = state, (state.dims, state.data.tobytes())
-            levels[-1][subset], keys[subset] = traced[keys[parent], keep]
+            edge = content[parent], keep
+            if edge not in traced:
+                state = partial_trace(states[content[parent]], keep)
+                traced[edge] = state.dims, state.data.tobytes()
+                states.setdefault(traced[edge], state)
+            content[subset] = traced[edge]
+    reports_of = _state_reports(states, cfg)
     verdicts = {}
-    for level in reversed(levels):
-        firsts = {}  # state content -> the first subset holding it
-        for parties in level:
-            firsts.setdefault(keys[parties], parties)
-        reports_of = _level_reports({p: level[p] for p in firsts.values()}, cfg)
-        for parties, state in level.items():
-            reports = reports_of[firsts[keys[parties]]]
-            reduced = tuple(
-                (keep, verdicts[tuple(parties[i] for i in keep)])
-                for keep in reversed(list(combinations(range(len(parties)), len(parties) - 1)))
-            ) if level is not levels[-1] else ()
-            bi_entangled = tuple(sorted({r.partition_label() for r in reports if r.violated
-                                         and CRITERIA[r.criterion].kind == "bisep"}))
-            # entanglement anywhere in a reduction rules out full separability too
-            not_full = bool(bi_entangled) or any(
-                r.violated and CRITERIA[r.criterion].kind == "full" for r in reports
-            ) or any(sub.not_fully_separable or sub.bi_entangled_partitions for _, sub in reduced)
-            verdicts[parties] = DetectionVerdict(state.dims, reports, reduced, not_full,
-                                                 bi_entangled)
-    return verdicts[tuple(range(n))]
+    for parties in sorted(content, key=len):
+        reports = reports_of[content[parties]]
+        reduced = tuple(
+            (keep, verdicts[tuple(parties[i] for i in keep)])
+            for keep in reversed(list(combinations(range(len(parties)), len(parties) - 1)))
+        ) if cfg.recursive and len(parties) > 2 else ()
+        bi_entangled = tuple(sorted({r.partition_label() for r in reports if r.violated
+                                     and CRITERIA[r.criterion].kind == "bisep"}))
+        # entanglement anywhere in a reduction rules out full separability too
+        not_full = bool(bi_entangled) or any(
+            r.violated and CRITERIA[r.criterion].kind == "full" for r in reports
+        ) or any(sub.not_fully_separable or sub.bi_entangled_partitions for _, sub in reduced)
+        verdicts[parties] = DetectionVerdict(content[parties][0], reports, reduced, not_full,
+                                             bi_entangled)
+    return verdicts[whole]

@@ -68,7 +68,12 @@ def _entry(i, e):
 
 def statefile_to_state(doc) -> DensityMatrix:
     try:
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = doc["dims"]
+        # a JSON list of JSON integers; bool is a subclass of int
+        if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+            raise InputError(f'malformed state file: "dims" must be a list of integers, '
+                             f'got {json.dumps(dims)}')
+        dims = tuple(dims)
         entries = doc["matrix"]
         side = int(np.prod(dims))
         if len(entries) != side * side:
@@ -161,7 +166,7 @@ def cmd_analyze(args):
         raise InputError(f"--h must be at least 1, got {args.h}")
     rho, payload = load_state(args.state)
     start = time.perf_counter()
-    ps = (math.inf, 1.0) if args.p == "both" else (_parse_p(args.p),)
+    ps = DetectConfig.ps if args.p == "both" else (_parse_p(args.p),)
     if not MIN_TOLERANCE <= args.tolerance < math.inf:  # also rejects nan
         raise InputError(f"--tolerance must be finite and at least {MIN_TOLERANCE:g}, "
                          f"got {args.tolerance!r}")
@@ -276,7 +281,7 @@ def build_parser():
     pa.add_argument("--no-filter", action="store_true", help="skip SLOCC filtering")
     pa.add_argument("--no-recursive", action="store_true",
                     help="skip the recursive reduced-state sweep")
-    pa.add_argument("--tolerance", type=float, default=1e-9)
+    pa.add_argument("--tolerance", type=float, default=DetectConfig.fnf_tol)
     pa.add_argument("--csv", help="also write a flat CSV of bound reports")
     pa.add_argument("--output", help="write the JSON report to a file")
     pa.set_defaults(func=cmd_analyze)
@@ -286,7 +291,7 @@ def build_parser():
     pd.add_argument("--h", type=int, default=None)
     pd.add_argument("--p", default="1")
     pd.add_argument("--partition", help="comma-separated party indices of side A")
-    pd.add_argument("--restarts", type=int, default=32)
+    pd.add_argument("--restarts", type=int, default=OptimizerCfg.restarts)
     pd.add_argument("--seed", type=int, help="default: $CMNLAB_SEED, else 0")
     pd.add_argument("--output")
     pd.set_defaults(func=cmd_discord)

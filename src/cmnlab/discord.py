@@ -21,6 +21,10 @@ PROJECTOR_TOL = 1e-10
 CONVERGED_TOL = 1e-6
 # A trial improves on a restart's best only by more than this times |best|.
 GAIN_TOL = 1e-12
+# The search's step starts here, halves after a sweep without improvement,
+# and a restart stops once it falls below MIN_STEP.
+INIT_STEP = 0.3
+MIN_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -172,25 +176,17 @@ def measure_state(rho: DensityMatrix, family: MeasurementFamily, parties=None) -
 
 @dataclass(frozen=True)
 class OptimizerCfg:
-    """Random-restart coordinate search over measurement angles."""
+    """Random-restart coordinate search over measurement angles, with the
+    step schedule INIT_STEP, MIN_STEP."""
 
     restarts: int = 32
     seed: int = 0
-    init_step: float = 0.3
-    min_step: float = 1e-5
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not math.isfinite(self.init_step):
-            raise ValueError(f"init_step must be finite, got {self.init_step}")
-        if not 0 < self.min_step <= self.init_step:
-            raise ValueError(
-                f"need 0 < min_step <= init_step, got min_step={self.min_step} "
-                f"and init_step={self.init_step}"
-            )
 
 
 @dataclass(frozen=True)
@@ -219,7 +215,7 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
     Each restart makes the moves of a search on its own: try +step, then
     -step, on each coordinate in turn, keep the first improvement (a gain
     above GAIN_TOL·|best|) and go on to the next coordinate; halve the step
-    after a sweep without improvement and stop once it falls below min_step.
+    after a sweep without improvement and stop once it falls below MIN_STEP.
 
     One tick scores the 2n slots around every unfinished restart (+step,
     then -step, per coordinate) in one call of ``objective``, which maps a
@@ -247,31 +243,28 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
     place = (slots - 2 * slots[:n_params, None]) % slots.size
     # state of the unfinished restarts, compacted whenever some finish
     ids = np.arange(n)
-    step = np.full(n, cfg.init_step)
-    coord = np.zeros(n, dtype=int)
-    improved = np.zeros(n, dtype=bool)
+    step = np.full(n, INIT_STEP)
+    coord = np.zeros(n, dtype=int)  # > 0 after a move earlier in the sweep
     while ids.size:
         trial = x[:, None] + step[:, None, None] * offsets
         score = objective(trial.reshape(-1, n_params)).reshape(ids.size, slots.size)
         gain = score - best[:, None] > GAIN_TOL * np.abs(best[:, None])
         tried = np.where(gain, place[coord], slots.size).min(axis=1)
         rest = slots.size - 2 * coord
-        move = tried < np.where(improved, slots.size, rest)
-        evals[ids] += np.where(move, tried + 1, rest + slots.size * improved)
+        move = tried < slots.size
+        evals[ids] += np.where(move, tried + 1, rest + slots.size * (coord > 0))
         first = (tried + 2 * coord) % slots.size
         pick = np.arange(ids.size), first
         x = np.where(move[:, None], trial[pick], x)
         best = np.where(move, score[pick], best)
         # a move on the last coordinate ends the sweep; the next keeps the step
         coord = np.where(move, slot_coord[first] + 1, 0) % n_params
-        improved = move & (coord > 0)
         step = np.where(move, step, step / 2)
-        done = step < cfg.min_step
+        done = step < MIN_STEP
         if done.any():
             final_best[ids[done]], final_x[ids[done]] = best[done], x[done]
             keep = ~done
-            ids, x, best, step = ids[keep], x[keep], best[keep], step[keep]
-            coord, improved = coord[keep], improved[keep]
+            ids, x, best, step, coord = ids[keep], x[keep], best[keep], step[keep], coord[keep]
     return final_best, final_x, evals
 
 

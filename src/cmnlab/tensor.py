@@ -111,7 +111,7 @@ def build_stack(data, dims) -> np.ndarray:
     return t
 
 
-def _matricize_array(data, dims, part: Bipartition):
+def _matricize_array(data, part: Bipartition):
     # Mixed-radix composite indices with the FIRST listed party varying
     # fastest on each side: for column sides (B, C) the composite column
     # index is j + d_B²·k. Axes before the last n_parties ones are batch
@@ -126,7 +126,7 @@ def matricize(t: CorrelationTensor, part: Bipartition) -> np.ndarray:
     """Flatten the tensor into a (∏_{i∈A} d_i²) × (∏_{j∈B} d_j²) matrix."""
     if part.n_parties != t.n_parties:
         raise ValueError("bipartition does not match the tensor's party count")
-    return _matricize_array(t.data, t.dims, part)
+    return _matricize_array(t.data, part)
 
 
 def matricize_interior(t: CorrelationTensor, part: Bipartition) -> np.ndarray:
@@ -135,5 +135,5 @@ def matricize_interior(t: CorrelationTensor, part: Bipartition) -> np.ndarray:
     conventions as :func:`matricize`."""
     if part.n_parties != t.n_parties:
         raise ValueError("bipartition does not match the tensor's party count")
-    return _matricize_array(t.data[(slice(1, None),) * t.n_parties], t.dims, part)
+    return _matricize_array(t.data[(slice(1, None),) * t.n_parties], part)
 

@@ -244,7 +244,7 @@ def test_criterion_values_match_per_tensor_oracle(name):
     dims = (2, 2, 2)
     part = Bipartition.of((1,), 3)
     tensors = [build(random_density(dims, 3, 230 + s)) for s in range(4)]
-    values = entry.values(np.stack([t.data for t in tensors]), dims, part, 4)
+    values = entry.values(np.stack([t.data for t in tensors]), part, 4)
     assert values.shape == (4,)
     for value, t in zip(values, tensors):
         if entry.p is None:

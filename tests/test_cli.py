@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import cmnlab
-from cmnlab import report
-from cmnlab.bounds import CRITERIA, detect
+from cmnlab import cli, report
+from cmnlab.bounds import CRITERIA, DetectConfig, detect
 from cmnlab.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -19,6 +19,7 @@ from cmnlab.cli import (
     statefile_text,
     statefile_to_state,
 )
+from cmnlab.discord import OptimizerCfg, global_discord_cmn
 from cmnlab.zoo import ZOO, from_name, ghz, maximally_mixed, rho1
 
 from conftest import dumps_oracle, random_density
@@ -178,6 +179,43 @@ class TestStateFiles:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err.startswith("error:") and "two parties" in err
+
+    @pytest.mark.parametrize("dims,shown", [
+        ([2.7, 2], "[2.7, 2]"),  # was read as (2, 2)
+        ([2.0, 2], "[2.0, 2]"),
+        ([True, 2], "[true, 2]"),
+        (["2", 2], '["2", 2]'),
+        (4, "4"),  # was Python's 'int' object is not iterable
+        ({"0": 2}, '{"0": 2}'),
+    ])
+    def test_dims_must_be_a_list_of_integers(self, tmp_path, capsys, dims, shown):
+        doc = state_to_statefile(maximally_mixed((2, 2)))
+        doc["dims"] = dims
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == ('error: malformed state file: "dims" must be a list of integers, '
+                       f'got {shown}\n')
+
+
+class TestLibraryDefaults:
+    """Without options, the CLI runs the library's own defaults."""
+
+    def test_analyze_passes_the_default_config(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "detect", lambda rho, cfg: seen.append(cfg) or detect(rho, cfg))
+        assert run(capsys, "analyze", "zoo:bell-phi-plus")[0] == EXIT_OK
+        assert seen == [DetectConfig()]
+
+    def test_discord_passes_the_default_optimizer(self, capsys, monkeypatch):
+        monkeypatch.delenv("CMNLAB_SEED", raising=False)
+        seen = []
+        monkeypatch.setattr(cli, "global_discord_cmn", lambda rho, part, params, opt:
+                            seen.append(opt) or global_discord_cmn(rho, part, params, opt))
+        assert run(capsys, "discord", "zoo:bell-phi-plus")[0] == EXIT_OK
+        assert seen == [OptimizerCfg(seed=0)]
 
 
 class TestAnalyze:

@@ -1,6 +1,7 @@
-"""detect as a DAG over party subsets, walked one level at a time: each
-reduced state is analyzed once, and every report equals the per-cut walk
-kept here as the oracle (one cut, one filtering and one SVD at a time)."""
+"""detect as a DAG over party subsets whose distinct states are analyzed
+in one pass: each reduced state is analyzed once, and every report equals
+the per-cut walk kept here as the oracle (one cut, one filtering and one SVD
+at a time)."""
 
 import importlib
 import math
@@ -229,8 +230,8 @@ def counted(calls, key, fn):
 
 
 def test_ghz6_calls_scale_with_levels_times_shapes(monkeypatch):
-    """GHZ-6 is permutation symmetric, so each level of its subset DAG holds
-    one distinct state: detect builds 5 level tensors, not 57, and filters
+    """GHZ-6 is permutation symmetric, so each level (subset size) of its
+    subset DAG holds one distinct state: detect builds 5 tensors, not 57, and filters
     56 rows, not 286. A level of m parties has m - 1 cut shapes (|A|) and
     2(m - 1) matrix shapes (whole and interior matricizations), so the call
     counts are bounded by sums over the levels, not by the 301 cuts."""
@@ -238,8 +239,8 @@ def test_ghz6_calls_scale_with_levels_times_shapes(monkeypatch):
     monkeypatch.setattr(normal_form, "filter_stack",
                         counted(calls, "filter", normal_form.filter_stack))
     monkeypatch.setattr(bounds, "build", counted(calls, "build", bounds.build))
-    monkeypatch.setattr(bounds, "_level_reports",
-                        counted(calls, "states", bounds._level_reports))
+    monkeypatch.setattr(bounds, "_state_reports",
+                        counted(calls, "states", bounds._state_reports))
     # the package's name cmn is the function, not its module
     for module in (bounds, importlib.import_module("cmnlab.cmn")):
         monkeypatch.setattr(module, "singular_values",
@@ -247,6 +248,7 @@ def test_ghz6_calls_scale_with_levels_times_shapes(monkeypatch):
     v = detect(zoo.ghz(6).to_density())
     assert v.not_fully_separable
     levels = range(2, 7)
+    assert len(calls["states"]) == 1  # one pass over the distinct states
     assert sum(map(len, calls["states"])) == len(calls["build"]) == len(levels)
     assert 0 < sum(map(len, calls["filter"])) <= 56
     assert 0 < len(calls["filter"]) <= sum(m - 1 for m in levels)
@@ -274,9 +276,10 @@ def test_random_state_analyzes_every_subset(monkeypatch):
     """No two reductions of a random (2,2,2,2) state are equal, so all 11
     states are analyzed: the whole state and its 10 reductions."""
     calls = {}
-    monkeypatch.setattr(bounds, "_level_reports",
-                        counted(calls, "states", bounds._level_reports))
+    monkeypatch.setattr(bounds, "_state_reports",
+                        counted(calls, "states", bounds._state_reports))
     v = detect(random_density((2, 2, 2, 2), 16, 14))
+    assert len(calls["states"]) == 1
     assert sum(map(len, calls["states"])) == 11 == len(distinct_nodes(v))
     assert len({id(node.reports) for node in distinct_nodes(v).values()}) == 11
 

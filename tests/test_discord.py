@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cmnlab import discord
 from cmnlab.cmn import CmnParams, spectrum_power
 from cmnlab.discord import (
     GAIN_TOL,
@@ -28,7 +29,22 @@ from cmnlab.zoo import bell, classical_state, ghz, maximally_mixed
 from conftest import random_density
 
 PART2 = Bipartition.of((0,), 2)
-FAST = OptimizerCfg(restarts=4, init_step=0.4, min_step=1e-4)
+
+
+@pytest.fixture
+def schedule(monkeypatch):
+    """Set the search's step schedule, discord.INIT_STEP and MIN_STEP."""
+    def set_schedule(init_step, min_step):
+        monkeypatch.setattr(discord, "INIT_STEP", init_step)
+        monkeypatch.setattr(discord, "MIN_STEP", min_step)
+    return set_schedule
+
+
+@pytest.fixture
+def fast(schedule):
+    """Four restarts on the step schedule 0.4 .. 1e-4."""
+    schedule(0.4, 1e-4)
+    return OptimizerCfg(restarts=4)
 
 
 def givens_reference(d, angles):
@@ -49,14 +65,14 @@ def givens_reference(d, angles):
     return u
 
 
-def sequential_search(objective, x0, cfg):
+def sequential_search(objective, x0):
     """One restart of the cyclic coordinate search, one evaluation at a time;
     a trial improves only by more than GAIN_TOL times |best|."""
     x = np.array(x0, dtype=float)
     best = objective(x)
     evals = 1
-    step = cfg.init_step
-    while step >= cfg.min_step:
+    step = discord.INIT_STEP
+    while step >= discord.MIN_STEP:
         improved = False
         for i in range(x.size):
             for delta in (step, -step):
@@ -84,7 +100,7 @@ def one_trial_lockstep_search(objective, n_params, cfg):
     evals = np.ones(n, dtype=int)
     final_best, final_x = best.copy(), x.copy()
     ids = np.arange(n)
-    step = np.full(n, cfg.init_step)
+    step = np.full(n, discord.INIT_STEP)
     coord = np.zeros(n, dtype=int)
     minus = np.zeros(n, dtype=bool)  # trying -step on this coordinate
     improved = np.zeros(n, dtype=bool)
@@ -106,7 +122,7 @@ def one_trial_lockstep_search(objective, n_params, cfg):
         coord[swept] = 0
         step = np.where(swept & ~improved, step / 2, step)
         improved &= ~swept
-        done = step < cfg.min_step
+        done = step < discord.MIN_STEP
         if done.any():
             final_best[ids[done]], final_x[ids[done]] = best[done], x[done]
             keep = ~done
@@ -276,7 +292,7 @@ class TestCorrelationSpaceSpectrum:
 
 
 class TestLockstepSearch:
-    def test_each_restart_moves_as_a_sequential_search(self):
+    def test_each_restart_moves_as_a_sequential_search(self, schedule):
         # a tie-free objective evaluated row by row with the same arithmetic,
         # so every comparison, value and point must agree exactly
         target = np.sin([0.7, -1.2, 2.0])
@@ -284,12 +300,13 @@ class TestLockstepSearch:
         def objective(x):
             return -((np.sin(x) - target) ** 2).sum(axis=-1)
 
-        cfg = OptimizerCfg(restarts=5, seed=7, init_step=0.4, min_step=1e-4)
+        schedule(0.4, 1e-4)
+        cfg = OptimizerCfg(restarts=5, seed=7)
         values, points, evals = _lockstep_search(objective, 3, cfg)
         rng = np.random.default_rng(cfg.seed)
         for r in range(cfg.restarts):
             x0 = rng.uniform(0, 2 * math.pi, size=3) if r else np.zeros(3)
-            val, x, n = sequential_search(objective, x0, cfg)
+            val, x, n = sequential_search(objective, x0)
             assert values[r] == val
             assert np.array_equal(points[r], x)
             assert evals[r] == n
@@ -304,11 +321,12 @@ class TestLockstepSearch:
         return values, points, evals
 
     @pytest.mark.parametrize("n_params,cfg", [
-        (3, OptimizerCfg(restarts=5, seed=7, init_step=0.4, min_step=1e-4)),
-        (1, OptimizerCfg(restarts=5, seed=8, init_step=0.4, min_step=1e-4)),
-        (4, OptimizerCfg(restarts=1, seed=9, init_step=0.4, min_step=1e-4)),
+        (3, OptimizerCfg(restarts=5, seed=7)),
+        (1, OptimizerCfg(restarts=5, seed=8)),
+        (4, OptimizerCfg(restarts=1, seed=9)),
     ])
-    def test_matches_one_trial_per_tick_oracle(self, n_params, cfg):
+    def test_matches_one_trial_per_tick_oracle(self, n_params, cfg, schedule):
+        schedule(0.4, 1e-4)
         target = np.sin(np.linspace(-1.2, 2.0, n_params))
 
         def objective(x):
@@ -316,14 +334,15 @@ class TestLockstepSearch:
 
         self.assert_same_search(objective, n_params, cfg)
 
-    def test_constant_objective_fails_every_sweep(self):
-        cfg = OptimizerCfg(restarts=3, seed=4, init_step=0.4, min_step=1e-3)
+    def test_constant_objective_fails_every_sweep(self, schedule):
+        schedule(0.4, 1e-3)
+        cfg = OptimizerCfg(restarts=3, seed=4)
         values, points, evals = self.assert_same_search(lambda x: np.zeros(len(x)), 2, cfg)
         # 0.4 / 2^8 is the last step >= 1e-3: nine failed sweeps of 2 * 2 trials
         assert np.array_equal(evals, [1 + 9 * 4] * cfg.restarts)
         assert np.array_equal(points[0], np.zeros(2))
 
-    def test_a_resweep_is_resolved_in_the_same_call(self):
+    def test_a_resweep_is_resolved_in_the_same_call(self, schedule):
         # x0 gains on every +step up to 1.2 and x1 never gains: after the first
         # move each sweep ends on x1's failed slots, and the re-sweep from the
         # same point takes the +step on x0 that the same call already scored
@@ -333,34 +352,36 @@ class TestLockstepSearch:
             calls.append(len(x))
             return -(x[..., 0] - 1.1) ** 2 - 10 * x[..., 1] ** 2
 
-        cfg = OptimizerCfg(restarts=1, init_step=0.4, min_step=0.4)
+        schedule(0.4, 0.4)
+        cfg = OptimizerCfg(restarts=1)
         values, points, evals = _lockstep_search(objective, 2, cfg)
         # the start, three moves and the failed sweep, where ending each sweep
         # in its own call takes 8 calls; the one-trial search makes 14 trials
         assert calls == [1, 4, 4, 4, 4]
-        value, point, trials = sequential_search(objective, np.zeros(2), cfg)
+        value, point, trials = sequential_search(objective, np.zeros(2))
         assert values[0] == value and np.array_equal(points[0], point)
         assert evals[0] == trials == 14
 
-    def test_restart_counts_match_sequential_search(self):
+    def test_restart_counts_match_sequential_search(self, schedule):
         target = np.sin([0.3, 1.1])
 
         def objective(x):
             return -((np.sin(x) - target) ** 2).sum(axis=-1)
 
-        cfg = OptimizerCfg(restarts=4, seed=3, init_step=0.4, min_step=1e-4)
+        schedule(0.4, 1e-4)
+        cfg = OptimizerCfg(restarts=4, seed=3)
         counts = _lockstep_search(objective, 2, cfg)[2]
         rng = np.random.default_rng(cfg.seed)
         for r in range(cfg.restarts):
             x0 = rng.uniform(0, 2 * math.pi, size=2) if r else np.zeros(2)
-            assert counts[r] == sequential_search(objective, x0, cfg)[2]
+            assert counts[r] == sequential_search(objective, x0)[2]
 
 
 def _oracle_solves():
     """The benchmark's five solve types, a (2,2,2) global solve at p = inf, a
     (3,3) global solve and a one-sided solve on the (2,3) side of a (2,2,3)
     state; the last two have 12 and 8 angles, so they run from two restarts
-    and stop at a coarser step."""
+    and stop at a coarser step (MIN_STEP 1e-3)."""
     h2p1, h1p2 = CmnParams(2, 1.0), CmnParams(1, 2.0)
     a_bc = Bipartition.of((0,), 3)
     bell_state, ghz3 = bell(1).to_density(), ghz(3, 2).to_density()
@@ -368,12 +389,18 @@ def _oracle_solves():
     rand22, rand23 = random_density((2, 2), 4, 610), random_density((2, 3), 6, 611)
     rand222 = random_density((2, 2, 2), 4, 612)
     rand33, rand223 = random_density((3, 3), 3, 613), random_density((2, 2, 3), 6, 614)
-    short = {"restarts": 2, "min_step": 1e-3}
+
+    def short(solve):
+        def run(opt):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(discord, "MIN_STEP", 1e-3)
+                return solve(dataclasses.replace(opt, restarts=2))
+        return run
+
     return {
-        "random-33-global": lambda opt: global_discord_cmn(
-            rand33, PART2, h1p2, dataclasses.replace(opt, **short)),
-        "random-223-side-b": lambda opt: bipartite_discord_cmn(
-            rand223, a_bc, "b", h2p1, dataclasses.replace(opt, **short)),
+        "random-33-global": short(lambda opt: global_discord_cmn(rand33, PART2, h1p2, opt)),
+        "random-223-side-b": short(
+            lambda opt: bipartite_discord_cmn(rand223, a_bc, "b", h2p1, opt)),
         "bell-global": lambda opt: global_discord_cmn(bell_state, PART2, h2p1, opt),
         "classical-cc-global": lambda opt: global_discord_cmn(cc, PART2, h2p1, opt),
         "ghz3-global-A|BC": lambda opt: global_discord_cmn(ghz3, a_bc, h2p1, opt),
@@ -386,12 +413,10 @@ def _oracle_solves():
 
 @pytest.mark.parametrize("name", list(_oracle_solves()))
 def test_solves_match_one_trial_per_tick_oracle(name, monkeypatch):
-    import cmnlab.discord as discord_module
-
     solve = _oracle_solves()[name]
     opts = [OptimizerCfg(restarts=8, seed=seed) for seed in range(5)]
     got = [solve(opt) for opt in opts]
-    monkeypatch.setattr(discord_module, "_lockstep_search", one_trial_lockstep_search)
+    monkeypatch.setattr(discord, "_lockstep_search", one_trial_lockstep_search)
     for res, opt in zip(got, opts):
         want = solve(opt)
         assert res.value == want.value
@@ -405,56 +430,52 @@ class TestOptimizerCfg:
     @pytest.mark.parametrize("kwargs", [
         {"restarts": 0},
         {"restarts": -3},
-        {"min_step": 0.0},
-        {"min_step": -1e-5},
-        {"min_step": math.nan},
-        {"init_step": 0.1, "min_step": 0.2},
         {"seed": -1},
-        {"init_step": math.inf},
     ])
     def test_rejects_settings_that_break_the_search(self, kwargs):
         with pytest.raises(ValueError, match="|".join(kwargs)):
             OptimizerCfg(**kwargs)
 
-    def test_accepts_boundary(self):
-        cfg = OptimizerCfg(restarts=1, init_step=0.1, min_step=0.1)
+    def test_accepts_boundary(self, schedule):
+        schedule(0.1, 0.1)
+        cfg = OptimizerCfg(restarts=1)
         res = global_discord_cmn(bell(1).to_density(), PART2, CmnParams(2, 1.0), cfg)
         assert res.evaluations >= 1
 
 
 class TestDiscordValues:
-    def test_bell_h2_p1(self):
+    def test_bell_h2_p1(self, fast):
         res = global_discord_cmn(
-            bell(1).to_density(), PART2, CmnParams(2, 1.0), FAST
+            bell(1).to_density(), PART2, CmnParams(2, 1.0), fast
         )
         # S_2 before: six pairwise products of (1/2,1/2,1/2,1/2) = 3/2;
         # after any rank-1 product dephasing: (1/2)^2 = 1/4
         assert abs(res.value - 1.25) < 1e-6
 
-    def test_classical_state_zero(self):
+    def test_classical_state_zero(self, fast):
         rho = classical_state((2, 2), (0.4, 0.1, 0.2, 0.3))
-        res = global_discord_cmn(rho, PART2, CmnParams(2, 1.0), FAST)
+        res = global_discord_cmn(rho, PART2, CmnParams(2, 1.0), fast)
         assert abs(res.value) < 1e-6
 
-    def test_maximally_mixed_zero(self):
+    def test_maximally_mixed_zero(self, fast):
         res = global_discord_cmn(
-            maximally_mixed((2, 2)), PART2, CmnParams(2, 1.0), FAST
+            maximally_mixed((2, 2)), PART2, CmnParams(2, 1.0), fast
         )
         assert abs(res.value) < 1e-9
 
-    def test_nonnegative_on_random_states(self):
+    def test_nonnegative_on_random_states(self, fast):
         for seed in range(5):
             rho = random_density((2, 2), 3, 400 + seed)
-            res = global_discord_cmn(rho, PART2, CmnParams(2, 1.0), FAST)
+            res = global_discord_cmn(rho, PART2, CmnParams(2, 1.0), fast)
             assert res.value >= -1e-6
 
-    def test_one_sided_vs_global_bell(self):
+    def test_one_sided_vs_global_bell(self, fast):
         # a one-sided measurement already dephases the Bell state fully, so
         # the one-sided and global discord coincide here
         rho = bell(1).to_density()
         params = CmnParams(2, 1.0)
-        a = bipartite_discord_cmn(rho, PART2, "a", params, FAST)
-        g = global_discord_cmn(rho, PART2, params, FAST)
+        a = bipartite_discord_cmn(rho, PART2, "a", params, fast)
+        g = global_discord_cmn(rho, PART2, params, fast)
         assert abs(a.value - g.value) < 1e-6
 
     def test_closed_form_one_qubit_h1_p2(self):
@@ -480,10 +501,8 @@ class TestDiscordValues:
 
     def test_objective_calls_of_a_fixed_solve(self, monkeypatch):
         # the undisturbed spectrum, the starting points and one call per tick
-        import cmnlab.discord as discord_module
-
         calls = []
-        monkeypatch.setattr(discord_module, "singular_values",
+        monkeypatch.setattr(discord, "singular_values",
                             lambda m: calls.append(np.shape(m)) or singular_values(m))
         global_discord_cmn(ghz(3, 2).to_density(), Bipartition.of((0,), 3), CmnParams(2, 1.0),
                            OptimizerCfg(restarts=8, seed=0))
@@ -491,18 +510,18 @@ class TestDiscordValues:
         assert len(calls) == 55
         assert calls[1] == (8, 2, 4) and calls[2] == (8 * 12, 2, 4)
 
-    def test_bell_full_minor_inf(self):
+    def test_bell_full_minor_inf(self, fast):
         # every dephased spectrum has rank <= 2, so the h = 4 product of the
         # zero-padded spectrum vanishes and the whole (1/2)^4 is lost
         rho = bell(1).to_density()
         params = CmnParams(4, math.inf)
-        assert abs(global_discord_cmn(rho, PART2, params, FAST).value - 1 / 16) <= 1e-12
-        assert abs(bipartite_discord_cmn(rho, PART2, "b", params, FAST).value - 1 / 16) <= 1e-12
+        assert abs(global_discord_cmn(rho, PART2, params, fast).value - 1 / 16) <= 1e-12
+        assert abs(bipartite_discord_cmn(rho, PART2, "b", params, fast).value - 1 / 16) <= 1e-12
 
-    def test_best_measurement_reproduces_value(self):
+    def test_best_measurement_reproduces_value(self, fast):
         rho = random_density((2, 2), 3, 77)
         params = CmnParams(2, 1.0)
-        res = global_discord_cmn(rho, PART2, params, FAST)
+        res = global_discord_cmn(rho, PART2, params, fast)
         base = float(spectrum_power(singular_values(matricize(build(rho), PART2)), params)[0])
         after = measure_state(rho, res.best_measurement)
         m1 = matricize(build(after), PART2)
@@ -513,21 +532,21 @@ class TestDiscordValues:
             assert np.array_equal(a, b)
         assert res.restart_spread >= 0
 
-    def test_per_restart_diagnostics(self):
+    def test_per_restart_diagnostics(self, fast):
         rho = random_density((2, 2), 3, 77)
         params = CmnParams(2, 1.0)
-        res = global_discord_cmn(rho, PART2, params, FAST)
-        assert len(res.restart_evaluations) == len(res.restart_values) == FAST.restarts
+        res = global_discord_cmn(rho, PART2, params, fast)
+        assert len(res.restart_evaluations) == len(res.restart_values) == fast.restarts
         assert sum(res.restart_evaluations) == res.evaluations
         assert max(res.restart_values) - min(res.restart_values) == res.restart_spread
         base = spectrum_power(singular_values(matricize(build(rho), PART2)), params)[0]
         assert res.value == float(base - max(res.restart_values))
 
-    def test_one_sided_measurement_keeps_the_other_party_computational(self):
+    def test_one_sided_measurement_keeps_the_other_party_computational(self, fast):
         comp = computational_measurement((2, 3)).projectors[1]
         for seed in range(3):
             rho = random_density((2, 3), 4, seed)
-            res = bipartite_discord_cmn(rho, PART2, "a", CmnParams(2, 1.0), FAST)
+            res = bipartite_discord_cmn(rho, PART2, "a", CmnParams(2, 1.0), fast)
             measured = measurement_from_angles((2,), res.best_angles).projectors[0]
             assert np.array_equal(res.best_measurement.projectors[0], measured)
             assert np.array_equal(res.best_measurement.projectors[1], comp)
@@ -538,17 +557,17 @@ class TestDiscordValues:
         assert res.restart_spread == 0.0
         assert not res.converged
 
-    def test_side_validation(self):
+    def test_side_validation(self, fast):
         with pytest.raises(ValueError):
             bipartite_discord_cmn(
-                bell(1).to_density(), PART2, "c", CmnParams(2, 1.0), FAST
+                bell(1).to_density(), PART2, "c", CmnParams(2, 1.0), fast
             )
 
-    def test_result_is_deterministic(self):
+    def test_result_is_deterministic(self, fast):
         rho = random_density((2, 2), 3, 55)
         params = CmnParams(2, 1.0)
-        r1 = global_discord_cmn(rho, PART2, params, FAST)
-        r2 = global_discord_cmn(rho, PART2, params, FAST)
+        r1 = global_discord_cmn(rho, PART2, params, fast)
+        r2 = global_discord_cmn(rho, PART2, params, fast)
         assert r1.value == r2.value
         assert r1.evaluations == r2.evaluations
 

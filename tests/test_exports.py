@@ -1,0 +1,108 @@
+"""Every public function or class of cmnlab is used by the program itself
+(``src/``, ``bench/`` or ``tools/``), or is one of the documented helpers
+that only the tests' oracles call."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cmnlab"
+# helpers that oracles are built from, the references for batched forms, and
+# the audit oracles that PAPER.md lists as library features
+TEST_ONLY = {
+    "trace_distance", "pauli",
+    "unitary_from_angles", "correlation_space_map",
+    "compound_matrix", "schatten_norm", "elementary_symmetric_bruteforce", "ppt_check",
+}
+
+
+def public_definitions():
+    """(module, name) of each public module-level function and class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield path.stem, node.name
+
+
+def _bound_in(fn):
+    """The names a function binds: its own name, its arguments and every
+    name it assigns (nested scopes included, so a use may be missed but a
+    local never counts)."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names | ({fn.name} if hasattr(fn, "name") else set())
+
+
+def references(tree):
+    """The names ``tree`` refers to: imported names, attributes, names read
+    where no enclosing function or comprehension binds them, and strings
+    that name one (``"f"`` or ``"module.f"``, as a tracer patching by name
+    holds them)."""
+    refs = set()
+
+    def visit(node, bound):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            outer = getattr(node, "decorator_list", []) + node.args.defaults
+            for child in outer + [d for d in node.args.kw_defaults if d is not None]:
+                visit(child, bound)
+            inner = bound | _bound_in(node)
+            for child in node.body if isinstance(node.body, list) else [node.body]:
+                visit(child, inner)
+            return
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            bound = bound | {n.id for g in node.generators for n in ast.walk(g.target)
+                             if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load) and node.id not in bound:
+                refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.rpartition(".")[2].isidentifier():
+                refs.add(node.value.rpartition(".")[2])
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, set())
+    return refs
+
+
+def program_references():
+    refs = set()
+    for top in ("src", "bench", "tools"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            refs |= references(ast.parse(path.read_text()))
+    return refs
+
+
+def test_every_public_name_is_used_by_the_program_or_listed():
+    refs = program_references()
+    unused = [f"{module}.{name}" for module, name in public_definitions()
+              if name not in refs and name not in TEST_ONLY]
+    assert unused == []
+
+
+def test_the_test_only_names_are_public_and_unused():
+    refs = program_references()
+    public = {name for _, name in public_definitions()}
+    assert TEST_ONLY <= public
+    assert not TEST_ONLY & refs
+
+
+def test_a_local_of_the_same_name_is_no_reference():
+    # linalg's loop variable pauli shadows the function of that name
+    tree = ast.parse("def f(r):\n    for pauli in r:\n        print(pauli)\n"
+                     "g = lambda pauli: pauli\n"
+                     "h = [pauli for pauli in range(3)]\n")
+    assert "pauli" not in references(tree)
+    assert {"print", "range"} <= references(tree)
+    assert "pauli" in references(ast.parse("def f():\n    return pauli('x')\n"))
