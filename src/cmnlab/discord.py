@@ -5,6 +5,7 @@ measurement choices."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -183,10 +184,10 @@ class OptimizerCfg:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
+            raise ValueError(f"restarts must be an integer >= 1, got {self.restarts!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

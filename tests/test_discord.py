@@ -430,7 +430,12 @@ class TestOptimizerCfg:
     @pytest.mark.parametrize("kwargs", [
         {"restarts": 0},
         {"restarts": -3},
+        {"restarts": 2.5},
+        {"restarts": math.nan},
+        {"seed": 1.5},
+        {"seed": math.nan},
         {"seed": -1},
+        {"restarts": math.inf},
     ])
     def test_rejects_settings_that_break_the_search(self, kwargs):
         with pytest.raises(ValueError, match="|".join(kwargs)):
