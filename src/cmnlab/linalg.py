@@ -47,7 +47,14 @@ def check_density_stack(data):
     adj = data.conj().swapaxes(-1, -2)
     herm_res = np.abs(data - adj)
     tr = data.trace(axis1=-2, axis2=-1)
-    min_eig = np.linalg.eigvalsh((data + adj) / 2)[:, 0]  # eigvalsh sorts ascending
+    herm = (data + adj) / 2
+    try:
+        # a Cholesky factor of H + EPS_PSD/2·1 certifies every eigenvalue of
+        # every row to be >= -EPS_PSD/2; only an uncertified stack pays eigvalsh
+        np.linalg.cholesky(herm + EPS_PSD / 2 * np.eye(data.shape[-1]))
+        min_eig = np.zeros(len(data))
+    except np.linalg.LinAlgError:
+        min_eig = np.linalg.eigvalsh(herm)[:, 0]  # eigvalsh sorts ascending
     if (herm_res.max(initial=0) <= EPS_HERM and abs(tr - 1).max(initial=0) <= EPS_TRACE
             and min_eig.min(initial=0) >= -EPS_PSD):
         return

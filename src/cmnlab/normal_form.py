@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, hermitize, permute_parties
+from .linalg import DensityMatrix, ValidationError, hermitize, permute_parties
 from .tensor import Bipartition, CorrelationTensor
 
 RANK_TOL = 1e-8
@@ -99,7 +99,10 @@ def filter_to_fnf(rho: DensityMatrix, tol=DEFAULT_TOL, groups=None, history=None
 def filter_cuts(cuts, tol=DEFAULT_TOL):
     """Filter each (rho, part) of ``cuts`` to FNF across its cut: for each,
     the filtered :class:`DensityMatrix`, or the text of the FilteringError
-    that ``filter_to_fnf(rho, tol, [part.side_a, part.side_b])`` raises.
+    that ``filter_to_fnf(rho, tol, [part.side_a, part.side_b])`` raises, or,
+    for a converged row that fails the :class:`DensityMatrix` checks (an
+    ill-conditioned filter can leave it slightly indefinite), a text naming
+    the failed check.
 
     Each state is permuted so that side A's parties come first, and the
     cuts that then share |A| and dims share one :func:`filter_stack` call.
@@ -115,7 +118,11 @@ def filter_cuts(cuts, tol=DEFAULT_TOL):
         filtered, _, errors = filter_stack(rows, dims, [range(k), range(k, len(dims))], tol,
                                            labels=labels)
         for (i, rho, order), row, err in zip(members, filtered, errors):
-            out[i] = err or DensityMatrix(rho.dims, permute_parties(row, dims, np.argsort(order)))
+            try:
+                out[i] = err or DensityMatrix(rho.dims,
+                                              permute_parties(row, dims, np.argsort(order)))
+            except ValidationError as exc:
+                out[i] = f"filtered state failed the state checks: {exc}"
     return out
 
 
@@ -164,11 +171,27 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
 
     # eigh and eigvalsh read one triangle of their (Hermitian up to
     # rounding) input, so the reductions are not hermitized first
-    def residual(reds):
-        """Largest trace distance of a group reduction from 1/d_g, per row."""
-        res = np.zeros(len(m))
-        for red, eye in zip(reds, mixed):
-            res = np.maximum(res, np.abs(np.linalg.eigvalsh(red - eye)).sum(axis=1) / 2)
+    def residual(res, reds, exact):
+        """Largest trace distance of a group reduction from 1/d_g, per row,
+        given group 0's in ``res``. Exact if ``exact``; else a row's value
+        may be a lower bound, but it lies on the same side of ``tol``."""
+        for c in range(1, len(blocks)):
+            low = ~(res > tol)
+            if not (exact or low.any()):
+                break
+            delta = (reduction(m, c) if reds is None else reds[c]) - mixed[c]
+            # half the Frobenius norm of the Hermitian matrix that eigvalsh
+            # reads, h, has h <= trace distance <= sqrt(D)·h; only the rows
+            # these bounds leave undecided (widened by a relative 1e-12 for
+            # rounding) need the eigenvalues
+            h = np.sqrt(2 * np.linalg.norm(np.tril(delta, -1), axis=(1, 2))**2
+                        + (delta.diagonal(axis1=1, axis2=2).real**2).sum(axis=1)) / 2
+            ask = exact | (low & ~(h * (1 - 1e-12) > tol)
+                           & ~(h * math.sqrt(sizes[c]) * (1 + 1e-12) <= tol))
+            res = np.maximum(res, np.where(ask, 0, h))
+            if ask.any():
+                exact_td = np.abs(np.linalg.eigvalsh(delta[ask])).sum(axis=1) / 2
+                res[ask] = np.maximum(res[ask], exact_td)
         return res
 
     def record(reds):
@@ -188,12 +211,18 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
         sweep, g = divmod(step, len(blocks))
         L, D, R = blocks[g]
         if g == 0:
-            # one set of reductions per sweep serves the history, the
-            # residual and the sweep's first filter
-            reds = [reduction(m, c) for c in range(len(blocks))]
+            # group 0's reduction serves the history, the residual and the
+            # sweep's first filter, and its filter's eigh gives its residual
+            red = reduction(m, 0)
+            reds = None
             if history is not None:
+                reds = [red] + [reduction(m, c) for c in range(1, len(blocks))]
                 record(reds)
-            res = residual(reds)
+            w, v = np.linalg.eigh(D * red)
+            # the residual's value is read at the checkpoints, their
+            # snapshots and the budget; elsewhere only its side of tol
+            exact = sweep in STALL_SWEEPS or 2 * sweep in STALL_SWEEPS or sweep >= MAX_SWEEPS
+            res = residual(np.abs(w - 1).sum(axis=1) / (2 * D), reds, exact)
             # a row stops here once converged, at a checkpoint sweep if it
             # has stalled, and at the budget (the last checkpoint) anyway
             stop = done = ~(res > tol)
@@ -204,7 +233,8 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
                 stop = np.ones_like(done)
             if 2 * sweep in STALL_SWEEPS:
                 half[idx] = res
-        w, v = np.linalg.eigh(D * (reds[0] if g == 0 else reduction(m, g)))
+        else:
+            w, v = np.linalg.eigh(D * reduction(m, g))
         bad = w[:, 0] <= RANK_TOL  # eigh sorts ascending
         leave = stop | bad if g == 0 else bad
         # the one place where rows leave: a converged row keeps its matrix,
@@ -230,5 +260,6 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
         m = (f.conj()[:, None] @ m).reshape(rows, side, side)
         m = m / m.trace(axis1=1, axis2=2).real[:, None, None]
         step += 1
-    out = permute_parties(out, [dims[p] for p in order], np.argsort(order))  # party order
-    return hermitize(out), sweeps, errors
+    ok = np.array([err is None for err in errors], dtype=bool)  # back to party order
+    out[ok] = hermitize(permute_parties(out[ok], [dims[p] for p in order], np.argsort(order)))
+    return out, sweeps, errors

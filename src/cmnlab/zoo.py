@@ -167,8 +167,14 @@ def _shrink_into_body(pert, d):
     body = np.eye(d) / d
     todo = np.arange(len(pert))
     for _ in range(60):
-        both = np.concatenate([body + pert[todo], body - pert[todo]])
-        lo = np.linalg.eigvalsh(hermitize(both)).min(axis=1).reshape(2, -1).min(axis=0)
+        both = hermitize(np.concatenate([body + pert[todo], body - pert[todo]]))
+        try:
+            # a Cholesky factor of each matrix - 2e-6·1 certifies all their
+            # eigenvalues > 1e-6 with room for rounding: every row is done
+            np.linalg.cholesky(both - 2e-6 * np.eye(d))
+            return
+        except np.linalg.LinAlgError:
+            lo = np.linalg.eigvalsh(both).min(axis=1).reshape(2, -1).min(axis=0)
         todo = todo[~(lo >= 1e-6)]
         if not len(todo):
             return

@@ -7,6 +7,23 @@ from cmnlab import report
 from cmnlab.zoo import random_density  # noqa: F401  (test modules import it from here)
 
 
+def item1_state(seed):
+    """The state of ROADMAP item 1's repro: rho1 with party p = 0, 1, 2 in
+    turn conjugated by q diag(1, 10^-e) q†, q the QR factor of a complex
+    Gaussian 2x2 matrix and e uniform in [0.5, 3.5), all drawn from
+    default_rng(seed); then divided by its trace and hermitized."""
+    from cmnlab.linalg import DensityMatrix, apply_local, hermitize
+    from cmnlab.zoo import rho1
+
+    rng = np.random.default_rng(seed)
+    data = rho1().data
+    for p in range(3):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        e = rng.uniform(0.5, 3.5)
+        data = apply_local(q @ np.diag([1, 10**-e]) @ q.conj().T, data, (p,), (2, 2, 2))
+    return DensityMatrix((2, 2, 2), hermitize(data / data.trace().real))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)

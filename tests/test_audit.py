@@ -172,6 +172,20 @@ class TestAudits:
         assert rep.family == "fully-separable-sfnf-222"
 
 
+def test_filtered_audits_make_no_eigvalsh_call(monkeypatch):
+    """Filtering decides its residual from its own eigh and Frobenius bounds,
+    and the state checks from a Cholesky certificate: no eigvalsh runs."""
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for family in ("biseparable-filtered-222", "biseparable-filtered-223"):
+        rep = separability_audit(family, "cmn-bisep-inf", 256, 2026)
+        assert rep.trials == 256
+    assert calls == []
+    separability_audit("fully-separable-sfnf-223", "cmn-full-inf", 256, 2026)
+    assert calls  # the counter sees the qutrit halving's fallback
+
+
 class TestWitnessedInequalities:
     def test_am_gm_on_sfnf_samples(self):
         # the p=1 bound dominates the p=inf bound pathway: S_h of the

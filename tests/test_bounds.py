@@ -19,7 +19,7 @@ from cmnlab.bounds import (
 )
 from cmnlab.cmn import elementary_symmetric
 from cmnlab.linalg import DensityMatrix, singular_values
-from cmnlab.normal_form import fnf_residual
+from cmnlab.normal_form import FilteringError, fnf_residual
 from cmnlab.tensor import Bipartition, build, matricize_interior
 from cmnlab.zoo import ghz, maximally_mixed, random_fully_separable_sfnf, rho1
 
@@ -319,3 +319,53 @@ def test_party_wise_fnf_counterexample_is_not_flagged():
         assert any(r.preconditions_met for r in bisep)
         assert all(r.reason.startswith("after SLOCC filtering") for r in bisep
                    if r.preconditions_met)
+
+
+def test_item1_repro_cuts_whose_filtered_state_fails_the_checks_are_inconclusive():
+    """ROADMAP item 1's states, seeds 0-199: detect raises nothing, and every
+    cut whose filtered state fails the DensityMatrix checks (filter_to_fnf
+    raises ValidationError on it, as detect did before) reports its
+    bi-separable M_{h,p} entries inconclusive with the failed check. Which
+    cuts are flagged is item 1's open defect and is not asserted here."""
+    from cmnlab.linalg import ValidationError, partial_trace
+    from cmnlab.normal_form import DEFAULT_TOL, filter_to_fnf
+    from cmnlab.tensor import iter_bipartitions
+
+    from conftest import item1_state
+
+    failed = 0
+    for seed in range(200):
+        rho = item1_state(seed)
+        verdict = detect(rho)
+        for parties, node in ((tuple(range(3)), verdict),) + tuple(verdict.subsets()):
+            sub = rho if len(parties) == 3 else partial_trace(rho, parties)
+            for part in iter_bipartitions(len(parties)):
+                if fnf_residual(build(sub), part) <= DEFAULT_TOL:
+                    continue
+                try:
+                    filter_to_fnf(sub, groups=[part.side_a, part.side_b])
+                    continue
+                except ValidationError as exc:
+                    want = f"filtered state failed the state checks: {exc}"
+                except FilteringError:
+                    continue
+                reports = [r for r in node.reports
+                           if r.partition == part and r.criterion.startswith("cmn-bisep")]
+                assert reports
+                for r in reports:
+                    assert not r.preconditions_met and r.reason == want
+                    assert not r.violated
+                failed += 1
+    assert failed  # the repro does reach the checks
+
+
+def test_item1_seed196_analyze_exits_0(tmp_path, capsys):
+    from cmnlab import cli
+
+    from conftest import item1_state
+
+    path = tmp_path / "state.json"
+    path.write_text(cli.statefile_text(item1_state(196)))
+    assert cli.main(["analyze", str(path)]) == 0
+    assert "filtered state failed the state checks: not positive semidefinite" in (
+        capsys.readouterr().out)

@@ -177,6 +177,38 @@ class TestDensityStackCheck:
     def test_valid_stack_passes(self):
         check_density_stack(np.stack([random_density((2, 3), r, 5).data for r in (1, 3, 6)]))
 
+    @staticmethod
+    def _with_min_eig(lam, seed):
+        """A 4x4 unit-trace Hermitian matrix whose smallest eigenvalue is lam."""
+        gen = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))
+        return q @ np.diag([lam, 0.2, 0.3, 0.5 - lam]) @ q.conj().T
+
+    @staticmethod
+    def _count_eigvalsh(monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("lam,eigvalsh_calls", [(-0.4e-9, 0), (-0.9e-9, 1)])
+    def test_accepts_min_eigenvalue_within_tolerance(self, monkeypatch, lam, eigvalsh_calls):
+        # the Cholesky certificate covers -EPS_PSD/2; below it eigvalsh decides
+        calls = self._count_eigvalsh(monkeypatch)
+        check_density_stack(np.stack([self._with_min_eig(0.1, 1), self._with_min_eig(lam, 2)]))
+        assert len(calls) == eigvalsh_calls
+
+    def test_rejects_min_eigenvalue_beyond_tolerance_naming_the_first_bad_row(self):
+        good = self._with_min_eig(0.1, 1)
+        with pytest.raises(ValidationError) as err:
+            check_density_stack(self._with_min_eig(-1.1e-9, 2)[None])
+        assert str(err.value) == "not positive semidefinite (min eigenvalue -1.100e-09)"
+        rows = [good, self._with_min_eig(-0.5e-9, 3), self._with_min_eig(-1.1e-9, 4),
+                self._with_min_eig(-3e-9, 5)]
+        with pytest.raises(ValidationError) as err:
+            check_density_stack(np.stack(rows))
+        assert str(err.value) == "not positive semidefinite (min eigenvalue -1.100e-09)"
+
 
 class TestPermuteParties:
     @staticmethod

@@ -236,6 +236,59 @@ def test_group_major_kernel_matches_oracle(dims, groups):
         _assert_matches_oracle(random_density(dims, side, 70 + seed), groups)
 
 
+def test_ill_conditioned_and_audit_filterings_match_oracle():
+    """The oracle reads the exact trace distance every sweep, so equal sweep
+    counts pin the kernel's residual decisions: on every converging cut of
+    ROADMAP item 1's states, seeds 0-19 (ill-conditioned filters), and on 64
+    unfiltered draws of each biseparable-filtered-* family. The states agree
+    to 1e-13, or, where the filters are ill-conditioned, to eps times the
+    product of the condition numbers of the two side reductions: the two
+    loops sum in different orders, and the filters amplify that rounding."""
+    from cmnlab.linalg import partial_trace_raw
+    from cmnlab.normal_form import filter_stack
+    from cmnlab.zoo import random_biseparable_stack
+
+    from conftest import item1_state
+
+    cases = [(item1_state(seed), [part.side_a, part.side_b])
+             for seed in range(20) for part in iter_bipartitions(3)]
+    for dims in ((2, 2, 2), (2, 2, 3)):
+        draws = random_biseparable_stack(dims, PART, 24, np.arange(2026, 2026 + 64))
+        cases += [(DensityMatrix(dims, row), [PART.side_a, PART.side_b]) for row in draws]
+    converged = 0
+    for rho, groups in cases:
+        out, sweeps, errors = filter_stack(rho.data[None], rho.dims, groups)
+        if errors[0] is not None:
+            continue
+        want, want_hist = _filter_recomputing(rho, groups)
+        assert sweeps[0] == len(want_hist) - 1
+        cond = np.prod([np.linalg.cond(partial_trace_raw(rho.data, rho.dims, g)) for g in groups])
+        assert np.abs(out[0] - want).max() <= max(1e-13, np.finfo(float).eps * cond)
+        converged += 1
+    assert converged >= 128 + 30
+
+
+def test_residual_band_between_the_frobenius_bounds_is_decided_exactly():
+    """A row whose sweep-0 trace distance lies strictly between the bounds
+    ||Δ||_F/2 and sqrt(D)·||Δ||_F/2 of a group other than group 0 stops at
+    sweep 0 exactly when tol is above that distance."""
+    from cmnlab.normal_form import filter_stack
+
+    gen = np.random.default_rng(5)
+    q, _ = np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))
+    # Δ has eigenvalues (3, -1, -1, -1)·1e-4: distance 3e-4, bounds 1.73e-4 and 3.46e-4
+    sigma = np.eye(4) / 4 + q @ np.diag([3e-4, -1e-4, -1e-4, -1e-4]) @ q.conj().T
+    rho = DensityMatrix((2, 2, 2), np.kron(np.eye(2) / 2, sigma))  # party 0 is already 1/2
+    delta = sigma - np.eye(4) / 4
+    dist = trace_distance(sigma, np.eye(4) / 4)
+    fro = np.linalg.norm(delta)
+    assert fro / 2 < 0.9 * dist and dist < 0.9 * fro  # strictly inside, sqrt(D) = 2
+    for tol, stops in ((dist * (1 + 1e-9), True), (dist * (1 - 1e-9), False)):
+        _, sweeps, errors = filter_stack(rho.data[None], rho.dims, [(0,), (1, 2)], tol)
+        assert errors[0] is None
+        assert (sweeps[0] == 0) == stops
+
+
 W3_STALL = ("filtering stalled after 64 sweeps: residual 3.9e-03 falls like k^-1.0, "
             "not geometrically")
 

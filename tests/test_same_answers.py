@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_answers.py"
 
 
@@ -21,3 +23,26 @@ def test_small_corpus_is_stable():
     # 13 states under 5 option sets, JSON and CSV; 10 audits; 2 states x 3 solves
     assert [kinds.count(k) for k in ("analyze", "audit", "discord")] == [130, 10, 6]
     assert "analyze/w-3/default/json" in labels
+
+
+def test_typed_errors_are_recorded_as_raised():
+    import importlib.util
+
+    from cmnlab.linalg import ValidationError
+    from cmnlab.normal_form import FilteringError
+
+    spec = importlib.util.spec_from_file_location("same_answers", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def raising(exc):
+        def run():
+            raise exc
+        return run
+
+    assert tool.outcome(lambda: "text") == "text"
+    assert tool.outcome(raising(ValidationError("not Hermitian"))) == (
+        "raised ValidationError: not Hermitian")
+    assert tool.outcome(raising(FilteringError("stalled"))) == "raised FilteringError: stalled"
+    with pytest.raises(TypeError):
+        tool.outcome(raising(TypeError("a bug, not an answer")))

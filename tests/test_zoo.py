@@ -324,3 +324,41 @@ def test_stack_samplers_validate_every_row(monkeypatch):
     random_fully_separable_sfnf_stack((2, 2, 2), [1, 2, 3])
     random_biseparable_stack((2, 2, 2), Bipartition.of((0,), 3), 4, [1, 2])
     assert calls == [3, 2]
+
+
+def _eigvalsh_shrink(pert, d):
+    """The Bloch halving loop with eigvalsh alone, the oracle for the
+    Cholesky certificate in zoo._shrink_into_body."""
+    body = np.eye(d) / d
+    todo = np.arange(len(pert))
+    for _ in range(60):
+        both = np.concatenate([body + pert[todo], body - pert[todo]])
+        lo = np.linalg.eigvalsh(hermitize(both)).min(axis=1).reshape(2, -1).min(axis=0)
+        todo = todo[~(lo >= 1e-6)]
+        if not len(todo):
+            return
+        pert[todo] = pert[todo] / 2
+    raise RuntimeError("could not shrink Bloch perturbation into the state body")
+
+
+def test_shrink_into_body_matches_eigvalsh_loop(monkeypatch):
+    from cmnlab import zoo
+
+    seen = []
+    real = zoo._shrink_into_body
+
+    def spy(pert, d):
+        before = pert.copy()
+        real(pert, d)
+        seen.append((d, before, pert.copy()))
+
+    monkeypatch.setattr(zoo, "_shrink_into_body", spy)
+    random_fully_separable_sfnf_stack((2, 2, 3), np.arange(2026, 2026 + 256))
+    halved = 0
+    for d, before, after in seen:
+        want = before.copy()
+        _eigvalsh_shrink(want, d)
+        assert want.tobytes() == after.tobytes()
+        halved += int((before != after).any(axis=(1, 2)).sum())
+    assert [d for d, _, _ in seen] == [2, 2, 3] and halved  # qutrit halving fired
+

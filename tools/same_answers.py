@@ -8,9 +8,12 @@ clean:
 
 The corpus: ``cmnlab analyze`` JSON (cut before its timing) and CSV under
 five option sets, on the zoo, GHZ-3..6, W-3..5 and seeded random states at
-full rank and rank 2; every acceptance soundness audit at seed 2026; and
-global and one-sided discord solves. ``--small`` runs a subset in a few
-seconds. Needs only the standard library and numpy.
+full rank and rank 2, and under the default options on ``slocc_rho1``
+states (ill-conditioned filtering); every acceptance soundness audit at
+seed 2026; and global and one-sided discord solves. An artifact whose
+command raises one of cmnlab's typed errors is recorded as
+``raised <Type>: <message>``. ``--small`` runs a subset in a few seconds.
+Needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -41,14 +44,28 @@ AUDITS = [
     ("biseparable-filtered-223", ("cmn-bisep-inf", "cmn-bisep-p1"), 2_000),
 ]
 SEED = 2026
+# the seeds of the slocc_rho1 states (ROADMAP item 1's repro)
+SLOCC_RHO1_SEEDS = (41, 104, 196)
 
 
 def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def outcome(run):
+    """``run()``, or ``raised <Type>: <message>`` if it raises one of
+    cmnlab's typed errors: a ValueError (numpy's LinAlgError is one) or a
+    RuntimeError."""
+    try:
+        return run()
+    except (ValueError, RuntimeError) as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
 def states(small):
-    """(label, state) pairs: the zoo, GHZ-n, W-n and seeded random states."""
+    """(label, state, analyze option names) triples: the zoo, GHZ-n, W-n and
+    seeded random states under every option set, and the SLOCC-filtered
+    rho1 states under the default options."""
     from cmnlab import zoo
 
     out = [(f"zoo:{name}", zoo.from_name(name)) for name in sorted(zoo.ZOO)]
@@ -58,28 +75,58 @@ def states(small):
         for rank in (math.prod(dims), 2):
             label = f"random-{''.join(map(str, dims))}-rank{rank}"
             out.append((label, zoo.random_density(dims, rank, SEED + i)))
+    out = [(label, rho, list(ANALYZE_OPTIONS)) for label, rho in out]
+    if not small:
+        out += [(f"slocc-rho1-{seed}", slocc_rho1(seed), ["default"])
+                for seed in SLOCC_RHO1_SEEDS]
     return out
+
+
+def slocc_rho1(seed):
+    """rho1 with party p = 0, 1, 2 in turn conjugated by q diag(1, 10^-e) q†,
+    q the QR factor of a complex Gaussian 2x2 matrix and e uniform in
+    [0.5, 3.5), all from default_rng(seed); then divided by its trace and
+    hermitized. Bi-separable across every cut, with ill-conditioned filters."""
+    import numpy as np
+
+    from cmnlab import zoo
+    from cmnlab.linalg import DensityMatrix, apply_local, hermitize
+
+    rng = np.random.default_rng(seed)
+    data = zoo.rho1().data
+    for p in range(3):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        e = rng.uniform(0.5, 3.5)
+        data = apply_local(q @ np.diag([1, 10**-e]) @ q.conj().T, data, (p,), (2, 2, 2))
+    return DensityMatrix((2, 2, 2), hermitize(data / data.trace().real))
 
 
 def analyze_lines(small, tmp):
     from cmnlab import cli
 
-    for label, rho in states(small):
+    csv = os.path.join(tmp, "out.csv")
+
+    def analyze(path, options):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["analyze", path, "--csv", csv] + options)
+        text = out.getvalue()
+        cut = text.rfind('"timing_seconds"')
+        with open(csv) as fh:
+            return f"{code} {text[:cut] if cut >= 0 else text}", fh.read()
+
+    for label, rho, names in states(small):
         path = label if label.startswith("zoo:") else os.path.join(tmp, "state.json")
         if path != label:
             with open(path, "w") as fh:
                 fh.write(cli.statefile_text(rho))
-        for name, options in ANALYZE_OPTIONS.items():
-            csv = os.path.join(tmp, "out.csv")
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(["analyze", path, "--csv", csv] + options)
-            text = out.getvalue()
-            cut = text.rfind('"timing_seconds"')
-            with open(csv) as fh:
-                yield f"analyze/{label}/{name}/json", f"{code} {text[:cut] if cut >= 0 else text}"
-                yield f"analyze/{label}/{name}/csv", fh.read()
-            os.remove(csv)
+        for name in names:
+            texts = outcome(lambda: analyze(path, ANALYZE_OPTIONS[name]))
+            json_text, csv_text = (texts, texts) if isinstance(texts, str) else texts
+            yield f"analyze/{label}/{name}/json", json_text
+            yield f"analyze/{label}/{name}/csv", csv_text
+            if os.path.exists(csv):
+                os.remove(csv)
 
 
 def audit_lines(small):
@@ -88,8 +135,9 @@ def audit_lines(small):
 
     for family, criteria, trials in AUDITS:
         for criterion in criteria:
-            rep = separability_audit(family, criterion, 50 if small else trials, SEED)
-            yield f"audit/{family}/{criterion}", report.dumps(dataclasses.asdict(rep))
+            rep = outcome(lambda: report.dumps(dataclasses.asdict(
+                separability_audit(family, criterion, 50 if small else trials, SEED))))
+            yield f"audit/{family}/{criterion}", rep
 
 
 def discord_lines(small):
@@ -107,12 +155,14 @@ def discord_lines(small):
     for label, rho in cases:
         part = Bipartition.of((0,), len(rho.dims))
         params = CmnParams(2, 1.0)
-        solves = [("global", global_discord_cmn(rho, part, params, opt))]
-        solves += [(f"side-{side}", bipartite_discord_cmn(rho, part, side, params, opt))
+        solves = [("global", lambda: global_discord_cmn(rho, part, params, opt))]
+        solves += [(f"side-{side}",
+                    lambda side=side: bipartite_discord_cmn(rho, part, side, params, opt))
                    for side in ("a", "b")]
-        for kind, res in solves:
-            doc = report.discord_result_to_dict(res, part.label())
-            yield f"discord/{label}/{part.label()}/{kind}", report.dumps(doc)
+        for kind, solve in solves:
+            text = outcome(lambda: report.dumps(
+                report.discord_result_to_dict(solve(), part.label())))
+            yield f"discord/{label}/{part.label()}/{kind}", text
 
 
 def main(argv=None):
