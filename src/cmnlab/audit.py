@@ -78,46 +78,11 @@ def ppt_check(rho: DensityMatrix, part: Bipartition, tol=1e-10) -> bool:
     return bool(np.linalg.eigvalsh(hermitize(pt)).min() >= -tol)
 
 
-_PART_A_BC = lambda dims: Bipartition.of((0,), len(dims))
-
 # Trials are sampled, filtered and scored as stacks of this many states.
 CHUNK = 256
 # A sample whose filtering fails is redrawn from seed + REDRAW * attempt.
 REDRAW = 10_000_019
 MAX_ATTEMPTS = 8
-
-
-# A sampler maps the trials' seeds to (validated states as one stack, the
-# seed each state was drawn from, number of draws rejected on the way).
-def _fullsep_sfnf_sampler(dims):
-    def sample(seeds):
-        return zoo.random_fully_separable_sfnf_stack(dims, seeds), seeds, 0
-    return sample
-
-
-def _bisep_filtered_sampler(dims, part, k_terms=24):
-    groups = [part.side_a, part.side_b]
-    side = math.prod(dims)
-
-    def sample(seeds):
-        states = np.empty((len(seeds), side, side), dtype=complex)
-        drawn = seeds.copy()
-        todo = np.arange(len(seeds))
-        rejected = 0
-        for attempt in range(MAX_ATTEMPTS):
-            drawn[todo] = seeds[todo] + REDRAW * attempt
-            rho = zoo.random_biseparable_stack(dims, part, k_terms, drawn[todo])
-            filtered, _, errors = filter_stack(rho, dims, groups=groups)
-            failed = np.array([e is not None for e in errors], dtype=bool)
-            check_density_stack(filtered[~failed])
-            states[todo[~failed]] = filtered[~failed]
-            rejected += int(failed.sum())
-            todo = todo[failed]
-            if not len(todo):
-                return states, drawn, rejected
-        raise RuntimeError("could not produce a filtered bi-separable sample")
-    return sample
-
 
 FAMILIES = {
     "fully-separable-sfnf-222": ((2, 2, 2), "full"),
@@ -128,16 +93,44 @@ FAMILIES = {
 }
 
 
-def _ghz_mixture_sampler(dims):
+# A sampler maps (dims, the A|rest cut, the trials' seeds) to (validated
+# states as one stack, the seed each state was drawn from, number of draws
+# rejected on the way).
+def _sample_fullsep_sfnf(dims, part, seeds):
+    return zoo.random_fully_separable_sfnf_stack(dims, seeds), seeds, 0
+
+
+def _sample_bisep_filtered(dims, part, seeds):
+    side = math.prod(dims)
+    states = np.empty((len(seeds), side, side), dtype=complex)
+    drawn = seeds.copy()
+    todo = np.arange(len(seeds))
+    rejected = 0
+    for attempt in range(MAX_ATTEMPTS):
+        drawn[todo] = seeds[todo] + REDRAW * attempt
+        rho = zoo.random_biseparable_stack(dims, part, 24, drawn[todo])
+        filtered, _, errors = filter_stack(rho, dims, groups=[part.side_a, part.side_b])
+        failed = np.array([e is not None for e in errors], dtype=bool)
+        check_density_stack(filtered[~failed])
+        states[todo[~failed]] = filtered[~failed]
+        rejected += int(failed.sum())
+        todo = todo[failed]
+        if not len(todo):
+            return states, drawn, rejected
+    raise RuntimeError("could not produce a filtered bi-separable sample")
+
+
+def _sample_ghz_mixtures(dims, part, seeds):
     ghz_rho = zoo.ghz(len(dims), 2).to_density().data
     noise = np.eye(ghz_rho.shape[0]) / ghz_rho.shape[0]
+    p = np.array([np.random.default_rng(s).uniform(0.6, 1.0) for s in seeds])[:, None, None]
+    states = p * ghz_rho + (1 - p) * noise
+    check_density_stack(states)
+    return states, seeds, 0
 
-    def sample(seeds):
-        p = np.array([np.random.default_rng(s).uniform(0.6, 1.0) for s in seeds])[:, None, None]
-        states = p * ghz_rho + (1 - p) * noise
-        check_density_stack(states)
-        return states, seeds, 0
-    return sample
+
+_SAMPLERS = {"full": _sample_fullsep_sfnf, "bisep": _sample_bisep_filtered,
+             "entangled": _sample_ghz_mixtures}
 
 
 def separability_audit(family: str, criterion: str, trials: int, seed: int) -> AuditReport:
@@ -160,7 +153,7 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
     if seed < 0:
         raise AuditInputError(f"seed must be >= 0, got {seed}")
     dims, kind = FAMILIES[family]
-    part = _PART_A_BC(dims)
+    part = Bipartition.of((0,), len(dims))
     entry = CRITERIA[criterion]
     if entry.kind == "full" and kind == "bisep":
         raise AuditInputError(
@@ -172,18 +165,12 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
     if not ok:
         raise AuditInputError(f"{criterion} does not apply to {family}: {why}")
     bound = entry.bound(dims, d_a, d_b, h)
-    if kind == "full":
-        sampler = _fullsep_sfnf_sampler(dims)
-    elif kind == "bisep":
-        sampler = _bisep_filtered_sampler(dims, part)
-    else:
-        sampler = _ghz_mixture_sampler(dims)
 
     violations = rejected = 0
     worst, worst_seed = -math.inf, None
     for start in range(0, trials, CHUNK):
         seeds = np.arange(seed + start, seed + min(start + CHUNK, trials))
-        states, drawn, redrawn = sampler(seeds)
+        states, drawn, redrawn = _SAMPLERS[kind](dims, part, seeds)
         rejected += redrawn
         values = entry.values(build_stack(states, dims), part, h)
         margins = (values - bound) / max(abs(bound), 1e-300)

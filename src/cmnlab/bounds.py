@@ -150,14 +150,10 @@ class Criterion:
     bound: Callable
     preconditions: Callable
 
-    def value(self, tensor, part, h):
-        """M_{h,p} of the cut's matricization, or the dVH trace norm of its
-        interior; the one-row case of :meth:`values`."""
-        return float(self.values(tensor.data[None], part, h)[0])
-
     def values(self, tensors, part, h):
-        """:meth:`value` of each correlation tensor in the stack ``tensors``
-        (shape (k, d₁², …)), from one batched SVD."""
+        """For each correlation tensor in the stack ``tensors`` (shape
+        (k, d₁², …)), M_{h,p} of its matricization across the cut, or the
+        dVH trace norm of its interior's, from one batched SVD."""
         return self.from_spectra(singular_values(self.matrices(tensors, part)), h)
 
     def matrices(self, tensors, part):

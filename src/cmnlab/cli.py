@@ -58,8 +58,11 @@ def statefile_text(rho: DensityMatrix) -> str:
 
 
 def _entry(i, e):
-    """Matrix entry ``i`` of a state file, the object {"re": x, "im": y}, as x + iy."""
+    """Matrix entry ``i`` of a state file, the object {"re": x, "im": y} of two
+    JSON numbers, as x + iy."""
     try:
+        if bool in (type(e["re"]), type(e["im"])):  # bool is a subclass of int
+            raise TypeError("a boolean is not a number")
         return complex(e["re"], e["im"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f'malformed state file: matrix entry {i} is not '
@@ -75,7 +78,8 @@ def statefile_to_state(doc) -> DensityMatrix:
                              f'got {json.dumps(dims)}')
         dims = tuple(dims)
         entries = doc["matrix"]
-        side = int(np.prod(dims))
+        # a negative dimension is for DensityMatrix's dims check to reject
+        side = abs(int(np.prod(dims)))
         if len(entries) != side * side:
             raise InputError(
                 f"matrix has {len(entries)} entries, expected {side * side}"
@@ -142,10 +146,6 @@ def _seed(args):
     return int(env)
 
 
-def _emit(args, doc):
-    _write(args, report.dumps(doc))
-
-
 def _write(args, text):
     if args.output:
         _write_file(args.output, text + "\n")
@@ -186,7 +186,7 @@ def cmd_analyze(args):
     )
     if args.csv:
         _write_file(args.csv, report.verdict_to_csv(verdict))
-    _emit(args, doc)
+    _write(args, report.dumps(doc))
     return EXIT_OK
 
 
@@ -227,24 +227,21 @@ def cmd_discord(args):
         {"h": args.h, "p": args.p, "seed": seed, "results": results},
         timing=time.perf_counter() - start,
     )
-    _emit(args, doc)
+    _write(args, report.dumps(doc))
     return EXIT_OK
 
 
 def cmd_audit(args):
     start = time.perf_counter()
     seed = _seed(args)
-    try:
-        rep = separability_audit(args.family, args.criterion, args.trials, seed)
-    except AuditInputError as exc:
-        raise InputError(str(exc)) from exc
+    rep = separability_audit(args.family, args.criterion, args.trials, seed)
     doc = report.document(
         "audit",
         report.input_digest(f"{args.family}:{args.criterion}:{args.trials}:{seed}"),
         {"audit": report.audit_report_to_dict(rep)},
         timing=time.perf_counter() - start,
     )
-    _emit(args, doc)
+    _write(args, report.dumps(doc))
     return EXIT_OK
 
 
@@ -255,11 +252,7 @@ def cmd_zoo(args):
         return EXIT_OK
     if not args.name:
         raise InputError("zoo emit requires a state name")
-    try:
-        rho = zoo.from_name(args.name)
-    except KeyError as exc:
-        raise InputError(exc.args[0]) from exc
-    _write(args, statefile_text(rho))
+    _write(args, load_state("zoo:" + args.name)[1])
     return EXIT_OK
 
 
@@ -317,7 +310,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, AuditInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

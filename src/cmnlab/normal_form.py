@@ -1,5 +1,5 @@
-"""FNF/SFNF predicates and the SLOCC filtering iteration that drives local
-reductions to the maximally mixed state."""
+"""The FNF and SFNF residuals, the SLOCC filtering iteration that drives
+local reductions to the maximally mixed state, and its failure texts."""
 
 from __future__ import annotations
 
@@ -82,15 +82,14 @@ def filter_to_fnf(rho: DensityMatrix, tol=DEFAULT_TOL, groups=None, history=None
     when ``MAX_SWEEPS`` sweeps do not converge.
 
     If ``history`` is a list, the product of the normalized reduction
-    determinants det(d_g ρ_g) is appended after every sweep; this product is
-    a standard non-decreasing convergence diagnostic.
+    determinants det(d_g ρ_g) is appended as each sweep starts, also the
+    sweep where filtering stops or fails; this product is a standard
+    non-decreasing convergence diagnostic.
 
     The one-row case of :func:`filter_stack`.
     """
-    rows = None if history is None else [[]]
-    data, _, errors = filter_stack(rho.data[None], rho.dims, groups, tol, rows)
-    if history is not None:
-        history.extend(rows[0])
+    data, _, errors = filter_stack(rho.data[None], rho.dims, groups, tol,
+                                   None if history is None else [history])
     if errors[0] is not None:
         raise FilteringError(errors[0])
     return DensityMatrix(rho.dims, data[0])
@@ -171,7 +170,7 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
 
     # eigh and eigvalsh read one triangle of their (Hermitian up to
     # rounding) input, so the reductions are not hermitized first
-    def residual(res, reds, exact):
+    def residual(res, exact):
         """Largest trace distance of a group reduction from 1/d_g, per row,
         given group 0's in ``res``. Exact if ``exact``; else a row's value
         may be a lower bound, but it lies on the same side of ``tol``."""
@@ -179,7 +178,7 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
             low = ~(res > tol)
             if not (exact or low.any()):
                 break
-            delta = (reduction(m, c) if reds is None else reds[c]) - mixed[c]
+            delta = reduction(m, c) - mixed[c]
             # half the Frobenius norm of the Hermitian matrix that eigvalsh
             # reads, h, has h <= trace distance <= sqrt(D)·h; only the rows
             # these bounds leave undecided (widened by a relative 1e-12 for
@@ -194,10 +193,10 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
                 res[ask] = np.maximum(res[ask], exact_td)
         return res
 
-    def record(reds):
+    def record():
         dets = np.ones(len(idx))
-        for D, red in zip(sizes, reds):
-            dets = dets * np.linalg.det(D * red).real
+        for c, D in enumerate(sizes):
+            dets = dets * np.linalg.det(D * reduction(m, c)).real
         for i, det in zip(idx, dets):
             history[i].append(float(det))
 
@@ -210,19 +209,15 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
     while len(idx):
         sweep, g = divmod(step, len(blocks))
         L, D, R = blocks[g]
+        if g == 0 and history is not None:
+            record()
+        w, v = np.linalg.eigh(D * reduction(m, g))
         if g == 0:
-            # group 0's reduction serves the history, the residual and the
-            # sweep's first filter, and its filter's eigh gives its residual
-            red = reduction(m, 0)
-            reds = None
-            if history is not None:
-                reds = [red] + [reduction(m, c) for c in range(1, len(blocks))]
-                record(reds)
-            w, v = np.linalg.eigh(D * red)
-            # the residual's value is read at the checkpoints, their
-            # snapshots and the budget; elsewhere only its side of tol
+            # group 0's filter's eigh gives its residual; the residual's
+            # value is read at the checkpoints, their snapshots and the
+            # budget, and elsewhere only its side of tol
             exact = sweep in STALL_SWEEPS or 2 * sweep in STALL_SWEEPS or sweep >= MAX_SWEEPS
-            res = residual(np.abs(w - 1).sum(axis=1) / (2 * D), reds, exact)
+            res = residual(np.abs(w - 1).sum(axis=1) / (2 * D), exact)
             # a row stops here once converged, at a checkpoint sweep if it
             # has stalled, and at the budget (the last checkpoint) anyway
             stop = done = ~(res > tol)
@@ -233,8 +228,6 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
                 stop = np.ones_like(done)
             if 2 * sweep in STALL_SWEEPS:
                 half[idx] = res
-        else:
-            w, v = np.linalg.eigh(D * reduction(m, g))
         bad = w[:, 0] <= RANK_TOL  # eigh sorts ascending
         leave = stop | bad if g == 0 else bad
         # the one place where rows leave: a converged row keeps its matrix,

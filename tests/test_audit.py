@@ -249,7 +249,7 @@ class TestSamplerRejections:
 
 def _one_row_margin(family, criterion, drawn_seed):
     """Margin of the sample drawn from ``drawn_seed``, through the one-state
-    samplers, filter_to_fnf, build and Criterion.value."""
+    samplers, filter_to_fnf, build and Criterion.values."""
     from cmnlab import audit
     from cmnlab.normal_form import filter_to_fnf
     from cmnlab.zoo import random_biseparable
@@ -262,13 +262,13 @@ def _one_row_margin(family, criterion, drawn_seed):
         rho = random_biseparable(dims, part, 24, drawn_seed)
         rho = filter_to_fnf(rho, groups=[part.side_a, part.side_b])
     else:
-        rho = audit._ghz_mixture_sampler(dims)(np.array([drawn_seed]))[0][0]
+        rho = audit._SAMPLERS[kind](dims, part, np.array([drawn_seed]))[0][0]
         rho = DensityMatrix(dims, rho)
     entry = CRITERIA[criterion]
     d_a, d_b = part.side_dims(dims)
     h = min(d_a, d_b) ** 2
     bound = entry.bound(dims, d_a, d_b, h)
-    return (entry.value(build(rho), part, h) - bound) / abs(bound)
+    return (entry.values(build(rho).data[None], part, h)[0] - bound) / abs(bound)
 
 
 class TestWorstSeed:

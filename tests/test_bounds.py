@@ -252,7 +252,7 @@ def test_criterion_values_match_per_tensor_oracle(name):
         else:
             want = cmn(matricize(t, part), CmnParams(4, entry.p))
         assert abs(value - want) <= 1e-15
-        assert entry.value(t, part, 4) == value
+        assert entry.values(t.data[None], part, 4)[0] == value
 
 
 # An A|BC bi-separable three-qubit state: an equal mixture of six products
@@ -309,7 +309,8 @@ def test_party_wise_fnf_counterexample_is_not_flagged():
     single = [np.abs(t.data[tuple(slice(1, None) if i == p else 0 for i in range(3))]).max()
               for p in range(3)]
     assert max(single) <= 1e-9
-    assert CRITERIA["cmn-bisep-p1"].value(t, a_bc, 2) > bisep_bound_p1(2, 4, 2) * (1 + 1e-4)
+    assert (CRITERIA["cmn-bisep-p1"].values(t.data[None], a_bc, 2)[0]
+            > bisep_bound_p1(2, 4, 2) * (1 + 1e-4))
     assert fnf_residual(t, a_bc) > 1e-2
     for h in (2, 3, 4):
         v = detect(rho, DetectConfig(h=h))

@@ -199,6 +199,32 @@ class TestStateFiles:
         assert err == ('error: malformed state file: "dims" must be a list of integers, '
                        f'got {shown}\n')
 
+    @pytest.mark.parametrize("command", ["analyze", "discord"])
+    @pytest.mark.parametrize("dims", [[-2, 2], [2, -2], [-2, 2, 2], [-2, -2], [1, 4], [0, 2]])
+    def test_dims_below_two_are_invalid(self, tmp_path, capsys, command, dims):
+        side = abs(math.prod(dims))  # a negative product crashed the reshape
+        matrix = [{"re": (i == j) / side, "im": 0.0} for i in range(side) for j in range(side)]
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": matrix}))
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == "error: invalid density matrix: every party dimension must be >= 2\n"
+
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_boolean_entries_are_not_numbers(self, tmp_path, capsys, field):
+        # |00><00| with one field spelled in booleans, once read as 1+0j and 0
+        matrix = [{"re": float(i == 0), "im": 0.0} for i in range(16)]
+        for e in matrix:
+            e[field] = bool(e[field])
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == ('error: malformed state file: matrix entry 0 is not '
+                       '{"re": number, "im": number}\n')
+
 
 class TestLibraryDefaults:
     """Without options, the CLI runs the library's own defaults."""

@@ -39,7 +39,7 @@ def cut_reports(tensor, dims, part, cfg, kind, gate, note=""):
         if not ok:
             reports.append(BoundReport(part, name, math.nan, math.nan, False, False, False, why))
             continue
-        value = float(CRITERIA[name].value(tensor, part, h))
+        value = float(CRITERIA[name].values(tensor.data[None], part, h)[0])
         bound = float(CRITERIA[name].bound(dims, d_a, d_b, h))
         reports.append(BoundReport(part, name, value, bound, *compare(value, bound), True,
                                    prefix + why))

@@ -369,6 +369,29 @@ def test_stack_history_per_row():
         assert np.abs(np.subtract(hist, want_hist)).max() <= 1e-13
 
 
+def test_history_has_one_entry_per_sweep_started(monkeypatch):
+    """filter_to_fnf appends one determinant product per sweep it starts,
+    also when it raises."""
+    from cmnlab import normal_form
+
+    zero = np.zeros((2, 2), dtype=complex)
+    zero[0, 0] = 1
+    bad = DensityMatrix((2, 2, 2), np.kron(np.kron(zero, np.eye(2) / 2), np.eye(2) / 2))
+    hist = []
+    with pytest.raises(FilteringError, match="rank deficient"):
+        filter_to_fnf(bad, history=hist)
+    assert hist == [0.0]
+    rho = random_density((2, 2, 2), 8, 8)
+    hist = []
+    filter_to_fnf(rho, history=hist)
+    assert len(hist) == 10
+    monkeypatch.setattr(normal_form, "MAX_SWEEPS", 3)
+    hist = []
+    with pytest.raises(FilteringError, match="did not converge in 3 sweeps"):
+        filter_to_fnf(rho, history=hist)
+    assert len(hist) == 4
+
+
 def test_rank_deficient_text_hides_rounding_noise():
     zero = np.zeros((2, 2), dtype=complex)
     zero[0, 0] = 1

@@ -10,8 +10,10 @@ The corpus: ``cmnlab analyze`` JSON (cut before its timing) and CSV under
 five option sets, on the zoo, GHZ-3..6, W-3..5 and seeded random states at
 full rank and rank 2, and under the default options on ``slocc_rho1``
 states (ill-conditioned filtering); every acceptance soundness audit at
-seed 2026; and global and one-sided discord solves. An artifact whose
-command raises one of cmnlab's typed errors is recorded as
+seed 2026; global and one-sided discord solves; and, in the full corpus
+only, ``cmnlab zoo emit`` of every zoo state (exit code and stdout) and
+``cmnlab`` runs that exit with an input error (exit code and stderr). An
+artifact whose command raises one of cmnlab's typed errors is recorded as
 ``raised <Type>: <message>``. ``--small`` runs a subset in a few seconds.
 Needs only the standard library and numpy.
 """
@@ -46,6 +48,23 @@ AUDITS = [
 SEED = 2026
 # the seeds of the slocc_rho1 states (ROADMAP item 1's repro)
 SLOCC_RHO1_SEEDS = (41, 104, 196)
+# state files that are not valid input: a negative party dimension, and
+# |00><00| with its entries spelled as JSON booleans
+BAD_STATE_FILES = {
+    "negative-dims": '{"dims": [-2, 2], "matrix": [%s]}' % ", ".join(
+        ['{"re": 0.25, "im": 0}' if i % 5 == 0 else '{"re": 0, "im": 0}' for i in range(16)]),
+    "boolean-entries": '{"dims": [2, 2], "matrix": [%s]}' % ", ".join(
+        ['{"re": true, "im": false}'] + ['{"re": false, "im": false}'] * 15),
+}
+# (case, argv) of the other runs that exit with an input error
+ERROR_RUNS = [
+    ("zoo-emit-nope", ["zoo", "emit", "nope"]),
+    ("analyze-zoo-nope", ["analyze", "zoo:nope"]),
+    ("audit-unknown-family", ["audit", "nope", "cmn-full-inf"]),
+    ("audit-unknown-criterion", ["audit", "fully-separable-sfnf-222", "nope"]),
+    ("audit-full-criterion-on-bisep",
+     ["audit", "biseparable-filtered-222", "cmn-full-inf", "--trials", "1"]),
+]
 
 
 def sha(text):
@@ -165,6 +184,29 @@ def discord_lines(small):
             yield f"discord/{label}/{part.label()}/{kind}", text
 
 
+def cli_lines(small, tmp):
+    from cmnlab import cli, zoo
+
+    def run(argv, stream):
+        """The exit code, a space and what the run wrote to ``stream``."""
+        out = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+        with contextlib.redirect_stdout(out["stdout"]), contextlib.redirect_stderr(out["stderr"]):
+            code = cli.main(argv)
+        return f"{code} {out[stream].getvalue()}"
+
+    if small:
+        return
+    for name in sorted(zoo.ZOO):
+        yield f"cli/zoo-emit/{name}", outcome(lambda: run(["zoo", "emit", name], "stdout"))
+    for case, argv in ERROR_RUNS:
+        yield f"cli/error/{case}", outcome(lambda: run(argv, "stderr"))
+    path = os.path.join(tmp, "bad.json")
+    for case, text in BAD_STATE_FILES.items():
+        with open(path, "w") as fh:
+            fh.write(text)
+        yield f"cli/error/{case}", outcome(lambda: run(["analyze", path], "stderr"))
+
+
 def main(argv=None):
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -175,7 +217,7 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     with tempfile.TemporaryDirectory() as tmp:
         for lines in (analyze_lines(args.small, tmp), audit_lines(args.small),
-                      discord_lines(args.small)):
+                      discord_lines(args.small), cli_lines(args.small, tmp)):
             for label, text in lines:
                 print(label, sha(text), flush=True)
     return 0
