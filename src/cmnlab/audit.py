@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from . import zoo
-from .bounds import CRITERIA, EPS_CMP
+from .bounds import CRITERIA, compare
 from .linalg import DensityMatrix, check_density_stack, hermitize
 from .normal_form import filter_stack
 from .tensor import Bipartition, build_stack
@@ -174,7 +174,7 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
         rejected += redrawn
         values = entry.values(build_stack(states, dims), part, h)
         margins = (values - bound) / max(abs(bound), 1e-300)
-        violations += int(np.count_nonzero(margins > EPS_CMP))
+        violations += int(np.count_nonzero(compare(values, bound)[0]))
         i = int(np.argmax(margins))
         if margins[i] > worst:
             worst, worst_seed = float(margins[i]), int(drawn[i])

@@ -7,9 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix
-
-IMAG_RESIDUE_TOL = 1e-10
+from .linalg import EPS_HERM, DensityMatrix
 
 
 @lru_cache(maxsize=None)
@@ -48,7 +46,7 @@ def basis_expectations(rho: DensityMatrix) -> np.ndarray:
     the Gell-Mann basis of party k's dimension.
 
     Entry (i₁, …, i_N) is trace(ρ · ⊗ₖ Bᵏ[iₖ]); the imaginary
-    residue of every entry is checked against IMAG_RESIDUE_TOL before being
+    residue of every entry is checked against side·EPS_HERM/2 before being
     discarded. The one-row case of :func:`expectations_stack`.
     """
     return expectations_stack(rho.data[None], rho.dims)[0]
@@ -58,7 +56,9 @@ def expectations_stack(data, dims) -> np.ndarray:
     """:func:`basis_expectations` of each matrix in the stack ``data``
     (shape (k, side, side), every state over ``dims``); shape (k, d₁², …).
     Raises ValueError for the first matrix whose imaginary residue exceeds
-    IMAG_RESIDUE_TOL."""
+    side·EPS_HERM/2: Im tr(ρB) = tr(KB) with K = (ρ - ρ†)/2 and ‖B‖_F = 1, so
+    it is at most ‖K‖_F ≤ side·EPS_HERM/2 on a matrix that passes the state
+    check's Hermiticity test."""
     dims = tuple(dims)
     n = len(dims)
     # each matrix as a 2N-axis tensor after the stack axis; contract each
@@ -72,9 +72,9 @@ def expectations_stack(data, dims) -> np.ndarray:
         ops = normalized_generalized_gell_mann(dims[k])
         t = np.tensordot(ops, t, axes=([1, 2], [n + 1, k + 1]))
         t = np.moveaxis(t, 0, k + 1)
-    residue = np.abs(t.imag)
-    if residue.max(initial=0) > IMAG_RESIDUE_TOL:
+    residue, tol = np.abs(t.imag), data.shape[-1] * EPS_HERM / 2
+    if residue.max(initial=0) > tol:
         residue = residue.reshape(len(t), -1).max(axis=1)
-        first = residue[residue > IMAG_RESIDUE_TOL][0]
+        first = residue[residue > tol][0]
         raise ValueError(f"imaginary residue {first:.3e} exceeds tolerance")
     return np.ascontiguousarray(t.real)

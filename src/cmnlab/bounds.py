@@ -37,16 +37,16 @@ class BoundReport:
 
 
 def compare(value, bound):
-    """Classify value against bound with the relative tolerance EPS_CMP.
+    """Classify value against bound with the relative tolerance EPS_CMP:
+    (violated, saturated), as bools for scalars and elementwise for arrays.
 
     Saturation (|value - bound| within tolerance) is never reported as a
     violation.
     """
-    scale = max(abs(bound), abs(value), 1e-300)
-    rel = (value - bound) / scale
-    saturated = abs(rel) <= EPS_CMP
-    violated = (not saturated) and rel > EPS_CMP
-    return violated, saturated
+    scale = np.maximum(np.maximum(np.abs(bound), np.abs(value)), 1e-300)
+    rel = np.subtract(value, bound) / scale
+    flags = rel > EPS_CMP, np.abs(rel) <= EPS_CMP
+    return tuple(map(bool, flags)) if np.ndim(rel) == 0 else flags
 
 
 def bisep_bound_inf(d_a, d_b, h) -> float:
@@ -308,7 +308,7 @@ def _state_reports(states, cfg):
                     (node, len(node), key, bound, (note if gated else "") + why))
                 node.append(part)  # until its value is known
 
-    # one SVD per matrix shape, then one value call per (criterion, h, matrix shape)
+    # one SVD per matrix shape, then one value and compare call per (criterion, h, shape)
     by_shape, spectra = {}, {}
     for key, mat in matrices.items():
         by_shape.setdefault(mat.shape, []).append(key)
@@ -316,9 +316,10 @@ def _state_reports(states, cfg):
         spectra.update(zip(keys, singular_values(np.stack([matrices[k] for k in keys]))))
     for (name, h, _), entries in pending.items():
         values = CRITERIA[name].from_spectra(np.stack([spectra[e[2]] for e in entries]), h)
-        for (node, i, _, bound, why), value in zip(entries, values):
-            value = float(value)
-            node[i] = BoundReport(node[i], name, value, bound, *compare(value, bound), True, why)
+        violated, saturated = compare(values, np.array([e[3] for e in entries]))
+        rows = zip(entries, values.tolist(), violated.tolist(), saturated.tolist())
+        for (node, i, _, bound, why), value, v, s in rows:
+            node[i] = BoundReport(node[i], name, value, bound, v, s, True, why)
     return {m: tuple(node) for m, node in reports.items()}
 
 

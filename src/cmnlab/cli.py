@@ -79,7 +79,7 @@ def statefile_to_state(doc) -> DensityMatrix:
         dims = tuple(dims)
         entries = doc["matrix"]
         # a negative dimension is for DensityMatrix's dims check to reject
-        side = abs(int(np.prod(dims)))
+        side = abs(math.prod(dims))
         if len(entries) != side * side:
             raise InputError(
                 f"matrix has {len(entries)} entries, expected {side * side}"
@@ -177,11 +177,11 @@ def cmd_analyze(args):
         recursive=not args.no_recursive,
         fnf_tol=args.tolerance,
     )
-    verdict = detect(rho, cfg)
+    verdict = report.verdict_to_dict(detect(rho, cfg))
     doc = report.document(
         "analyze",
         report.input_digest(payload),
-        {"verdict": report.verdict_to_dict(verdict)},
+        {"verdict": verdict},
         timing=time.perf_counter() - start,
     )
     if args.csv:
@@ -313,7 +313,7 @@ def main(argv=None):
     except (InputError, AuditInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, ValidationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -6,6 +6,7 @@ All state-like objects are immutable; every function here is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,7 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         if any(d < 2 for d in dims):
             raise ValidationError("every party dimension must be >= 2")
-        side = int(np.prod(dims))
+        side = math.prod(dims)
         data = _frozen_array(self.data, complex)
         object.__setattr__(self, "data", data)
         if data.shape != (side, side):
@@ -115,7 +116,7 @@ class PureState:
         object.__setattr__(self, "dims", dims)
         amp = _frozen_array(self.amplitudes, complex)
         object.__setattr__(self, "amplitudes", amp)
-        if amp.shape != (int(np.prod(dims)),):
+        if amp.shape != (math.prod(dims),):
             raise ValidationError("amplitude vector length does not match dims")
         nrm = np.linalg.norm(amp)
         if abs(nrm - 1) > EPS_NORM:
@@ -158,7 +159,7 @@ def partial_trace_raw(data, dims, keep):
     for p in sorted(set(range(n)) - set(keep), reverse=True):
         t = np.trace(t, axis1=p, axis2=p + len(cur))
         cur.pop(p)
-    side = int(np.prod([dims[k] for k in keep]))
+    side = math.prod(dims[k] for k in keep)
     return t.reshape(side, side)
 
 
@@ -198,7 +199,7 @@ def apply_local(op, data, parties, dims):
     col_axes = [n + p for p in parties]
     t = np.tensordot(t, op_t.conj(), axes=(col_axes, list(range(k, 2 * k))))
     t = np.moveaxis(t, list(range(-k, 0)), col_axes)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     return t.reshape(side, side)
 
 

@@ -160,26 +160,25 @@ def document(kind, digest, body, timing):
     }
 
 
-def verdict_to_csv(v):
-    """The CSV text of a verdict: a header line, then one line per
-    (partition, criterion), for the state and then for each distinct reduced
-    state once, in the order of ``verdict_to_dict``. The last column lists
-    the row set's parties as 0-based indices into ``v``'s parties,
-    space-separated."""
+def verdict_to_csv(doc):
+    """The CSV text of a :func:`verdict_to_dict` document: a header line,
+    then one line per report, for the state and then for each ``reduced``
+    entry in order. The last column lists the row set's parties as 0-based
+    indices into the state's parties, space-separated."""
     lines = ["partition,criterion,value,bound,violated,saturated,preconditions_met,parties"]
-    rows = {}  # id of a reports tuple -> its rows up to the parties column
-    for parties, verdict in [(range(len(v.dims)), v)] + v.subsets():
-        key = id(verdict.reports)
-        if key not in rows:
-            rows[key] = [",".join([
-                r.partition_label(),
-                r.criterion,
-                _format_float(r.value).strip('"'),
-                _format_float(r.bound).strip('"'),
-                str(r.violated).lower(),
-                str(r.saturated).lower(),
-                str(r.preconditions_met).lower(),
-            ]) for r in verdict.reports]
+    rows = {}  # id of a reports list -> its rows up to the parties column
+    whole = [(range(len(doc["dims"])), doc["reports"])]
+    for parties, reports in whole + [(e["parties"], e["reports"]) for e in doc["reduced"]]:
+        if id(reports) not in rows:
+            rows[id(reports)] = [",".join([
+                r["partition"],
+                r["criterion"],
+                _format_float(r["value"]).strip('"'),
+                _format_float(r["bound"]).strip('"'),
+                _SCALARS[r["violated"]],
+                _SCALARS[r["saturated"]],
+                _SCALARS[r["preconditions_met"]],
+            ]) for r in reports]
         party_list = " ".join(map(str, parties))
-        lines.extend(f"{row},{party_list}" for row in rows[key])
+        lines.extend(f"{row},{party_list}" for row in rows[id(reports)])
     return "\n".join(lines) + "\n"

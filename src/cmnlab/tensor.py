@@ -10,9 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from .basis import basis_expectations, expectations_stack
-from .linalg import DensityMatrix
-
-VERTEX_TOL = 1e-12
+from .linalg import EPS_TRACE, DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -35,9 +33,8 @@ class Bipartition:
 
     @classmethod
     def of(cls, side_a, n_parties):
-        a = sorted(set(int(i) for i in side_a))
-        b = sorted(set(range(n_parties)) - set(a))
-        return cls(tuple(a), tuple(b))
+        a = set(int(i) for i in side_a)
+        return cls(a, set(range(n_parties)) - a)
 
     @property
     def n_parties(self):
@@ -86,13 +83,14 @@ class CorrelationTensor:
 
 def _check_vertex(data, dims):
     """Raise ValueError for the first tensor of the stack ``data`` whose
-    vertex entry is not ∏ 1/√d_i."""
+    trace, read off its vertex entry tr ρ/√∏d_i, is more than EPS_TRACE from 1."""
     vertex = data[(slice(None),) + (0,) * len(dims)]
-    expected = 1 / math.sqrt(math.prod(dims))
-    err = np.abs(vertex - expected)
-    if err.max(initial=0) > VERTEX_TOL:
-        first = vertex[err > VERTEX_TOL][0]
-        raise ValueError(f"vertex entry {first:.15g} differs from {expected:.15g}")
+    root = math.sqrt(math.prod(dims))
+    tol = EPS_TRACE + 1e-12  # 1e-12 covers the rounding of this sum and the trace check's
+    err = np.abs(vertex * root - 1)
+    if err.max(initial=0) > tol:
+        first = vertex[err > tol][0]
+        raise ValueError(f"vertex entry {first:.15g} differs from {1 / root:.15g}")
 
 
 def build(rho: DensityMatrix) -> CorrelationTensor:

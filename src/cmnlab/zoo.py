@@ -84,7 +84,7 @@ def w_state(n: int) -> PureState:
 
 def maximally_mixed(dims) -> DensityMatrix:
     dims = tuple(int(d) for d in dims)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     return DensityMatrix(dims, np.eye(side, dtype=complex) / side)
 
 
@@ -92,7 +92,7 @@ def classical_state(dims, probs) -> DensityMatrix:
     """State diagonal in the computational product basis (zero discord)."""
     dims = tuple(int(d) for d in dims)
     probs = np.asarray(probs, dtype=float)
-    if probs.size != int(np.prod(dims)) or abs(probs.sum() - 1) > 1e-12:
+    if probs.size != math.prod(dims) or abs(probs.sum() - 1) > 1e-12:
         raise ValueError("need one probability per basis state, summing to 1")
     return DensityMatrix(dims, np.diag(probs).astype(complex))
 
@@ -101,7 +101,7 @@ def random_density(dims, rank, seed) -> DensityMatrix:
     """Normalized Wishart state of the given rank."""
     rng = np.random.default_rng(seed)
     dims = tuple(int(d) for d in dims)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     g = rng.normal(size=(side, rank)) + 1j * rng.normal(size=(side, rank))
     m = g @ g.conj().T
     return DensityMatrix(dims, hermitize(m / m.trace().real))
@@ -211,7 +211,7 @@ def random_fully_separable_sfnf_stack(dims, seeds) -> np.ndarray:
     """
     dims = tuple(int(d) for d in dims)
     rows = len(seeds)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     weights = np.empty((rows, SFNF_BLOCKS))
     dirs = [np.empty((rows, SFNF_BLOCKS, d * d - 1)) for d in dims]
     frac = np.empty((rows, SFNF_BLOCKS, len(dims)))

@@ -87,3 +87,18 @@ def test_vertex_value_for_any_state():
         expected = np.prod([1 / np.sqrt(d) for d in dims])
         assert abs(t[(0,) * len(dims)] - expected) <= 1e-12
 
+
+@pytest.mark.parametrize("pattern", ["off-diagonal-ones", "xxx"])
+def test_every_hermiticity_residual_the_state_check_accepts_builds(pattern):
+    # ρ + i·c·S with S real symmetric is 2c|S_jk| from Hermitian in entry jk:
+    # 0.999·EPS_HERM in every entry where S is ±1 (off the diagonal, so that
+    # the trace stays real)
+    from cmnlab.linalg import EPS_HERM
+    from cmnlab.tensor import build
+
+    x = pauli("x").real
+    s = np.ones((8, 8)) - np.eye(8) if pattern == "off-diagonal-ones" else np.kron(np.kron(x, x), x)
+    base = random_density((2, 2, 2), 8, 240)
+    rho = DensityMatrix((2, 2, 2), base.data + 0.4995j * EPS_HERM * s)
+    t = build(rho)
+    assert np.abs(t.data - basis_expectations(base)).max() <= 1e-15

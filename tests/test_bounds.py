@@ -121,6 +121,21 @@ class TestCompare:
         violated, saturated = compare(0.5, 1.0)
         assert not violated and not saturated
 
+    def test_arrays_match_the_scalar_form(self):
+        # within and just outside EPS_CMP of the bound on both sides, and a
+        # bound of 0, where the scale is |value| but at least 1e-300
+        values = np.array([1 + 0.9e-9, 1 + 1.1e-9, 1 - 0.9e-9, 1 - 1.1e-9, 1.0, 2.0, 0.5,
+                           0.0, 1e-12, -1e-12, 1e-310])
+        bounds = np.array([1.0] * 7 + [0.0] * 4)
+        violated, saturated = compare(values, bounds)
+        assert violated.shape == saturated.shape == values.shape
+        got = list(zip(violated.tolist(), saturated.tolist()))
+        want = [compare(v, b) for v, b in zip(values.tolist(), bounds.tolist())]
+        assert all(type(flag) is bool for pair in want for flag in pair)
+        assert got == want
+        assert want[:4] == [(False, True), (True, False), (False, True), (False, False)]
+        assert want[7:] == [(False, True), (True, False), (False, False), (False, True)]
+
 
 class TestDetect:
     def test_rho1_verdict(self):

@@ -226,6 +226,51 @@ class TestStateFiles:
                        '{"re": number, "im": number}\n')
 
 
+def _edge_state(case):
+    """(dims, matrix) of a state file at an edge of the state checks."""
+    x = np.array([[0, 1], [1, 0]])
+    if case == "dims-overflow-int64":  # the product wrapped to 4 in int64
+        return [4611686018427387905, 4], np.eye(4) / 4
+    if case == "trace-off":  # trace 1 + 5e-11
+        return [2, 2, 2], np.eye(8) / 8 * (1 + 5e-11)
+    if case == "hermitian-off":  # 0.9e-10 from Hermitian
+        return [2, 2, 2], np.eye(8) / 8 + 0.45e-10j * np.kron(np.kron(x, x), x)
+    # min eigenvalue -9e-10, which the reduction to parties A, B doubles
+    eps = 3.6e-9
+    return [2, 2, 2], ((1 + eps) * np.kron(np.diag([0, 1]), np.diag([0.1, 0.2, 0.3, 0.4]))
+                       - eps * np.kron(np.diag([1, 0]), np.eye(4) / 4))
+
+
+OVERFLOW_ERR = "error: matrix has 16 entries, expected 340282366920938463610948560021444624400\n"
+# (case, command) -> (exit code, stderr)
+EDGE_OUTCOMES = {
+    ("dims-overflow-int64", "analyze"): (EXIT_INVALID_INPUT, OVERFLOW_ERR),
+    ("dims-overflow-int64", "discord"): (EXIT_INVALID_INPUT, OVERFLOW_ERR),
+    ("trace-off", "analyze"): (EXIT_OK, ""),
+    ("trace-off", "discord"): (EXIT_OK, ""),
+    ("hermitian-off", "analyze"): (EXIT_OK, ""),
+    ("hermitian-off", "discord"): (EXIT_OK, ""),
+    ("reduction-not-psd", "analyze"): (
+        cli.EXIT_NUMERICAL,
+        "numerical failure: not positive semidefinite (min eigenvalue -1.800e-09)\n"),
+    ("reduction-not-psd", "discord"): (EXIT_OK, ""),
+}
+
+
+@pytest.mark.parametrize("case,command", list(EDGE_OUTCOMES))
+def test_states_at_the_edges_of_the_checks(tmp_path, capsys, case, command):
+    """A state file that passes the state checks is analyzed; one whose
+    reduction fails them is a numerical failure, not a traceback."""
+    dims, matrix = _edge_state(case)
+    entries = [{"re": float(z.real), "im": float(z.imag)} for z in np.ravel(matrix)]
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"dims": dims, "matrix": entries}))
+    options = ["--restarts", "1"] if command == "discord" else []
+    code, out, err = run(capsys, command, str(path), *options)
+    assert (code, err) == EDGE_OUTCOMES[case, command]
+    assert (out != "") == (code == EXIT_OK)
+
+
 class TestLibraryDefaults:
     """Without options, the CLI runs the library's own defaults."""
 

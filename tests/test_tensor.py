@@ -187,3 +187,15 @@ def test_build_stack_checks_every_row():
         build_stack(np.stack([good, bad]), (2, 2))
     with pytest.raises(ValueError, match="vertex entry"):
         build_stack(np.stack([good, 2 * good]), (2, 2))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_every_trace_the_state_check_accepts_builds(sign):
+    from cmnlab.linalg import EPS_TRACE
+    from cmnlab.tensor import build_stack
+
+    data = random_density((2, 2, 2), 8, 230).data * (1 + sign * 0.999 * EPS_TRACE)
+    rho = DensityMatrix((2, 2, 2), data)
+    vertex = build(rho).data[0, 0, 0]
+    assert abs(vertex * 8**0.5 - data.trace().real) <= 1e-15
+    assert np.array_equal(build_stack(data[None], (2, 2, 2))[0], build(rho).data)

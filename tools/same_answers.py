@@ -11,8 +11,9 @@ five option sets, on the zoo, GHZ-3..6, W-3..5 and seeded random states at
 full rank and rank 2, and under the default options on ``slocc_rho1``
 states (ill-conditioned filtering); every acceptance soundness audit at
 seed 2026; global and one-sided discord solves; and, in the full corpus
-only, ``cmnlab zoo emit`` of every zoo state (exit code and stdout) and
-``cmnlab`` runs that exit with an input error (exit code and stderr). An
+only, ``cmnlab zoo emit`` of every zoo state (exit code and stdout),
+``cmnlab`` runs that exit with an input error and ``cmnlab analyze`` on
+state files at the edges of the state checks (exit code and stderr). An
 artifact whose command raises one of cmnlab's typed errors is recorded as
 ``raised <Type>: <message>``. ``--small`` runs a subset in a few seconds.
 Needs only the standard library and numpy.
@@ -25,6 +26,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import os
 import sys
@@ -56,6 +58,30 @@ BAD_STATE_FILES = {
     "boolean-entries": '{"dims": [2, 2], "matrix": [%s]}' % ", ".join(
         ['{"re": true, "im": false}'] + ['{"re": false, "im": false}'] * 15),
 }
+
+
+def edge_state_files():
+    """Case -> text of state files at the edges of the state checks: dims
+    whose product wraps to 4 in int64, a trace 5e-11 from 1, a matrix 0.9e-10
+    from Hermitian, and a state of min eigenvalue -9e-10 whose reduction to
+    parties A, B has -1.8e-9."""
+    import numpy as np
+
+    x = np.array([[0, 1], [1, 0]])
+    eps = 3.6e-9
+    cases = {
+        "dims-overflow-int64": ([4611686018427387905, 4], np.eye(4) / 4),
+        "trace-off": ([2, 2, 2], np.eye(8) / 8 * (1 + 5e-11)),
+        "hermitian-off": ([2, 2, 2], np.eye(8) / 8 + 0.45e-10j * np.kron(np.kron(x, x), x)),
+        "reduction-not-psd": ([2, 2, 2], (
+            (1 + eps) * np.kron(np.diag([0, 1]), np.diag([0.1, 0.2, 0.3, 0.4]))
+            - eps * np.kron(np.diag([1, 0]), np.eye(4) / 4))),
+    }
+    return {case: json.dumps({"dims": dims, "matrix": [
+        {"re": float(z.real), "im": float(z.imag)} for z in np.ravel(m)]})
+        for case, (dims, m) in cases.items()}
+
+
 # (case, argv) of the other runs that exit with an input error
 ERROR_RUNS = [
     ("zoo-emit-nope", ["zoo", "emit", "nope"]),
@@ -201,7 +227,7 @@ def cli_lines(small, tmp):
     for case, argv in ERROR_RUNS:
         yield f"cli/error/{case}", outcome(lambda: run(argv, "stderr"))
     path = os.path.join(tmp, "bad.json")
-    for case, text in BAD_STATE_FILES.items():
+    for case, text in {**BAD_STATE_FILES, **edge_state_files()}.items():
         with open(path, "w") as fh:
             fh.write(text)
         yield f"cli/error/{case}", outcome(lambda: run(["analyze", path], "stderr"))
