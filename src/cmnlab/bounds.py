@@ -12,8 +12,8 @@ from itertools import combinations
 import numpy as np
 
 from .cmn import CmnParams, elementary_symmetric, minor_norm
-from .linalg import DensityMatrix, partial_trace, singular_values
-from .normal_form import DEFAULT_TOL, filter_cuts, fnf_residual, sfnf_residual
+from .linalg import DensityMatrix, ValidationError, partial_trace_raw, singular_values
+from .normal_form import DEFAULT_TOL, filter_cuts, fnf_residual
 from .tensor import Bipartition, _matricize_array, build, iter_bipartitions
 
 EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
@@ -264,19 +264,33 @@ def _cut_plan(dims, part, h, ps, kind):
 
 
 def _state_reports(states, cfg):
-    """The reports of each state of ``states``, one tuple per state, keyed
-    like ``states``. The cuts whose side-wise residual exceeds
-    ``cfg.fnf_tol`` are filtered side-wise by :func:`filter_cuts`, and the
-    spectra that the reports read come from one SVD per matrix shape."""
+    """The reports of each state of ``states`` (content -> the caller's
+    :class:`DensityMatrix` or a traced matrix), one tuple per state, keyed
+    like ``states``. Each traced matrix, and each that :func:`filter_cuts`
+    returns, is admitted here as a DensityMatrix, or the text of the check
+    it fails gates every report that would read it. The cuts whose residual
+    exceeds ``cfg.fnf_tol`` are filtered side-wise, and the spectra that the
+    reports read come from one SVD per matrix shape."""
+    def admit(dims, data, what):  # a state or a failure text is kept as it is
+        try:
+            return data if isinstance(data, (DensityMatrix, str)) else DensityMatrix(dims, data)
+        except ValidationError as exc:
+            return f"{what} state failed the state checks: {exc}"
+
     tol, ps = cfg.fnf_tol, tuple(cfg.ps)
-    parts = {m: list(iter_bipartitions(len(rho.dims))) for m, rho in states.items()}
-    tensors = {m: build(rho) for m, rho in states.items()}
+    states = {m: admit(m[0], s, "reduced") for m, s in states.items()}
+    parts = {m: list(iter_bipartitions(len(m[0]))) for m in states}
+    tensors = {m: build(rho) for m, rho in states.items() if not isinstance(rho, str)}
     residual = {(m, part): fnf_residual(t, part) for m, t in tensors.items() for part in parts[m]}
+    # every proper subset of the parties is one side of a cut, so the largest
+    # unfiltered cut residual is the SFNF residual
+    sfnf = {m: max(residual[m, part] for part in parts[m]) for m in tensors}
     # only an M_{h,p} entry reads the filtered tensor
     wanted = cfg.filter and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)
     cuts = [cut for cut, r in residual.items() if wanted and r > tol]
     filtered, failed = {}, {}
     for cut, out in zip(cuts, filter_cuts([(states[m], p) for m, p in cuts], tol)):
+        out = admit(cut[0][0], out, "filtered")
         if isinstance(out, str):
             failed[cut] = out
         else:
@@ -285,19 +299,19 @@ def _state_reports(states, cfg):
 
     matrices, pending, reports = {}, {}, {}  # (state, part, "interior" or note) -> matrix
     for m, rho in states.items():
-        sfnf_res = sfnf_residual(tensors[m])
-        sfnf_gate = "" if sfnf_res <= tol else f"not in SFNF (residual {sfnf_res:.3e})"
+        lost = rho if isinstance(rho, str) else ""  # gates every report of the state
+        sfnf_gate = lost or ("" if sfnf[m] <= tol else f"not in SFNF (residual {sfnf[m]:.3e})")
         node = reports[m] = []
         for kind, part in [(kind, part) for kind in ("bisep", "full") for part in parts[m]]:
-            t, gate, note = tensors[m], sfnf_gate, ""
-            if kind == "bisep":
+            t, gate, note = tensors.get(m), sfnf_gate, ""
+            if kind == "bisep" and not lost:
                 r = residual[m, part]
                 gate = "" if r <= tol else failed.get((m, part), f"not in FNF (residual {r:.3e})")
                 if (m, part) in filtered:
                     t, note = filtered[m, part], "after SLOCC filtering; "
-            for name, h, gated, ok, why, bound in _cut_plan(rho.dims, part, cfg.h, ps, kind):
-                if gated and gate or not ok:
-                    why, nan = gate if gated and gate else why, math.nan
+            for name, h, gated, ok, why, bound in _cut_plan(m[0], part, cfg.h, ps, kind):
+                if lost or gated and gate or not ok:
+                    why, nan = lost or (gate if gated and gate else why), math.nan
                     node.append(BoundReport(part, name, nan, nan, False, False, False, why))
                     continue
                 criterion = CRITERIA[name]
@@ -333,16 +347,17 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
     state and kept positions. The reports are a function of the state's
     bytes, so the DAG's distinct states (one per subset size on a
     permutation-symmetric state) are analyzed together, in one pass, and
-    the subsets holding equal states share one reports tuple. The verdicts
-    are then assembled smallest subset first: each subset gets its own,
-    which reads its own reductions, and every path through the DAG shares
-    it."""
+    the subsets holding equal states share one reports tuple; a reduction
+    is traced as a plain matrix and checked as a state there, once. The
+    verdicts are then assembled smallest subset first: each subset gets its
+    own, which reads its own reductions, and every path through the DAG
+    shares it."""
     n = len(rho.dims)
     if n < 2:
         raise ValueError(f"detect needs at least two parties, got {n}")
     whole = tuple(range(n))
     content = {whole: (rho.dims, rho.data.tobytes())}  # each subset's state content
-    states = {content[whole]: rho}  # the distinct states, by content
+    matrix = {content[whole]: rho.data}  # each distinct state's matrix, by content
     traced = {}  # (parent's content, kept positions) -> the reduced state's content
     for size in range(n - 1, 1 if cfg.recursive else n, -1):
         for subset in combinations(range(n), size):
@@ -350,10 +365,11 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
             keep = tuple(parent.index(p) for p in subset)
             edge = content[parent], keep
             if edge not in traced:
-                state = partial_trace(states[content[parent]], keep)
-                traced[edge] = state.dims, state.data.tobytes()
-                states.setdefault(traced[edge], state)
+                data = partial_trace_raw(matrix[content[parent]], content[parent][0], keep)
+                traced[edge] = tuple(rho.dims[p] for p in subset), data.tobytes()
+                matrix.setdefault(traced[edge], data)
             content[subset] = traced[edge]
+    states = {m: rho if m == content[whole] else data for m, data in matrix.items()}
     reports_of = _state_reports(states, cfg)
     verdicts = {}
     for parties in sorted(content, key=len):

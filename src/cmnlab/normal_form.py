@@ -1,4 +1,4 @@
-"""The FNF and SFNF residuals, the SLOCC filtering iteration that drives
+"""The FNF residual of a cut, the SLOCC filtering iteration that drives
 local reductions to the maximally mixed state, and its failure texts."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, ValidationError, hermitize, permute_parties
+from .linalg import DensityMatrix, hermitize, permute_parties
 from .tensor import Bipartition, CorrelationTensor
 
 RANK_TOL = 1e-8
@@ -40,17 +40,6 @@ def fnf_residual(t: CorrelationTensor, part: Bipartition) -> float:
         face[(0,) * len(side)] = 0  # the vertex
         worst = max(worst, float(face.max()))
     return worst
-
-
-def sfnf_residual(t: CorrelationTensor) -> float:
-    """Largest |entry| with at least one identity index, vertex excluded."""
-    mask = np.zeros(t.data.shape, dtype=bool)
-    for axis in range(t.n_parties):
-        sl = [slice(None)] * t.n_parties
-        sl[axis] = 0
-        mask[tuple(sl)] = True
-    mask[(0,) * t.n_parties] = False
-    return float(np.abs(t.data[mask]).max())
 
 
 def group_label(group):
@@ -97,11 +86,10 @@ def filter_to_fnf(rho: DensityMatrix, tol=DEFAULT_TOL, groups=None, history=None
 
 def filter_cuts(cuts, tol=DEFAULT_TOL):
     """Filter each (rho, part) of ``cuts`` to FNF across its cut: for each,
-    the filtered :class:`DensityMatrix`, or the text of the FilteringError
-    that ``filter_to_fnf(rho, tol, [part.side_a, part.side_b])`` raises, or,
-    for a converged row that fails the :class:`DensityMatrix` checks (an
-    ill-conditioned filter can leave it slightly indefinite), a text naming
-    the failed check.
+    the filtered matrix (Hermitian, not validated as a state: an
+    ill-conditioned filter can leave it slightly indefinite), or the text of
+    the FilteringError that ``filter_to_fnf(rho, tol, [part.side_a,
+    part.side_b])`` raises.
 
     Each state is permuted so that side A's parties come first, and the
     cuts that then share |A| and dims share one :func:`filter_stack` call.
@@ -116,12 +104,8 @@ def filter_cuts(cuts, tol=DEFAULT_TOL):
         labels = [[group_label(order[:k]), group_label(order[k:])] for _, _, order in members]
         filtered, _, errors = filter_stack(rows, dims, [range(k), range(k, len(dims))], tol,
                                            labels=labels)
-        for (i, rho, order), row, err in zip(members, filtered, errors):
-            try:
-                out[i] = err or DensityMatrix(rho.dims,
-                                              permute_parties(row, dims, np.argsort(order)))
-            except ValidationError as exc:
-                out[i] = f"filtered state failed the state checks: {exc}"
+        for (i, _, order), row, err in zip(members, filtered, errors):
+            out[i] = err or permute_parties(row, dims, np.argsort(order))
     return out
 
 

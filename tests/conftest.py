@@ -24,6 +24,19 @@ def item1_state(seed):
     return DensityMatrix((2, 2, 2), hermitize(data / data.trace().real))
 
 
+def sfnf_residual(t):
+    """Largest |entry| of the correlation tensor ``t`` with at least one
+    identity index, vertex excluded, read through one mask: the oracle for
+    detect's SFNF gate, the largest FNF residual over the cuts."""
+    mask = np.zeros(t.data.shape, dtype=bool)
+    for axis in range(t.n_parties):
+        sl = [slice(None)] * t.n_parties
+        sl[axis] = 0
+        mask[tuple(sl)] = True
+    mask[(0,) * t.n_parties] = False
+    return float(np.abs(t.data[mask]).max())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)

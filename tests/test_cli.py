@@ -235,6 +235,8 @@ def _edge_state(case):
         return [2, 2, 2], np.eye(8) / 8 * (1 + 5e-11)
     if case == "hermitian-off":  # 0.9e-10 from Hermitian
         return [2, 2, 2], np.eye(8) / 8 + 0.45e-10j * np.kron(np.kron(x, x), x)
+    if case == "reduction-not-hermitian":  # 0.9e-10, doubled in the reductions to A, B and A, C
+        return [2, 2, 2], np.eye(8) / 8 + 0.45e-10 * np.kron([[0, 1], [-1, 0]], np.eye(4))
     # min eigenvalue -9e-10, which the reduction to parties A, B doubles
     eps = 3.6e-9
     return [2, 2, 2], ((1 + eps) * np.kron(np.diag([0, 1]), np.diag([0.1, 0.2, 0.3, 0.4]))
@@ -250,25 +252,58 @@ EDGE_OUTCOMES = {
     ("trace-off", "discord"): (EXIT_OK, ""),
     ("hermitian-off", "analyze"): (EXIT_OK, ""),
     ("hermitian-off", "discord"): (EXIT_OK, ""),
-    ("reduction-not-psd", "analyze"): (
-        cli.EXIT_NUMERICAL,
-        "numerical failure: not positive semidefinite (min eigenvalue -1.800e-09)\n"),
+    ("reduction-not-psd", "analyze"): (EXIT_OK, ""),
     ("reduction-not-psd", "discord"): (EXIT_OK, ""),
+    ("reduction-not-hermitian", "analyze"): (EXIT_OK, ""),
+    ("reduction-not-hermitian", "discord"): (EXIT_OK, ""),
 }
 
 
-@pytest.mark.parametrize("case,command", list(EDGE_OUTCOMES))
-def test_states_at_the_edges_of_the_checks(tmp_path, capsys, case, command):
-    """A state file that passes the state checks is analyzed; one whose
-    reduction fails them is a numerical failure, not a traceback."""
+def _write_edge_state(tmp_path, case):
     dims, matrix = _edge_state(case)
     entries = [{"re": float(z.real), "im": float(z.imag)} for z in np.ravel(matrix)]
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"dims": dims, "matrix": entries}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case,command", list(EDGE_OUTCOMES))
+def test_states_at_the_edges_of_the_checks(tmp_path, capsys, case, command):
+    """A state file that passes the state checks is analyzed, also when a
+    reduction of it fails them."""
     options = ["--restarts", "1"] if command == "discord" else []
-    code, out, err = run(capsys, command, str(path), *options)
+    code, out, err = run(capsys, command, _write_edge_state(tmp_path, case), *options)
     assert (code, err) == EDGE_OUTCOMES[case, command]
     assert (out != "") == (code == EXIT_OK)
+
+
+@pytest.mark.parametrize("case,check", [
+    ("reduction-not-psd", "not positive semidefinite (min eigenvalue -1.800e-09)"),
+    ("reduction-not-hermitian", "not Hermitian (residual 1.800e-10)"),
+])
+def test_a_reduction_that_fails_the_checks_gates_only_its_subsets(tmp_path, capsys, case,
+                                                                    check):
+    """The reductions to A, B and A, C fail the state checks: every report of
+    theirs is inconclusive with the failed check as its reason. The state's
+    own reports and those of B, C are what detect gives on each alone."""
+    from cmnlab.linalg import DensityMatrix, partial_trace_raw
+
+    code, out, _ = run(capsys, "analyze", _write_edge_state(tmp_path, case))
+    assert code == EXIT_OK
+    doc = json.loads(out)["verdict"]
+    entries = {tuple(e["parties"]): e["reports"] for e in doc["reduced"]}
+    assert list(entries) == [(1, 2), (0, 2), (0, 1)]
+    why = f"reduced state failed the state checks: {check}"
+    for parties in [(0, 2), (0, 1)]:
+        assert len(entries[parties]) == 6
+        assert all(r["reason"] == why and not r["preconditions_met"] and not r["violated"]
+                   for r in entries[parties])
+    dims, matrix = _edge_state(case)
+    whole = detect(DensityMatrix(dims, matrix), DetectConfig(recursive=False))
+    bc = detect(DensityMatrix((2, 2), partial_trace_raw(matrix, dims, (1, 2))))
+    for got, want in [(doc["reports"], whole), (entries[1, 2], bc)]:
+        assert got == json.loads(report.dumps([report.bound_report_to_dict(r)
+                                               for r in want.reports]))
 
 
 class TestLibraryDefaults:

@@ -9,13 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from cmnlab import bounds, normal_form, report, zoo
+from cmnlab import bounds, linalg, normal_form, report, zoo
 from cmnlab.bounds import CRITERIA, BoundReport, DetectConfig, DetectionVerdict, compare, detect
 from cmnlab.linalg import partial_trace
-from cmnlab.normal_form import FilteringError, filter_to_fnf, fnf_residual, sfnf_residual
+from cmnlab.normal_form import FilteringError, filter_to_fnf, fnf_residual
 from cmnlab.tensor import Bipartition, build, iter_bipartitions
 
-from conftest import random_density
+from conftest import random_density, sfnf_residual
 
 CMN_NAMES = {(c.kind, c.p): name for name, c in CRITERIA.items() if c.p is not None}
 
@@ -267,7 +267,8 @@ def test_each_distinct_reduction_is_traced_once(monkeypatch, rho, traces):
     take in the parent (m + 1), not one per subset (56 on GHZ-6). A random
     state's reductions are all distinct."""
     calls = {}
-    monkeypatch.setattr(bounds, "partial_trace", counted(calls, "trace", bounds.partial_trace))
+    monkeypatch.setattr(bounds, "partial_trace_raw",
+                        counted(calls, "trace", bounds.partial_trace_raw))
     detect(rho)
     assert len(calls["trace"]) == traces
 
@@ -344,3 +345,20 @@ def test_finite_p_keeps_bounded_exponents():
     full = [r.criterion for r in v.reports if r.criterion.startswith("cmn-full")]
     assert full[:3] == ["cmn-full-inf", "cmn-full-p2", "cmn-full-p1"]
     assert v.not_fully_separable
+
+
+@pytest.mark.parametrize("rho,checks", [
+    (zoo.ghz(6).to_density(), 4),
+    (zoo.rho1(), 1),
+    (random_density((2, 2, 2, 2), 16, 14), 10 + 25),
+])
+def test_each_distinct_state_is_checked_once(monkeypatch, rho, checks):
+    """The caller's state is not checked again; each distinct reduction and
+    each filtered row is checked once: GHZ-6 has four distinct reductions
+    and filters none, rho1's three are one state, and the random state's
+    10 reductions are all distinct and 25 of their cuts are filtered."""
+    calls = {}
+    monkeypatch.setattr(linalg, "check_density_stack",
+                        counted(calls, "check", linalg.check_density_stack))
+    detect(rho)
+    assert len(calls.get("check", [])) == checks

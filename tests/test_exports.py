@@ -11,13 +11,16 @@ PACKAGE = ROOT / "src" / "cmnlab"
 # helpers that oracles are built from, the references for batched forms, and
 # the audit oracles that PAPER.md lists as library features; matricize_interior
 # is the documented interior matricization, the reference for the dVH
-# interior that Criterion.matrices cuts from a stack
+# interior that Criterion.matrices cuts from a stack; cmn is the README's
+# library example, while detect and the audits read cmn.minor_norm through
+# Criterion.from_spectra
 TEST_ONLY = {
     "trace_distance", "pauli",
     "unitary_from_angles", "correlation_space_map",
     "compound_matrix", "schatten_norm", "elementary_symmetric_bruteforce", "ppt_check",
-    "matricize_interior",
+    "matricize_interior", "cmn",
 }
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
 def public_definitions():
@@ -48,7 +51,8 @@ def references(tree):
     """The names ``tree`` refers to: imported names, attributes, names read
     where no enclosing function or comprehension binds them, and strings
     that name one (``"f"`` or ``"module.f"``, as a tracer patching by name
-    holds them)."""
+    holds them). A bare string that is a cmnlab module's name (a tracer's
+    layer) names the module, not a function of that name."""
     refs = set()
 
     def visit(node, bound):
@@ -71,7 +75,7 @@ def references(tree):
         elif isinstance(node, ast.ImportFrom):
             refs.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.rpartition(".")[2].isidentifier():
+            if node.value.rpartition(".")[2].isidentifier() and node.value not in MODULES:
                 refs.add(node.value.rpartition(".")[2])
         for child in ast.iter_child_nodes(node):
             visit(child, bound)
@@ -113,3 +117,10 @@ def test_a_local_of_the_same_name_is_no_reference():
     assert "pauli" not in references(tree)
     assert {"print", "range"} <= references(tree)
     assert "pauli" in references(ast.parse("def f():\n    return pauli('x')\n"))
+
+
+def test_a_bare_module_name_is_no_reference():
+    # bench/tracer.py's layer "cmn" is the module, not the function cmn.cmn
+    assert "cmn" not in references(ast.parse('LAYERS = ("cmn", "linalg")\n'))
+    assert "cmn" in references(ast.parse('PATCHED = "cmn.cmn"\n'))
+    assert "minor_norm" in references(ast.parse('PATCHED = "minor_norm"\n'))

@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 
 from cmnlab.linalg import DensityMatrix, partial_trace, trace_distance
-from cmnlab.normal_form import (
-    DEFAULT_TOL,
-    FilteringError,
-    filter_to_fnf,
-    fnf_residual,
-    sfnf_residual,
-)
+from cmnlab.normal_form import DEFAULT_TOL, FilteringError, filter_to_fnf, fnf_residual
 from cmnlab.tensor import Bipartition, build, iter_bipartitions
 from cmnlab.zoo import bell, ghz, maximally_mixed, rho1
 
-from conftest import random_density
+from conftest import random_density, sfnf_residual
 
 PART = Bipartition.of((0,), 3)
 
@@ -92,6 +86,21 @@ class TestIsSfnf:
         per_part, sfnf, _ = normal_form_status(build(rho1()))
         assert sfnf
         assert all(per_part.values())
+
+    def test_largest_cut_residual_is_the_sfnf_residual(self):
+        """Every proper subset of the parties is one side of some cut, so the
+        largest FNF residual over the cuts reads every entry with an identity
+        index: it equals the mask oracle exactly."""
+        from cmnlab.zoo import ZOO, from_name
+
+        tensors = [build(from_name(name)) for name in sorted(ZOO)]
+        for i, dims in enumerate([(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (3, 3, 2), (2, 2, 2, 2)]):
+            side = int(np.prod(dims))
+            tensors += [build(random_density(dims, 1 + seed % side, 100 * i + seed))
+                        for seed in range(50)]
+        for t in tensors:
+            cuts = iter_bipartitions(t.n_parties)
+            assert max(fnf_residual(t, part) for part in cuts) == sfnf_residual(t)
 
 
 class TestFilterToFnf:
@@ -514,5 +523,5 @@ def test_filter_cuts_match_filter_to_fnf_on_each_cut():
             texts += 1
             assert got == str(exc)
         else:
-            assert got.dims == rho.dims and np.array_equal(got.data, want.data)
+            assert np.array_equal(got, want.data)
     assert texts == 3  # the three cuts of W-3

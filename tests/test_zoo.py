@@ -5,7 +5,7 @@ import pytest
 
 from cmnlab.basis import normalized_generalized_gell_mann
 from cmnlab.linalg import DensityMatrix, hermitize, partial_trace, pauli, singular_values
-from cmnlab.normal_form import DEFAULT_TOL, sfnf_residual
+from cmnlab.normal_form import DEFAULT_TOL
 from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize
 from cmnlab.zoo import (
     TETRAHEDRON,
@@ -25,6 +25,8 @@ from cmnlab.zoo import (
     sic_povm_qubit,
     w_state,
 )
+
+from conftest import sfnf_residual
 
 
 class TestSicPovm:

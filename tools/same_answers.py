@@ -63,8 +63,9 @@ BAD_STATE_FILES = {
 def edge_state_files():
     """Case -> text of state files at the edges of the state checks: dims
     whose product wraps to 4 in int64, a trace 5e-11 from 1, a matrix 0.9e-10
-    from Hermitian, and a state of min eigenvalue -9e-10 whose reduction to
-    parties A, B has -1.8e-9."""
+    from Hermitian, a state of min eigenvalue -9e-10 whose reduction to
+    parties A, B has -1.8e-9, and a state 0.9e-10 from Hermitian whose
+    reductions to A, B and A, C are 1.8e-10 from it."""
     import numpy as np
 
     x = np.array([[0, 1], [1, 0]])
@@ -76,6 +77,8 @@ def edge_state_files():
         "reduction-not-psd": ([2, 2, 2], (
             (1 + eps) * np.kron(np.diag([0, 1]), np.diag([0.1, 0.2, 0.3, 0.4]))
             - eps * np.kron(np.diag([1, 0]), np.eye(4) / 4))),
+        "reduction-not-hermitian": (
+            [2, 2, 2], np.eye(8) / 8 + 0.45e-10 * np.kron([[0, 1], [-1, 0]], np.eye(4))),
     }
     return {case: json.dumps({"dims": dims, "matrix": [
         {"re": float(z.real), "im": float(z.imag)} for z in np.ravel(m)]})
