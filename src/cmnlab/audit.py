@@ -169,7 +169,8 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
     violations = rejected = 0
     worst, worst_seed = -math.inf, None
     for start in range(0, trials, CHUNK):
-        seeds = np.arange(seed + start, seed + min(start + CHUNK, trials))
+        # exact Python integers: int64 seeds past 2^63 - 1 turn float or wrap
+        seeds = np.arange(seed + start, seed + min(start + CHUNK, trials), dtype=object)
         states, drawn, redrawn = _SAMPLERS[kind](dims, part, seeds)
         rejected += redrawn
         values = entry.values(build_stack(states, dims), part, h)

@@ -71,6 +71,8 @@ def _entry(i, e):
 
 def statefile_to_state(doc) -> DensityMatrix:
     try:
+        if not isinstance(doc, dict):
+            raise InputError("malformed state file: the top level must be a JSON object")
         dims = doc["dims"]
         # a JSON list of JSON integers; bool is a subclass of int
         if not isinstance(dims, list) or any(type(d) is not int for d in dims):
@@ -78,6 +80,9 @@ def statefile_to_state(doc) -> DensityMatrix:
                              f'got {json.dumps(dims)}')
         dims = tuple(dims)
         entries = doc["matrix"]
+        if not isinstance(entries, list):
+            raise InputError(f'malformed state file: "matrix" must be a list, '
+                             f'got {json.dumps(entries)}')
         # a negative dimension is for DensityMatrix's dims check to reject
         side = abs(math.prod(dims))
         if len(entries) != side * side:
@@ -247,8 +252,7 @@ def cmd_audit(args):
 
 def cmd_zoo(args):
     if args.action == "list":
-        for name in sorted(zoo.ZOO):
-            print(name)
+        _write(args, "\n".join(sorted(zoo.ZOO)))
         return EXIT_OK
     if not args.name:
         raise InputError("zoo emit requires a state name")

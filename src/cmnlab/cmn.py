@@ -23,6 +23,8 @@ class CmnParams:
     p: float
 
     def __post_init__(self):
+        if self.h % 1:  # also true for inf and nan
+            raise ValueError(f"minor order h must be a whole number, got {self.h!r}")
         object.__setattr__(self, "h", int(self.h))
         object.__setattr__(self, "p", float(self.p))
         if self.h < 1:

@@ -162,24 +162,14 @@ def _product_mixture_stack(dims, groups, k_terms, seeds) -> np.ndarray:
 
 
 def _shrink_into_body(pert, d):
-    """Halve, in place, each perturbation of the stack ``pert`` until both
-    1/d + pert and 1/d - pert have eigenvalues >= 1e-6 (at most 60 times)."""
-    body = np.eye(d) / d
-    todo = np.arange(len(pert))
-    for _ in range(60):
-        both = hermitize(np.concatenate([body + pert[todo], body - pert[todo]]))
-        try:
-            # a Cholesky factor of each matrix - 2e-6·1 certifies all their
-            # eigenvalues > 1e-6 with room for rounding: every row is done
-            np.linalg.cholesky(both - 2e-6 * np.eye(d))
-            return
-        except np.linalg.LinAlgError:
-            lo = np.linalg.eigvalsh(both).min(axis=1).reshape(2, -1).min(axis=0)
-        todo = todo[~(lo >= 1e-6)]
-        if not len(todo):
-            return
-        pert[todo] = pert[todo] / 2
-    raise RuntimeError("could not shrink Bloch perturbation into the state body")
+    """Halve, in place, each perturbation P of the stack ``pert`` the least
+    k >= 0 times that puts each eigenvalue 1/d ± λ(P)/2^k of 1/d ± P/2^k at
+    or above 1e-6; scaling by 2^-k is exact. Where max|λ|/2^k is within
+    rounding of 1/d - 1e-6, k may be one fewer or more than a loop that
+    halves until eigvalsh of both signs passes would give."""
+    frac, exp = np.frexp(np.abs(np.linalg.eigvalsh(pert)).max(axis=1) / (1 / d - 1e-6))
+    k = np.maximum(exp - (frac == 0.5), 0)  # the least k >= 0 with that ratio <= 2^k
+    pert *= np.ldexp(1.0, -k)[:, None, None]
 
 
 # Bloch-vector blocks mixed into each SFNF sample (see the stack sampler).
@@ -199,7 +189,7 @@ def random_fully_separable_sfnf_stack(dims, seeds) -> np.ndarray:
 
     Each block mixes sign-flipped product states ρ(±r_1) ⊗ … ⊗ ρ(±r_N)
     uniformly over even-parity sign patterns, with ρ(±r) = 1/d ± r·G a state
-    of random interior Bloch vector r (halved until both signs are PSD).
+    of random interior Bloch vector r (halved as often as both signs need).
     Every correlation with an identity index cancels exactly, and the
     mixture is ⊗(1/d) + ⊗(r·G) term for term, so a block costs two
     Kronecker products. The SFNF conditions are linear, so a convex mixture

@@ -183,7 +183,7 @@ def test_filtered_audits_make_no_eigvalsh_call(monkeypatch):
         assert rep.trials == 256
     assert calls == []
     separability_audit("fully-separable-sfnf-223", "cmn-full-inf", 256, 2026)
-    assert calls  # the counter sees the qutrit halving's fallback
+    assert calls  # the counter sees the SFNF sampler's eigvalsh per party
 
 
 class TestWitnessedInequalities:

@@ -68,6 +68,14 @@ class TestZooCommand:
         code, _, err = run(capsys, "zoo", "emit")
         assert code == EXIT_INVALID_INPUT
 
+    def test_list_output_file(self, capsys, tmp_path):
+        path = tmp_path / "names.txt"
+        code, out, _ = run(capsys, "zoo", "list", "--output", str(path))
+        assert code == EXIT_OK and out == ""  # the list went to stdout, and no file
+        assert path.read_text() == "".join(f"{name}\n" for name in sorted(ZOO))
+        code, out, _ = run(capsys, "zoo", "list")
+        assert out == path.read_text()
+
 
 class TestStateFiles:
     def test_float_roundtrip_exact(self):
@@ -157,6 +165,29 @@ class TestStateFiles:
         assert code == EXIT_INVALID_INPUT
         assert err == ('error: malformed state file: matrix entry 0 is not '
                        '{"re": number, "im": number}\n')
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "5", "null"])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
+        # was Python's text, such as "list indices must be integers or slices, not str"
+        path = tmp_path / "top.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == "error: malformed state file: the top level must be a JSON object\n"
+
+    @pytest.mark.parametrize("matrix,shown", [
+        (5, "5"),  # was Python's "object of type 'int' has no len()"
+        ("x" * 16, '"' + "x" * 16 + '"'),  # was read as 16 malformed entries
+        ({"re": 1}, '{"re": 1}'),
+    ])
+    def test_matrix_must_be_a_list(self, tmp_path, capsys, matrix, shown):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == f'error: malformed state file: "matrix" must be a list, got {shown}\n'
 
     def test_rejects_bad_json(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
@@ -679,6 +710,15 @@ class TestAuditCommand:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err.startswith("error:") and "seed" in err
+
+    @pytest.mark.parametrize("seed", [2**63 - 2, 10**20])
+    def test_seed_past_int64(self, capsys, seed):
+        # int64 trial seeds turned float past 2^63 - 1, which SeedSequence rejects
+        code, out, err = run(capsys, "audit", "biseparable-filtered-222", "cmn-bisep-inf",
+                             "--trials", "2", "--seed", str(seed))
+        assert code == EXIT_OK and err == ""
+        worst = json.loads(out)["audit"]["worst_seed"]
+        assert type(worst) is int and worst >= seed
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one(self, capsys, trials):

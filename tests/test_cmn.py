@@ -133,6 +133,14 @@ class TestParams:
         with pytest.raises(ValueError):
             CmnParams(2, -1.0)
 
+    @pytest.mark.parametrize("h", [2.5, math.inf, math.nan])
+    def test_h_must_be_a_whole_number(self, h):
+        # 2.5 was truncated to 2, so cmn(m, CmnParams(2.5, inf)) returned M_{2,inf}
+        with pytest.raises(ValueError, match=f"whole number, got {h!r}"):
+            CmnParams(h, 1.0)
+        params = CmnParams(4.0, math.inf)
+        assert params.h == 4 and type(params.h) is int
+
 
 def _loop_elementary_symmetric(h, xs):
     """The coefficient sweep as an explicit double loop, the oracle for the

@@ -13,12 +13,18 @@ PACKAGE = ROOT / "src" / "cmnlab"
 # is the documented interior matricization, the reference for the dVH
 # interior that Criterion.matrices cuts from a stack; cmn is the README's
 # library example, while detect and the audits read cmn.minor_norm through
-# Criterion.from_spectra
+# Criterion.from_spectra; partial_trace is the documented one-state form of
+# the partial_trace_raw that detect calls; filter_to_fnf is acceptance
+# criterion 8's filter normal form, the one-row case of filter_stack; and the
+# one-state samplers random_fully_separable and random_fully_separable_sfnf
+# are what the tests' oracles draw from (the bench tracer names spans after
+# them, which is no call)
 TEST_ONLY = {
     "trace_distance", "pauli",
     "unitary_from_angles", "correlation_space_map",
     "compound_matrix", "schatten_norm", "elementary_symmetric_bruteforce", "ppt_check",
-    "matricize_interior", "cmn",
+    "matricize_interior", "cmn", "partial_trace", "filter_to_fnf",
+    "random_fully_separable", "random_fully_separable_sfnf",
 }
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
@@ -49,10 +55,11 @@ def _bound_in(fn):
 
 def references(tree):
     """The names ``tree`` refers to: imported names, attributes, names read
-    where no enclosing function or comprehension binds them, and strings
-    that name one (``"f"`` or ``"module.f"``, as a tracer patching by name
-    holds them). A bare string that is a cmnlab module's name (a tracer's
-    layer) names the module, not a function of that name."""
+    where no enclosing function or comprehension binds them, and bare-name
+    strings (``"f"``, as a tracer patching by name holds them). A dotted
+    string (``"module.f"``, a tracer's span name) patches nothing, and a bare
+    string that is a cmnlab module's name (a tracer's layer) names the
+    module, not a function of that name."""
     refs = set()
 
     def visit(node, bound):
@@ -75,8 +82,8 @@ def references(tree):
         elif isinstance(node, ast.ImportFrom):
             refs.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.rpartition(".")[2].isidentifier() and node.value not in MODULES:
-                refs.add(node.value.rpartition(".")[2])
+            if node.value.isidentifier() and node.value not in MODULES:
+                refs.add(node.value)
         for child in ast.iter_child_nodes(node):
             visit(child, bound)
 
@@ -122,5 +129,12 @@ def test_a_local_of_the_same_name_is_no_reference():
 def test_a_bare_module_name_is_no_reference():
     # bench/tracer.py's layer "cmn" is the module, not the function cmn.cmn
     assert "cmn" not in references(ast.parse('LAYERS = ("cmn", "linalg")\n'))
-    assert "cmn" in references(ast.parse('PATCHED = "cmn.cmn"\n'))
     assert "minor_norm" in references(ast.parse('PATCHED = "minor_norm"\n'))
+
+
+def test_a_dotted_string_is_no_reference():
+    # bench/tracer.py names spans "module.f" and patches only bare-name pairs
+    spans = ast.parse('SPANS = ("cmn.cmn", "normal_form.filter_to_fnf")\n')
+    assert not {"cmn", "filter_to_fnf", "normal_form.filter_to_fnf"} & references(spans)
+    assert {"main", "detect"} <= references(
+        ast.parse('SELF_CALLS = (("cli", "main"), ("bounds", "detect"))\n'))

@@ -329,8 +329,8 @@ def test_stack_samplers_validate_every_row(monkeypatch):
 
 
 def _eigvalsh_shrink(pert, d):
-    """The Bloch halving loop with eigvalsh alone, the oracle for the
-    Cholesky certificate in zoo._shrink_into_body."""
+    """The Bloch halving loop, halving until eigvalsh of both signs passes:
+    the oracle for the closed form in zoo._shrink_into_body."""
     body = np.eye(d) / d
     todo = np.arange(len(pert))
     for _ in range(60):
@@ -364,3 +364,25 @@ def test_shrink_into_body_matches_eigvalsh_loop(monkeypatch):
         halved += int((before != after).any(axis=(1, 2)).sum())
     assert [d for d, _, _ in seen] == [2, 2, 3] and halved  # qutrit halving fired
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_closed_form_halving_matches_eigvalsh_loop(d):
+    """Perturbations r·G with Bloch radii up to 2, four times the sampler's,
+    so that every d gets rows halved once or several times; a zero
+    perturbation is left as it is."""
+    from cmnlab import zoo
+
+    rng = np.random.default_rng(2000 + d)
+    r = rng.normal(size=(3000, d * d - 1))
+    r *= (rng.uniform(0, 2, size=3000) / np.linalg.norm(r, axis=1))[:, None]
+    r[0] = 0
+    pert = np.tensordot(r, normalized_generalized_gell_mann(d)[1:], axes=(1, 0))
+    want, got = pert.copy(), pert.copy()
+    _eigvalsh_shrink(want, d)
+    zoo._shrink_into_body(got, d)
+    assert want.tobytes() == got.tobytes()
+    assert not got[0].any()
+    halvings = np.rint(np.log2(np.abs(pert).max(axis=(1, 2))[1:]
+                               / np.abs(got).max(axis=(1, 2))[1:]))
+    assert (halvings >= 1).sum() >= 300 and halvings.max() >= 2
