@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -133,6 +134,22 @@ _SAMPLERS = {"full": _sample_fullsep_sfnf, "bisep": _sample_bisep_filtered,
              "entangled": _sample_ghz_mixtures}
 
 
+@lru_cache(maxsize=8)
+def _chunk(family, first_seed, stop_seed):
+    """The family's trials drawn from seeds first_seed .. stop_seed - 1, as
+    (their correlation tensors, the seed each was drawn from, the number of
+    draws rejected on the way). Both arrays are read-only: the last 8
+    results are shared by every audit that asks for the same chunk."""
+    dims, kind = FAMILIES[family]
+    # exact Python integers: int64 seeds past 2^63 - 1 turn float or wrap
+    seeds = np.arange(first_seed, stop_seed, dtype=object)
+    states, drawn, rejected = _SAMPLERS[kind](dims, Bipartition.of((0,), len(dims)), seeds)
+    tensors = build_stack(states, dims)
+    tensors.setflags(write=False)
+    drawn.setflags(write=False)
+    return tensors, drawn, rejected
+
+
 def separability_audit(family: str, criterion: str, trials: int, seed: int) -> AuditReport:
     """Sample ``trials`` states from the family, apply the required normal
     form preprocessing, and count bound violations of the criterion on the
@@ -141,8 +158,11 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
 
     Trial t draws from seed + t, plus REDRAW times the attempt when its
     filtering failed. Trials run in stacks of CHUNK, each sampled,
-    filtered, built and scored at once, with every per-state check of the
-    one-state path."""
+    filtered and built at once, with every per-state check of the
+    one-state path, then scored. A stack depends only on the family and
+    its seeds, so it is shared across criteria: the last 8 stacks are
+    held, read-only, and an audit of the same family and seeds under
+    another criterion only scores them."""
     if family not in FAMILIES:
         raise AuditInputError(
             f"unknown family {family!r}; available: {', '.join(sorted(FAMILIES))}")
@@ -169,11 +189,9 @@ def separability_audit(family: str, criterion: str, trials: int, seed: int) -> A
     violations = rejected = 0
     worst, worst_seed = -math.inf, None
     for start in range(0, trials, CHUNK):
-        # exact Python integers: int64 seeds past 2^63 - 1 turn float or wrap
-        seeds = np.arange(seed + start, seed + min(start + CHUNK, trials), dtype=object)
-        states, drawn, redrawn = _SAMPLERS[kind](dims, part, seeds)
+        tensors, drawn, redrawn = _chunk(family, seed + start, seed + min(start + CHUNK, trials))
         rejected += redrawn
-        values = entry.values(build_stack(states, dims), part, h)
+        values = entry.values(tensors, part, h)
         margins = (values - bound) / max(abs(bound), 1e-300)
         violations += int(np.count_nonzero(compare(values, bound)[0]))
         i = int(np.argmax(margins))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cmnlab import report
+from cmnlab import audit, report
 from cmnlab.zoo import random_density  # noqa: F401  (test modules import it from here)
 
 
@@ -66,6 +66,14 @@ def dumps_oracle(obj, indent=0) -> str:
     if isinstance(obj, int):
         return str(obj)
     return json.dumps(obj)
+
+
+@pytest.fixture(autouse=True)
+def fresh_audit_chunks():
+    """Every test starts with no audit chunk held, so a test that patches a
+    sampler, ``filter_stack`` or ``CHUNK`` sees its patch run, whatever ran
+    before it."""
+    audit._chunk.cache_clear()
 
 
 @pytest.fixture(autouse=True)

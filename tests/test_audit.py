@@ -322,3 +322,81 @@ def test_chunks_match_the_one_state_path(monkeypatch, family, criterion):
     assert rep.violations == sum(m > EPS_CMP for m in margins)
     assert abs(rep.worst_margin - max(margins)) <= 1e-12
     assert rep.worst_seed == 60 + int(np.argmax(margins))
+
+
+def _admitted(family):
+    """The criteria that ``family`` can be audited under."""
+    admitted = []
+    for criterion in CRITERIA:
+        try:
+            separability_audit(family, criterion, 1, 0)
+        except AuditInputError:
+            continue
+        admitted.append(criterion)
+    return admitted
+
+
+class TestSharedChunks:
+    @pytest.mark.parametrize("chunk,trials", [(None, 300), (4, 10)])
+    @pytest.mark.parametrize("family", [
+        "fully-separable-sfnf-222", "fully-separable-sfnf-223", "biseparable-filtered-222",
+        "biseparable-filtered-223", "ghz-mixtures-222",
+    ])
+    def test_sharing_is_invisible(self, monkeypatch, family, chunk, trials):
+        """An audit that reuses the chunks another criterion drew reports
+        exactly what an audit that draws them itself reports."""
+        from cmnlab import audit
+
+        if chunk is not None:
+            monkeypatch.setattr(audit, "CHUNK", chunk)
+        criteria = _admitted(family)
+        assert len(criteria) >= 2
+        cold = {}
+        for criterion in criteria:
+            audit._chunk.cache_clear()
+            cold[criterion] = separability_audit(family, criterion, trials, 77)
+        audit._chunk.cache_clear()
+        previous = criteria[-1]
+        separability_audit(family, previous, trials, 77)
+        for criterion in criteria:
+            hits = audit._chunk.cache_info().hits
+            warm = separability_audit(family, criterion, trials, 77)
+            assert audit._chunk.cache_info().hits > hits, (previous, criterion)
+            assert warm == cold[criterion]
+            previous = criterion
+
+    def test_each_chunk_is_sampled_and_filtered_once(self, monkeypatch):
+        from cmnlab import audit
+
+        sampled, filtered = [], []
+        sample, filter_stack = audit.zoo.random_biseparable_stack, audit.filter_stack
+
+        def sample_spy(dims, part, rank, seeds):
+            sampled.append(len(seeds))
+            return sample(dims, part, rank, seeds)
+
+        def filter_spy(data, dims, **kwargs):
+            filtered.append(len(data))
+            return filter_stack(data, dims, **kwargs)
+
+        monkeypatch.setattr(audit.zoo, "random_biseparable_stack", sample_spy)
+        monkeypatch.setattr(audit, "filter_stack", filter_spy)
+        for criterion in ("cmn-bisep-inf", "cmn-bisep-p1"):
+            rep = separability_audit("biseparable-filtered-222", criterion, 300, 41)
+            assert rep.rejected == 0
+            assert sampled == filtered == [256, 44]
+
+    def test_chunks_are_read_only(self):
+        from cmnlab import audit
+
+        tensors, drawn, _ = audit._chunk("ghz-mixtures-222", 0, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            tensors[0, 0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            drawn[0] = 1
+
+    def test_at_most_eight_chunks_are_held(self):
+        from cmnlab import audit
+
+        separability_audit("ghz-mixtures-222", "cmn-bisep-inf", 3000, 0)  # 12 chunks
+        assert audit._chunk.cache_info().currsize <= 8

@@ -20,7 +20,7 @@ from cmnlab.bounds import (
 from cmnlab.cmn import elementary_symmetric
 from cmnlab.linalg import DensityMatrix, singular_values
 from cmnlab.normal_form import FilteringError, fnf_residual
-from cmnlab.tensor import Bipartition, build, matricize_interior
+from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize_interior
 from cmnlab.zoo import ghz, maximally_mixed, random_fully_separable_sfnf, rho1
 
 from conftest import random_density
@@ -243,6 +243,33 @@ def test_soundness_sample_bisep():
 
     rep = separability_audit("biseparable-filtered-222", "cmn-bisep-inf", 50, 2)
     assert rep.violations == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_noisy_ghz_is_never_certified_at_or_below_the_separability_boundary(n):
+    """GHZ-n mixed with white noise at visibility v is fully separable for
+    v <= v* = 1/(1 + 2^(n-1)) and NPT across every cut above it (Dür and
+    Cirac 2000), so no criterion may fire anywhere on [0, v*]."""
+    from cmnlab.audit import ppt_check
+
+    v_star = 1 / (1 + 2 ** (n - 1))
+    ghz_rho = ghz(n, 2).to_density().data
+    noise = np.eye(2**n) / 2**n
+
+    def noisy(v):
+        return DensityMatrix((2,) * n, v * ghz_rho + (1 - v) * noise)
+
+    for v in np.linspace(0, v_star, 11):
+        rho = noisy(v)
+        for h in (None, 2, 3):
+            verdict = detect(rho, DetectConfig(h=h))
+            for parties, sub in ((tuple(range(n)), verdict), *verdict.subsets()):
+                violated = [(r.partition_label(), r.criterion) for r in sub.reports if r.violated]
+                assert violated == [], (v, h, parties)
+            assert not verdict.not_fully_separable
+    cuts = list(iter_bipartitions(n))
+    assert all(ppt_check(noisy(v_star), cut) for cut in cuts)
+    assert not any(ppt_check(noisy(v_star * (1 + 1e-6)), cut) for cut in cuts)
 
 
 @pytest.mark.parametrize("name", ["cmn-bisep-inf", "cmn-bisep-p1", "cmn-full-inf",
