@@ -67,6 +67,9 @@ def _entry(i, e):
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f'malformed state file: matrix entry {i} is not '
                          f'{{"re": number, "im": number}}') from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InputError(f"malformed state file: matrix entry {i} is too large "
+                         f"for a float") from exc
 
 
 def statefile_to_state(doc) -> DensityMatrix:
@@ -123,6 +126,9 @@ def load_state(path: str) -> tuple:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"state file is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # raised by int() for an over-long integer
+            raise InputError(f"malformed state file: an integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from exc
         rho = statefile_to_state(doc)
     if len(rho.dims) < 2:
         raise InputError(f"need at least two parties, got dims {list(rho.dims)}")
@@ -148,7 +154,11 @@ def _seed(args):
     env = os.environ.get("CMNLAB_SEED") or "0"
     if not env.isdecimal():
         raise InputError(f"CMNLAB_SEED must be a non-negative integer, got {env!r}")
-    return int(env)
+    try:
+        return int(env)
+    except ValueError as exc:  # more digits than int() reads
+        raise InputError(f"CMNLAB_SEED has {len(env)} digits, more than "
+                         f"{sys.get_int_max_str_digits()}") from exc
 
 
 def _write(args, text):
@@ -212,10 +222,10 @@ def cmd_discord(args):
             raise InputError(f"invalid --partition {args.partition!r}: {exc}") from exc
     else:
         parts = list(iter_bipartitions(n))
+    h = args.h if args.h is not None else 2
     solves = []
     for part in parts:
         d_min = min(part.side_dims(rho.dims))
-        h = args.h if args.h is not None else 2
         if h > d_min**2:
             raise InputError(f"h={h} exceeds d^2={d_min**2} for partition {part.label()}")
         try:
@@ -229,7 +239,7 @@ def cmd_discord(args):
     doc = report.document(
         "discord",
         report.input_digest(payload),
-        {"h": args.h, "p": args.p, "seed": seed, "results": results},
+        {"h": h, "p": args.p, "seed": seed, "results": results},
         timing=time.perf_counter() - start,
     )
     _write(args, report.dumps(doc))

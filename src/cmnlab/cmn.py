@@ -82,19 +82,21 @@ def minor_norm(sigma, params: CmnParams) -> np.ndarray:
 
 
 def spectrum_power(sigma, params: CmnParams) -> np.ndarray:
-    """[M_{h,p}]^p of each row of a stack of singular spectra, shape (k, n).
-
-    Values below SV_CLAMP times the row's largest are zeroed and the row is
-    sorted descending; p = ∞ then gives the product of its h largest values
-    and finite p the sum S_h of its p-th powers.
-    """
-    sigma = np.array(sigma, dtype=float, ndmin=2)
-    # singular values are >= 0, so an all-zero row clamps nothing
-    sigma = sigma * (sigma >= SV_CLAMP * sigma.max(axis=1, keepdims=True))
-    sigma = np.sort(sigma, axis=1)[:, ::-1]
+    """[M_{h,p}]^p of each row of a stack of singular spectra, shape (k, n):
+    :func:`_sorted_spectrum_power` of the rows sorted descending."""
+    sigma = np.sort(np.array(sigma, dtype=float, ndmin=2), axis=1)[:, ::-1]
     if params.h > sigma.shape[1]:
         raise ValueError(f"h={params.h} exceeds the {sigma.shape[1]}-value singular spectrum")
+    # numpy's power rounds a strided view (this one reversed) differently
+    return _sorted_spectrum_power(np.ascontiguousarray(sigma), params)
+
+
+def _sorted_spectrum_power(sigma, params: CmnParams) -> np.ndarray:
+    """spectrum_power of contiguous rows sorted descending, h unchecked: values
+    below SV_CLAMP times the row's largest (its first) are zeroed, then p = ∞
+    gives the product of the h largest and finite p the sum S_h of p-th powers."""
+    # singular values are >= 0: an all-zero row clamps nothing, and the row stays sorted
+    sigma = sigma * (sigma >= SV_CLAMP * sigma[:, :1])
     if math.isinf(params.p):
         return np.prod(sigma[:, : params.h], axis=1)
-    # numpy's power rounds a strided view (this one reversed) differently
-    return _symmetric_sweep(np.ascontiguousarray(sigma) ** params.p, params.h)
+    return _symmetric_sweep(sigma ** params.p, params.h)

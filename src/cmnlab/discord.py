@@ -13,7 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from .basis import normalized_generalized_gell_mann
-from .cmn import CmnParams, spectrum_power
+from .cmn import CmnParams, _sorted_spectrum_power, spectrum_power
 from .linalg import DensityMatrix, apply_local, hermitize, singular_values
 from .tensor import Bipartition, CorrelationTensor, build, matricize
 
@@ -65,28 +65,29 @@ def unitaries_from_angles(d, angles):
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != d * (d - 1):
         raise ValueError(f"dimension {d} needs {d * (d - 1)} angles")
-    planes, flat = _givens_layout(d)
+    identity, flat = _givens_layout(d)
     half = angles[:, 0::2] / 2
     cos, sin = np.cos(half), np.sin(half)
     phase = np.exp(1j * angles[:, 1::2])
+    g = identity[None].repeat(len(angles), axis=0)
     # entries (j, j), (k, k), (j, k), (k, j) of the rotation in each (j, k) plane
-    entries = np.stack([cos, cos, -sin * phase.conj(), sin * phase], axis=-1)
-    g = np.zeros((len(angles), len(flat), d * d), dtype=complex)
-    g[..., :: d + 1] = 1.0
-    g[:, planes, flat] = entries
-    g = g.reshape(len(angles), len(flat), d, d)
+    for at, entry in zip(flat, (cos, cos, -sin * phase.conj(), sin * phase)):
+        g[:, at] = entry
+    g = g.reshape(len(angles), -1, d, d)
     u = g[:, 0]
-    for rot in range(1, len(flat)):
+    for rot in range(1, g.shape[1]):
         u = g[:, rot] @ u
     return u
 
 
 @lru_cache(maxsize=None)
 def _givens_layout(d):
-    """Plane index and flat positions of entries (j, j), (k, k), (j, k), (k, j)."""
-    flat = [[j * (d + 1), k * (d + 1), j * d + k, k * d + j]
-            for j in range(d) for k in range(j + 1, d)]
-    return np.arange(len(flat))[:, None], np.array(flat)
+    """The d×d identity once per (j, k) plane, flattened, and one row per entry
+    (j, j), (k, k), (j, k), (k, j) of that entry's flat position in each plane."""
+    planes = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    flat = [[r * d * d + i for i in (j * (d + 1), k * (d + 1), j * d + k, k * d + j)]
+            for r, (j, k) in enumerate(planes)]
+    return np.tile(np.eye(d, dtype=complex).ravel(), len(planes)), np.array(flat).T
 
 
 def unitary_from_angles(d, angles):
@@ -242,6 +243,10 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
     # place[c, s]: slot s's index in the trials of a sweep from coordinate c,
     # run on into the re-sweep from the same point
     place = (slots - 2 * slots[:n_params, None]) % slots.size
+    # failed[c]: the trials of a sweep from coordinate c (and re-sweep) without a
+    # move; after[s]: the coordinate after a move in slot s (the last ends a sweep)
+    failed = slots.size - 2 * slots[:n_params] + slots.size * (slots[:n_params] > 0)
+    after = (slot_coord + 1) % n_params
     # state of the unfinished restarts, compacted whenever some finish
     ids = np.arange(n)
     step = np.full(n, INIT_STEP)
@@ -251,30 +256,19 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
         score = objective(trial.reshape(-1, n_params)).reshape(ids.size, slots.size)
         gain = score - best[:, None] > GAIN_TOL * np.abs(best[:, None])
         tried = np.where(gain, place[coord], slots.size).min(axis=1)
-        rest = slots.size - 2 * coord
         move = tried < slots.size
-        evals[ids] += np.where(move, tried + 1, rest + slots.size * (coord > 0))
+        evals[ids] += np.where(move, tried + 1, failed[coord])
         first = (tried + 2 * coord) % slots.size
-        pick = np.arange(ids.size), first
-        x = np.where(move[:, None], trial[pick], x)
-        best = np.where(move, score[pick], best)
-        # a move on the last coordinate ends the sweep; the next keeps the step
-        coord = np.where(move, slot_coord[first] + 1, 0) % n_params
-        step = np.where(move, step, step / 2)
+        coord = np.where(move, after[first], 0)
+        moved = np.flatnonzero(move)
+        x[moved], best[moved] = trial[moved, first[moved]], score[moved, first[moved]]
+        step[~move] /= 2
         done = step < MIN_STEP
         if done.any():
             final_best[ids[done]], final_x[ids[done]] = best[done], x[done]
             keep = ~done
             ids, x, best, step, coord = ids[keep], x[keep], best[keep], step[keep], coord[keep]
     return final_best, final_x, evals
-
-
-def _contraction(n, party):
-    """einsum sublists (tensor, V, result) contracting one party's axis of a
-    batched correlation tensor with a stack of projector-coordinate matrices
-    V. Labels 0..n-1 are the party axes, n the measured outcome, n + 1 the batch."""
-    axes = [n + 1] + list(range(n))
-    return axes, [n + 1, party, n], [n if a == party else a for a in axes]
 
 
 def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
@@ -289,7 +283,10 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
     depend on the angles is set up once, here.
     """
     measured_dims = tuple(t.dims[p] for p in measured)
-    sublists = [_contraction(t.n_parties, p) for p in measured]
+    # einsum sublists (tensor, V, result) contracting the axis of party p
+    n = t.n_parties  # labels 0..n-1 are the party axes, n the outcome, n + 1 the batch
+    batch = [n + 1] + list(range(n))
+    sublists = [(batch, [n + 1, p, n], [n if a == p else a for a in batch]) for p in measured]
     # matricize as tensor.matricize does, behind the batch axis, and pad
     shape = [d if p in measured else d * d for p, d in enumerate(t.dims)]
     axes = [0] + [1 + p for p in part.side_a[::-1] + part.side_b[::-1]]
@@ -317,7 +314,8 @@ def _discord(rho, part, params, opt, measured_parties):
     spectra = _dephased_spectra(t, part, measured)
 
     def objective(angles):
-        return spectrum_power(spectra(angles), params)
+        # each spectrum is sorted descending (LAPACK's order, zeros padded last)
+        return _sorted_spectrum_power(spectra(angles), params)
 
     values, points, evals = _lockstep_search(objective, n_angles(dims[p] for p in measured), opt)
     order = np.argsort(-values, kind="stable")  # ties go to the earlier restart

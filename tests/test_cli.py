@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,9 @@ from cmnlab.discord import OptimizerCfg, global_discord_cmn
 from cmnlab.zoo import ZOO, from_name, ghz, maximally_mixed, rho1
 
 from conftest import dumps_oracle, random_density
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+LONG_INT = "1" + "0" * DIGIT_LIMIT  # a JSON integer one digit longer than int() reads
 
 
 def run(capsys, *argv):
@@ -255,6 +259,25 @@ class TestStateFiles:
         assert out == ""
         assert err == ('error: malformed state file: matrix entry 0 is not '
                        '{"re": number, "im": number}\n')
+
+    @pytest.mark.parametrize("command", ["analyze", "discord"])
+    @pytest.mark.parametrize("dims,entry,reason", [
+        ("[2, 2]", "1" + "0" * 400, "matrix entry 0 is too large for a float"),
+        ("[2, 2]", LONG_INT, f"an integer has more than {DIGIT_LIMIT} digits"),
+        (f"[2, {LONG_INT}]", "1", f"an integer has more than {DIGIT_LIMIT} digits"),
+    ], ids=["entry-beyond-float", "matrix-integer-past-digit-limit",
+            "dims-integer-past-digit-limit"])
+    def test_oversized_integers_are_input_errors(self, tmp_path, capsys, command, dims, entry,
+                                                 reason):
+        # each was a traceback and exit 1: complex() raises OverflowError, and
+        # json.loads a plain ValueError for an integer past int()'s digit limit
+        entries = ['{"re": %s, "im": 0}' % entry] + ['{"re": 0, "im": 0}'] * 15
+        path = tmp_path / "big.json"
+        path.write_text('{"dims": %s, "matrix": [%s]}' % (dims, ", ".join(entries)))
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == f"error: malformed state file: {reason}\n"
 
 
 def _edge_state(case):
@@ -582,6 +605,18 @@ class TestDiscord:
         assert sum(counts) == result["evaluations"]
         assert max(values) - min(values) == result["restart_spread"]
 
+    @pytest.mark.parametrize("argv,h,value", [((), 2, 1.25), (("--h", "3"), 3, 0.5)])
+    def test_reports_the_h_it_used(self, capsys, argv, h, value):
+        # the default was written as null; S_3 of Bell's four 1/2s is 1/2, and
+        # every dephased spectrum has rank <= 2, so the whole of it is lost
+        code, out, _ = run(capsys, "discord", "zoo:bell-phi-plus", "--restarts", "2", *argv)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert list(doc) == ["schema_version", "tool_version", "kind", "input_digest", "h", "p",
+                             "seed", "results", "timing_seconds"]
+        assert doc["h"] == h
+        assert abs(doc["results"][0]["value"] - value) <= 1e-6
+
     @pytest.mark.parametrize("restarts", ["0", "-2"])
     def test_bad_restarts_is_usage_error(self, capsys, restarts):
         code, out, err = run(capsys, "discord", "zoo:bell-phi-plus", "--restarts", restarts)
@@ -639,7 +674,8 @@ class TestDiscord:
         ["discord", "zoo:bell-phi-plus", "--restarts", "2"],
         ["audit", "fully-separable-sfnf-222", "cmn-full-inf", "--trials", "2"],
     ])
-    @pytest.mark.parametrize("env", ["abc", "-3"])
+    # the last was a traceback and exit 1, from int() past its digit limit
+    @pytest.mark.parametrize("env", ["abc", "-3", pytest.param("9" + LONG_INT, id="long")])
     def test_bad_seed_env_is_usage_error(self, capsys, monkeypatch, command, env):
         monkeypatch.setenv("CMNLAB_SEED", env)
         code, out, err = run(capsys, *command)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cmnlab import discord
-from cmnlab.cmn import CmnParams, spectrum_power
+from cmnlab.cmn import SV_CLAMP, CmnParams, _sorted_spectrum_power, spectrum_power
 from cmnlab.discord import (
     GAIN_TOL,
     MeasurementFamily,
@@ -24,7 +24,7 @@ from cmnlab.discord import (
 )
 from cmnlab.linalg import DensityMatrix, singular_values
 from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize
-from cmnlab.zoo import bell, classical_state, ghz, maximally_mixed
+from cmnlab.zoo import bell, classical_state, ghz, maximally_mixed, random_fully_separable
 
 from conftest import random_density
 
@@ -424,6 +424,47 @@ def test_solves_match_one_trial_per_tick_oracle(name, monkeypatch):
         assert res.evaluations == want.evaluations
         assert res.restart_evaluations == want.restart_evaluations
         assert res.restart_values == want.restart_values
+
+
+# (dims, part, measured parties) of the solves in _oracle_solves
+ORACLE_SHAPES = [
+    ((3, 3), PART2, (0, 1)),
+    ((2, 2, 3), Bipartition.of((0,), 3), (1, 2)),
+    ((2, 2), PART2, (0, 1)),
+    ((2, 2, 2), Bipartition.of((0,), 3), (0, 1, 2)),
+    ((2, 2), PART2, (0,)),
+    ((2, 3), PART2, (0,)),
+]
+
+
+@pytest.mark.parametrize("dims,part,measured", ORACLE_SHAPES)
+def test_objective_needs_no_sort(dims, part, measured, monkeypatch, rng):
+    # LAPACK returns each spectrum sorted descending and the padding zeros
+    # come last, so the objective's clamp and S_h step skip spectrum_power's
+    # sort and give its values exactly
+    rho = random_density(dims, 3, 620)
+    spectra = _dephased_spectra(build(rho), part, measured)
+    angles = rng.uniform(0, 2 * math.pi, size=(6, n_angles(dims[p] for p in measured)))
+    # a product state's dephased matricization has rank 1, and what rounding
+    # leaves of its other singular values is clamped
+    product = _dephased_spectra(build(random_fully_separable(dims, 1, 621)), part, measured)
+    sigma = np.vstack([spectra(angles), product(angles[:1])])
+    sigma = np.vstack([sigma, np.zeros(sigma.shape[1])])
+    assert np.any((sigma > 0) & (sigma < SV_CLAMP * sigma[:, :1]))
+
+    def search(objective, n_params, cfg):  # keeps the objective _discord hands over
+        objectives.append(objective)
+        return np.zeros(1), np.zeros((1, n_params)), np.ones(1, dtype=int)
+
+    objectives = []
+    monkeypatch.setattr(discord, "_lockstep_search", search)
+    for p in (0.5, 1.0, 2.0, math.inf):
+        for h in range(1, sigma.shape[1] + 1):
+            params = CmnParams(h, p)
+            want = spectrum_power(sigma, params)
+            assert np.array_equal(_sorted_spectrum_power(sigma, params), want)
+            discord._discord(rho, part, params, OptimizerCfg(restarts=1), measured)
+            assert np.array_equal(objectives.pop()(angles), want[:len(angles)])
 
 
 class TestOptimizerCfg:

@@ -50,13 +50,20 @@ AUDITS = [
 SEED = 2026
 # the seeds of the slocc_rho1 states (ROADMAP item 1's repro)
 SLOCC_RHO1_SEEDS = (41, 104, 196)
-# state files that are not valid input: a negative party dimension, and
-# |00><00| with its entries spelled as JSON booleans
+# state files that are not valid input: a negative party dimension; |00><00|
+# with its entries spelled as JSON booleans; an entry that is an integer
+# beyond the float range; and an integer in "matrix", then in "dims", with
+# more digits than int() reads
 BAD_STATE_FILES = {
     "negative-dims": '{"dims": [-2, 2], "matrix": [%s]}' % ", ".join(
         ['{"re": 0.25, "im": 0}' if i % 5 == 0 else '{"re": 0, "im": 0}' for i in range(16)]),
     "boolean-entries": '{"dims": [2, 2], "matrix": [%s]}' % ", ".join(
         ['{"re": true, "im": false}'] + ['{"re": false, "im": false}'] * 15),
+    "entry-beyond-float": '{"dims": [2, 2], "matrix": [%s]}' % ", ".join(
+        ['{"re": 1%s, "im": 0}' % ("0" * 400)] + ['{"re": 0, "im": 0}'] * 15),
+    "matrix-integer-past-digit-limit": '{"dims": [2, 2], "matrix": [%s]}' % ", ".join(
+        ['{"re": 1%s, "im": 0}' % ("0" * 4300)] + ['{"re": 0, "im": 0}'] * 15),
+    "dims-integer-past-digit-limit": '{"dims": [2, 1%s], "matrix": []}' % ("0" * 4300),
 }
 
 
