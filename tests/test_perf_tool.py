@@ -30,6 +30,7 @@ def test_smallest_run_writes_the_schema(tmp_path):
                         "solve/bell-global/1"])
     for row in doc["rows"]:
         assert 0 < row["min_s"] <= row["median_s"]
+        assert row["ref_median_s"] > 0
         assert row["runs"] == 1
         if row["kind"] == "objective":
             # a tick of every restart: 2 slots per angle, 4 angles for Bell and 6 for GHZ-3

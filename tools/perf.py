@@ -4,10 +4,16 @@ machine they were taken on, to a BENCH file:
     python3 tools/perf.py --out BENCH_22.json
     python3 tools/perf.py --src ../parent/src --out BENCH_21.json
 
-A row is the minimum, over ``--repeats`` timed runs after one untimed
-warm-up, of a fixed piece of work; its median is kept too. The rows:
+Each row's work runs once untimed, then in ``--repeats`` rounds that each
+time every row once, so that a slow spell of a shared machine falls on all
+rows alike. A row keeps, per unit of work, its minimum and median run in
+wall time (``min_s``, ``median_s``) and its median run at the reference
+speed of ``bench/speed.py`` (``ref_median_s``): each run scaled by the time
+of that file's fixed kernel, run just before and after it. On a host whose
+speed drifts, compare the reference-speed medians; a minimum of scaled runs
+would pick the run whose kernel was slowed most. The rows:
 
-- ``objective/<solve>/<restarts>``: one call of the solve's objective on the
+- ``objective/<solve>/<restarts>``: one call of the solve's objective, on the
   points of a search tick in which no restart has finished (restarts x 2n
   points for n angles), on fixed random angles;
 - ``solve/<solve>/<restarts>``: one whole solve, averaged over the optimizer
@@ -42,6 +48,9 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import speed  # noqa: E402  (the benchmark's machine-speed kernel)
 
 SCHEMA = 1
 # calls of an objective per timed run, so that a run lasts milliseconds
@@ -114,20 +123,9 @@ def capture_objective(solve):
     raise RuntimeError("the solve never called discord._lockstep_search")
 
 
-def timed(work, repeats, warm_up=True):
-    """(min, median) seconds of ``work()`` over ``repeats`` runs, and the
-    last run's result."""
-    if warm_up:
-        work()
-    times = []
-    for _ in range(repeats):
-        start = perf_counter()
-        result = work()
-        times.append(perf_counter() - start)
-    return min(times), statistics.median(times), result
-
-
-def objective_row(name, n_params, solve, restarts, repeats):
+def objective_work(name, n_params, solve, restarts):
+    """A row's fields, its work and the units one run of it does: OBJECTIVE_CALLS
+    calls of the solve's objective at a tick of ``restarts`` restarts."""
     objective = capture_objective(solve)
     points = np.random.default_rng(0).uniform(0, 2 * math.pi, (restarts * 2 * n_params, n_params))
 
@@ -135,37 +133,78 @@ def objective_row(name, n_params, solve, restarts, repeats):
         for _ in range(OBJECTIVE_CALLS):
             objective(points)
 
-    best, median, _ = timed(work, repeats)
-    return {"name": f"objective/{name}/{restarts}", "kind": "objective", "restarts": restarts,
-            "points": len(points), "min_s": best / OBJECTIVE_CALLS,
-            "median_s": median / OBJECTIVE_CALLS, "runs": repeats}
+    row = {"name": f"objective/{name}/{restarts}", "kind": "objective", "restarts": restarts,
+           "points": len(points)}
+    return row, work, OBJECTIVE_CALLS
 
 
-def solve_row(name, solve, restarts, seeds, repeats, warm_up=True):
+def solve_work(name, solve, restarts, seeds):
+    """A row's fields, its work and the units one run of it does: one solve per
+    seed. The work returns the solves' evaluations."""
     def work():
         return sum(solve(restarts, seed).evaluations for seed in seeds)
 
-    best, median, evaluations = timed(work, repeats, warm_up)
-    return {"name": f"solve/{name}/{restarts}", "kind": "solve", "restarts": restarts,
-            "seeds": list(seeds), "min_s": best / len(seeds), "median_s": median / len(seeds),
-            "runs": repeats, "evaluations": evaluations}
+    row = {"name": f"solve/{name}/{restarts}", "kind": "solve", "restarts": restarts,
+           "seeds": list(seeds)}
+    return row, work, len(seeds)
 
 
-def rows(repeats, n_seeds, ridge):
+def planned_rows(n_seeds):
     table = solves()
     seeds = range(n_seeds)
     for name in ("bell-global", "ghz3-global-A|BC"):
         n_params, solve = table[name]
         for restarts in (8, 32):
-            yield objective_row(name, n_params, solve, restarts, repeats)
+            yield objective_work(name, n_params, solve, restarts)
     for name in ("bell-global", "classical-cc-global", "ghz3-global-A|BC",
                  "random-22-side-a", "random-23-side-a"):
-        yield solve_row(name, table[name][1], 8, seeds, repeats)
+        yield solve_work(name, table[name][1], 8, seeds)
     for name in ("bell-global", "ghz3-global-A|BC"):
-        yield solve_row(name, table[name][1], 32, seeds, repeats)
-    yield solve_row("bell-global", table["bell-global"][1], 1, seeds, repeats)
-    if ridge:
-        yield solve_row("ridge-crawl-23", table["ridge-crawl-23"][1], 8, [1], 1, warm_up=False)
+        yield solve_work(name, table[name][1], 32, seeds)
+    yield solve_work("bell-global", table["bell-global"][1], 1, seeds)
+
+
+def timed_run(work):
+    """``work()``'s result, its wall time, and that time at the reference speed
+    of bench/speed.py: scaled by REFERENCE_S over the mean time of the fixed
+    kernel run just before and just after it."""
+    before = speed.kernel_seconds()
+    start = perf_counter()
+    result = work()
+    elapsed = perf_counter() - start
+    kernel = (before + speed.kernel_seconds()) / 2
+    return result, elapsed, elapsed * speed.REFERENCE_S / kernel
+
+
+def summary(runs, units):
+    """A row's timing fields from its (wall, reference-speed) run times."""
+    wall, ref = zip(*runs)
+    return {"min_s": min(wall) / units, "median_s": statistics.median(wall) / units,
+            "ref_median_s": statistics.median(ref) / units, "runs": len(runs)}
+
+
+def timed_rows(planned, repeats):
+    """Run each row's work once untimed, then ``repeats`` rounds that each time
+    every row's work once, so that a slow spell of a shared machine falls on
+    all rows alike; each row keeps its minimum and median run per unit."""
+    counts = [work() for _, work, _ in planned]
+    runs = [[] for _ in planned]
+    for _ in range(repeats):
+        for (_, work, _), row_runs in zip(planned, runs):
+            row_runs.append(timed_run(work)[1:])
+    for (row, _, units), count, row_runs in zip(planned, counts, runs):
+        row.update(summary(row_runs, units))
+        if count is not None:
+            row["evaluations"] = count
+        yield row
+
+
+def ridge_row():
+    """The ridge crawl's row, from one timed run and no warm-up."""
+    row, work, _ = solve_work("ridge-crawl-23", solves()["ridge-crawl-23"][1], 8, [1])
+    row["evaluations"], *run = timed_run(work)
+    row.update(summary([run], 1))
+    return row
 
 
 def git(src, *args):
@@ -204,20 +243,23 @@ def main(argv=None):
     parser.add_argument("--src", default=str(here.parent / "src"),
                         help="the source tree to import cmnlab from (default: this repo's)")
     parser.add_argument("--out", required=True, help="the BENCH file to write")
-    parser.add_argument("--repeats", type=int, default=5, help="timed runs per row")
+    parser.add_argument("--repeats", type=int, default=10, help="timed rounds")
     parser.add_argument("--seeds", type=int, default=4, help="optimizer seeds per solve row")
     parser.add_argument("--ridge", action="store_true", help="also time the ridge crawl")
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.seeds < 1:
         parser.error("--repeats and --seeds must be at least 1")
     cmnlab = load_cmnlab(args.src)
+    rows = list(timed_rows(list(planned_rows(args.seeds)), args.repeats))
+    if args.ridge:
+        rows.append(ridge_row())
     doc = {"schema": SCHEMA, "environment": environment(args.src, cmnlab),
            "settings": {"repeats": args.repeats, "seeds": args.seeds, "ridge": args.ridge,
                         "objective_calls": OBJECTIVE_CALLS},
-           "rows": []}
-    for row in rows(args.repeats, args.seeds, args.ridge):
-        doc["rows"].append(row)
-        print(f"{row['name']:34} {row['min_s'] * 1e3:10.3f} ms", flush=True)
+           "rows": rows}
+    for row in rows:
+        print(f"{row['name']:34} min {row['min_s'] * 1e3:10.3f} ms, "
+              f"median at reference speed {row['ref_median_s'] * 1e3:10.3f} ms")
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
