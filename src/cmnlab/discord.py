@@ -73,9 +73,9 @@ def unitaries_from_angles(d, angles):
     # entries (j, j), (k, k), (j, k), (k, j) of the rotation in each (j, k) plane
     for at, entry in zip(flat, (cos, cos, -sin * phase.conj(), sin * phase)):
         g[:, at] = entry
-    g = g.reshape(len(angles), -1, d, d)
+    g = g.reshape(len(angles), flat.shape[1], d, d)
     u = g[:, 0]
-    for rot in range(1, g.shape[1]):
+    for rot in range(1, flat.shape[1]):
         u = g[:, rot] @ u
     return u
 

@@ -25,8 +25,11 @@ from cmnlab.zoo import ZOO, from_name, ghz, maximally_mixed, rho1
 
 from conftest import dumps_oracle, random_density
 
-DIGIT_LIMIT = sys.get_int_max_str_digits()
+# int()'s digit limit; 0 where it is switched off (PYTHONINTMAXSTRDIGITS=0) or,
+# before Python 3.10.7, absent
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 LONG_INT = "1" + "0" * DIGIT_LIMIT  # a JSON integer one digit longer than int() reads
+needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int() has no digit limit")
 
 
 def run(capsys, *argv):
@@ -262,11 +265,13 @@ class TestStateFiles:
 
     @pytest.mark.parametrize("command", ["analyze", "discord"])
     @pytest.mark.parametrize("dims,entry,reason", [
-        ("[2, 2]", "1" + "0" * 400, "matrix entry 0 is too large for a float"),
-        ("[2, 2]", LONG_INT, f"an integer has more than {DIGIT_LIMIT} digits"),
-        (f"[2, {LONG_INT}]", "1", f"an integer has more than {DIGIT_LIMIT} digits"),
-    ], ids=["entry-beyond-float", "matrix-integer-past-digit-limit",
-            "dims-integer-past-digit-limit"])
+        pytest.param("[2, 2]", "1" + "0" * 400, "matrix entry 0 is too large for a float",
+                     id="entry-beyond-float"),
+        pytest.param("[2, 2]", LONG_INT, f"an integer has more than {DIGIT_LIMIT} digits",
+                     marks=needs_digit_limit, id="matrix-integer-past-digit-limit"),
+        pytest.param(f"[2, {LONG_INT}]", "1", f"an integer has more than {DIGIT_LIMIT} digits",
+                     marks=needs_digit_limit, id="dims-integer-past-digit-limit"),
+    ])
     def test_oversized_integers_are_input_errors(self, tmp_path, capsys, command, dims, entry,
                                                  reason):
         # each was a traceback and exit 1: complex() raises OverflowError, and
@@ -675,7 +680,9 @@ class TestDiscord:
         ["audit", "fully-separable-sfnf-222", "cmn-full-inf", "--trials", "2"],
     ])
     # the last was a traceback and exit 1, from int() past its digit limit
-    @pytest.mark.parametrize("env", ["abc", "-3", pytest.param("9" + LONG_INT, id="long")])
+    @pytest.mark.parametrize("env", ["abc", "-3",
+                                     pytest.param("9" + LONG_INT, id="long",
+                                                  marks=needs_digit_limit)])
     def test_bad_seed_env_is_usage_error(self, capsys, monkeypatch, command, env):
         monkeypatch.setenv("CMNLAB_SEED", env)
         code, out, err = run(capsys, *command)

@@ -198,6 +198,10 @@ class TestUnitaryFromAngles:
         for u, row in zip(unitaries_from_angles(d, angles), angles):
             assert np.abs(u - unitary_from_angles(d, row)).max() <= 1e-15
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_rows_give_an_empty_stack(self, d):
+        assert unitaries_from_angles(d, np.empty((0, d * (d - 1)))).shape == (0, d, d)
+
     def test_qubit_bloch_form(self):
         u = unitary_from_angles(2, [math.pi / 2, 0.0])
         # first column is the +x eigenstate up to phase

@@ -7,21 +7,21 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "perf.py"
-SOLVES = ["bell-global", "classical-cc-global", "ghz3-global-A|BC", "random-22-side-a",
-          "random-23-side-a"]
+SOLVES = ["bell-global", "classical-cc-global", "ghz3-global-A|BC", "random-22-seed22-side-a",
+          "random-23-seed23-side-a"]
 
 
 def test_smallest_run_writes_the_schema(tmp_path):
     out = tmp_path / "BENCH_0.json"
-    subprocess.run([sys.executable, str(TOOL), "--out", str(out), "--repeats", "1",
-                    "--seeds", "1"], capture_output=True, text=True, timeout=120, check=True)
+    subprocess.run([sys.executable, str(TOOL), "--out", str(out), "--repeats", "1"],
+                   capture_output=True, text=True, timeout=120, check=True)
     doc = json.loads(out.read_text())
     assert list(doc) == ["schema", "environment", "settings", "rows"]
     assert doc["schema"] == 1
     env = doc["environment"]
     assert {"cores", "affinity", "python", "numpy", "blas_threads", "commit"} <= set(env)
     assert set(env["blas_threads"].values()) == {"1"}
-    assert doc["settings"] == {"repeats": 1, "seeds": 1, "ridge": False, "objective_calls": 20}
+    assert doc["settings"] == {"repeats": 1, "ridge": False, "objective_calls": 20}
     names = [row["name"] for row in doc["rows"]]
     assert names == ([f"objective/{s}/{r}" for s in ("bell-global", "ghz3-global-A|BC")
                       for r in (8, 32)]
@@ -36,4 +36,4 @@ def test_smallest_run_writes_the_schema(tmp_path):
             # a tick of every restart: 2 slots per angle, 4 angles for Bell and 6 for GHZ-3
             assert row["points"] == row["restarts"] * 2 * (4 if "bell" in row["name"] else 6)
         else:
-            assert row["seeds"] == [0] and row["evaluations"] >= row["restarts"]
+            assert row["seeds"] == [0, 1, 2, 3] and row["evaluations"] >= row["restarts"]
