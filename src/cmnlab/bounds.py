@@ -12,9 +12,11 @@ from itertools import combinations
 import numpy as np
 
 from .cmn import CmnParams, elementary_symmetric, minor_norm
-from .linalg import DensityMatrix, ValidationError, partial_trace_raw, singular_values
+from .linalg import (DensityMatrix, ValidationError, check_density_stack, partial_trace_raw,
+                     singular_values)
 from .normal_form import DEFAULT_TOL, filter_cuts, fnf_residual
-from .tensor import Bipartition, _matricize_array, build, iter_bipartitions
+from .tensor import (Bipartition, CorrelationTensor, _matricize_array, build, build_stack,
+                     iter_bipartitions)
 
 EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
 
@@ -266,11 +268,12 @@ def _cut_plan(dims, part, h, ps, kind):
 def _state_reports(states, cfg):
     """The reports of each state of ``states`` (content -> the caller's
     :class:`DensityMatrix` or a traced matrix), one tuple per state, keyed
-    like ``states``. Each traced matrix, and each that :func:`filter_cuts`
-    returns, is admitted here as a DensityMatrix, or the text of the check
-    it fails gates every report that would read it. The cuts whose residual
-    exceeds ``cfg.fnf_tol`` are filtered side-wise, and the spectra that the
-    reports read come from one SVD per matrix shape."""
+    like ``states``. Each traced matrix is admitted here as a DensityMatrix,
+    and the matrices that :func:`filter_cuts` returns are checked and built
+    as one stack per dims; the text of the check a matrix fails gates every
+    report that would read it. The cuts whose residual exceeds
+    ``cfg.fnf_tol`` are filtered side-wise, and the spectra that the reports
+    read come from one SVD per matrix shape."""
     def admit(dims, data, what):  # a state or a failure text is kept as it is
         try:
             return data if isinstance(data, (DensityMatrix, str)) else DensityMatrix(dims, data)
@@ -288,13 +291,26 @@ def _state_reports(states, cfg):
     # only an M_{h,p} entry reads the filtered tensor
     wanted = cfg.filter and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)
     cuts = [cut for cut, r in residual.items() if wanted and r > tol]
-    filtered, failed = {}, {}
+    filtered, failed, stacks = {}, {}, {}
     for cut, out in zip(cuts, filter_cuts([(states[m], p) for m, p in cuts], tol)):
-        out = admit(cut[0][0], out, "filtered")
         if isinstance(out, str):
             failed[cut] = out
         else:
-            filtered[cut] = build(out)
+            stacks.setdefault(cut[0][0], []).append((cut, out))
+    for dims, rows in stacks.items():
+        data = np.stack([out for _, out in rows])
+        try:
+            check_density_stack(data)
+        except ValidationError:  # each row of the stack alone, for its own text
+            for cut, out in rows:
+                out = admit(dims, out, "filtered")
+                if isinstance(out, str):
+                    failed[cut] = out
+                else:
+                    filtered[cut] = build(out)
+            continue
+        filtered.update((cut, CorrelationTensor(dims, t))
+                        for (cut, _), t in zip(rows, build_stack(data, dims)))
     residual.update((cut, fnf_residual(t, cut[1])) for cut, t in filtered.items())
 
     matrices, pending, reports = {}, {}, {}  # (state, part, "interior" or note) -> matrix

@@ -72,6 +72,21 @@ def _entry(i, e):
                          f"for a float") from exc
 
 
+def _matrix(entries):
+    """The matrix entries of a state file as complex numbers, read in bulk
+    when every entry is {"re": x, "im": y} of two JSON numbers; else one by
+    one with :func:`_entry`, which names the first bad entry."""
+    try:
+        re, im = [e["re"] for e in entries], [e["im"] for e in entries]
+        if {*map(type, re), *map(type, im)} <= {int, float}:  # bool is not a number here
+            flat = np.empty(len(entries), dtype=complex)
+            flat.real, flat.imag = re, im
+            return flat
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return np.array([_entry(i, e) for i, e in enumerate(entries)], dtype=complex)
+
+
 def statefile_to_state(doc) -> DensityMatrix:
     try:
         if not isinstance(doc, dict):
@@ -92,7 +107,7 @@ def statefile_to_state(doc) -> DensityMatrix:
             raise InputError(
                 f"matrix has {len(entries)} entries, expected {side * side}"
             )
-        flat = np.array([_entry(i, e) for i, e in enumerate(entries)], dtype=complex)
+        flat = _matrix(entries)
     except KeyError as exc:
         raise InputError(f"malformed state file: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
@@ -129,6 +144,9 @@ def load_state(path: str) -> tuple:
         except ValueError as exc:  # raised by int() for an over-long integer
             raise InputError(f"malformed state file: an integer has more than "
                              f"{sys.get_int_max_str_digits()} digits") from exc
+        except RecursionError as exc:
+            raise InputError("malformed state file: nested deeper than the JSON "
+                             "decoder can follow") from exc
         rho = statefile_to_state(doc)
     if len(rho.dims) < 2:
         raise InputError(f"need at least two parties, got dims {list(rho.dims)}")

@@ -109,6 +109,24 @@ def filter_cuts(cuts, tol=DEFAULT_TOL):
     return out
 
 
+def _equal_rows(data):
+    """The input rows that hold each distinct matrix of the stack ``data``,
+    in order of first appearance; two rows are equal when their bytes are.
+    Rows are keyed by the bytes of their diagonal, so that only rows whose
+    diagonals are equal have their whole bytes compared."""
+    members, by_diagonal = [], {}  # diagonal bytes -> indices into members
+    for i, diagonal in enumerate(data.diagonal(axis1=-2, axis2=-1)):
+        same = by_diagonal.setdefault(diagonal.tobytes(), [])
+        for u in same:
+            if data[members[u][0]].tobytes() == data[i].tobytes():
+                members[u].append(i)
+                break
+        else:
+            same.append(len(members))
+            members.append([i])
+    return members
+
+
 def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=None):
     """:func:`filter_to_fnf` on each matrix of the stack ``data`` (shape
     (k, side, side), every state over ``dims``) at once.
@@ -124,9 +142,12 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
     by the group's parties).
 
     The iteration works on one group-major copy of each ρ (the parties of
-    group 0 first, then group 1, ...): a group reduction is one einsum trace
-    and a filter two broadcast matmuls, and the layout is undone once at the
-    end.
+    group 0 first, then group 1, ...; no copy when the groups already are in
+    party order): a group reduction is one einsum trace and a filter two
+    broadcast matmuls, and the layout is undone once at the end. Rows of one
+    call share dims and groups, and no row's work reads another row, so rows
+    with equal bytes iterate once, as one row: each gets its matrix, sweep
+    count and history, and an error text that names its own ``labels``.
     """
     dims = tuple(dims)
     n = len(dims)
@@ -137,14 +158,18 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
     if len(set(order)) != len(order):
         raise ValueError(f"filtering groups must be disjoint, got {groups}")
     order += [p for p in range(n) if p not in order]
+    in_order = order == list(range(n))
     k = len(data)
+    members = _equal_rows(data)
+    if len(members) < k:
+        data = data[[rows[0] for rows in members]]
     side = math.prod(dims)
     sizes = [math.prod(dims[p] for p in g) for g in groups]
     # (L, D, R): product of the group dimensions before, at and after group k
     before = [math.prod(sizes[:g]) for g in range(len(sizes))]
     blocks = [(L, D, side // (L * D)) for L, D in zip(before, sizes)]
     mixed = [np.eye(D) / D for D in sizes]
-    m = permute_parties(data, dims, order)
+    m = data if in_order else permute_parties(data, dims, order)
     if labels is None:
         labels = [[group_label(g) for g in groups]] * k
 
@@ -181,14 +206,15 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
         dets = np.ones(len(idx))
         for c, D in enumerate(sizes):
             dets = dets * np.linalg.det(D * reduction(m, c)).real
-        for i, det in zip(idx, dets):
-            history[i].append(float(det))
+        for u, det in zip(idx, dets):
+            for i in members[u]:
+                history[i].append(float(det))
 
     out = np.full_like(m, np.nan)
-    sweeps = np.zeros(k, dtype=int)
+    sweeps = np.zeros(len(m), dtype=int)
     errors = [None] * k
-    idx = np.arange(k)  # the input row of each row still iterating
-    half = np.zeros(k)  # each input row's residual at the last snapshot sweep
+    idx = np.arange(len(m))  # the distinct row of each row still iterating
+    half = np.zeros(len(m))  # each distinct row's residual at the last snapshot sweep
     step = 0  # one step filters one group
     while len(idx):
         sweep, g = divmod(step, len(blocks))
@@ -221,22 +247,34 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
             out[idx[kept]] = m[kept]
             sweeps[idx[leave]] = sweep
             for j in np.flatnonzero(leave & ~kept):
-                i = idx[j]
+                holders = members[idx[j]]  # each names its groups by its own labels
                 if g or not stop[j]:
-                    errors[i] = _rank_deficient(labels[i][g], w[j, 0])
+                    texts = [_rank_deficient(labels[i][g], w[j, 0]) for i in holders]
                 elif sweep >= MAX_SWEEPS:
-                    errors[i] = (f"filtering did not converge in {sweep} sweeps "
-                                 f"(last residual {res[j]:.3e})")
+                    texts = [f"filtering did not converge in {sweep} sweeps "
+                             f"(last residual {res[j]:.3e})"] * len(holders)
                 else:
-                    errors[i] = _stalled(sweep, res[j], alpha[j])
+                    texts = [_stalled(sweep, res[j], alpha[j])] * len(holders)
+                for i, text in zip(holders, texts):
+                    errors[i] = text
             go = ~leave
             m, idx, w, v = m[go], idx[go], w[go], v[go]
+            if not len(idx):
+                break
         f = (v * w[:, None, :] ** -0.5) @ v.conj().swapaxes(1, 2)
         rows = len(m)
         m = (f[:, None] @ m.reshape(rows, L, D, R * side)).reshape(rows, side * L, D, R)
         m = (f.conj()[:, None] @ m).reshape(rows, side, side)
         m = m / m.trace(axis1=1, axis2=2).real[:, None, None]
         step += 1
-    ok = np.array([err is None for err in errors], dtype=bool)  # back to party order
-    out[ok] = hermitize(permute_parties(out[ok], [dims[p] for p in order], np.argsort(order)))
+    ok = np.array([errors[rows[0]] is None for rows in members], dtype=bool)
+    done = out[ok]
+    if not in_order:  # back to party order
+        done = permute_parties(done, [dims[p] for p in order], np.argsort(order))
+    out[ok] = hermitize(done)
+    if len(members) < k:
+        inverse = np.empty(k, dtype=int)
+        for u, rows in enumerate(members):
+            inverse[rows] = u
+        out, sweeps = out[inverse], sweeps[inverse]
     return out, sweeps, errors

@@ -23,6 +23,9 @@ def _format_float(x: float) -> str:
 # what json.dumps returns for a str at its default ensure_ascii
 _encode_str = json.encoder.encode_basestring_ascii
 _SCALARS = {True: "true", False: "false", None: "null"}
+# the text of a scalar, by its exact type
+_SCALAR_TEXT = {str: _encode_str, float: _format_float, int: str,
+                bool: _SCALARS.__getitem__, type(None): _SCALARS.__getitem__}
 
 
 def dumps(obj) -> str:
@@ -38,11 +41,9 @@ def _dump(obj, pad, out, lists):
     """Append the JSON text of ``obj``, nested at ``pad``, to ``out``.
     ``lists`` maps (id, pad) of each list already written to its text; the
     document keeps every object alive, so no id is reused within one call."""
-    kind = type(obj)
-    if kind is str:
-        out.append(_encode_str(obj))
-    elif kind is bool or obj is None:
-        out.append(_SCALARS[obj])
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        out.append(text(obj))
     elif isinstance(obj, float):
         out.append(_format_float(obj))
     elif isinstance(obj, int):
@@ -54,7 +55,11 @@ def _dump(obj, pad, out, lists):
         inner, sep = pad + "  ", "{\n"
         for k, v in obj.items():
             out.append(f"{sep}{inner}{_encode_str(str(k))}: ")
-            _dump(v, inner, out, lists)
+            text = _SCALAR_TEXT.get(type(v))
+            if text is None:
+                _dump(v, inner, out, lists)
+            else:  # a scalar value is written here, without a call
+                out.append(text(v))
             sep = ",\n"
         out.append(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple)):
@@ -79,9 +84,10 @@ def input_digest(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def bound_report_to_dict(r):
+def bound_report_to_dict(r, label=None):
+    """One report's document; ``label``, if given, is its partition's label."""
     return {
-        "partition": r.partition_label(),
+        "partition": r.partition_label() if label is None else label,
         "criterion": r.criterion,
         "value": r.value,
         "bound": r.bound,
@@ -98,11 +104,18 @@ def verdict_to_dict(v):
     ``v``'s parties, and its partition labels are its own (A is parties[0]).
     The entries whose verdicts share one reports tuple share one list."""
     lists = {}  # id of a reports tuple -> its list
+    labels = {}  # id of a partition -> its label, shared by the cut's reports
+
+    def label(part):
+        key = id(part)
+        if key not in labels:
+            labels[key] = part.label()
+        return labels[key]
 
     def reports(verdict):
         key = id(verdict.reports)
         if key not in lists:
-            lists[key] = [bound_report_to_dict(r) for r in verdict.reports]
+            lists[key] = [bound_report_to_dict(r, label(r.partition)) for r in verdict.reports]
         return lists[key]
 
     return {

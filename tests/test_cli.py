@@ -162,6 +162,50 @@ class TestStateFiles:
         assert err == ('error: malformed state file: matrix entry 5 is not '
                        '{"re": number, "im": number}\n')
 
+    @pytest.mark.parametrize("first,later", [
+        ('{"re": 1%s, "im": 0}' % ("0" * 400), '{"re": true, "im": 0}'),
+        ('{"re": true, "im": 0}', '{"re": 1%s, "im": 0}' % ("0" * 400)),
+        ('{"im": 0}', "[0, 0]"),
+        ('{"re": 0, "im": null}', '{"re": "0", "im": 0}'),
+    ])
+    def test_first_bad_entry_is_named_after_good_ones(self, tmp_path, capsys, first, later):
+        # entries 0..6 are good, so only the per-entry pass can name entry 7
+        entries = ['{"re": 0.25, "im": 0}'] + ['{"re": 0, "im": -0.0}'] * 6 + [first]
+        entries += ['{"re": 0, "im": 0}'] * 4 + [later] + ['{"re": 0, "im": 0}'] * 3
+        path = tmp_path / "entries.json"
+        path.write_text('{"dims": [2, 2], "matrix": [%s]}' % ", ".join(entries))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        reason = ("is too large for a float" if first.startswith('{"re": 1')
+                  else 'is not {"re": number, "im": number}')
+        assert err == f"error: malformed state file: matrix entry 7 {reason}\n"
+
+    def test_bulk_decode_equals_the_per_entry_decode(self):
+        # ints, floats and signed zeros mixed; ints past 2^53, 2^63 and 2^64 round
+        values = [0, -0.0, 0.0, 1, -3, 0.1, 2**53 + 1, 2**63 + 2049, -(2**64) - 4097,
+                  2**1000 + 12345, 1e308, -5e-324, math.nan, math.inf]
+        rng = np.random.default_rng(7)
+        entries = [{"re": values[i], "im": values[j]}
+                   for i, j in rng.integers(len(values), size=(256, 2))]
+        bulk = cli._matrix(entries)
+        one_by_one = np.array([cli._entry(i, e) for i, e in enumerate(entries)], dtype=complex)
+        assert bulk.dtype == one_by_one.dtype and bulk.tobytes() == one_by_one.tobytes()
+
+    @pytest.mark.parametrize("command", ["analyze", "discord"])
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"dims": [2, 2], "matrix": %s}' % (
+        "[" * 100_000)])
+    def test_nesting_past_the_recursion_limit_is_an_input_error(self, tmp_path, capsys,
+                                                                command, text):
+        # was a RecursionError traceback and exit 1
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == ("error: malformed state file: nested deeper than the JSON decoder "
+                       "can follow\n")
+
     def test_entries_as_numbers(self, capsys, monkeypatch):
         import io
         import sys

@@ -356,9 +356,40 @@ def test_each_distinct_state_is_checked_once(monkeypatch, rho, checks):
     """The caller's state is not checked again; each distinct reduction and
     each filtered row is checked once: GHZ-6 has four distinct reductions
     and filters none, rho1's three are one state, and the random state's
-    10 reductions are all distinct and 25 of their cuts are filtered."""
+    10 reductions are all distinct and 25 of their cuts are filtered. The
+    count is of rows checked, since filtered rows are checked as stacks."""
     calls = {}
-    monkeypatch.setattr(linalg, "check_density_stack",
-                        counted(calls, "check", linalg.check_density_stack))
+    check = counted(calls, "check", linalg.check_density_stack)
+    monkeypatch.setattr(linalg, "check_density_stack", check)
+    monkeypatch.setattr(bounds, "check_density_stack", check)
     detect(rho)
-    assert len(calls.get("check", [])) == checks
+    assert sum(map(len, calls.get("check", []))) == checks
+
+
+def test_a_filtered_row_that_fails_the_checks_gates_only_its_cut(monkeypatch):
+    """The filtered rows of one dims are checked as one stack. In a stack
+    where item 1's seed-1 A|BC row is not positive semidefinite, that cut
+    alone gets the per-row failure text, and every report equals, bit for
+    bit, the path that admits each filtered row on its own."""
+    from conftest import item1_state
+
+    rhos = [item1_state(1), random_density((2, 2, 2), 8, 45), random_density((2, 2, 2), 3, 46)]
+    states = {(rho.dims, rho.data.tobytes()): rho for rho in rhos}
+    checked = {}
+    monkeypatch.setattr(bounds, "check_density_stack",
+                        counted(checked, "rows", bounds.check_density_stack))
+    got = bounds._state_reports(states, DetectConfig())
+    assert [len(rows) for rows in checked["rows"]] == [7]  # one (2,2,2) stack, which fails
+
+    def per_row(data):
+        raise linalg.ValidationError("admit each row on its own")
+
+    monkeypatch.setattr(bounds, "check_density_stack", per_row)
+    want = bounds._state_reports(states, DetectConfig())
+    assert list(got) == list(want)
+    for key in got:
+        assert [report_fields(r) for r in got[key]] == [report_fields(r) for r in want[key]]
+    failed = {(i, r.partition_label()) for i, key in enumerate(got) for r in got[key]
+              if r.reason.startswith("filtered state failed the state checks: not positive")}
+    assert failed == {(0, "A|BC")}
+    assert sum(r.reason.startswith("after SLOCC filtering") for r in got[list(got)[1]]) > 0

@@ -525,3 +525,58 @@ def test_filter_cuts_match_filter_to_fnf_on_each_cut():
         else:
             assert np.array_equal(got, want.data)
     assert texts == 3  # the three cuts of W-3
+
+
+@pytest.mark.parametrize("case", ["ghz-4-cuts", "w-3-pairs"])
+def test_repeated_rows_iterate_once_and_get_their_own_results(monkeypatch, case):
+    """filter_stack iterates each distinct row once, yet every row gets, bit
+    for bit, the matrix, sweep count, history and error text that it gets
+    alone, and an error text names that row's own groups: GHZ-4 permuted to
+    put each side of a two-pair cut first is one matrix three times, whose
+    first group is rank deficient; the W-3 pair twice stalls."""
+    from cmnlab.linalg import permute_parties
+    from cmnlab.normal_form import filter_stack, group_label
+    from cmnlab.zoo import w_state
+
+    if case == "ghz-4-cuts":
+        rho, dims, groups = ghz(4).to_density(), (2, 2, 2, 2), [(0, 1), (2, 3)]
+        orders = [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)]
+        rows = [permute_parties(rho.data, dims, order) for order in orders]
+        labels = [[group_label(order[:2]), group_label(order[2:])] for order in orders]
+        other = random_density(dims, 16, 43)
+    else:
+        dims, groups = (2, 2), [(0,), (1,)]
+        pair = partial_trace(w_state(3).to_density(), (0, 1)).data
+        rows, labels = [pair, pair.copy()], [["party 0", "party 1"], ["party 1", "party 2"]]
+        other = random_density(dims, 4, 44)
+    rows.insert(1, other.data)
+    labels.insert(1, ["party 0", "party 1"])
+    assert rows[0].tobytes() == rows[-1].tobytes()
+    eigh_rows = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        eigh_rows.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    history = [[] for _ in rows]
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    out, sweeps, errors = filter_stack(np.stack(rows), dims, groups, history=history,
+                                       labels=labels)
+    monkeypatch.undo()
+    assert eigh_rows[0] == 2  # the repeated matrix and the other one
+    for i, row in enumerate(rows):
+        alone = [[]]
+        want, want_sweeps, want_errors = filter_stack(row[None], dims, groups, history=alone,
+                                                      labels=[labels[i]])
+        assert out[i].tobytes() == want[0].tobytes()
+        assert sweeps[i] == want_sweeps[0]
+        assert errors[i] == want_errors[0]
+        assert history[i] == alone[0]
+    assert errors[1] is None
+    failed = [i for i in range(len(rows)) if i != 1]
+    if case == "ghz-4-cuts":
+        for i in failed:
+            assert errors[i].startswith(f"filtering not possible: reduction of {labels[i][0]} ")
+    else:
+        assert all(errors[i].startswith("filtering stalled after 64 sweeps") for i in failed)

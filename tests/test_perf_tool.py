@@ -1,5 +1,5 @@
 """tools/perf.py writes a BENCH file: the machine it ran on and one timed row
-per piece of discord work."""
+per piece of discord and analyze work."""
 
 import json
 import subprocess
@@ -9,6 +9,9 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "perf.py"
 SOLVES = ["bell-global", "classical-cc-global", "ghz3-global-A|BC", "random-22-seed22-side-a",
           "random-23-seed23-side-a"]
+ANALYZE = ["rho1", "w-3", "ghz-3", "ghz-4", "ghz-5", "ghz-6", "random-222-seed222",
+           "random-223-seed223", "random-2222-seed2222", "bisep-222-p0.5-h2-seed24"]
+DETECT = ["ghz-5", "ghz-6", "w-3", "random-2222-seed2222"]
 
 
 def test_smallest_run_writes_the_schema(tmp_path):
@@ -27,7 +30,10 @@ def test_smallest_run_writes_the_schema(tmp_path):
                       for r in (8, 32)]
                      + [f"solve/{s}/8" for s in SOLVES]
                      + ["solve/bell-global/32", "solve/ghz3-global-A|BC/32",
-                        "solve/bell-global/1"])
+                        "solve/bell-global/1"]
+                     + [f"analyze/{a}" for a in ANALYZE]
+                     + [f"{kind}/{s}" for s in DETECT for kind in ("detect", "filter_cuts")]
+                     + ["load_state/ghz-6", "render/ghz-6"])
     for row in doc["rows"]:
         assert 0 < row["min_s"] <= row["median_s"]
         assert row["ref_median_s"] > 0
@@ -35,5 +41,11 @@ def test_smallest_run_writes_the_schema(tmp_path):
         if row["kind"] == "objective":
             # a tick of every restart: 2 slots per angle, 4 angles for Bell and 6 for GHZ-3
             assert row["points"] == row["restarts"] * 2 * (4 if "bell" in row["name"] else 6)
-        else:
+        elif row["kind"] == "solve":
             assert row["seeds"] == [0, 1, 2, 3] and row["evaluations"] >= row["restarts"]
+        elif row["kind"] == "analyze":
+            assert row["args"] == (["--p", "0.5", "--h", "2"] if "bisep" in row["name"] else [])
+        elif row["kind"] == "filter_cuts":
+            # W-3 filters its 3 cuts and its pair state's one
+            assert row["cuts"] == {"ghz-5": 25, "ghz-6": 56, "w-3": 4,
+                                   "random-2222-seed2222": 25}[row["name"].split("/")[1]]

@@ -1,8 +1,8 @@
-"""Time cmnlab's discord search in-process and write the timings, with the
-machine they were taken on, to a BENCH file:
+"""Time cmnlab's discord search and analyze path in-process and write the
+timings, with the machine they were taken on, to a BENCH file:
 
-    python3 tools/perf.py --out BENCH_22.json
-    python3 tools/perf.py --src ../parent/src --out BENCH_21.json
+    python3 tools/perf.py --out BENCH_23.json
+    python3 tools/perf.py --src ../parent/src --out BENCH_22.json
 
 Each row's work runs in ``--repeats`` rounds that each time every row once,
 so that a slow spell of a shared machine falls on all rows alike. There is
@@ -21,6 +21,15 @@ would pick the run whose kernel was slowed most. The rows:
 - ``solve/<solve>/<restarts>``: one whole solve, averaged over the optimizer
   seeds 0 .. 3; ``evaluations`` sums their trial counts, so two versions that
   search alike show equal counts;
+- ``analyze/<input>``: one in-process ``cmnlab analyze FILE --output OUT``
+  on each of the benchmark's analyze inputs; where the benchmark draws a
+  new random state each round, a fixed stand-in, named for its seed;
+- ``detect/<state>`` and ``filter_cuts/<state>``: one ``detect`` with the
+  default configuration on GHZ-5, GHZ-6, W-3 and the random (2,2,2,2)
+  stand-in, and the ``filter_cuts`` call that it makes (``cuts`` counts the
+  cuts it filters);
+- ``load_state/ghz-6`` and ``render/ghz-6``: reading GHZ-6's state file, and
+  writing its analyze document from its verdict;
 - ``solve/ridge-crawl-23/8``, only with ``--ridge``: the (2,3) solve whose
   restart 2 crawls along a ridge (about 36 s on a 2-core x86-64 VM), timed
   once without a warm-up.
@@ -46,6 +55,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -157,7 +167,92 @@ def solve_work(name, solve, restarts, seeds):
     return row, work, len(seeds)
 
 
-def planned_rows():
+def analyze_inputs():
+    """Name -> (state, extra analyze arguments): the benchmark's analyze inputs.
+    Its random states and its bi-separable probe are fixed stand-ins here,
+    drawn at the seed each is named for."""
+    from cmnlab import zoo
+    from cmnlab.tensor import Bipartition
+
+    inputs = {"rho1": (zoo.rho1(), []), "w-3": (zoo.w_state(3).to_density(), [])}
+    inputs.update((f"ghz-{n}", (zoo.ghz(n).to_density(), [])) for n in (3, 4, 5, 6))
+    for dims in ((2, 2, 2), (2, 2, 3), (2, 2, 2, 2)):
+        label = "".join(map(str, dims))
+        state = zoo.random_density(dims, math.prod(dims), int(label))
+        inputs[f"random-{label}-seed{label}"] = (state, [])
+    probe = zoo.random_biseparable((2, 2, 2), Bipartition.of((0,), 3), 24, 24)
+    inputs["bisep-222-p0.5-h2-seed24"] = (probe, ["--p", "0.5", "--h", "2"])
+    return inputs
+
+
+def analyze_work(name, state, extra, workdir):
+    """A row's fields, its work and the units one run of it does: one
+    ``cmnlab analyze`` of the state's file, writing its document to a file."""
+    from cmnlab import cli
+
+    path = os.path.join(workdir, f"{name}.json")
+    with open(path, "w") as fh:
+        fh.write(cli.statefile_text(state))
+    argv = ["analyze", path, "--output", os.path.join(workdir, f"{name}.out.json"), *extra]
+
+    def work():
+        if cli.main(argv) != cli.EXIT_OK:
+            raise RuntimeError(f"cmnlab {' '.join(argv)} failed")
+
+    return {"name": f"analyze/{name}", "kind": "analyze", "args": extra}, work, 1
+
+
+def detect_rows(name, state):
+    """The rows of one ``detect`` of ``state`` and of the ``filter_cuts`` call
+    that it makes, captured from that detect."""
+    from cmnlab import bounds
+
+    calls, filter_cuts = [], bounds.filter_cuts
+
+    def capture(cuts, tol):
+        calls.append((cuts, tol))
+        return filter_cuts(cuts, tol)
+
+    bounds.filter_cuts = capture
+    try:
+        bounds.detect(state)
+    finally:
+        bounds.filter_cuts = filter_cuts
+
+    def filter_work():
+        for cuts, tol in calls:
+            filter_cuts(cuts, tol)
+
+    def detect_work():
+        bounds.detect(state)
+
+    yield {"name": f"detect/{name}", "kind": "detect"}, detect_work, 1
+    yield ({"name": f"filter_cuts/{name}", "kind": "filter_cuts",
+            "cuts": sum(len(cuts) for cuts, _ in calls)}, filter_work, 1)
+
+
+def state_file_rows(name, state, workdir):
+    """The rows of reading ``state``'s file and of writing its analyze document
+    from its verdict, as ``cmnlab analyze`` does both."""
+    from cmnlab import bounds, cli, report
+
+    path = os.path.join(workdir, f"{name}.load.json")
+    with open(path, "w") as fh:
+        fh.write(cli.statefile_text(state))
+    verdict = bounds.detect(state)
+
+    def load():
+        cli.load_state(path)
+
+    def render():
+        report.dumps(report.document("analyze", "0" * 64,
+                                     {"verdict": report.verdict_to_dict(verdict)}, timing=0.0))
+
+    yield {"name": f"load_state/{name}", "kind": "load_state"}, load, 1
+    yield {"name": f"render/{name}", "kind": "render"}, render, 1
+
+
+def planned_rows(workdir):
     table = solves()
     for name in ("bell-global", "ghz3-global-A|BC"):
         n_params, solve = table[name]
@@ -169,6 +264,12 @@ def planned_rows():
     for name in ("bell-global", "ghz3-global-A|BC"):
         yield solve_work(name, table[name][1], 32, SEEDS)
     yield solve_work("bell-global", table["bell-global"][1], 1, SEEDS)
+    inputs = analyze_inputs()
+    for name, (state, extra) in inputs.items():
+        yield analyze_work(name, state, extra, workdir)
+    for name in ("ghz-5", "ghz-6", "w-3", "random-2222-seed2222"):
+        yield from detect_rows(name, inputs[name][0])
+    yield from state_file_rows("ghz-6", inputs["ghz-6"][0], workdir)
 
 
 def timed_run(work):
@@ -256,7 +357,8 @@ def main(argv=None):
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     cmnlab = load_cmnlab(args.src)
-    rows = list(timed_rows(list(planned_rows()), args.repeats))
+    with tempfile.TemporaryDirectory() as workdir:
+        rows = list(timed_rows(list(planned_rows(workdir)), args.repeats))
     if args.ridge:
         rows.append(ridge_row())
     doc = {"schema": SCHEMA, "environment": environment(args.src, cmnlab),
@@ -264,7 +366,7 @@ def main(argv=None):
                         "objective_calls": OBJECTIVE_CALLS},
            "rows": rows}
     for row in rows:
-        print(f"{row['name']:34} min {row['min_s'] * 1e3:10.3f} ms, "
+        print(f"{row['name']:38} min {row['min_s'] * 1e3:10.3f} ms, "
               f"median at reference speed {row['ref_median_s'] * 1e3:10.3f} ms")
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

@@ -52,8 +52,9 @@ SEED = 2026
 SLOCC_RHO1_SEEDS = (41, 104, 196)
 # state files that are not valid input: a negative party dimension; |00><00|
 # with its entries spelled as JSON booleans; an entry that is an integer
-# beyond the float range; and an integer in "matrix", then in "dims", with
-# more digits than int() reads
+# beyond the float range; an integer in "matrix", then in "dims", with
+# more digits than int() reads; and arrays nested deeper than the JSON
+# decoder's recursion limit
 BAD_STATE_FILES = {
     "negative-dims": '{"dims": [-2, 2], "matrix": [%s]}' % ", ".join(
         ['{"re": 0.25, "im": 0}' if i % 5 == 0 else '{"re": 0, "im": 0}' for i in range(16)]),
@@ -64,6 +65,7 @@ BAD_STATE_FILES = {
     "matrix-integer-past-digit-limit": '{"dims": [2, 2], "matrix": [%s]}' % ", ".join(
         ['{"re": 1%s, "im": 0}' % ("0" * 4300)] + ['{"re": 0, "im": 0}'] * 15),
     "dims-integer-past-digit-limit": '{"dims": [2, 1%s], "matrix": []}' % ("0" * 4300),
+    "nested-too-deep": "[" * 100_000,
 }
 
 
