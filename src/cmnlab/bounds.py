@@ -7,16 +7,15 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from .cmn import CmnParams, elementary_symmetric, minor_norm
 from .linalg import (DensityMatrix, ValidationError, check_density_stack, partial_trace_raw,
                      singular_values)
-from .normal_form import DEFAULT_TOL, filter_cuts, fnf_residual
-from .tensor import (Bipartition, CorrelationTensor, _matricize_array, build, build_stack,
-                     iter_bipartitions)
+from .normal_form import DEFAULT_TOL, filter_cuts, fnf_residuals
+from .tensor import Bipartition, _matricize_array, build_stack, iter_bipartitions
 
 EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
 
@@ -248,7 +247,7 @@ def _cut_plan(dims, part, h, ps, kind):
     """The ``kind`` entries on one cut: the M_{h,p} entry of ``kind`` for
     each p in ``ps``, in order, then, in the full sweep, every dVH entry.
     Each is (criterion name, h, whether the cut's normal-form gate applies,
-    preconditions hold, reason, bound)."""
+    preconditions hold, reason, bound, the length of the spectrum it reads)."""
     d_a, d_b = part.side_dims(dims)
     h = min(d_a, d_b) ** 2 if h is None else h
     # (name, whether the gate applies, reason it is inconclusive whatever the state)
@@ -261,94 +260,112 @@ def _cut_plan(dims, part, h, ps, kind):
     for name, gated, fail in jobs:
         ok, why = (False, fail) if fail else CRITERIA[name].preconditions(dims, d_a, d_b, h)
         bound = float(CRITERIA[name].bound(dims, d_a, d_b, h)) if ok else None
-        plan.append((name, h, gated, ok, why, bound))
+        size = [d * d - (ok and CRITERIA[name].p is None) for d in dims]  # dVH: the interior
+        rank = min(math.prod(size[i] for i in part.side_a), math.prod(size[i] for i in part.side_b))
+        plan.append((name, h, gated, ok, why, bound, rank))
     return plan
+
+
+@lru_cache(maxsize=None)
+def _cuts(n):
+    """The cuts of n parties, in :func:`iter_bipartitions` order."""
+    return tuple(iter_bipartitions(n))
 
 
 def _state_reports(states, cfg):
     """The reports of each state of ``states`` (content -> the caller's
     :class:`DensityMatrix` or a traced matrix), one tuple per state, keyed
-    like ``states``. Each traced matrix is admitted here as a DensityMatrix,
-    and the matrices that :func:`filter_cuts` returns are checked and built
-    as one stack per dims; the text of the check a matrix fails gates every
-    report that would read it. The cuts whose residual exceeds
-    ``cfg.fnf_tol`` are filtered side-wise, and the spectra that the reports
-    read come from one SVD per matrix shape."""
-    def admit(dims, data, what):  # a state or a failure text is kept as it is
-        try:
-            return data if isinstance(data, (DensityMatrix, str)) else DensityMatrix(dims, data)
-        except ValidationError as exc:
-            return f"{what} state failed the state checks: {exc}"
-
+    like ``states``. The traced matrices, and the matrices that
+    :func:`filter_cuts` returns, are checked and built as one stack per
+    dims; the text of the check a matrix fails gates every report that
+    would read it. Each stack's FNF residuals come from one pass over it.
+    The cuts whose residual exceeds ``cfg.fnf_tol`` are filtered side-wise,
+    each (stack, cut, whole or interior) matricization is cut once, and the
+    spectra that the reports read come from one SVD per matrix shape."""
     tol, ps = cfg.fnf_tol, tuple(cfg.ps)
-    states = {m: admit(m[0], s, "reduced") for m, s in states.items()}
-    parts = {m: list(iter_bipartitions(len(m[0]))) for m in states}
-    tensors = {m: build(rho) for m, rho in states.items() if not isinstance(rho, str)}
-    residual = {(m, part): fnf_residual(t, part) for m, t in tensors.items() for part in parts[m]}
-    # every proper subset of the parties is one side of a cut, so the largest
-    # unfiltered cut residual is the SFNF residual
-    sfnf = {m: max(residual[m, part] for part in parts[m]) for m in tensors}
+    checked = {m for m, s in states.items() if isinstance(s, DensityMatrix)}
+    data = {m: s.data if m in checked else s for m, s in states.items()}
+    stacks, at, lost = {}, {}, {}  # at: key -> (stack, row, FNF residual of each cut)
+
+    def admit(items, what):  # key -> (dims, matrix), one stack per dims
+        by_dims = {}
+        for key, (dims, _) in items.items():
+            by_dims.setdefault(dims, []).append(key)
+        for dims, keys in by_dims.items():
+            rows = np.stack([items[key][1] for key in keys])
+            todo = [i for i, key in enumerate(keys) if key not in checked]
+            try:
+                if todo:
+                    check_density_stack(rows[todo])
+            except ValidationError:  # each row alone, for its own text
+                for i in todo:
+                    try:
+                        DensityMatrix(dims, rows[i])
+                    except ValidationError as exc:
+                        lost[keys[i]] = f"{what} state failed the state checks: {exc}"
+            ok = [i for i, key in enumerate(keys) if key not in lost]
+            stacks[dims, what] = build_stack(rows if len(ok) == len(keys) else rows[ok], dims)
+            table = fnf_residuals(stacks[dims, what]).tolist()
+            at.update((keys[i], ((dims, what), row, table[row])) for row, i in enumerate(ok))
+
+    admit({m: (m[0], data[m]) for m in states}, "reduced")
     # only an M_{h,p} entry reads the filtered tensor
     wanted = cfg.filter and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)
-    cuts = [cut for cut, r in residual.items() if wanted and r > tol]
-    filtered, failed, stacks = {}, {}, {}
-    for cut, out in zip(cuts, filter_cuts([(states[m], p) for m, p in cuts], tol)):
-        if isinstance(out, str):
-            failed[cut] = out
-        else:
-            stacks.setdefault(cut[0][0], []).append((cut, out))
-    for dims, rows in stacks.items():
-        data = np.stack([out for _, out in rows])
-        try:
-            check_density_stack(data)
-        except ValidationError:  # each row of the stack alone, for its own text
-            for cut, out in rows:
-                out = admit(dims, out, "filtered")
-                if isinstance(out, str):
-                    failed[cut] = out
-                else:
-                    filtered[cut] = build(out)
-            continue
-        filtered.update((cut, CorrelationTensor(dims, t))
-                        for (cut, _), t in zip(rows, build_stack(data, dims)))
-    residual.update((cut, fnf_residual(t, cut[1])) for cut, t in filtered.items())
+    cuts = [(m, part) for m in states if m in at and wanted
+            for part, r in zip(_cuts(len(m[0])), at[m][2]) if r > tol]
+    out = filter_cuts([(m[0], data[m], part) for m, part in cuts], tol)
+    lost.update((cut, o) for cut, o in zip(cuts, out) if isinstance(o, str))
+    admit({cut: (cut[0][0], o) for cut, o in zip(cuts, out) if not isinstance(o, str)},
+          "filtered")
 
-    matrices, pending, reports = {}, {}, {}  # (state, part, "interior" or note) -> matrix
-    for m, rho in states.items():
-        lost = rho if isinstance(rho, str) else ""  # gates every report of the state
-        sfnf_gate = lost or ("" if sfnf[m] <= tol else f"not in SFNF (residual {sfnf[m]:.3e})")
+    matrices, pending, reports = {}, {}, {}  # (stack, part, interior) -> [criterion, {row: i}]
+    for m in states:
+        lost_m = lost.get(m, "")  # gates every report of the state
+        own = [] if lost_m else at[m][2]
+        # every proper subset of the parties is one side of a cut, so the
+        # largest unfiltered cut residual is the SFNF residual
+        sfnf = max(own, default=0.0)
+        sfnf_gate = lost_m or ("" if sfnf <= tol else f"not in SFNF (residual {sfnf:.3e})")
         node = reports[m] = []
-        for kind, part in [(kind, part) for kind in ("bisep", "full") for part in parts[m]]:
-            t, gate, note = tensors.get(m), sfnf_gate, ""
-            if kind == "bisep" and not lost:
-                r = residual[m, part]
-                gate = "" if r <= tol else failed.get((m, part), f"not in FNF (residual {r:.3e})")
-                if (m, part) in filtered:
-                    t, note = filtered[m, part], "after SLOCC filtering; "
-            for name, h, gated, ok, why, bound in _cut_plan(m[0], part, cfg.h, ps, kind):
-                if lost or gated and gate or not ok:
-                    why, nan = lost or (gate if gated and gate else why), math.nan
-                    node.append(BoundReport(part, name, nan, nan, False, False, False, why))
-                    continue
-                criterion = CRITERIA[name]
-                key = (m, part, "interior" if criterion.p is None else note)
-                if key not in matrices:
-                    matrices[key] = criterion.matrices(t.data[None], part)[0]
-                pending.setdefault((name, h, matrices[key].shape), []).append(
-                    (node, len(node), key, bound, (note if gated else "") + why))
-                node.append(part)  # until its value is known
+        for kind in ("bisep", "full"):
+            for j, part in enumerate(_cuts(len(m[0]))):
+                src, gate, note = at.get(m), sfnf_gate, ""
+                if kind == "bisep" and not lost_m:
+                    r = own[j]
+                    if (m, part) in at:
+                        src, note = at[m, part], "after SLOCC filtering; "
+                        r = src[2][j]
+                    gate = "" if r <= tol else lost.get((m, part), f"not in FNF (residual {r:.3e})")
+                for name, h, gated, ok, why, bound, rank in _cut_plan(m[0], part, cfg.h, ps, kind):
+                    if lost_m or gated and gate or not ok:
+                        why, nan = lost_m or (gate if gated and gate else why), math.nan
+                        node.append(BoundReport(part, name, nan, nan, False, False, False, why))
+                        continue
+                    key = (src[0], part, CRITERIA[name].p is None)
+                    rows = matrices.setdefault(key, [CRITERIA[name], {}])[1]
+                    pending.setdefault((name, h, rank), []).append(
+                        (node, len(node), key, rows.setdefault(src[1], len(rows)), bound,
+                         (note if gated else "") + why))
+                    node.append(part)  # until its value is known
 
-    # one SVD per matrix shape, then one value and compare call per (criterion, h, shape)
+    # one SVD per matrix shape, then one value and compare call per (criterion, h, rank)
     by_shape, spectra = {}, {}
-    for key, mat in matrices.items():
-        by_shape.setdefault(mat.shape, []).append(key)
-    for keys in by_shape.values():
-        spectra.update(zip(keys, singular_values(np.stack([matrices[k] for k in keys]))))
+    for key, (criterion, rows) in matrices.items():
+        tensors = stacks[key[0]]
+        if list(rows) != list(range(len(tensors))):  # only the rows some report reads
+            tensors = tensors[list(rows)]
+        mats = criterion.matrices(tensors, key[1])
+        by_shape.setdefault(mats.shape[1:], []).append((key, mats))
+    for group in by_shape.values():
+        sigma = singular_values(np.concatenate([mats for _, mats in group]))
+        ends = accumulate(len(mats) for _, mats in group)
+        spectra.update((key, sigma[end - len(mats):end]) for (key, mats), end in zip(group, ends))
     for (name, h, _), entries in pending.items():
-        values = CRITERIA[name].from_spectra(np.stack([spectra[e[2]] for e in entries]), h)
-        violated, saturated = compare(values, np.array([e[3] for e in entries]))
+        sigma = np.stack([spectra[key][i] for _, _, key, i, _, _ in entries])
+        values = CRITERIA[name].from_spectra(sigma, h)
+        violated, saturated = compare(values, np.array([e[4] for e in entries]))
         rows = zip(entries, values.tolist(), violated.tolist(), saturated.tolist())
-        for (node, i, _, bound, why), value, v, s in rows:
+        for (node, i, _, _, bound, why), value, v, s in rows:
             node[i] = BoundReport(node[i], name, value, bound, v, s, True, why)
     return {m: tuple(node) for m, node in reports.items()}
 
@@ -387,19 +404,22 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
             content[subset] = traced[edge]
     states = {m: rho if m == content[whole] else data for m, data in matrix.items()}
     reports_of = _state_reports(states, cfg)
+    own = {}  # each distinct state's bi-entangled cuts, and whether its own reports rule out
+    for m, reports in reports_of.items():  # full separability
+        bi_entangled = tuple(sorted({r.partition_label() for r in reports if r.violated
+                                     and CRITERIA[r.criterion].kind == "bisep"}))
+        own[m] = bi_entangled, bool(bi_entangled) or any(
+            r.violated and CRITERIA[r.criterion].kind == "full" for r in reports)
     verdicts = {}
     for parties in sorted(content, key=len):
-        reports = reports_of[content[parties]]
+        bi_entangled, not_full = own[content[parties]]
         reduced = tuple(
             (keep, verdicts[tuple(parties[i] for i in keep)])
             for keep in reversed(list(combinations(range(len(parties)), len(parties) - 1)))
         ) if cfg.recursive and len(parties) > 2 else ()
-        bi_entangled = tuple(sorted({r.partition_label() for r in reports if r.violated
-                                     and CRITERIA[r.criterion].kind == "bisep"}))
         # entanglement anywhere in a reduction rules out full separability too
-        not_full = bool(bi_entangled) or any(
-            r.violated and CRITERIA[r.criterion].kind == "full" for r in reports
-        ) or any(sub.not_fully_separable or sub.bi_entangled_partitions for _, sub in reduced)
-        verdicts[parties] = DetectionVerdict(content[parties][0], reports, reduced, not_full,
-                                             bi_entangled)
+        not_full = not_full or any(sub.not_fully_separable or sub.bi_entangled_partitions
+                                   for _, sub in reduced)
+        verdicts[parties] = DetectionVerdict(content[parties][0], reports_of[content[parties]],
+                                             reduced, not_full, bi_entangled)
     return verdicts[whole]

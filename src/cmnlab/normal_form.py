@@ -4,11 +4,12 @@ local reductions to the maximally mixed state, and its failure texts."""
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import DensityMatrix, hermitize, permute_parties
-from .tensor import Bipartition, CorrelationTensor
+from .tensor import Bipartition, CorrelationTensor, iter_bipartitions
 
 RANK_TOL = 1e-8
 # a rank-deficient reduction's min eigenvalue at or below this magnitude is
@@ -40,6 +41,45 @@ def fnf_residual(t: CorrelationTensor, part: Bipartition) -> float:
         face[(0,) * len(side)] = 0  # the vertex
         worst = max(worst, float(face.max()))
     return worst
+
+
+@lru_cache(maxsize=None)
+def _supports(shape):
+    """For tensors of ``shape``: the order that sorts their entries by
+    support (the parties whose index is not the identity, as a bit mask with
+    party i at bit n - 1 - i), where each support starts in that order, and
+    for each cut, in :func:`iter_bipartitions` order, the supports that lie
+    in one of its sides (padded with the vertex's, 0)."""
+    n = len(shape)
+    support = np.zeros(shape, dtype=int)
+    for i, size in enumerate(shape):
+        support += (np.arange(size) > 0).reshape((-1,) + (1,) * (n - 1 - i)) << (n - 1 - i)
+    order = np.argsort(support, axis=None, kind="stable")
+    starts = np.searchsorted(support.ravel()[order], np.arange(2**n))
+    inside = lambda s, side: not s & ~sum(1 << (n - 1 - p) for p in side)
+    faces = [[s for s in range(2**n) if inside(s, part.side_a) or inside(s, part.side_b)]
+             for part in iter_bipartitions(n)]
+    width = max(map(len, faces))
+    faces = np.array([face + [0] * (width - len(face)) for face in faces])
+    for index in (order, starts, faces):
+        index.setflags(write=False)
+    return order, starts, faces
+
+
+def fnf_residuals(tensors):
+    """:func:`fnf_residual` of each correlation tensor of the stack ``tensors``
+    (shape (k, d₁², …)) across each cut, in :func:`iter_bipartitions`
+    order; shape (k, number of cuts).
+
+    One pass takes the largest |entry| of each support, vertex excluded. A
+    side's face is the entries whose support lies in the side, so a cut's
+    residual is the largest over the supports that lie in either side. A
+    maximum is exact, so the values are :func:`fnf_residual`'s, bit for bit."""
+    order, starts, faces = _supports(tensors.shape[1:])
+    entries = np.abs(tensors.reshape(len(tensors), len(order)))
+    entries[:, 0] = 0  # the vertex
+    largest = np.maximum.reduceat(entries[:, order], starts, axis=1)
+    return largest[:, faces].max(axis=2)
 
 
 def group_label(group):
@@ -85,26 +125,27 @@ def filter_to_fnf(rho: DensityMatrix, tol=DEFAULT_TOL, groups=None, history=None
 
 
 def filter_cuts(cuts, tol=DEFAULT_TOL):
-    """Filter each (rho, part) of ``cuts`` to FNF across its cut: for each,
-    the filtered matrix (Hermitian, not validated as a state: an
-    ill-conditioned filter can leave it slightly indefinite), or the text of
-    the FilteringError that ``filter_to_fnf(rho, tol, [part.side_a,
+    """Filter each (dims, matrix, part) of ``cuts``, a state over ``dims``, to
+    FNF across its cut: for each, the filtered matrix (Hermitian, not
+    validated as a state: an ill-conditioned filter can leave it slightly
+    indefinite), or the text of the FilteringError that
+    ``filter_to_fnf(DensityMatrix(dims, matrix), tol, [part.side_a,
     part.side_b])`` raises.
 
-    Each state is permuted so that side A's parties come first, and the
+    Each matrix is permuted so that side A's parties come first, and the
     cuts that then share |A| and dims share one :func:`filter_stack` call.
     """
     shapes, out = {}, [None] * len(cuts)
-    for i, (rho, part) in enumerate(cuts):
+    for i, (dims, data, part) in enumerate(cuts):
         order = part.side_a + part.side_b
-        key = (len(part.side_a), tuple(rho.dims[p] for p in order))
-        shapes.setdefault(key, []).append((i, rho, order))
+        key = (len(part.side_a), tuple(dims[p] for p in order))
+        shapes.setdefault(key, []).append((i, dims, data, order))
     for (k, dims), members in shapes.items():
-        rows = np.stack([permute_parties(rho.data, rho.dims, order) for _, rho, order in members])
-        labels = [[group_label(order[:k]), group_label(order[k:])] for _, _, order in members]
-        filtered, _, errors = filter_stack(rows, dims, [range(k), range(k, len(dims))], tol,
-                                           labels=labels)
-        for (i, _, order), row, err in zip(members, filtered, errors):
+        rows = np.stack([permute_parties(data, old, order) for _, old, data, order in members])
+        labels = [[group_label(order[:k]), group_label(order[k:])] for *_, order in members]
+        groups = (tuple(range(k)), tuple(range(k, len(dims))))
+        filtered, _, errors = filter_stack(rows, dims, groups, tol, labels=labels)
+        for (i, *_, order), row, err in zip(members, filtered, errors):
             out[i] = err or permute_parties(row, dims, np.argsort(order))
     return out
 
@@ -125,6 +166,33 @@ def _equal_rows(data):
             same.append(len(members))
             members.append([i])
     return members
+
+
+@lru_cache(maxsize=None)
+def _layout(dims, groups):
+    """:func:`filter_stack`'s static layout of ``dims`` split into ``groups``
+    (tuples of parties, or None for one group per party): the group-major
+    party order (None when it is party order), the side, each group's
+    dimension D_g, its (L, D, R) block (the products of the group
+    dimensions before, at and after it), 1/D_g and the mask of the strict
+    lower triangle as read-only matrices, and each group's label."""
+    n = len(dims)
+    if groups is None:
+        groups = [(p,) for p in range(n)]
+    groups = [tuple(sorted(int(p) for p in g)) for g in groups]
+    order = [p for g in groups for p in g]
+    if len(set(order)) != len(order):
+        raise ValueError(f"filtering groups must be disjoint, got {groups}")
+    order += [p for p in range(n) if p not in order]
+    side = math.prod(dims)
+    sizes = [math.prod(dims[p] for p in g) for g in groups]
+    before = [math.prod(sizes[:g]) for g in range(len(sizes))]
+    blocks = [(L, D, side // (L * D)) for L, D in zip(before, sizes)]
+    mixed, lower = [np.eye(D) / D for D in sizes], [np.tri(D, D, -1, bool) for D in sizes]
+    for matrix in mixed + lower:
+        matrix.setflags(write=False)
+    return (None if order == list(range(n)) else tuple(order), side, sizes, blocks, mixed,
+            lower, tuple(group_label(g) for g in groups))
 
 
 def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=None):
@@ -150,28 +218,15 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
     count and history, and an error text that names its own ``labels``.
     """
     dims = tuple(dims)
-    n = len(dims)
-    if groups is None:
-        groups = [(p,) for p in range(n)]
-    groups = [tuple(sorted(int(p) for p in g)) for g in groups]
-    order = [p for g in groups for p in g]
-    if len(set(order)) != len(order):
-        raise ValueError(f"filtering groups must be disjoint, got {groups}")
-    order += [p for p in range(n) if p not in order]
-    in_order = order == list(range(n))
+    groups = None if groups is None else tuple(tuple(g) for g in groups)
+    order, side, sizes, blocks, mixed, lower, default_labels = _layout(dims, groups)
     k = len(data)
     members = _equal_rows(data)
     if len(members) < k:
         data = data[[rows[0] for rows in members]]
-    side = math.prod(dims)
-    sizes = [math.prod(dims[p] for p in g) for g in groups]
-    # (L, D, R): product of the group dimensions before, at and after group k
-    before = [math.prod(sizes[:g]) for g in range(len(sizes))]
-    blocks = [(L, D, side // (L * D)) for L, D in zip(before, sizes)]
-    mixed = [np.eye(D) / D for D in sizes]
-    m = data if in_order else permute_parties(data, dims, order)
+    m = data if order is None else permute_parties(data, dims, order)
     if labels is None:
-        labels = [[group_label(g) for g in groups]] * k
+        labels = [default_labels] * k
 
     def reduction(m, g):
         L, D, R = blocks[g]
@@ -192,7 +247,7 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
             # reads, h, has h <= trace distance <= sqrt(D)·h; only the rows
             # these bounds leave undecided (widened by a relative 1e-12 for
             # rounding) need the eigenvalues
-            h = np.sqrt(2 * np.linalg.norm(np.tril(delta, -1), axis=(1, 2))**2
+            h = np.sqrt(2 * np.linalg.norm(np.where(lower[c], delta, 0), axis=(1, 2))**2
                         + (delta.diagonal(axis1=1, axis2=2).real**2).sum(axis=1)) / 2
             ask = exact | (low & ~(h * (1 - 1e-12) > tol)
                            & ~(h * math.sqrt(sizes[c]) * (1 + 1e-12) <= tol))
@@ -269,7 +324,7 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
         step += 1
     ok = np.array([errors[rows[0]] is None for rows in members], dtype=bool)
     done = out[ok]
-    if not in_order:  # back to party order
+    if order is not None:  # back to party order
         done = permute_parties(done, [dims[p] for p in order], np.argsort(order))
     out[ok] = hermitize(done)
     if len(members) < k:

@@ -340,6 +340,10 @@ def _edge_state(case):
         return [2, 2, 2], np.eye(8) / 8 + 0.45e-10j * np.kron(np.kron(x, x), x)
     if case == "reduction-not-hermitian":  # 0.9e-10, doubled in the reductions to A, B and A, C
         return [2, 2, 2], np.eye(8) / 8 + 0.45e-10 * np.kron([[0, 1], [-1, 0]], np.eye(4))
+    if case == "one-reduction-not-psd":  # min eigenvalue -9e-10, doubled in A, B alone
+        eps = 1.8e-9
+        return [2, 2, 2], ((1 + eps) * np.kron(np.diag([0, 1]), np.diag([0.1, 0.2, 0.3, 0.4]))
+                           - eps * np.kron(np.diag([1, 0, 0, 0]), np.eye(2) / 2))
     # min eigenvalue -9e-10, which the reduction to parties A, B doubles
     eps = 3.6e-9
     return [2, 2, 2], ((1 + eps) * np.kron(np.diag([0, 1]), np.diag([0.1, 0.2, 0.3, 0.4]))
@@ -359,6 +363,8 @@ EDGE_OUTCOMES = {
     ("reduction-not-psd", "discord"): (EXIT_OK, ""),
     ("reduction-not-hermitian", "analyze"): (EXIT_OK, ""),
     ("reduction-not-hermitian", "discord"): (EXIT_OK, ""),
+    ("one-reduction-not-psd", "analyze"): (EXIT_OK, ""),
+    ("one-reduction-not-psd", "discord"): (EXIT_OK, ""),
 }
 
 
@@ -407,6 +413,38 @@ def test_a_reduction_that_fails_the_checks_gates_only_its_subsets(tmp_path, caps
     for got, want in [(doc["reports"], whole), (entries[1, 2], bc)]:
         assert got == json.loads(report.dumps([report.bound_report_to_dict(r)
                                                for r in want.reports]))
+
+
+def test_one_failing_reduction_of_a_stack_gates_only_its_subsets(tmp_path, capsys,
+                                                                  monkeypatch):
+    """The three pair reductions are checked as one (2,2) stack, in which only
+    A, B fails: it alone gets the failed check as the reason of every report,
+    and A, C and B, C get what detect gives on each alone."""
+    from cmnlab import bounds
+    from cmnlab.linalg import DensityMatrix, partial_trace_raw
+
+    checked = []
+
+    def check(data):
+        checked.append(len(data))
+        return check_density_stack(data)
+
+    check_density_stack = bounds.check_density_stack
+    monkeypatch.setattr(bounds, "check_density_stack", check)
+    code, out, _ = run(capsys, "analyze", _write_edge_state(tmp_path, "one-reduction-not-psd"))
+    assert code == EXIT_OK
+    assert checked[0] == 3  # the pair reductions, as one stack that fails
+    doc = json.loads(out)["verdict"]
+    entries = {tuple(e["parties"]): e["reports"] for e in doc["reduced"]}
+    why = "reduced state failed the state checks: not positive semidefinite (min eigenvalue "
+    assert all(r["reason"] == why + "-1.800e-09)" and not r["preconditions_met"]
+               for r in entries[0, 1])
+    dims, matrix = _edge_state("one-reduction-not-psd")
+    for parties in [(0, 2), (1, 2)]:
+        alone = detect(DensityMatrix((2, 2), partial_trace_raw(matrix, dims, parties)))
+        assert entries[parties] == json.loads(report.dumps(
+            [report.bound_report_to_dict(r) for r in alone.reports]))
+        assert not any(r["reason"].startswith("reduced state") for r in entries[parties])
 
 
 class TestLibraryDefaults:

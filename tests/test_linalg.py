@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -236,3 +239,13 @@ class TestPermuteParties:
         assert np.array_equal(back, stack)
         assert np.array_equal(permute_parties(there[0], [dims[p] for p in order],
                                               np.argsort(order)), stack[0])
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 3), (3, 2, 2), (2, 3, 2, 2), (2, 2, 3, 2, 2)])
+    def test_every_order_reorders_the_factors_of_a_product(self, rng, dims):
+        factors = self._factors(rng, dims)
+        kron = lambda mats: functools.reduce(np.kron, mats)
+        data = kron(factors)
+        for order in itertools.permutations(range(len(dims))):
+            want = kron([factors[p] for p in order])
+            assert np.array_equal(permute_parties(data, dims, order), want)
+            assert np.array_equal(permute_parties(data[None], list(dims), order)[0], want)

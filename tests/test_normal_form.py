@@ -102,6 +102,36 @@ class TestIsSfnf:
             cuts = iter_bipartitions(t.n_parties)
             assert max(fnf_residual(t, part) for part in cuts) == sfnf_residual(t)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2),
+                                      (2, 2, 2, 2), (2, 2, 2, 2, 2)])
+    def test_one_pass_residuals_equal_fnf_residual_on_every_cut(self, dims):
+        """fnf_residuals reads every cut, in iter_bipartitions order, of every
+        tensor of a stack in one pass; each value equals fnf_residual exactly.
+        The vertex, the largest entry of every row, must not be read. Row 0
+        has the face of party 0's side zeroed; row 1 is zero off its vertex;
+        row 2 keeps only the entries with no identity index, so every face of
+        it is zero; row 3 is a state's."""
+        from cmnlab.normal_form import fnf_residuals
+        from cmnlab.tensor import CorrelationTensor
+
+        rng = np.random.default_rng(sum(dims) * len(dims))
+        n, vertex = len(dims), 1 / np.sqrt(np.prod(dims))
+        stack = rng.uniform(-vertex / 2, vertex / 2, (4,) + tuple(d * d for d in dims))
+        stack[0][(slice(None),) + (0,) * (n - 1)] = 0
+        stack[1] = 0
+        interior = (2,) + (slice(1, None),) * n
+        stack[2], stack[interior] = 0, stack[interior].copy()
+        stack[(slice(None),) + (0,) * n] = vertex
+        stack[3] = build(random_density(dims, 2, len(dims))).data
+        parts = list(iter_bipartitions(n))
+        got = fnf_residuals(stack)
+        assert got.shape == (4, len(parts))
+        for row, values in zip(stack, got):
+            t = CorrelationTensor(dims, row)
+            assert [fnf_residual(t, part) for part in parts] == values.tolist()
+        assert not got[1].any() and not got[2].any()
+        assert np.abs(stack[interior]).min() > 0 and got[0].all() and got[3].all()
+
 
 class TestFilterToFnf:
     def test_fixed_point_on_isotropic_state(self):
@@ -516,7 +546,7 @@ def test_filter_cuts_match_filter_to_fnf_on_each_cut():
               random_density((2, 3, 2), 3, 41), random_density((3, 2, 2), 12, 42)]
     cuts = [(rho, part) for rho in states for part in iter_bipartitions(3)]
     texts = 0
-    for (rho, part), got in zip(cuts, filter_cuts(cuts)):
+    for (rho, part), got in zip(cuts, filter_cuts([(rho.dims, rho.data, p) for rho, p in cuts])):
         try:
             want = filter_to_fnf(rho, groups=[part.side_a, part.side_b])
         except FilteringError as exc:
@@ -525,6 +555,18 @@ def test_filter_cuts_match_filter_to_fnf_on_each_cut():
         else:
             assert np.array_equal(got, want.data)
     assert texts == 3  # the three cuts of W-3
+
+
+def test_filter_cuts_take_a_real_matrix_and_list_dims():
+    """A real state matrix with its dims as a list filters as the same state
+    given as a complex matrix with tuple dims."""
+    from cmnlab.normal_form import filter_cuts
+
+    rho = random_density((2, 2, 2), 8, 47)
+    real = np.diag(rho.data.diagonal().real)  # a diagonal state, real and not in FNF
+    for part in iter_bipartitions(3):
+        got, want = filter_cuts([([2, 2, 2], real, part), ((2, 2, 2), real + 0j, part)])
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", ["ghz-4-cuts", "w-3-pairs"])

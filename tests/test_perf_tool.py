@@ -12,6 +12,7 @@ SOLVES = ["bell-global", "classical-cc-global", "ghz3-global-A|BC", "random-22-s
 ANALYZE = ["rho1", "w-3", "ghz-3", "ghz-4", "ghz-5", "ghz-6", "random-222-seed222",
            "random-223-seed223", "random-2222-seed2222", "bisep-222-p0.5-h2-seed24"]
 DETECT = ["ghz-5", "ghz-6", "w-3", "random-2222-seed2222"]
+NO_FILTER = ["ghz-6", "w-3", "random-2222-seed2222"]
 
 
 def test_smallest_run_writes_the_schema(tmp_path):
@@ -24,7 +25,8 @@ def test_smallest_run_writes_the_schema(tmp_path):
     env = doc["environment"]
     assert {"cores", "affinity", "python", "numpy", "blas_threads", "commit"} <= set(env)
     assert set(env["blas_threads"].values()) == {"1"}
-    assert doc["settings"] == {"repeats": 1, "ridge": False, "objective_calls": 20}
+    assert doc["settings"] == {"repeats": 1, "ridge": False, "large": False,
+                               "objective_calls": 20}
     names = [row["name"] for row in doc["rows"]]
     assert names == ([f"objective/{s}/{r}" for s in ("bell-global", "ghz3-global-A|BC")
                       for r in (8, 32)]
@@ -33,7 +35,9 @@ def test_smallest_run_writes_the_schema(tmp_path):
                         "solve/bell-global/1"]
                      + [f"analyze/{a}" for a in ANALYZE]
                      + [f"{kind}/{s}" for s in DETECT for kind in ("detect", "filter_cuts")]
-                     + ["load_state/ghz-6", "render/ghz-6"])
+                     + ["load_state/ghz-6", "render/ghz-6"]
+                     + [f"detect/{s}/no-filter" for s in NO_FILTER]
+                     + [f"filter_stack/{d}/fixed" for d in ("22", "222", "2222")])
     for row in doc["rows"]:
         assert 0 < row["min_s"] <= row["median_s"]
         assert row["ref_median_s"] > 0
@@ -45,7 +49,32 @@ def test_smallest_run_writes_the_schema(tmp_path):
             assert row["seeds"] == [0, 1, 2, 3] and row["evaluations"] >= row["restarts"]
         elif row["kind"] == "analyze":
             assert row["args"] == (["--p", "0.5", "--h", "2"] if "bisep" in row["name"] else [])
+        elif row["kind"] == "detect":
+            assert row["filter"] == (not row["name"].endswith("/no-filter"))
+        elif row["kind"] == "filter_stack":
+            assert row["calls"] == 20
         elif row["kind"] == "filter_cuts":
             # W-3 filters its 3 cuts and its pair state's one
             assert row["cuts"] == {"ghz-5": 25, "ghz-6": 56, "w-3": 4,
                                    "random-2222-seed2222": 25}[row["name"].split("/")[1]]
+
+
+def test_large_rows_are_opt_in(monkeypatch):
+    """--large adds detect on GHZ-7 and on rank-4 random states of 5-7 qubits
+    to the planned rows; they are listed here, not run."""
+    import importlib.util
+    import tempfile
+
+    # importing the tool pins BLAS threads and puts bench/ on the path
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("perf", TOOL)
+    perf = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perf)
+    with tempfile.TemporaryDirectory() as workdir:
+        default = [row["name"] for row, _, _ in perf.planned_rows(workdir)]
+        large = [row["name"] for row, _, _ in perf.planned_rows(workdir, large=True)]
+    assert large == default + ["detect/ghz-7", "detect/random-22222-rank4-seed5",
+                               "detect/random-222222-rank4-seed6",
+                               "detect/random-2222222-rank4-seed7"]

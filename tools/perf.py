@@ -1,8 +1,8 @@
 """Time cmnlab's discord search and analyze path in-process and write the
 timings, with the machine they were taken on, to a BENCH file:
 
-    python3 tools/perf.py --out BENCH_23.json
-    python3 tools/perf.py --src ../parent/src --out BENCH_22.json
+    python3 tools/perf.py --src ../parent/src --out BENCH_23.json --repeats 20 --ridge --large
+    python3 tools/perf.py --out BENCH_24.json --repeats 20 --ridge --large
 
 Each row's work runs in ``--repeats`` rounds that each time every row once,
 so that a slow spell of a shared machine falls on all rows alike. There is
@@ -30,6 +30,18 @@ would pick the run whose kernel was slowed most. The rows:
   cuts it filters);
 - ``load_state/ghz-6`` and ``render/ghz-6``: reading GHZ-6's state file, and
   writing its analyze document from its verdict;
+- ``detect/<state>/no-filter``: one ``detect`` with ``DetectConfig(filter=False)``
+  on GHZ-6, W-3 and the random (2,2,2,2) stand-in, which times detect's
+  admission, tensors, residuals, matricizations and spectra without any
+  filtering;
+- ``filter_stack/<dims>/fixed``: ``FIXED_CALLS`` calls of ``filter_stack``
+  across A|rest on a one-row stack that is already in FNF (the maximally
+  mixed state over (2,2), (2,2,2) and (2,2,2,2)), the cost that every call
+  pays whatever its rows;
+- ``detect/ghz-7`` and ``detect/random-<dims>-rank4-seed<n>``, only with
+  ``--large``: ``detect`` on GHZ-7 and on rank-4 random states of n = 5, 6
+  and 7 qubits drawn at seed n (the 7-qubit one takes about 5 s a run on a
+  2-core x86-64 VM), timed in the rounds with the other rows;
 - ``solve/ridge-crawl-23/8``, only with ``--ridge``: the (2,3) solve whose
   restart 2 crawls along a ridge (about 36 s on a 2-core x86-64 VM), timed
   once without a warm-up.
@@ -69,6 +81,8 @@ SCHEMA = 1
 OBJECTIVE_CALLS = 20
 # the optimizer seeds of every solve row but the ridge crawl's
 SEEDS = range(4)
+# calls of filter_stack per timed run of a fixed-cost row
+FIXED_CALLS = 20
 
 
 class _Captured(Exception):
@@ -202,6 +216,48 @@ def analyze_work(name, state, extra, workdir):
     return {"name": f"analyze/{name}", "kind": "analyze", "args": extra}, work, 1
 
 
+def detect_work(name, state, filtering=True):
+    """A row's fields, its work and the units one run of it does: one
+    ``detect`` of ``state``, with or without filtering."""
+    from cmnlab import bounds
+
+    cfg = bounds.DetectConfig(filter=filtering)
+
+    def work():
+        bounds.detect(state, cfg)
+
+    return {"name": f"detect/{name}" + ("" if filtering else "/no-filter"), "kind": "detect",
+            "filter": filtering}, work, 1
+
+
+def fixed_filter_work(dims):
+    """A row's fields, its work and the units one run of it does:
+    FIXED_CALLS calls of ``filter_stack`` across A|rest on the maximally mixed
+    state over ``dims``, a one-row stack already in FNF."""
+    from cmnlab import normal_form, zoo
+
+    data = zoo.maximally_mixed(dims).data[None]
+    groups = [(0,), tuple(range(1, len(dims)))]
+
+    def work():
+        for _ in range(FIXED_CALLS):
+            normal_form.filter_stack(data, dims, groups)
+
+    label = "".join(map(str, dims))
+    return ({"name": f"filter_stack/{label}/fixed", "kind": "filter_stack",
+             "calls": FIXED_CALLS}, work, FIXED_CALLS)
+
+
+def large_states():
+    """Name -> state: GHZ-7 and rank-4 random states of 5, 6 and 7 qubits."""
+    from cmnlab import zoo
+
+    states = {"ghz-7": zoo.ghz(7).to_density()}
+    states.update((f"random-{'2' * n}-rank4-seed{n}", zoo.random_density((2,) * n, 4, n))
+                  for n in (5, 6, 7))
+    return states
+
+
 def detect_rows(name, state):
     """The rows of one ``detect`` of ``state`` and of the ``filter_cuts`` call
     that it makes, captured from that detect."""
@@ -223,10 +279,7 @@ def detect_rows(name, state):
         for cuts, tol in calls:
             filter_cuts(cuts, tol)
 
-    def detect_work():
-        bounds.detect(state)
-
-    yield {"name": f"detect/{name}", "kind": "detect"}, detect_work, 1
+    yield detect_work(name, state)
     yield ({"name": f"filter_cuts/{name}", "kind": "filter_cuts",
             "cuts": sum(len(cuts) for cuts, _ in calls)}, filter_work, 1)
 
@@ -252,7 +305,7 @@ def state_file_rows(name, state, workdir):
     yield {"name": f"render/{name}", "kind": "render"}, render, 1
 
 
-def planned_rows(workdir):
+def planned_rows(workdir, large=False):
     table = solves()
     for name in ("bell-global", "ghz3-global-A|BC"):
         n_params, solve = table[name]
@@ -270,6 +323,13 @@ def planned_rows(workdir):
     for name in ("ghz-5", "ghz-6", "w-3", "random-2222-seed2222"):
         yield from detect_rows(name, inputs[name][0])
     yield from state_file_rows("ghz-6", inputs["ghz-6"][0], workdir)
+    for name in ("ghz-6", "w-3", "random-2222-seed2222"):
+        yield detect_work(name, inputs[name][0], filtering=False)
+    for dims in ((2, 2), (2, 2, 2), (2, 2, 2, 2)):
+        yield fixed_filter_work(dims)
+    if large:
+        for name, state in large_states().items():
+            yield detect_work(name, state)
 
 
 def timed_run(work):
@@ -353,16 +413,18 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="the BENCH file to write")
     parser.add_argument("--repeats", type=int, default=10, help="timed rounds")
     parser.add_argument("--ridge", action="store_true", help="also time the ridge crawl")
+    parser.add_argument("--large", action="store_true",
+                        help="also time detect on GHZ-7 and rank-4 random states of 5-7 qubits")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     cmnlab = load_cmnlab(args.src)
     with tempfile.TemporaryDirectory() as workdir:
-        rows = list(timed_rows(list(planned_rows(workdir)), args.repeats))
+        rows = list(timed_rows(list(planned_rows(workdir, args.large)), args.repeats))
     if args.ridge:
         rows.append(ridge_row())
     doc = {"schema": SCHEMA, "environment": environment(args.src, cmnlab),
-           "settings": {"repeats": args.repeats, "ridge": args.ridge,
+           "settings": {"repeats": args.repeats, "ridge": args.ridge, "large": args.large,
                         "objective_calls": OBJECTIVE_CALLS},
            "rows": rows}
     for row in rows:
