@@ -211,11 +211,17 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
 
     The iteration works on one group-major copy of each ρ (the parties of
     group 0 first, then group 1, ...; no copy when the groups already are in
-    party order): a group reduction is one einsum trace and a filter two
-    broadcast matmuls, and the layout is undone once at the end. Rows of one
-    call share dims and groups, and no row's work reads another row, so rows
-    with equal bytes iterate once, as one row: each gets its matrix, sweep
-    count and history, and an error text that names its own ``labels``.
+    party order): a group reduction is one einsum trace, and the layout is
+    undone once at the end. A group's filter F = 1_L ⊗ f ⊗ 1_R multiplies
+    each of ρ's L row blocks, read as a D × R·side matrix, by f, so F·ρ·F†
+    is taken as (F·(F·ρ)†)†: two matmuls batched over the same k·L row
+    blocks, each followed by a conjugate transpose. The last transpose is
+    not skipped: F·(F·ρ)† is F·ρ†·F†, and iterating on ρ†, which equals ρ
+    only up to rounding, converges on fewer ill-conditioned cuts. Rows of
+    one call share dims and groups, and no row's work reads another row, so
+    rows with equal bytes iterate once, as one row: each gets its matrix,
+    sweep count and history, and an error text that names its own
+    ``labels``.
     """
     dims = tuple(dims)
     groups = None if groups is None else tuple(tuple(g) for g in groups)
@@ -316,11 +322,14 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
             m, idx, w, v = m[go], idx[go], w[go], v[go]
             if not len(idx):
                 break
-        f = (v * w[:, None, :] ** -0.5) @ v.conj().swapaxes(1, 2)
+        f = ((v * w[:, None, :] ** -0.5) @ v.conj().swapaxes(1, 2))[:, None]
+        # F·m·F† as (F·(F·m)†)†: twice f on each row block, then the
+        # conjugate transpose
         rows = len(m)
-        m = (f[:, None] @ m.reshape(rows, L, D, R * side)).reshape(rows, side * L, D, R)
-        m = (f.conj()[:, None] @ m).reshape(rows, side, side)
-        m = m / m.trace(axis1=1, axis2=2).real[:, None, None]
+        for _ in range(2):
+            m = f @ m.reshape(rows, L, D, R * side)
+            m = np.conjugate(m.reshape(rows, side, side).swapaxes(1, 2), order="C")
+        m /= m.trace(axis1=1, axis2=2).real[:, None, None]
         step += 1
     ok = np.array([errors[rows[0]] is None for rows in members], dtype=bool)
     done = out[ok]

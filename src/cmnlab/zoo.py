@@ -135,8 +135,8 @@ def _product_mixture_stack(dims, groups, k_terms, seeds) -> np.ndarray:
 
     Each row draws from ``default_rng(seed)``: flat Dirichlet weights, then
     per term and group the real and then the imaginary parts of the group's
-    vector. Consecutive normal draws concatenate, so one ``normal`` call per
-    row yields all of them."""
+    vector. Consecutive normal draws concatenate, so one ``standard_normal``
+    call per row yields all of them."""
     if k_terms < 1:
         raise ValueError("k_terms must be >= 1")
     dims = tuple(int(d) for d in dims)
@@ -147,7 +147,7 @@ def _product_mixture_stack(dims, groups, k_terms, seeds) -> np.ndarray:
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         weights[row] = rng.dirichlet(np.ones(k_terms))
-        g[row] = rng.normal(size=(k_terms, 2 * sum(sizes)))
+        g[row] = rng.standard_normal((k_terms, 2 * sum(sizes)))
     v = np.ones((rows, k_terms, 1))
     for start, d in zip(accumulate((2 * d for d in sizes), initial=0), sizes):
         u = g[..., start:start + d] + 1j * g[..., start + d:start + 2 * d]
@@ -210,8 +210,8 @@ def random_fully_separable_sfnf_stack(dims, seeds) -> np.ndarray:
         weights[row] = rng.dirichlet(np.ones(SFNF_BLOCKS))
         for b in range(SFNF_BLOCKS):
             for k, d in enumerate(dims):
-                dirs[k][row, b] = rng.normal(size=d * d - 1)
-                frac[row, b, k] = rng.uniform(0, 1)
+                dirs[k][row, b] = rng.standard_normal(d * d - 1)
+                frac[row, b, k] = rng.random()
     prod = np.ones((rows, SFNF_BLOCKS, 1, 1))  # ⊗(r·G), one Kronecker factor per party
     for k, d in enumerate(dims):
         r = dirs[k] * (0.5 * frac[..., k] / np.linalg.norm(dirs[k], axis=-1))[..., None]

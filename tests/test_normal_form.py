@@ -396,6 +396,37 @@ def test_stack_rows_match_oracle_and_one_row_errors():
     assert len(set(sweeps[[0, 2, 4]])) > 1  # rows left the stack at different sweeps
 
 
+@pytest.mark.parametrize("case", ["biseparable-222", "biseparable-223", "mixed"])
+def test_each_row_filters_as_it_does_alone(case):
+    """Each row of one filter_stack call gets, bit for bit, the matrix, sweep
+    count and error text of its one-row call, so a row's filtering does not
+    depend on its stack: filter_stack's row dedupe and the audit's redraw
+    from worst_seed rely on this. The stacks: the 32 draws from seed 2026 on
+    that the biseparable-filtered-* audits filter across A|BC, and the mixed
+    stack of test_stack_rows_match_oracle_and_one_row_errors, whose rows
+    leave at different sweeps."""
+    from cmnlab.normal_form import filter_stack
+    from cmnlab.zoo import random_biseparable_stack, w_state
+
+    groups = [PART.side_a, PART.side_b]
+    if case == "mixed":
+        dims = (2, 2, 2)
+        w3 = w_state(3).to_density()
+        pair = np.kron(partial_trace(w3, (0, 1)).data, np.eye(2) / 2)
+        converging = [random_density(dims, 8, 90 + s).data for s in range(3)]
+        data = np.stack([converging[0], w3.data, converging[1], pair, converging[2]])
+    else:
+        dims = (2, 2, int(case[-1]))
+        data = random_biseparable_stack(dims, PART, 24, np.arange(2026, 2026 + 32))
+    out, sweeps, errors = filter_stack(data, dims, groups)
+    for i, row in enumerate(data):
+        want, want_sweeps, want_errors = filter_stack(row[None], dims, groups)
+        assert out[i].tobytes() == want[0].tobytes()
+        assert sweeps[i] == want_sweeps[0]
+        assert errors[i] == want_errors[0]
+    assert len(set(sweeps)) > 1
+
+
 def test_stack_history_per_row():
     from cmnlab.normal_form import filter_stack
 

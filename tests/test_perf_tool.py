@@ -13,6 +13,11 @@ ANALYZE = ["rho1", "w-3", "ghz-3", "ghz-4", "ghz-5", "ghz-6", "random-222-seed22
            "random-223-seed223", "random-2222-seed2222", "bisep-222-p0.5-h2-seed24"]
 DETECT = ["ghz-5", "ghz-6", "w-3", "random-2222-seed2222"]
 NO_FILTER = ["ghz-6", "w-3", "random-2222-seed2222"]
+AUDITS = ([f"fully-separable-sfnf-{d}/{c}" for d in ("222", "223")
+           for c in ("cmn-full-inf", "cmn-full-p1", "dvh-full")]
+          + [f"biseparable-filtered-{d}/{c}" for d in ("222", "223")
+             for c in ("cmn-bisep-inf", "cmn-bisep-p1")]
+          + ["ghz-mixtures-222/cmn-bisep-inf"])
 
 
 def test_smallest_run_writes_the_schema(tmp_path):
@@ -37,7 +42,9 @@ def test_smallest_run_writes_the_schema(tmp_path):
                      + [f"{kind}/{s}" for s in DETECT for kind in ("detect", "filter_cuts")]
                      + ["load_state/ghz-6", "render/ghz-6"]
                      + [f"detect/{s}/no-filter" for s in NO_FILTER]
-                     + [f"filter_stack/{d}/fixed" for d in ("22", "222", "2222")])
+                     + [f"filter_stack/{d}/fixed" for d in ("22", "222", "2222")]
+                     + [f"audit/{a}" for a in AUDITS]
+                     + [f"filter_stack/biseparable-filtered-{d}/32" for d in ("222", "223")])
     for row in doc["rows"]:
         assert 0 < row["min_s"] <= row["median_s"]
         assert row["ref_median_s"] > 0
@@ -53,6 +60,10 @@ def test_smallest_run_writes_the_schema(tmp_path):
             assert row["filter"] == (not row["name"].endswith("/no-filter"))
         elif row["kind"] == "filter_stack":
             assert row["calls"] == 20
+        elif row["kind"] == "audit":
+            assert (row["trials"], row["seed"]) == (32, 2026)
+        elif row["kind"] == "audit_filter_stack":
+            assert row["rows"] == 32
         elif row["kind"] == "filter_cuts":
             # W-3 filters its 3 cuts and its pair state's one
             assert row["cuts"] == {"ghz-5": 25, "ghz-6": 56, "w-3": 4,

@@ -46,3 +46,19 @@ def test_typed_errors_are_recorded_as_raised():
     assert tool.outcome(raising(FilteringError("stalled"))) == "raised FilteringError: stalled"
     with pytest.raises(TypeError):
         tool.outcome(raising(TypeError("a bug, not an answer")))
+
+
+def test_text_lines_hash_to_the_sha_lines():
+    """--text prints each artifact's text as one JSON string after its label;
+    its sha256 is that label's line without --text."""
+    import hashlib
+    import json
+
+    shas, texts = [subprocess.run([sys.executable, str(TOOL), "--small", *extra],
+                                  capture_output=True, text=True, timeout=120,
+                                  check=True).stdout.splitlines()
+                   for extra in ([], ["--text"])]
+    assert len(texts) == len(shas)
+    for sha_line, text_line in zip(shas, texts):
+        label, text = text_line.split(" ", 1)
+        assert sha_line == f"{label} {hashlib.sha256(json.loads(text).encode()).hexdigest()}"

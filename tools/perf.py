@@ -1,8 +1,8 @@
-"""Time cmnlab's discord search and analyze path in-process and write the
-timings, with the machine they were taken on, to a BENCH file:
+"""Time cmnlab's discord search, analyze path and audits in-process and
+write the timings, with the machine they were taken on, to a BENCH file:
 
-    python3 tools/perf.py --src ../parent/src --out BENCH_23.json --repeats 20 --ridge --large
-    python3 tools/perf.py --out BENCH_24.json --repeats 20 --ridge --large
+    python3 tools/perf.py --src ../parent/src --out BENCH_24.json --repeats 20 --ridge --large
+    python3 tools/perf.py --out BENCH_25.json --repeats 20 --ridge --large
 
 Each row's work runs in ``--repeats`` rounds that each time every row once,
 so that a slow spell of a shared machine falls on all rows alike. There is
@@ -38,6 +38,13 @@ would pick the run whose kernel was slowed most. The rows:
   across A|rest on a one-row stack that is already in FNF (the maximally
   mixed state over (2,2), (2,2,2) and (2,2,2,2)), the cost that every call
   pays whatever its rows;
+- ``audit/<family>/<criterion>``: one ``separability_audit`` of each of the
+  benchmark's 11 audit pairs at its 32 trials, from trial seed
+  ``AUDIT_SEED`` on, timed per trial; the audit memo is cleared before each
+  run, so every run samples, filters and scores its trials;
+- ``filter_stack/<family>/32``: the ``filter_stack`` call on the 32 draws
+  that the first audit of biseparable-filtered-222 and -223 filters across
+  A|BC, captured from that audit;
 - ``detect/ghz-7`` and ``detect/random-<dims>-rank4-seed<n>``, only with
   ``--large``: ``detect`` on GHZ-7 and on rank-4 random states of n = 5, 6
   and 7 qubits drawn at seed n (the 7-qubit one takes about 5 s a run on a
@@ -83,6 +90,8 @@ OBJECTIVE_CALLS = 20
 SEEDS = range(4)
 # calls of filter_stack per timed run of a fixed-cost row
 FIXED_CALLS = 20
+# the first seed of the audit rows' trials
+AUDIT_SEED = 2026
 
 
 class _Captured(Exception):
@@ -248,6 +257,52 @@ def fixed_filter_work(dims):
              "calls": FIXED_CALLS}, work, FIXED_CALLS)
 
 
+def audit_rows():
+    """The rows of the benchmark's audit pairs at its trial count, from trial
+    seed AUDIT_SEED on, and of the ``filter_stack`` call on the stack of
+    draws that the first audit of each family that filters its draws makes,
+    captured from that audit."""
+    import workloads  # bench/workloads.py: the audit pairs and trial count
+    from cmnlab import audit
+
+    trials, filter_stack = workloads.AUDIT_TRIALS, audit.filter_stack
+    calls, stacks = [], {}  # family -> its first call's (args, kwargs)
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        return filter_stack(*args, **kwargs)
+
+    def audit_work(family, criterion):
+        def work():
+            audit._chunk.cache_clear()  # every run samples, filters and scores
+            audit.separability_audit(family, criterion, trials, AUDIT_SEED)
+
+        return work
+
+    def filter_work(args, kwargs):
+        def work():
+            filter_stack(*args, **kwargs)
+
+        return work
+
+    for family, criterion in workloads.AUDIT_PAIRS:
+        work = audit_work(family, criterion)
+        calls.clear()
+        audit.filter_stack = capture
+        try:
+            work()
+        finally:
+            audit.filter_stack = filter_stack
+        if calls:
+            stacks.setdefault(family, calls[0])
+        yield ({"name": f"audit/{family}/{criterion}", "kind": "audit", "trials": trials,
+                "seed": AUDIT_SEED}, work, trials)
+    for family, (args, kwargs) in stacks.items():
+        rows = len(args[0])
+        yield ({"name": f"filter_stack/{family}/{rows}", "kind": "audit_filter_stack",
+                "rows": rows}, filter_work(args, kwargs), 1)
+
+
 def large_states():
     """Name -> state: GHZ-7 and rank-4 random states of 5, 6 and 7 qubits."""
     from cmnlab import zoo
@@ -327,6 +382,7 @@ def planned_rows(workdir, large=False):
         yield detect_work(name, inputs[name][0], filtering=False)
     for dims in ((2, 2), (2, 2, 2), (2, 2, 2, 2)):
         yield fixed_filter_work(dims)
+    yield from audit_rows()
     if large:
         for name, state in large_states().items():
             yield detect_work(name, state)

@@ -16,6 +16,12 @@ only, ``cmnlab zoo emit`` of every zoo state (exit code and stdout),
 state files at the edges of the state checks (exit code and stderr). An
 artifact whose command raises one of cmnlab's typed errors is recorded as
 ``raised <Type>: <message>``. ``--small`` runs a subset in a few seconds.
+``--text`` prints each artifact's text, as one JSON string, in place of its
+sha256, so that two versions whose lines differ can be compared value by
+value:
+
+    python3 tools/same_answers.py --text > new.txt
+
 Needs only the standard library and numpy.
 """
 
@@ -249,6 +255,8 @@ def main(argv=None):
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--small", action="store_true", help="a subset that runs in seconds")
+    parser.add_argument("--text", action="store_true",
+                        help="print each artifact's text as a JSON string, not its sha256")
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                         help="the source tree to import cmnlab from (default: this repo's)")
     args = parser.parse_args(argv)
@@ -257,7 +265,7 @@ def main(argv=None):
         for lines in (analyze_lines(args.small, tmp), audit_lines(args.small),
                       discord_lines(args.small), cli_lines(args.small, tmp)):
             for label, text in lines:
-                print(label, sha(text), flush=True)
+                print(label, json.dumps(text) if args.text else sha(text), flush=True)
     return 0
 
 
