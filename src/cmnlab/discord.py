@@ -90,11 +90,6 @@ def _givens_layout(d):
     return np.tile(np.eye(d, dtype=complex).ravel(), len(planes)), np.array(flat).T
 
 
-def unitary_from_angles(d, angles):
-    """The unitary of :func:`unitaries_from_angles` for one angle vector."""
-    return unitaries_from_angles(d, np.reshape(angles, (1, -1)))[0]
-
-
 def n_angles(dims):
     return sum(d * (d - 1) for d in dims)
 
@@ -354,9 +349,3 @@ def global_discord_cmn(rho: DensityMatrix, part: Bipartition,
     all parties, evaluated on the matricization given by ``part``."""
     return _discord(rho, part, params, opt, range(len(rho.dims)))
 
-
-def correlation_space_map(family: MeasurementFamily, party: int):
-    """Matrix of the measurement channel acting on one party's correlation
-    coordinates; its largest singular value is 1 for projective families."""
-    v = _projector_coordinates(family.projectors[party])
-    return v @ v.T

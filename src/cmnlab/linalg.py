@@ -217,14 +217,3 @@ def singular_values(m):
     """Full singular spectrum of ``m``, sorted descending; for a stack of
     matrices, one spectrum per matrix."""
     return np.linalg.svd(np.asarray(m), compute_uv=False)
-
-
-def trace_distance(a, b):
-    """(1/2)·||a - b||_1 for Hermitian matrices."""
-    eig = np.linalg.eigvalsh(hermitize(np.asarray(a) - np.asarray(b)))
-    return float(np.abs(eig).sum() / 2)
-
-
-def pauli(which):
-    """One of the Pauli matrices 'x', 'y', 'z' (unnormalized)."""
-    return _PAULI[which].copy()

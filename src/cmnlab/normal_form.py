@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DensityMatrix, hermitize, permute_parties
-from .tensor import Bipartition, CorrelationTensor, iter_bipartitions
+from .tensor import iter_bipartitions
 
 RANK_TOL = 1e-8
 # a rank-deficient reduction's min eigenvalue at or below this magnitude is
@@ -29,18 +29,6 @@ STALL_EXPONENT = 1.25
 
 class FilteringError(RuntimeError):
     """Raised when a state cannot be brought to filter normal form."""
-
-
-def fnf_residual(t: CorrelationTensor, part: Bipartition) -> float:
-    """Largest |entry| whose non-identity indices all lie on one side of the
-    cut, vertex excluded: zero iff both side reductions are maximally mixed,
-    which is FNF across the cut."""
-    worst = 0.0
-    for side in (part.side_a, part.side_b):
-        face = np.abs(t.data[tuple(slice(None) if i in side else 0 for i in range(t.n_parties))])
-        face[(0,) * len(side)] = 0  # the vertex
-        worst = max(worst, float(face.max()))
-    return worst
 
 
 @lru_cache(maxsize=None)
@@ -67,14 +55,16 @@ def _supports(shape):
 
 
 def fnf_residuals(tensors):
-    """:func:`fnf_residual` of each correlation tensor of the stack ``tensors``
+    """The FNF residual of each correlation tensor of the stack ``tensors``
     (shape (k, d₁², …)) across each cut, in :func:`iter_bipartitions`
-    order; shape (k, number of cuts).
+    order; shape (k, number of cuts). A cut's residual is the largest
+    |entry| whose non-identity indices all lie on one side of the cut,
+    vertex excluded: zero iff both side reductions are maximally mixed,
+    which is FNF across the cut.
 
     One pass takes the largest |entry| of each support, vertex excluded. A
     side's face is the entries whose support lies in the side, so a cut's
-    residual is the largest over the supports that lie in either side. A
-    maximum is exact, so the values are :func:`fnf_residual`'s, bit for bit."""
+    residual is the largest over the supports that lie in either side."""
     order, starts, faces = _supports(tensors.shape[1:])
     entries = np.abs(tensors.reshape(len(tensors), len(order)))
     entries[:, 0] = 0  # the vertex
@@ -133,39 +123,33 @@ def filter_cuts(cuts, tol=DEFAULT_TOL):
     part.side_b])`` raises.
 
     Each matrix is permuted so that side A's parties come first, and the
-    cuts that then share |A| and dims share one :func:`filter_stack` call.
+    cuts that then share |A| and dims share one :func:`filter_stack` call,
+    which gets each distinct permuted matrix once. Each cut that holds a
+    matrix gets its result, permuted back to the cut's own party order, or
+    its text, naming the cut's own parties.
     """
-    shapes, out = {}, [None] * len(cuts)
+    shapes, seen, out = {}, {}, [None] * len(cuts)
     for i, (dims, data, part) in enumerate(cuts):
         order = part.side_a + part.side_b
         key = (len(part.side_a), tuple(dims[p] for p in order))
-        shapes.setdefault(key, []).append((i, dims, data, order))
-    for (k, dims), members in shapes.items():
-        rows = np.stack([permute_parties(data, old, order) for _, old, data, order in members])
-        labels = [[group_label(order[:k]), group_label(order[k:])] for *_, order in members]
+        row = permute_parties(np.asarray(data, complex), dims, order)  # one dtype for the bytes
+        raw = row.tobytes()
+        # diagonals hash far faster than matrices; equal ones compare bytes
+        same = seen.setdefault((key, row.diagonal().tobytes()), [])
+        held = next((held for other, held in same if other == raw), None)
+        if held is None:
+            same.append((raw, held := []))
+            shapes.setdefault(key, []).append((row, held))
+        held.append((i, order))
+    for (k, dims), rows in shapes.items():
         groups = (tuple(range(k)), tuple(range(k, len(dims))))
-        filtered, _, errors = filter_stack(rows, dims, groups, tol, labels=labels)
-        for (i, *_, order), row, err in zip(members, filtered, errors):
-            out[i] = err or permute_parties(row, dims, np.argsort(order))
+        filtered, _, errors = filter_stack(np.stack([row for row, _ in rows]), dims, groups,
+                                           tol, labels=("{0}", "{1}"))
+        for (_, held), row, err in zip(rows, filtered, errors):
+            for i, order in held:
+                out[i] = (err.format(group_label(order[:k]), group_label(order[k:])) if err
+                          else permute_parties(row, dims, np.argsort(order)))
     return out
-
-
-def _equal_rows(data):
-    """The input rows that hold each distinct matrix of the stack ``data``,
-    in order of first appearance; two rows are equal when their bytes are.
-    Rows are keyed by the bytes of their diagonal, so that only rows whose
-    diagonals are equal have their whole bytes compared."""
-    members, by_diagonal = [], {}  # diagonal bytes -> indices into members
-    for i, diagonal in enumerate(data.diagonal(axis1=-2, axis2=-1)):
-        same = by_diagonal.setdefault(diagonal.tobytes(), [])
-        for u in same:
-            if data[members[u][0]].tobytes() == data[i].tobytes():
-                members[u].append(i)
-                break
-        else:
-            same.append(len(members))
-            members.append([i])
-    return members
 
 
 @lru_cache(maxsize=None)
@@ -206,8 +190,8 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
     converges, fails or reaches a checkpoint where it stalls, so its sweep
     count is that of its own run. If ``history`` is a list of k lists, each
     row's determinant products go to its own list. ``labels``, if given,
-    holds for each row how its error text names each group (by default,
-    by the group's parties).
+    holds how the error texts name each group (by default, by the group's
+    parties).
 
     The iteration works on one group-major copy of each ρ (the parties of
     group 0 first, then group 1, ...; no copy when the groups already are in
@@ -217,22 +201,13 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
     is taken as (F·(F·ρ)†)†: two matmuls batched over the same k·L row
     blocks, each followed by a conjugate transpose. The last transpose is
     not skipped: F·(F·ρ)† is F·ρ†·F†, and iterating on ρ†, which equals ρ
-    only up to rounding, converges on fewer ill-conditioned cuts. Rows of
-    one call share dims and groups, and no row's work reads another row, so
-    rows with equal bytes iterate once, as one row: each gets its matrix,
-    sweep count and history, and an error text that names its own
-    ``labels``.
+    only up to rounding, converges on fewer ill-conditioned cuts.
     """
     dims = tuple(dims)
     groups = None if groups is None else tuple(tuple(g) for g in groups)
     order, side, sizes, blocks, mixed, lower, default_labels = _layout(dims, groups)
-    k = len(data)
-    members = _equal_rows(data)
-    if len(members) < k:
-        data = data[[rows[0] for rows in members]]
+    labels = labels or default_labels
     m = data if order is None else permute_parties(data, dims, order)
-    if labels is None:
-        labels = [default_labels] * k
 
     def reduction(m, g):
         L, D, R = blocks[g]
@@ -267,15 +242,14 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
         dets = np.ones(len(idx))
         for c, D in enumerate(sizes):
             dets = dets * np.linalg.det(D * reduction(m, c)).real
-        for u, det in zip(idx, dets):
-            for i in members[u]:
-                history[i].append(float(det))
+        for i, det in zip(idx, dets):
+            history[i].append(float(det))
 
     out = np.full_like(m, np.nan)
     sweeps = np.zeros(len(m), dtype=int)
-    errors = [None] * k
-    idx = np.arange(len(m))  # the distinct row of each row still iterating
-    half = np.zeros(len(m))  # each distinct row's residual at the last snapshot sweep
+    errors = [None] * len(m)
+    idx = np.arange(len(m))  # the rows still iterating
+    half = np.zeros(len(m))  # each row's residual at the last snapshot sweep
     step = 0  # one step filters one group
     while len(idx):
         sweep, g = divmod(step, len(blocks))
@@ -308,16 +282,13 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
             out[idx[kept]] = m[kept]
             sweeps[idx[leave]] = sweep
             for j in np.flatnonzero(leave & ~kept):
-                holders = members[idx[j]]  # each names its groups by its own labels
                 if g or not stop[j]:
-                    texts = [_rank_deficient(labels[i][g], w[j, 0]) for i in holders]
+                    errors[idx[j]] = _rank_deficient(labels[g], w[j, 0])
                 elif sweep >= MAX_SWEEPS:
-                    texts = [f"filtering did not converge in {sweep} sweeps "
-                             f"(last residual {res[j]:.3e})"] * len(holders)
+                    errors[idx[j]] = (f"filtering did not converge in {sweep} sweeps "
+                                      f"(last residual {res[j]:.3e})")
                 else:
-                    texts = [_stalled(sweep, res[j], alpha[j])] * len(holders)
-                for i, text in zip(holders, texts):
-                    errors[i] = text
+                    errors[idx[j]] = _stalled(sweep, res[j], alpha[j])
             go = ~leave
             m, idx, w, v = m[go], idx[go], w[go], v[go]
             if not len(idx):
@@ -325,20 +296,14 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
         f = ((v * w[:, None, :] ** -0.5) @ v.conj().swapaxes(1, 2))[:, None]
         # F·m·F† as (F·(F·m)†)†: twice f on each row block, then the
         # conjugate transpose
-        rows = len(m)
         for _ in range(2):
-            m = f @ m.reshape(rows, L, D, R * side)
-            m = np.conjugate(m.reshape(rows, side, side).swapaxes(1, 2), order="C")
+            m = f @ m.reshape(len(idx), L, D, R * side)
+            m = np.conjugate(m.reshape(len(idx), side, side).swapaxes(1, 2), order="C")
         m /= m.trace(axis1=1, axis2=2).real[:, None, None]
         step += 1
-    ok = np.array([errors[rows[0]] is None for rows in members], dtype=bool)
+    ok = np.array([e is None for e in errors], dtype=bool)
     done = out[ok]
     if order is not None:  # back to party order
         done = permute_parties(done, [dims[p] for p in order], np.argsort(order))
     out[ok] = hermitize(done)
-    if len(members) < k:
-        inverse = np.empty(k, dtype=int)
-        for u, rows in enumerate(members):
-            inverse[rows] = u
-        out, sweeps = out[inverse], sweeps[inverse]
     return out, sweeps, errors

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cmnlab import audit, report
+from cmnlab.discord import _projector_coordinates, unitaries_from_angles
+from cmnlab.linalg import _PAULI, hermitize
 from cmnlab.zoo import random_density  # noqa: F401  (test modules import it from here)
 
 
@@ -35,6 +37,42 @@ def sfnf_residual(t):
         mask[tuple(sl)] = True
     mask[(0,) * t.n_parties] = False
     return float(np.abs(t.data[mask]).max())
+
+
+def fnf_residual(t, part):
+    """Largest |entry| of the correlation tensor ``t`` whose non-identity
+    indices all lie on one side of the cut ``part``, vertex excluded: the
+    one-cut oracle for ``normal_form.fnf_residuals``, zero iff both side
+    reductions are maximally mixed, which is FNF across the cut."""
+    worst = 0.0
+    for side in (part.side_a, part.side_b):
+        face = np.abs(t.data[tuple(slice(None) if i in side else 0 for i in range(t.n_parties))])
+        face[(0,) * len(side)] = 0  # the vertex
+        worst = max(worst, float(face.max()))
+    return worst
+
+
+def trace_distance(a, b):
+    """(1/2)·||a - b||_1 for Hermitian matrices."""
+    eig = np.linalg.eigvalsh(hermitize(np.asarray(a) - np.asarray(b)))
+    return float(np.abs(eig).sum() / 2)
+
+
+def pauli(which):
+    """One of the Pauli matrices 'x', 'y', 'z' (unnormalized)."""
+    return _PAULI[which].copy()
+
+
+def unitary_from_angles(d, angles):
+    """The unitary of ``discord.unitaries_from_angles`` for one angle vector."""
+    return unitaries_from_angles(d, np.reshape(angles, (1, -1)))[0]
+
+
+def correlation_space_map(family, party):
+    """Matrix of the measurement channel acting on one party's correlation
+    coordinates; its largest singular value is 1 for projective families."""
+    v = _projector_coordinates(family.projectors[party])
+    return v @ v.T
 
 
 @pytest.fixture

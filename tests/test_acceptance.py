@@ -39,7 +39,6 @@ from cmnlab.linalg import (
     hermitize,
     partial_trace,
     singular_values,
-    trace_distance,
 )
 from cmnlab.normal_form import FilteringError, filter_to_fnf
 from cmnlab.tensor import (
@@ -53,7 +52,7 @@ from cmnlab.tensor import (
 )
 from cmnlab.zoo import bell, classical_state, random_fully_separable_sfnf, rho1
 
-from conftest import random_density
+from conftest import random_density, trace_distance
 
 
 def _criterion(capfd, number, label, body):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cmnlab.basis import basis_expectations, normalized_generalized_gell_mann
-from cmnlab.linalg import DensityMatrix, pauli
+from cmnlab.linalg import DensityMatrix
 from cmnlab.zoo import bell, maximally_mixed
 
-from conftest import random_density
+from conftest import pauli, random_density
 
 
 def test_qubit_basis_is_normalized_pauli():

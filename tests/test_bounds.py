@@ -19,11 +19,11 @@ from cmnlab.bounds import (
 )
 from cmnlab.cmn import elementary_symmetric
 from cmnlab.linalg import DensityMatrix, singular_values
-from cmnlab.normal_form import FilteringError, fnf_residual
+from cmnlab.normal_form import FilteringError
 from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize_interior
 from cmnlab.zoo import ghz, maximally_mixed, random_fully_separable_sfnf, rho1
 
-from conftest import random_density
+from conftest import fnf_residual, random_density
 
 
 class TestBisepBounds:

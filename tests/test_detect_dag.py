@@ -12,10 +12,10 @@ import pytest
 from cmnlab import bounds, linalg, normal_form, report, zoo
 from cmnlab.bounds import CRITERIA, BoundReport, DetectConfig, DetectionVerdict, compare, detect
 from cmnlab.linalg import partial_trace
-from cmnlab.normal_form import FilteringError, filter_to_fnf, fnf_residual
+from cmnlab.normal_form import FilteringError, filter_to_fnf
 from cmnlab.tensor import Bipartition, build, iter_bipartitions
 
-from conftest import random_density, sfnf_residual
+from conftest import fnf_residual, random_density, sfnf_residual
 
 CMN_NAMES = {(c.kind, c.p): name for name, c in CRITERIA.items() if c.p is not None}
 

@@ -14,19 +14,17 @@ from cmnlab.discord import (
     _lockstep_search,
     bipartite_discord_cmn,
     computational_measurement,
-    correlation_space_map,
     global_discord_cmn,
     measure_state,
     measurement_from_angles,
     n_angles,
     unitaries_from_angles,
-    unitary_from_angles,
 )
 from cmnlab.linalg import DensityMatrix, singular_values
 from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize
 from cmnlab.zoo import bell, classical_state, ghz, maximally_mixed, random_fully_separable
 
-from conftest import random_density
+from conftest import correlation_space_map, random_density, unitary_from_angles
 
 PART2 = Bipartition.of((0,), 2)
 

@@ -15,17 +15,13 @@ PACKAGE = ROOT / "src" / "cmnlab"
 # library example, while detect and the audits read cmn.minor_norm through
 # Criterion.from_spectra; partial_trace is the documented one-state form of
 # the partial_trace_raw that detect calls; filter_to_fnf is acceptance
-# criterion 8's filter normal form, the one-row case of filter_stack;
-# fnf_residual is the one-cut residual, the reference for the one-pass
-# fnf_residuals that detect reads; and the
-# one-state samplers random_fully_separable and random_fully_separable_sfnf
+# criterion 8's filter normal form, the one-row case of filter_stack; and
+# the one-state samplers random_fully_separable and random_fully_separable_sfnf
 # are what the tests' oracles draw from (the bench tracer names spans after
 # them, which is no call)
 TEST_ONLY = {
-    "trace_distance", "pauli",
-    "unitary_from_angles", "correlation_space_map",
     "compound_matrix", "schatten_norm", "elementary_symmetric_bruteforce", "ppt_check",
-    "matricize_interior", "cmn", "partial_trace", "filter_to_fnf", "fnf_residual",
+    "matricize_interior", "cmn", "partial_trace", "filter_to_fnf",
     "random_fully_separable", "random_fully_separable_sfnf",
 }
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from cmnlab.linalg import DensityMatrix, partial_trace, trace_distance
-from cmnlab.normal_form import DEFAULT_TOL, FilteringError, filter_to_fnf, fnf_residual
+from cmnlab.linalg import DensityMatrix, partial_trace
+from cmnlab.normal_form import DEFAULT_TOL, FilteringError, filter_to_fnf
 from cmnlab.tensor import Bipartition, build, iter_bipartitions
 from cmnlab.zoo import bell, ghz, maximally_mixed, rho1
 
-from conftest import random_density, sfnf_residual
+from conftest import fnf_residual, random_density, sfnf_residual, trace_distance
 
 PART = Bipartition.of((0,), 3)
 
@@ -547,7 +547,8 @@ def test_stalled_row_leaves_the_stack_without_changing_the_others():
 def test_w3_detect_sweeps_stop_at_the_first_checkpoint(monkeypatch):
     """A count, not a timing, guards the W-3 speed-up: its three two-qubit
     pair reductions are one state, filtered as one row that stalls at the
-    first checkpoint, and its three-qubit cuts are rank deficient at sweep 0."""
+    first checkpoint, and its three-qubit cuts are rank deficient at sweep 0
+    (AB|C and AC|B permute to one matrix, so they are one row)."""
     from cmnlab import normal_form
     from cmnlab.bounds import detect
     from cmnlab.zoo import w_state
@@ -562,7 +563,7 @@ def test_w3_detect_sweeps_stop_at_the_first_checkpoint(monkeypatch):
 
     monkeypatch.setattr(normal_form, "filter_stack", counting)
     detect(w_state(3).to_density())
-    assert len(counted) == 4
+    assert len(counted) == 3
     assert sum(counted) <= 3 * normal_form.STALL_SWEEPS[0]
 
 
@@ -602,29 +603,25 @@ def test_filter_cuts_take_a_real_matrix_and_list_dims():
 
 @pytest.mark.parametrize("case", ["ghz-4-cuts", "w-3-pairs"])
 def test_repeated_rows_iterate_once_and_get_their_own_results(monkeypatch, case):
-    """filter_stack iterates each distinct row once, yet every row gets, bit
-    for bit, the matrix, sweep count, history and error text that it gets
-    alone, and an error text names that row's own groups: GHZ-4 permuted to
-    put each side of a two-pair cut first is one matrix three times, whose
-    first group is rank deficient; the W-3 pair twice stalls."""
-    from cmnlab.linalg import permute_parties
-    from cmnlab.normal_form import filter_stack, group_label
+    """filter_cuts hands filter_stack each distinct permuted matrix once, yet
+    every cut gets, bit for bit, the matrix or error text that filter_to_fnf
+    gives on that cut alone, and an error text names that cut's own parties:
+    GHZ-4 permuted to put side A of each two-pair cut first is one matrix
+    three times, whose side A is rank deficient; the W-3 pair, cut either
+    way round, is one matrix twice, which stalls."""
+    from cmnlab.normal_form import filter_cuts, group_label
     from cmnlab.zoo import w_state
 
     if case == "ghz-4-cuts":
-        rho, dims, groups = ghz(4).to_density(), (2, 2, 2, 2), [(0, 1), (2, 3)]
-        orders = [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)]
-        rows = [permute_parties(rho.data, dims, order) for order in orders]
-        labels = [[group_label(order[:2]), group_label(order[2:])] for order in orders]
-        other = random_density(dims, 16, 43)
+        rho = ghz(4).to_density()
+        parts = [Bipartition.of(side_a, 4) for side_a in ((0, 1), (0, 2), (0, 3))]
+        other = random_density(rho.dims, 16, 43)
     else:
-        dims, groups = (2, 2), [(0,), (1,)]
-        pair = partial_trace(w_state(3).to_density(), (0, 1)).data
-        rows, labels = [pair, pair.copy()], [["party 0", "party 1"], ["party 1", "party 2"]]
-        other = random_density(dims, 4, 44)
-    rows.insert(1, other.data)
-    labels.insert(1, ["party 0", "party 1"])
-    assert rows[0].tobytes() == rows[-1].tobytes()
+        rho = partial_trace(w_state(3).to_density(), (0, 1))
+        parts = [Bipartition((0,), (1,)), Bipartition((1,), (0,))]
+        other = random_density(rho.dims, 4, 44)
+    cuts = [(rho, part) for part in parts]
+    cuts.insert(1, (other, parts[0]))
     eigh_rows = []
     eigh = np.linalg.eigh
 
@@ -632,24 +629,22 @@ def test_repeated_rows_iterate_once_and_get_their_own_results(monkeypatch, case)
         eigh_rows.append(len(a))
         return eigh(a, *args, **kwargs)
 
-    history = [[] for _ in rows]
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    out, sweeps, errors = filter_stack(np.stack(rows), dims, groups, history=history,
-                                       labels=labels)
+    out = filter_cuts([(state.dims, state.data, part) for state, part in cuts])
     monkeypatch.undo()
     assert eigh_rows[0] == 2  # the repeated matrix and the other one
-    for i, row in enumerate(rows):
-        alone = [[]]
-        want, want_sweeps, want_errors = filter_stack(row[None], dims, groups, history=alone,
-                                                      labels=[labels[i]])
-        assert out[i].tobytes() == want[0].tobytes()
-        assert sweeps[i] == want_sweeps[0]
-        assert errors[i] == want_errors[0]
-        assert history[i] == alone[0]
-    assert errors[1] is None
-    failed = [i for i in range(len(rows)) if i != 1]
+    for (state, part), got in zip(cuts, out):
+        try:
+            want = filter_to_fnf(state, groups=[part.side_a, part.side_b])
+        except FilteringError as exc:
+            assert got == str(exc)
+        else:
+            assert got.tobytes() == want.data.tobytes()
+    assert not isinstance(out[1], str)
+    failed = [(part, got) for (_, part), got in zip(cuts, out) if got is not out[1]]
     if case == "ghz-4-cuts":
-        for i in failed:
-            assert errors[i].startswith(f"filtering not possible: reduction of {labels[i][0]} ")
+        for part, text in failed:
+            assert text.startswith("filtering not possible: reduction of "
+                                   f"{group_label(part.side_a)} ")
     else:
-        assert all(errors[i].startswith("filtering stalled after 64 sweeps") for i in failed)
+        assert all(text.startswith("filtering stalled after 64 sweeps") for _, text in failed)

@@ -43,6 +43,7 @@ def test_smallest_run_writes_the_schema(tmp_path):
                      + ["load_state/ghz-6", "render/ghz-6"]
                      + [f"detect/{s}/no-filter" for s in NO_FILTER]
                      + [f"filter_stack/{d}/fixed" for d in ("22", "222", "2222")]
+                     + [f"{kind}/{d}" for d in ("222", "2222", "333") for kind in ("build", "cmn")]
                      + [f"audit/{a}" for a in AUDITS]
                      + [f"filter_stack/biseparable-filtered-{d}/32" for d in ("222", "223")])
     for row in doc["rows"]:
@@ -60,14 +61,22 @@ def test_smallest_run_writes_the_schema(tmp_path):
             assert row["filter"] == (not row["name"].endswith("/no-filter"))
         elif row["kind"] == "filter_stack":
             assert row["calls"] == 20
+        elif row["kind"] in ("build", "cmn"):
+            assert row["states"] == 32
+            if row["kind"] == "cmn":  # h = d_A²
+                assert row["h"] == (9 if row["name"] == "cmn/333" else 4)
         elif row["kind"] == "audit":
             assert (row["trials"], row["seed"]) == (32, 2026)
         elif row["kind"] == "audit_filter_stack":
             assert row["rows"] == 32
         elif row["kind"] == "filter_cuts":
             # W-3 filters its 3 cuts and its pair state's one
+            state = row["name"].split("/")[1]
             assert row["cuts"] == {"ghz-5": 25, "ghz-6": 56, "w-3": 4,
-                                   "random-2222-seed2222": 25}[row["name"].split("/")[1]]
+                                   "random-2222-seed2222": 25}[state]
+            # the distinct matrices among them once side A is put first
+            assert row["rows"] == {"ghz-5": 9, "ghz-6": 14, "w-3": 3,
+                                   "random-2222-seed2222": 25}[state]
 
 
 def test_large_rows_are_opt_in(monkeypatch):

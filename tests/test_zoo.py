@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmnlab.basis import normalized_generalized_gell_mann
-from cmnlab.linalg import DensityMatrix, hermitize, partial_trace, pauli, singular_values
+from cmnlab.linalg import DensityMatrix, hermitize, partial_trace, singular_values
 from cmnlab.normal_form import DEFAULT_TOL
 from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize
 from cmnlab.zoo import (
@@ -26,7 +26,7 @@ from cmnlab.zoo import (
     w_state,
 )
 
-from conftest import sfnf_residual
+from conftest import pauli, sfnf_residual
 
 
 class TestSicPovm:

@@ -1,8 +1,8 @@
 """Time cmnlab's discord search, analyze path and audits in-process and
 write the timings, with the machine they were taken on, to a BENCH file:
 
-    python3 tools/perf.py --src ../parent/src --out BENCH_24.json --repeats 20 --ridge --large
-    python3 tools/perf.py --out BENCH_25.json --repeats 20 --ridge --large
+    python3 tools/perf.py --src ../parent/src --out BENCH_26.json --repeats 20 --ridge --large
+    python3 tools/perf.py --out BENCH_27.json --repeats 20 --ridge --large
 
 Each row's work runs in ``--repeats`` rounds that each time every row once,
 so that a slow spell of a shared machine falls on all rows alike. There is
@@ -27,7 +27,7 @@ would pick the run whose kernel was slowed most. The rows:
 - ``detect/<state>`` and ``filter_cuts/<state>``: one ``detect`` with the
   default configuration on GHZ-5, GHZ-6, W-3 and the random (2,2,2,2)
   stand-in, and the ``filter_cuts`` call that it makes (``cuts`` counts the
-  cuts it filters);
+  cuts it filters, ``rows`` the rows of the ``filter_stack`` calls it makes);
 - ``load_state/ghz-6`` and ``render/ghz-6``: reading GHZ-6's state file, and
   writing its analyze document from its verdict;
 - ``detect/<state>/no-filter``: one ``detect`` with ``DetectConfig(filter=False)``
@@ -38,6 +38,10 @@ would pick the run whose kernel was slowed most. The rows:
   across A|rest on a one-row stack that is already in FNF (the maximally
   mixed state over (2,2), (2,2,2) and (2,2,2,2)), the cost that every call
   pays whatever its rows;
+- ``build/<dims>``: ``build_stack`` of ``STACK_STATES`` full-rank random
+  states over (2,2,2), (2,2,2,2) and (3,3,3), drawn at seeds 0, 1, ...;
+- ``cmn/<dims>``: on those states' tensors, the matricization across
+  A|rest, its SVD, and M_{h,∞} and M_{h,1} at h = d_A² from the spectra;
 - ``audit/<family>/<criterion>``: one ``separability_audit`` of each of the
   benchmark's 11 audit pairs at its 32 trials, from trial seed
   ``AUDIT_SEED`` on, timed per trial; the audit memo is cleared before each
@@ -90,6 +94,8 @@ OBJECTIVE_CALLS = 20
 SEEDS = range(4)
 # calls of filter_stack per timed run of a fixed-cost row
 FIXED_CALLS = 20
+# states per stack of the build and cmn rows
+STACK_STATES = 32
 # the first seed of the audit rows' trials
 AUDIT_SEED = 2026
 
@@ -257,6 +263,35 @@ def fixed_filter_work(dims):
              "calls": FIXED_CALLS}, work, FIXED_CALLS)
 
 
+def stack_rows(dims):
+    """The rows of ``build_stack`` on STACK_STATES seeded states over ``dims``
+    and of the CMN of their tensors across A|rest: matricization, SVD, and
+    M_{h,∞} and M_{h,1} at h = d_A²."""
+    from cmnlab import zoo
+    from cmnlab.cmn import CmnParams, minor_norm
+    from cmnlab.linalg import singular_values
+    from cmnlab.tensor import Bipartition, _matricize_array, build_stack
+
+    data = np.stack([zoo.random_density(dims, math.prod(dims), seed).data
+                     for seed in range(STACK_STATES)])
+    tensors = build_stack(data, dims)
+    part = Bipartition.of((0,), len(dims))
+    norms = [CmnParams(dims[0] ** 2, p) for p in (math.inf, 1)]
+
+    def build():
+        build_stack(data, dims)
+
+    def cmn():
+        sigma = singular_values(_matricize_array(tensors, part))
+        for params in norms:
+            minor_norm(sigma, params)
+
+    label = "".join(map(str, dims))
+    yield {"name": f"build/{label}", "kind": "build", "states": STACK_STATES}, build, 1
+    yield ({"name": f"cmn/{label}", "kind": "cmn", "states": STACK_STATES, "h": dims[0] ** 2},
+           cmn, 1)
+
+
 def audit_rows():
     """The rows of the benchmark's audit pairs at its trial count, from trial
     seed AUDIT_SEED on, and of the ``filter_stack`` call on the stack of
@@ -315,20 +350,26 @@ def large_states():
 
 def detect_rows(name, state):
     """The rows of one ``detect`` of ``state`` and of the ``filter_cuts`` call
-    that it makes, captured from that detect."""
-    from cmnlab import bounds
+    that it makes, captured from that detect, with the rows of the
+    ``filter_stack`` calls that it makes."""
+    from cmnlab import bounds, normal_form
 
-    calls, filter_cuts = [], bounds.filter_cuts
+    calls, rows = [], []
+    filter_cuts, filter_stack = bounds.filter_cuts, normal_form.filter_stack
 
     def capture(cuts, tol):
         calls.append((cuts, tol))
         return filter_cuts(cuts, tol)
 
-    bounds.filter_cuts = capture
+    def count(data, *args, **kwargs):
+        rows.append(len(data))
+        return filter_stack(data, *args, **kwargs)
+
+    bounds.filter_cuts, normal_form.filter_stack = capture, count
     try:
         bounds.detect(state)
     finally:
-        bounds.filter_cuts = filter_cuts
+        bounds.filter_cuts, normal_form.filter_stack = filter_cuts, filter_stack
 
     def filter_work():
         for cuts, tol in calls:
@@ -336,7 +377,7 @@ def detect_rows(name, state):
 
     yield detect_work(name, state)
     yield ({"name": f"filter_cuts/{name}", "kind": "filter_cuts",
-            "cuts": sum(len(cuts) for cuts, _ in calls)}, filter_work, 1)
+            "cuts": sum(len(cuts) for cuts, _ in calls), "rows": sum(rows)}, filter_work, 1)
 
 
 def state_file_rows(name, state, workdir):
@@ -382,6 +423,8 @@ def planned_rows(workdir, large=False):
         yield detect_work(name, inputs[name][0], filtering=False)
     for dims in ((2, 2), (2, 2, 2), (2, 2, 2, 2)):
         yield fixed_filter_work(dims)
+    for dims in ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3)):
+        yield from stack_rows(dims)
     yield from audit_rows()
     if large:
         for name, state in large_states().items():
