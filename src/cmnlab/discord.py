@@ -188,12 +188,15 @@ class OptimizerCfg:
 
 @dataclass(frozen=True)
 class DiscordResult:
-    """``evaluations`` counts the trials a one-point-at-a-time search would
-    make, not the points scored: the search scores each restart's whole
-    neighbourhood at once and discards the trials after its first improvement.
-    ``restart_evaluations`` and ``restart_values`` give, per restart in
-    restart order, that trial count (they sum to ``evaluations``) and the
-    final objective, the dephased CMN power the search maximizes."""
+    """``value`` is an upper bound on the discord: ``best_measurement``, the
+    best measurement found, is a witness, so a better maximizer can only
+    lower ``value``. ``evaluations`` counts the trials a one-point-at-a-time
+    search would make, not the points scored: the search scores each
+    restart's whole neighbourhood at once and discards the trials after its
+    first improvement. ``restart_evaluations`` and ``restart_values`` give,
+    per restart in restart order, that trial count (they sum to
+    ``evaluations``) and the final objective, the dephased CMN power the
+    search maximizes."""
 
     value: float
     best_measurement: MeasurementFamily

@@ -156,10 +156,9 @@ def filter_cuts(cuts, tol=DEFAULT_TOL):
 def _layout(dims, groups):
     """:func:`filter_stack`'s static layout of ``dims`` split into ``groups``
     (tuples of parties, or None for one group per party): the group-major
-    party order (None when it is party order), the side, each group's
-    dimension D_g, its (L, D, R) block (the products of the group
-    dimensions before, at and after it), 1/D_g and the mask of the strict
-    lower triangle as read-only matrices, and each group's label."""
+    party order (None when it is party order), the side, each group's (L, D,
+    R) block (the products of the group dimensions before, at and after it)
+    and each group's label."""
     n = len(dims)
     if groups is None:
         groups = [(p,) for p in range(n)]
@@ -172,11 +171,8 @@ def _layout(dims, groups):
     sizes = [math.prod(dims[p] for p in g) for g in groups]
     before = [math.prod(sizes[:g]) for g in range(len(sizes))]
     blocks = [(L, D, side // (L * D)) for L, D in zip(before, sizes)]
-    mixed, lower = [np.eye(D) / D for D in sizes], [np.tri(D, D, -1, bool) for D in sizes]
-    for matrix in mixed + lower:
-        matrix.setflags(write=False)
-    return (None if order == list(range(n)) else tuple(order), side, sizes, blocks, mixed,
-            lower, tuple(group_label(g) for g in groups))
+    return (None if order == list(range(n)) else tuple(order), side, blocks,
+            tuple(group_label(g) for g in groups))
 
 
 def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=None):
@@ -205,7 +201,7 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
     """
     dims = tuple(dims)
     groups = None if groups is None else tuple(tuple(g) for g in groups)
-    order, side, sizes, blocks, mixed, lower, default_labels = _layout(dims, groups)
+    order, side, blocks, default_labels = _layout(dims, groups)
     labels = labels or default_labels
     m = data if order is None else permute_parties(data, dims, order)
 
@@ -216,31 +212,21 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
     # eigh and eigvalsh read one triangle of their (Hermitian up to
     # rounding) input, so the reductions are not hermitized first
     def residual(res, exact):
-        """Largest trace distance of a group reduction from 1/d_g, per row,
-        given group 0's in ``res``. Exact if ``exact``; else a row's value
-        may be a lower bound, but it lies on the same side of ``tol``."""
+        """Largest trace distance Σ|w - 1|/(2D) of a group reduction from
+        1/D, w the eigenvalues of D times it, per row, given group 0's in
+        ``res``. Exact if ``exact``; else a row above tol may hold less."""
         for c in range(1, len(blocks)):
-            low = ~(res > tol)
-            if not (exact or low.any()):
+            ask = exact | ~(res > tol)
+            if not ask.any():
                 break
-            delta = reduction(m, c) - mixed[c]
-            # half the Frobenius norm of the Hermitian matrix that eigvalsh
-            # reads, h, has h <= trace distance <= sqrt(D)·h; only the rows
-            # these bounds leave undecided (widened by a relative 1e-12 for
-            # rounding) need the eigenvalues
-            h = np.sqrt(2 * np.linalg.norm(np.where(lower[c], delta, 0), axis=(1, 2))**2
-                        + (delta.diagonal(axis1=1, axis2=2).real**2).sum(axis=1)) / 2
-            ask = exact | (low & ~(h * (1 - 1e-12) > tol)
-                           & ~(h * math.sqrt(sizes[c]) * (1 + 1e-12) <= tol))
-            res = np.maximum(res, np.where(ask, 0, h))
-            if ask.any():
-                exact_td = np.abs(np.linalg.eigvalsh(delta[ask])).sum(axis=1) / 2
-                res[ask] = np.maximum(res[ask], exact_td)
+            D = blocks[c][1]
+            w = np.linalg.eigvalsh(D * reduction(m, c)[ask])
+            res[ask] = np.maximum(res[ask], np.abs(w - 1).sum(axis=1) / (2 * D))
         return res
 
     def record():
         dets = np.ones(len(idx))
-        for c, D in enumerate(sizes):
+        for c, (_, D, _) in enumerate(blocks):
             dets = dets * np.linalg.det(D * reduction(m, c)).real
         for i, det in zip(idx, dets):
             history[i].append(float(det))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -172,18 +173,25 @@ class TestAudits:
         assert rep.family == "fully-separable-sfnf-222"
 
 
-def test_filtered_audits_make_no_eigvalsh_call(monkeypatch):
-    """Filtering decides its residual from its own eigh and Frobenius bounds,
-    and the state checks from a Cholesky certificate: no eigvalsh runs."""
-    calls = []
+def test_filtered_audit_state_checks_make_no_eigvalsh_call(monkeypatch):
+    """The state checks on the filtered audit stacks pass on their Cholesky
+    certificate: linalg runs no eigvalsh (filtering reads its later group's
+    residual with eigvalsh, as tests/test_normal_form.py pins)."""
+    callers = []
     real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or real(*a, **k))
+
+    def eigvalsh(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     for family in ("biseparable-filtered-222", "biseparable-filtered-223"):
         rep = separability_audit(family, "cmn-bisep-inf", 256, 2026)
         assert rep.trials == 256
-    assert calls == []
+    assert "cmnlab.normal_form" in callers  # the counter sees filtering's calls
+    assert "cmnlab.linalg" not in callers
     separability_audit("fully-separable-sfnf-223", "cmn-full-inf", 256, 2026)
-    assert calls  # the counter sees the SFNF sampler's eigvalsh per party
+    assert "cmnlab.zoo" in callers  # and the SFNF sampler's eigvalsh per party
 
 
 class TestWitnessedInequalities:

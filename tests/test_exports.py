@@ -115,7 +115,7 @@ def test_the_test_only_names_are_public_and_unused():
 
 
 def test_a_local_of_the_same_name_is_no_reference():
-    # linalg's loop variable pauli shadows the function of that name
+    # a loop variable pauli shadows tests/conftest.py's function of that name
     tree = ast.parse("def f(r):\n    for pauli in r:\n        print(pauli)\n"
                      "g = lambda pauli: pauli\n"
                      "h = [pauli for pauli in range(3)]\n")

@@ -307,10 +307,11 @@ def test_ill_conditioned_and_audit_filterings_match_oracle():
     assert converged >= 128 + 30
 
 
-def test_residual_band_between_the_frobenius_bounds_is_decided_exactly():
-    """A row whose sweep-0 trace distance lies strictly between the bounds
-    ||Δ||_F/2 and sqrt(D)·||Δ||_F/2 of a group other than group 0 stops at
-    sweep 0 exactly when tol is above that distance."""
+def test_a_later_groups_residual_is_its_exact_trace_distance():
+    """A row whose group 0 is already maximally mixed stops at sweep 0
+    exactly when tol is above its group-1 trace distance, 3e-4 here. That
+    distance lies strictly inside the bracket ||Δ||_F/2 <= TD <= sqrt(D)·||Δ||_F/2
+    of the Frobenius norm, so the stop decision takes the eigenvalues."""
     from cmnlab.normal_form import filter_stack
 
     gen = np.random.default_rng(5)
@@ -326,6 +327,68 @@ def test_residual_band_between_the_frobenius_bounds_is_decided_exactly():
         _, sweeps, errors = filter_stack(rho.data[None], rho.dims, [(0,), (1, 2)], tol)
         assert errors[0] is None
         assert (sweeps[0] == 0) == stops
+
+
+def test_later_groups_are_read_only_where_the_stop_decision_needs_them(monkeypatch):
+    """filter_stack reads group 1's residual with eigvalsh on exactly the
+    running rows whose group-0 residual, from the eigenvalues of its filter's
+    eigh, is at or below tol; at the checkpoint, snapshot and budget sweeps
+    on every running row. The stack: a row whose party 0 is already 1/2 but
+    whose parties 1+2 are not, a row already in FNF, three random states that
+    converge after different sweeps, and the W-3 pair row, which runs past
+    the snapshot at sweep 32 to stall at the checkpoint at sweep 64."""
+    from cmnlab.normal_form import MAX_SWEEPS, STALL_SWEEPS, filter_stack
+    from cmnlab.zoo import w_state
+
+    gen = np.random.default_rng(5)
+    q, _ = np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))
+    sigma = np.eye(4) / 4 + q @ np.diag([3e-4, -1e-4, -1e-4, -1e-4]) @ q.conj().T
+    pair = partial_trace(w_state(3).to_density(), (0, 1)).data
+    rows = [np.kron(np.eye(2) / 2, sigma), np.eye(8) / 8,
+            *(random_density((2, 2, 2), 8, 90 + s).data for s in range(3)),
+            np.kron(pair, np.eye(2) / 2)]
+    calls = []
+    real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def eigh(a, *args, **kwargs):
+        w, v = real_eigh(a, *args, **kwargs)
+        calls.append(("eigh", w))
+        return w, v
+
+    def eigvalsh(a, *args, **kwargs):
+        calls.append(("eigvalsh", np.array(a)))
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    _, sweeps, errors = filter_stack(np.stack(rows), (2, 2, 2), [(0,), (1, 2)])
+    monkeypatch.undo()
+    assert errors[:5] == [None] * 5 and errors[5].startswith("filtering stalled after 64")
+    assert sweeps[1] == 0 and sweeps[0] > 0 and len(set(sweeps[2:5])) > 1
+
+    # one eigh per group and step, so group 0's eigh of sweep k is call 2k
+    # of the eighs, and the eigvalsh that reads that sweep follows it
+    eighs = [i for i, (kind, _) in enumerate(calls) if kind == "eigh"]
+    checkpoints = [k for k in range(sweeps.max() + 1)
+                   if k in STALL_SWEEPS or 2 * k in STALL_SWEEPS or k >= MAX_SWEEPS]
+    assert checkpoints == [32, 64]
+    read = 0
+    for k, at in enumerate(eighs[::2]):
+        w = calls[at][1]
+        want = (np.ones(len(w), bool) if k in checkpoints
+                else ~(np.abs(w - 1).sum(axis=1) / 4 > DEFAULT_TOL))
+        follows = calls[at + 1] if at + 1 < len(calls) else ("eigh", None)
+        if follows[0] == "eigvalsh":
+            assert len(follows[1]) == want.sum() > 0
+            read += 1
+            if k == 0:  # sweep 0 reads the input's own parties 1+2
+                rho_bc = np.stack(rows).reshape(6, 2, 4, 2, 4).trace(axis1=1, axis2=3)
+                assert np.abs(follows[1] - 4 * rho_bc[want]).max() <= 1e-15
+        else:
+            assert not want.any()
+        if k in checkpoints:
+            assert len(w) == 1 and np.abs(w - 1).sum() / 4 > DEFAULT_TOL
+    assert read == sum(kind == "eigvalsh" for kind, _ in calls)
 
 
 W3_STALL = ("filtering stalled after 64 sweeps: residual 3.9e-03 falls like k^-1.0, "
@@ -400,7 +463,7 @@ def test_stack_rows_match_oracle_and_one_row_errors():
 def test_each_row_filters_as_it_does_alone(case):
     """Each row of one filter_stack call gets, bit for bit, the matrix, sweep
     count and error text of its one-row call, so a row's filtering does not
-    depend on its stack: filter_stack's row dedupe and the audit's redraw
+    depend on its stack: filter_cuts' row dedupe and the audit's redraw
     from worst_seed rely on this. The stacks: the 32 draws from seed 2026 on
     that the biseparable-filtered-* audits filter across A|BC, and the mixed
     stack of test_stack_rows_match_oracle_and_one_row_errors, whose rows

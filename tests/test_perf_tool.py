@@ -80,8 +80,9 @@ def test_smallest_run_writes_the_schema(tmp_path):
 
 
 def test_large_rows_are_opt_in(monkeypatch):
-    """--large adds detect on GHZ-7 and on rank-4 random states of 5-7 qubits
-    to the planned rows; they are listed here, not run."""
+    """--large adds detect on GHZ-7, on rank-4 random states of 5-7 qubits
+    and on ROADMAP item 1's 200 states to the planned rows; they are listed
+    here, not run."""
     import importlib.util
     import tempfile
 
@@ -97,4 +98,5 @@ def test_large_rows_are_opt_in(monkeypatch):
         large = [row["name"] for row, _, _ in perf.planned_rows(workdir, large=True)]
     assert large == default + ["detect/ghz-7", "detect/random-22222-rank4-seed5",
                                "detect/random-222222-rank4-seed6",
-                               "detect/random-2222222-rank4-seed7"]
+                               "detect/random-2222222-rank4-seed7",
+                               "detect/slocc-rho1/200"]

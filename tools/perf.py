@@ -1,8 +1,8 @@
 """Time cmnlab's discord search, analyze path and audits in-process and
 write the timings, with the machine they were taken on, to a BENCH file:
 
-    python3 tools/perf.py --src ../parent/src --out BENCH_26.json --repeats 20 --ridge --large
-    python3 tools/perf.py --out BENCH_27.json --repeats 20 --ridge --large
+    python3 tools/perf.py --src ../parent/src --out BENCH_28.json --repeats 20 --ridge --large
+    python3 tools/perf.py --out BENCH_29.json --repeats 20 --ridge --large
 
 Each row's work runs in ``--repeats`` rounds that each time every row once,
 so that a slow spell of a shared machine falls on all rows alike. There is
@@ -53,6 +53,10 @@ would pick the run whose kernel was slowed most. The rows:
   ``--large``: ``detect`` on GHZ-7 and on rank-4 random states of n = 5, 6
   and 7 qubits drawn at seed n (the 7-qubit one takes about 5 s a run on a
   2-core x86-64 VM), timed in the rounds with the other rows;
+- ``detect/slocc-rho1/200``, only with ``--large``: one ``detect`` of each
+  of ROADMAP item 1's 200 states, ``same_answers.slocc_rho1`` at seeds
+  0 .. 199 (ill-conditioned filtering; about 1.2 s a run on a 2-core x86-64
+  VM), timed as one unit;
 - ``solve/ridge-crawl-23/8``, only with ``--ridge``: the (2,3) solve whose
   restart 2 crawls along a ridge (about 36 s on a 2-core x86-64 VM), timed
   once without a warm-up.
@@ -85,6 +89,8 @@ from time import perf_counter
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import same_answers  # noqa: E402  (its states import cmnlab only when built)
 import speed  # noqa: E402  (the benchmark's machine-speed kernel)
 
 SCHEMA = 1
@@ -98,6 +104,8 @@ FIXED_CALLS = 20
 STACK_STATES = 32
 # the first seed of the audit rows' trials
 AUDIT_SEED = 2026
+# the seeds of the slocc_rho1 states of the --large detect row
+SLOCC_RHO1_SEEDS = range(200)
 
 
 class _Captured(Exception):
@@ -348,6 +356,21 @@ def large_states():
     return states
 
 
+def slocc_rho1_work():
+    """A row's fields, its work and the units one run of it does: one
+    ``detect`` of each ``slocc_rho1`` state at ``SLOCC_RHO1_SEEDS``."""
+    from cmnlab import bounds
+
+    states = [same_answers.slocc_rho1(seed) for seed in SLOCC_RHO1_SEEDS]
+
+    def work():
+        for state in states:
+            bounds.detect(state)
+
+    return ({"name": f"detect/slocc-rho1/{len(states)}", "kind": "detect", "filter": True,
+             "states": len(states)}, work, 1)
+
+
 def detect_rows(name, state):
     """The rows of one ``detect`` of ``state`` and of the ``filter_cuts`` call
     that it makes, captured from that detect, with the rows of the
@@ -429,6 +452,7 @@ def planned_rows(workdir, large=False):
     if large:
         for name, state in large_states().items():
             yield detect_work(name, state)
+        yield slocc_rho1_work()
 
 
 def timed_run(work):
@@ -513,7 +537,8 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=10, help="timed rounds")
     parser.add_argument("--ridge", action="store_true", help="also time the ridge crawl")
     parser.add_argument("--large", action="store_true",
-                        help="also time detect on GHZ-7 and rank-4 random states of 5-7 qubits")
+                        help="also time detect on GHZ-7, rank-4 random states of 5-7 qubits "
+                        "and 200 ill-conditioned rho1 images")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
