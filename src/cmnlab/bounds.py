@@ -58,7 +58,7 @@ def bisep_bound_inf(d_a, d_b, h) -> float:
 
 def bisep_preconditions_inf(d_a, d_b, h):
     d = min(d_a, d_b)
-    if h < math.sqrt(d_a * d_b):
+    if h * h < d_a * d_b:
         return False, f"h={h} below sqrt(d_A d_B)={math.sqrt(d_a * d_b):g}"
     if h > d * d:
         return False, f"h={h} exceeds d^2={d * d}"
@@ -66,14 +66,11 @@ def bisep_preconditions_inf(d_a, d_b, h):
 
 
 def bisep_bound_p1(d_a, d_b, h) -> float:
-    """Bound on M_{h,1} for bi-separable states in FNF under the A/B cut."""
+    """Bound on M_{h,1} for bi-separable states in FNF under the A/B cut: the
+    fully-separable bound of the two-party profile (d_A, d_B)."""
     if h < 2:
         raise ValueError("the p=1 bound needs h > 1")
-    d2 = min(d_a, d_b) ** 2
-    alpha = 1 / math.sqrt(d_a * d_b)
-    beta = math.sqrt((d_a - 1) * (d_b - 1) / (d_a * d_b))
-    xs = [alpha] + [beta / (d2 - 1)] * (d2 - 1)
-    return elementary_symmetric(h, xs)
+    return fullsep_bound_p1((d_a, d_b), h, min(d_a, d_b) ** 2)
 
 
 def bisep_preconditions_p1(d_a, d_b, h):
@@ -100,9 +97,9 @@ def fullsep_bound_inf(dims, h) -> float:
 
 
 def fullsep_preconditions_inf(dims, h, min_side_sq):
-    need = float(np.prod([math.sqrt(d - 1) for d in dims]))
-    if h < need:
-        return False, f"h={h} below prod(sqrt(d_i-1))={need:g}"
+    need = math.prod(d - 1 for d in dims)  # h >= prod(sqrt(d_i-1)), in integers
+    if h * h < need:
+        return False, f"h={h} below prod(sqrt(d_i-1))={math.sqrt(need):g}"
     if h < 2:  # reached only by h = 1 on qubits, where need is 1
         return False, "h must exceed 1"
     if h > min_side_sq:
@@ -113,8 +110,7 @@ def fullsep_preconditions_inf(dims, h, min_side_sq):
 def fullsep_bound_p1(dims, h, min_side_sq) -> float:
     """Bound on M_{h,1} for fully-separable states in SFNF; ``min_side_sq``
     is d² of the chosen matricization."""
-    alpha = float(np.prod([1 / math.sqrt(d) for d in dims]))
-    beta = float(np.prod([math.sqrt((d - 1) / d) for d in dims]))
+    alpha, beta = 1 / math.sqrt(math.prod(dims)), dvh_fullsep_bound(dims)
     xs = [alpha] + [beta / (min_side_sq - 1)] * (min_side_sq - 1)
     return elementary_symmetric(h, xs)
 
@@ -129,7 +125,8 @@ def fullsep_preconditions_p1(dims, h, min_side_sq):
 
 def dvh_fullsep_bound(dims) -> float:
     """dVH trace-norm bound for fully-separable states (every matricization)."""
-    return float(np.prod([math.sqrt((d - 1) / d) for d in dims]))
+    # one square root of a ratio of exact integers, as in fullsep_bound_inf
+    return math.sqrt(math.prod(d - 1 for d in dims) / math.prod(dims))
 
 
 def dvh_bisep_bound_3qubit() -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from .basis import normalized_generalized_gell_mann
 from .cmn import CmnParams, _sorted_spectrum_power, spectrum_power
 from .linalg import DensityMatrix, apply_local, hermitize, singular_values
-from .tensor import Bipartition, CorrelationTensor, build, matricize
+from .tensor import Bipartition, CorrelationTensor, _matricize_array, build, matricize
 
 PROJECTOR_TOL = 1e-10
 # A search has converged when its two best restarts agree to within this.
@@ -285,11 +285,7 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
     n = t.n_parties  # labels 0..n-1 are the party axes, n the outcome, n + 1 the batch
     batch = [n + 1] + list(range(n))
     sublists = [(batch, [n + 1, p, n], [n if a == p else a for a in batch]) for p in measured]
-    # matricize as tensor.matricize does, behind the batch axis, and pad
-    shape = [d if p in measured else d * d for p, d in enumerate(t.dims)]
-    axes = [0] + [1 + p for p in part.side_a[::-1] + part.side_b[::-1]]
-    rows = math.prod(shape[p] for p in part.side_a)
-    pad = min(matricize(t, part).shape) - min(rows, math.prod(shape) // rows)
+    full = min(matricize(t, part).shape)  # the undisturbed spectrum's length
 
     def spectra(angles):
         c = t.data[None]  # a batch of one broadcasts against the k trials
@@ -298,8 +294,8 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
             for q, k in enumerate(group):
                 t_axes, v_axes, out = sublists[k]
                 c = np.einsum(c, t_axes, v[:, q], v_axes, out)
-        sigma = singular_values(c.transpose(axes).reshape(len(c), rows, -1))
-        return np.concatenate([sigma, np.zeros((len(sigma), pad))], axis=1)
+        sigma = singular_values(_matricize_array(c, part))
+        return np.concatenate([sigma, np.zeros((len(sigma), full - sigma.shape[1]))], axis=1)
 
     return spectra
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,21 +11,13 @@ from cmnlab.linalg import _PAULI, hermitize
 from cmnlab.zoo import random_density  # noqa: F401  (test modules import it from here)
 
 
-def item1_state(seed):
-    """The state of ROADMAP item 1's repro: rho1 with party p = 0, 1, 2 in
-    turn conjugated by q diag(1, 10^-e) q†, q the QR factor of a complex
-    Gaussian 2x2 matrix and e uniform in [0.5, 3.5), all drawn from
-    default_rng(seed); then divided by its trace and hermitized."""
-    from cmnlab.linalg import DensityMatrix, apply_local, hermitize
-    from cmnlab.zoo import rho1
-
-    rng = np.random.default_rng(seed)
-    data = rho1().data
-    for p in range(3):
-        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        e = rng.uniform(0.5, 3.5)
-        data = apply_local(q @ np.diag([1, 10**-e]) @ q.conj().T, data, (p,), (2, 2, 2))
-    return DensityMatrix((2, 2, 2), hermitize(data / data.trace().real))
+# ROADMAP item 1's repro states, from the one builder that
+# tools/same_answers.py and tools/perf.py also read
+_spec = importlib.util.spec_from_file_location(
+    "same_answers", Path(__file__).resolve().parents[1] / "tools" / "same_answers.py")
+_same_answers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_same_answers)
+item1_state = _same_answers.slocc_rho1
 
 
 def sfnf_residual(t):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from cmnlab.bounds import (
     dvh_fullsep_bound,
     fullsep_bound_inf,
     fullsep_bound_p1,
+    fullsep_preconditions_inf,
 )
 from cmnlab.cmn import elementary_symmetric
 from cmnlab.linalg import DensityMatrix, singular_values
@@ -89,9 +92,53 @@ class TestFullsepBounds:
                     assert bisep_bound_inf(d_a, d_b, h) == want
 
 
+    def test_bisep_p1_is_the_two_party_profile(self):
+        # the closed form bisep_bound_p1 had before it read fullsep_bound_p1
+        for d_a in range(2, 13):
+            for d_b in range(2, 13):
+                d2 = min(d_a, d_b) ** 2
+                alpha = 1 / math.sqrt(d_a * d_b)
+                beta = math.sqrt((d_a - 1) * (d_b - 1) / (d_a * d_b))
+                xs = [alpha] + [beta / (d2 - 1)] * (d2 - 1)
+                for h in range(2, d2 + 1):
+                    assert bisep_bound_p1(d_a, d_b, h) == elementary_symmetric(h, xs)
+
+    def test_p1_two_qubits_full_minor_is_exact(self):
+        assert fullsep_bound_p1((2, 2), 4, 4) == 1 / 432
+
+    def test_inf_preconditions_in_exact_integers(self):
+        # h >= prod(sqrt(d_i - 1)) is h^2 >= prod(d_i - 1), exact in integers
+        for n in range(2, 5):
+            for dims in itertools.product(range(2, 6), repeat=n):
+                need = math.prod(d - 1 for d in dims)
+                for part in iter_bipartitions(n):
+                    m = min(part.side_dims(dims)) ** 2
+                    for h in range(1, m + 2):
+                        want = h * h >= need and 2 <= h <= m
+                        assert fullsep_preconditions_inf(dims, h, m)[0] == want
+
+    def test_inf_precondition_holds_at_its_boundary(self):
+        v = detect(maximally_mixed((3, 3)), DetectConfig(h=2))
+        full = [r for r in v.reports if r.criterion == "cmn-full-inf"]
+        assert full and all(r.preconditions_met for r in full)
+
+
 class TestDvh:
     def test_fullsep_bound_three_qubits(self):
         assert abs(dvh_fullsep_bound((2, 2, 2)) - 2**-1.5) < 1e-15
+
+    def test_fullsep_bound_exact_cases(self):
+        assert dvh_fullsep_bound((2, 2)) == 0.5
+        assert dvh_fullsep_bound((2,) * 4) == 0.25
+
+    def test_fullsep_bound_within_half_an_ulp(self):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for n in range(1, 5):
+                for dims in itertools.combinations_with_replacement(range(2, 5), n):
+                    got = dvh_fullsep_bound(dims)
+                    ratio = Decimal(math.prod(d - 1 for d in dims)) / Decimal(math.prod(dims))
+                    assert abs(Decimal(got) - ratio.sqrt()) <= Decimal(math.ulp(got)) / 2
 
     def test_bisep_bound(self):
         assert abs(dvh_bisep_bound_3qubit() - math.sqrt(3 / 8)) < 1e-15

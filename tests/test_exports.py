@@ -9,8 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cmnlab"
 # helpers that oracles are built from, the references for batched forms, and
-# the audit oracles that PAPER.md lists as library features; matricize_interior
-# is the documented interior matricization, the reference for the dVH
+# the audit oracles that ROADMAP item 7's `cmnlab verify` is to re-check
+# certificates with; matricize_interior is the documented interior
+# matricization, the reference for the dVH
 # interior that Criterion.matrices cuts from a stack; cmn is the README's
 # library example, while detect and the audits read cmn.minor_norm through
 # Criterion.from_spectra; partial_trace is the documented one-state form of

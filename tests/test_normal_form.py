@@ -256,7 +256,9 @@ def _assert_matches_oracle(rho, groups):
     assert np.abs(np.subtract(hist, want_hist)).max() <= 1e-13
 
 
-@pytest.mark.parametrize("groups", [[(0,), (1,), (2,)], [(0,), (1, 2)], [(0, 2), (1,)]])
+# [(2,), (0,)] leaves party 1 in no group, which filter_to_fnf never filters
+@pytest.mark.parametrize("groups", [[(0,), (1,), (2,)], [(0,), (1, 2)], [(0, 2), (1,)],
+                                    [(2,), (0,)]])
 def test_filter_matches_recomputing_oracle(groups):
     for seed in range(4):
         _assert_matches_oracle(random_density((2, 2, 2), 8, 60 + seed), groups)
