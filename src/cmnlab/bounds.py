@@ -240,11 +240,12 @@ class DetectionVerdict:
 
 
 @lru_cache(maxsize=None)
-def _cut_plan(dims, part, h, ps, kind):
-    """The ``kind`` entries on one cut: the M_{h,p} entry of ``kind`` for
-    each p in ``ps``, in order, then, in the full sweep, every dVH entry.
-    Each is (criterion name, h, whether the cut's normal-form gate applies,
-    preconditions hold, reason, bound, the length of the spectrum it reads)."""
+def _cut_plan(dims, j, h, ps, kind):
+    """The ``kind`` entries on cut ``j`` of :func:`iter_bipartitions`: the M_{h,p}
+    entry of ``kind`` for each p in ``ps``, in order, then, in the full sweep,
+    every dVH entry. Each is (criterion name, h, whether the cut's normal-form
+    gate applies, preconditions hold, reason, bound, the spectrum length)."""
+    part = iter_bipartitions(len(dims))[j]
     d_a, d_b = part.side_dims(dims)
     h = min(d_a, d_b) ** 2 if h is None else h
     # (name, whether the gate applies, reason it is inconclusive whatever the state)
@@ -263,12 +264,6 @@ def _cut_plan(dims, part, h, ps, kind):
     return plan
 
 
-@lru_cache(maxsize=None)
-def _cuts(n):
-    """The cuts of n parties, in :func:`iter_bipartitions` order."""
-    return tuple(iter_bipartitions(n))
-
-
 def _state_reports(states, cfg):
     """The reports of each state of ``states`` (content -> the caller's
     :class:`DensityMatrix` or a traced matrix), one tuple per state, keyed
@@ -277,9 +272,10 @@ def _state_reports(states, cfg):
     dims; the text of the check a matrix fails gates every report that
     would read it. Each stack's FNF residuals come from one pass over it.
     The cuts whose residual exceeds ``cfg.fnf_tol`` are filtered side-wise,
-    each (stack, cut, whole or interior) matricization is cut once, and the
-    spectra that the reports read come from one SVD per matrix shape."""
+    each (stack, cut position, whole or interior) matricization is cut once,
+    and the spectra that the reports read come from one SVD per matrix shape."""
     tol, ps = cfg.fnf_tol, tuple(cfg.ps)
+    cuts_of = {m: iter_bipartitions(len(m[0])) for m in states}
     checked = {m for m, s in states.items() if isinstance(s, DensityMatrix)}
     data = {m: s.data if m in checked else s for m, s in states.items()}
     stacks, at, lost = {}, {}, {}  # at: key -> (stack, row, FNF residual of each cut)
@@ -308,14 +304,14 @@ def _state_reports(states, cfg):
     admit({m: (m[0], data[m]) for m in states}, "reduced")
     # only an M_{h,p} entry reads the filtered tensor
     wanted = cfg.filter and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)
-    cuts = [(m, part) for m in states if m in at and wanted
-            for part, r in zip(_cuts(len(m[0])), at[m][2]) if r > tol]
-    out = filter_cuts([(m[0], data[m], part) for m, part in cuts], tol)
+    cuts = [(m, j) for m in states if m in at and wanted
+            for j, r in enumerate(at[m][2]) if r > tol]
+    out = filter_cuts([(m[0], data[m], cuts_of[m][j]) for m, j in cuts], tol)
     lost.update((cut, o) for cut, o in zip(cuts, out) if isinstance(o, str))
     admit({cut: (cut[0][0], o) for cut, o in zip(cuts, out) if not isinstance(o, str)},
           "filtered")
 
-    matrices, pending, reports = {}, {}, {}  # (stack, part, interior) -> [criterion, {row: i}]
+    matrices, pending, reports = {}, {}, {}  # (stack, j, interior) -> [criterion, part, {row: i}]
     for m in states:
         lost_m = lost.get(m, "")  # gates every report of the state
         own = [] if lost_m else at[m][2]
@@ -325,21 +321,21 @@ def _state_reports(states, cfg):
         sfnf_gate = lost_m or ("" if sfnf <= tol else f"not in SFNF (residual {sfnf:.3e})")
         node = reports[m] = []
         for kind in ("bisep", "full"):
-            for j, part in enumerate(_cuts(len(m[0]))):
+            for j, part in enumerate(cuts_of[m]):
                 src, gate, note = at.get(m), sfnf_gate, ""
                 if kind == "bisep" and not lost_m:
                     r = own[j]
-                    if (m, part) in at:
-                        src, note = at[m, part], "after SLOCC filtering; "
+                    if (m, j) in at:
+                        src, note = at[m, j], "after SLOCC filtering; "
                         r = src[2][j]
-                    gate = "" if r <= tol else lost.get((m, part), f"not in FNF (residual {r:.3e})")
-                for name, h, gated, ok, why, bound, rank in _cut_plan(m[0], part, cfg.h, ps, kind):
+                    gate = "" if r <= tol else lost.get((m, j), f"not in FNF (residual {r:.3e})")
+                for name, h, gated, ok, why, bound, rank in _cut_plan(m[0], j, cfg.h, ps, kind):
                     if lost_m or gated and gate or not ok:
                         why, nan = lost_m or (gate if gated and gate else why), math.nan
                         node.append(BoundReport(part, name, nan, nan, False, False, False, why))
                         continue
-                    key = (src[0], part, CRITERIA[name].p is None)
-                    rows = matrices.setdefault(key, [CRITERIA[name], {}])[1]
+                    key = (src[0], j, CRITERIA[name].p is None)
+                    rows = matrices.setdefault(key, [CRITERIA[name], part, {}])[2]
                     pending.setdefault((name, h, rank), []).append(
                         (node, len(node), key, rows.setdefault(src[1], len(rows)), bound,
                          (note if gated else "") + why))
@@ -347,11 +343,11 @@ def _state_reports(states, cfg):
 
     # one SVD per matrix shape, then one value and compare call per (criterion, h, rank)
     by_shape, spectra = {}, {}
-    for key, (criterion, rows) in matrices.items():
+    for key, (criterion, part, rows) in matrices.items():
         tensors = stacks[key[0]]
         if list(rows) != list(range(len(tensors))):  # only the rows some report reads
             tensors = tensors[list(rows)]
-        mats = criterion.matrices(tensors, key[1])
+        mats = criterion.matrices(tensors, part)
         by_shape.setdefault(mats.shape[1:], []).append((key, mats))
     for group in by_shape.values():
         sigma = singular_values(np.concatenate([mats for _, mats in group]))

@@ -239,7 +239,7 @@ def cmd_discord(args):
         except ValueError as exc:
             raise InputError(f"invalid --partition {args.partition!r}: {exc}") from exc
     else:
-        parts = list(iter_bipartitions(n))
+        parts = iter_bipartitions(n)
     h = args.h if args.h is not None else 2
     solves = []
     for part in parts:

@@ -84,10 +84,9 @@ def input_digest(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def bound_report_to_dict(r, label=None):
-    """One report's document; ``label``, if given, is its partition's label."""
+def bound_report_to_dict(r):
     return {
-        "partition": r.partition_label() if label is None else label,
+        "partition": r.partition_label(),
         "criterion": r.criterion,
         "value": r.value,
         "bound": r.bound,
@@ -104,18 +103,11 @@ def verdict_to_dict(v):
     ``v``'s parties, and its partition labels are its own (A is parties[0]).
     The entries whose verdicts share one reports tuple share one list."""
     lists = {}  # id of a reports tuple -> its list
-    labels = {}  # id of a partition -> its label, shared by the cut's reports
-
-    def label(part):
-        key = id(part)
-        if key not in labels:
-            labels[key] = part.label()
-        return labels[key]
 
     def reports(verdict):
         key = id(verdict.reports)
         if key not in lists:
-            lists[key] = [bound_report_to_dict(r, label(r.partition)) for r in verdict.reports]
+            lists[key] = [bound_report_to_dict(r) for r in verdict.reports]
         return lists[key]
 
     return {

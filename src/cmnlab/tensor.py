@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +31,9 @@ class Bipartition:
         n = len(a) + len(b)
         if set(a) & set(b) or set(a) | set(b) != set(range(n)):
             raise ValueError("sides must be disjoint and cover all parties")
+        # an attribute, not a field: equality, hash and repr read the sides only
+        fmt = lambda side: "".join(chr(ord("A") + i) for i in side)
+        object.__setattr__(self, "_label", f"{fmt(a)}|{fmt(b)}")
 
     @classmethod
     def of(cls, side_a, n_parties):
@@ -41,21 +45,20 @@ class Bipartition:
         return len(self.side_a) + len(self.side_b)
 
     def label(self):
-        fmt = lambda side: "".join(chr(ord("A") + i) for i in side)
-        return f"{fmt(self.side_a)}|{fmt(self.side_b)}"
+        return self._label
 
     def side_dims(self, dims):
         """Hilbert-space dimensions (d_A, d_B) of the two sides."""
         return math.prod(dims[i] for i in self.side_a), math.prod(dims[i] for i in self.side_b)
 
 
+@lru_cache(maxsize=None)
 def iter_bipartitions(n_parties):
     """All bipartitions of n parties, one per unordered split (party 0 is
-    always on side_a), in deterministic order."""
+    always on side_a), in deterministic order: one tuple per n."""
     rest = range(1, n_parties)
-    for size in range(0, n_parties - 1):
-        for extra in combinations(rest, size):
-            yield Bipartition.of((0,) + extra, n_parties)
+    return tuple(Bipartition.of((0,) + extra, n_parties)
+                 for size in range(n_parties - 1) for extra in combinations(rest, size))
 
 
 @dataclass(frozen=True)

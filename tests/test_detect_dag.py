@@ -312,6 +312,20 @@ def test_ghz_analyzes_each_subset_once(n):
     assert all(len(p) >= 2 for p in parties)
 
 
+def test_detect_hashes_no_cut(monkeypatch):
+    """detect keys each cut by its position among the state's cuts, and each
+    cut carries its label, so no Bipartition is hashed on the way."""
+    hashed = []
+
+    def counted_hash(part, plain=Bipartition.__hash__):
+        hashed.append(part)
+        return plain(part)
+
+    monkeypatch.setattr(Bipartition, "__hash__", counted_hash)
+    detect(zoo.ghz(6).to_density())
+    assert len(hashed) == 0
+
+
 def test_schema2_parties_and_local_labels():
     doc = report.verdict_to_dict(detect(zoo.ghz(4).to_density()))
     assert report.SCHEMA_VERSION == 2

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from itertools import product
+from itertools import combinations, product
 
 from cmnlab.basis import normalized_generalized_gell_mann
 from cmnlab.linalg import DensityMatrix, singular_values
@@ -33,6 +33,26 @@ class TestBipartition:
         assert len(list(iter_bipartitions(2))) == 1
         assert len(list(iter_bipartitions(3))) == 3
         assert len(list(iter_bipartitions(4))) == 7
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_enumeration_is_one_tuple_of_the_old_cuts(self, n):
+        """One tuple per n, holding the cuts and labels that the generator
+        it replaced yielded, in its order; the stored label is no field."""
+        def old_cuts(n):
+            letters = lambda side: "".join(chr(ord("A") + i) for i in side)
+            for size in range(0, n - 1):
+                for extra in combinations(range(1, n), size):
+                    a = (0,) + extra
+                    b = tuple(i for i in range(1, n) if i not in extra)
+                    yield a, b, f"{letters(a)}|{letters(b)}"
+
+        cuts = iter_bipartitions(n)
+        assert cuts is iter_bipartitions(n)
+        assert [(p.side_a, p.side_b, p.label()) for p in cuts] == list(old_cuts(n))
+        for p in cuts:
+            assert p == Bipartition(set(p.side_a), set(p.side_b))
+            assert hash(p) == hash((p.side_a, p.side_b))
+            assert repr(p) == f"Bipartition(side_a={p.side_a!r}, side_b={p.side_b!r})"
 
 
 class TestBuild:
