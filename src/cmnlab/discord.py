@@ -15,7 +15,7 @@ import numpy as np
 from .basis import normalized_generalized_gell_mann
 from .cmn import CmnParams, _sorted_spectrum_power, spectrum_power
 from .linalg import DensityMatrix, apply_local, hermitize, singular_values
-from .tensor import Bipartition, CorrelationTensor, _matricize_array, build, matricize
+from .tensor import Bipartition, CorrelationTensor, build, matricize
 
 PROJECTOR_TOL = 1e-10
 # A search has converged when its two best restarts agree to within this.
@@ -103,16 +103,6 @@ def _angle_groups(dims):
                  for d, ps in groups.items())
 
 
-def _projector_groups(dims, angles):
-    """Rank-1 projectors of the angle-parametrized bases of every party, with
-    one Givens build per distinct dimension. ``angles`` has shape
-    (k, n_angles(dims)); yields (d, parties, P) where P[z, q, a] is the a-th
-    projector of party parties[q] for row z."""
-    for d, parties, cols in _angle_groups(dims):
-        u = unitaries_from_angles(d, angles[:, cols].reshape(-1, d * (d - 1)))
-        yield d, parties, _rank1_projectors(u).reshape(len(angles), len(parties), d, d, d)
-
-
 def _rank1_projectors(u):
     """Projectors onto the columns of each unitary: P[..., a, m, n] = u_a[m] u_a[n]*."""
     cols = np.swapaxes(u, -1, -2)
@@ -135,17 +125,59 @@ def _projector_coordinates(projectors):
     return np.swapaxes(coords.reshape(projectors.shape[:-2] + (d * d,)), -1, -2).real
 
 
+def _qubit_coordinates(angles):
+    """The projector coordinates of qubit bases from their (θ, φ) rows
+    (shape (..., 2)): V = [[1, 1], [n, -n]]/√2, with n = (sin θ cos φ,
+    sin θ sin φ, cos θ) the Bloch vector of the basis's first column. Equal,
+    to rounding, to the Givens route through unitaries_from_angles."""
+    theta, phi = angles[..., 0], angles[..., 1]
+    sin = np.sin(theta)
+    n = np.stack([sin * np.cos(phi), sin * np.sin(phi), np.cos(theta)], axis=-1)
+    v = np.empty(angles.shape[:-1] + (4, 2))
+    v[..., 0, :] = 1.0
+    v[..., 1:, 0], v[..., 1:, 1] = n, -n
+    return v * math.sqrt(0.5)
+
+
+def _party_coordinates(dims, angles):
+    """V_p of every party of ``dims`` for each row of ``angles`` (shape
+    (k, n_angles(dims))): a list of (k, d², d) arrays, in party order."""
+    vs = [None] * len(dims)
+    for d, parties, cols in _angle_groups(dims):
+        rows = angles[:, cols].reshape(len(angles), len(parties), d * (d - 1))
+        if d == 2:
+            v = _qubit_coordinates(rows)
+        else:
+            u = unitaries_from_angles(d, rows.reshape(-1, d * (d - 1)))
+            v = _projector_coordinates(_rank1_projectors(u)).reshape(rows.shape[:2] + (d * d, d))
+        for q, p in enumerate(parties):
+            vs[p] = v[:, q]
+    return vs
+
+
+def _side_factor(vs):
+    """Kronecker product of the stacks ``vs`` (each (k, d², d)) of one side's
+    parties, row by row, with the first party's indices varying fastest as in
+    :func:`matricize`."""
+    f = vs[0]
+    for v in vs[1:]:
+        f = (v[:, :, None, :, None] * f[:, None, :, None, :]).reshape(
+            len(f), v.shape[1] * f.shape[1], v.shape[2] * f.shape[2])
+    return f
+
+
 def measurement_from_angles(dims, angles) -> MeasurementFamily:
     """Product measurement whose per-party bases are the columns of
     angle-parametrized unitaries."""
     dims = tuple(int(d) for d in dims)
-    angles = np.asarray(angles, dtype=float)
+    angles = np.asarray(angles, dtype=float).ravel()
     if angles.size != n_angles(dims):
         raise ValueError("angle vector length does not match dims")
     stacks = [None] * len(dims)
-    for _, parties, projectors in _projector_groups(dims, angles.reshape(1, -1)):
-        for q, p in enumerate(parties):
-            stacks[p] = projectors[0, q]
+    for d, parties, cols in _angle_groups(dims):
+        u = unitaries_from_angles(d, angles[cols].reshape(-1, d * (d - 1)))
+        for p, projectors in zip(parties, _rank1_projectors(u)):
+            stacks[p] = projectors
     return MeasurementFamily(dims, tuple(stacks))
 
 
@@ -271,30 +303,35 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
 
 def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
     """Map a (k, n_angles) array of measurement angles for the ``measured``
-    parties (ascending) to the k singular spectra of the dephased state's
-    matricization, without leaving correlation space.
+    parties (ascending; each side of ``part`` measured whole or not at all)
+    to the k singular spectra of the dephased state's matricization, without
+    leaving correlation space.
 
     Dephasing party p maps its axis of T through V_p V_pᵀ. V_p has
     orthonormal columns, so contracting with V_p alone keeps the nonzero
-    spectrum; zeros pad it back to the undisturbed length, so every h that
-    the undisturbed matricization allows still works. All that does not
-    depend on the angles is set up once, here.
+    spectrum: a measured side's factor F, the Kronecker product of its
+    parties' V_p, takes the matricization M to Fᵀ·M on side A and M·F on
+    side B. Zeros pad the spectrum back to the undisturbed length, so every
+    h that the undisturbed matricization allows still works. All that does
+    not depend on the angles is set up once, here.
     """
     measured_dims = tuple(t.dims[p] for p in measured)
-    # einsum sublists (tensor, V, result) contracting the axis of party p
-    n = t.n_parties  # labels 0..n-1 are the party axes, n the outcome, n + 1 the batch
-    batch = [n + 1] + list(range(n))
-    sublists = [(batch, [n + 1, p, n], [n if a == p else a for a in batch]) for p in measured]
-    full = min(matricize(t, part).shape)  # the undisturbed spectrum's length
+    # per measured side, the positions of its parties among ``measured``
+    a, b = ([measured.index(p) for p in side] if set(side) <= set(measured) else []
+            for side in (part.side_a, part.side_b))
+    if len(a) + len(b) != len(measured):
+        raise ValueError("each side must be measured whole or not at all")
+    m = matricize(t, part)
+    full = min(m.shape)  # the undisturbed spectrum's length
 
     def spectra(angles):
-        c = t.data[None]  # a batch of one broadcasts against the k trials
-        for _, group, projectors in _projector_groups(measured_dims, angles):
-            v = _projector_coordinates(projectors)
-            for q, k in enumerate(group):
-                t_axes, v_axes, out = sublists[k]
-                c = np.einsum(c, t_axes, v[:, q], v_axes, out)
-        sigma = singular_values(_matricize_array(c, part))
+        vs = _party_coordinates(measured_dims, angles)
+        c = m
+        if a:
+            c = np.swapaxes(_side_factor([vs[q] for q in a]), -1, -2) @ c
+        if b:
+            c = c @ _side_factor([vs[q] for q in b])
+        sigma = singular_values(c)
         return np.concatenate([sigma, np.zeros((len(sigma), full - sigma.shape[1]))], axis=1)
 
     return spectra

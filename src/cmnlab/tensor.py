@@ -38,6 +38,8 @@ class Bipartition:
     @classmethod
     def of(cls, side_a, n_parties):
         a = set(int(i) for i in side_a)
+        if not a <= set(range(n_parties)):
+            raise ValueError(f"party indices {sorted(a)} are not all in 0..{n_parties - 1}")
         return cls(a, set(range(n_parties)) - a)
 
     @property

@@ -719,13 +719,22 @@ class TestDiscord:
         assert out == ""
         assert err.startswith("error:") and reason in err
 
-    @pytest.mark.parametrize("partition", ["0,1", "5", "x"])
+    @pytest.mark.parametrize("partition", ["0,1", "5", "x", "2"])
     def test_bad_partition_is_usage_error(self, capsys, partition):
         code, out, err = run(capsys, "discord", "zoo:bell-phi-plus", "--restarts", "2",
                              "--partition", partition)
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err.startswith("error:") and "--partition" in err
+
+    @pytest.mark.parametrize("partition", ["0,3", "3", "-1"])
+    def test_party_out_of_range_is_usage_error(self, capsys, partition):
+        # "0,3" and "3" name a fourth party of GHZ-3
+        code, out, err = run(capsys, "discord", "zoo:ghz-3-2", "--restarts", "2",
+                             "--partition", partition)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith(f"error: invalid --partition {partition!r}")
 
     def test_deterministic_given_seed(self, capsys):
         argv = ["discord", "zoo:classical-cc", "--restarts", "3", "--seed", "5"]

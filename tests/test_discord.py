@@ -273,9 +273,18 @@ class TestCorrelationSpaceMap:
         # keeps identity and sigma_z coordinates, kills x and y
         assert np.abs(m - np.diag([1, 0, 0, 1])).max() < 1e-12
 
+    def test_qubit_coordinates_match_the_givens_route(self, rng):
+        # poles, negative angles and angles past 2π among random ones
+        angles = np.vstack([rng.uniform(-4 * math.pi, 4 * math.pi, size=(500, 2)),
+                            [[0.0, 0.0], [math.pi, 0.0], [0.0, 2.5], [math.pi, -1.0],
+                             [-0.3, -2.0], [-math.pi, 7.0], [2 * math.pi + 0.4, 13.0]]])
+        u = unitaries_from_angles(2, angles)
+        want = discord._projector_coordinates(discord._rank1_projectors(u))
+        assert np.abs(discord._qubit_coordinates(angles) - want).max() <= 1e-15
+
 
 class TestCorrelationSpaceSpectrum:
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2)])
     def test_matches_dephased_state(self, dims, rng):
         # oracle: dephase the density matrix, rebuild T, take the full spectrum
         rho = random_density(dims, 3, 900 + sum(dims))
@@ -291,6 +300,11 @@ class TestCorrelationSpaceSpectrum:
                     want = singular_values(matricize(build(after), part))
                     assert got.shape == want.shape
                     assert np.abs(got - want).max() <= 1e-12
+
+    def test_a_side_is_measured_whole(self):
+        t = build(random_density((2, 2, 2), 3, 901))
+        with pytest.raises(ValueError, match="whole"):
+            _dephased_spectra(t, Bipartition.of((0,), 3), (1,))
 
 
 class TestLockstepSearch:

@@ -30,7 +30,7 @@ def test_smallest_run_writes_the_schema(tmp_path):
     env = doc["environment"]
     assert {"cores", "affinity", "python", "numpy", "blas_threads", "commit"} <= set(env)
     assert set(env["blas_threads"].values()) == {"1"}
-    assert doc["settings"] == {"repeats": 1, "ridge": False, "large": False,
+    assert doc["settings"] == {"repeats": 1, "ridge": False, "large": False, "tier1": False,
                                "objective_calls": 20}
     names = [row["name"] for row in doc["rows"]]
     assert names == ([f"objective/{s}/{r}" for s in ("bell-global", "ghz3-global-A|BC")
@@ -79,12 +79,8 @@ def test_smallest_run_writes_the_schema(tmp_path):
                                    "random-2222-seed2222": 25}[state]
 
 
-def test_large_rows_are_opt_in(monkeypatch):
-    """--large adds detect on GHZ-7, on rank-4 random states of 5-7 qubits
-    and on ROADMAP item 1's 200 states to the planned rows; they are listed
-    here, not run."""
+def load_perf(monkeypatch):
     import importlib.util
-    import tempfile
 
     # importing the tool pins BLAS threads and puts bench/ on the path
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -93,6 +89,16 @@ def test_large_rows_are_opt_in(monkeypatch):
     spec = importlib.util.spec_from_file_location("perf", TOOL)
     perf = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(perf)
+    return perf
+
+
+def test_large_rows_are_opt_in(monkeypatch):
+    """--large adds detect on GHZ-7, on rank-4 random states of 5-7 qubits
+    and on ROADMAP item 1's 200 states to the planned rows; they are listed
+    here, not run."""
+    import tempfile
+
+    perf = load_perf(monkeypatch)
     with tempfile.TemporaryDirectory() as workdir:
         default = [row["name"] for row, _, _ in perf.planned_rows(workdir)]
         large = [row["name"] for row, _, _ in perf.planned_rows(workdir, large=True)]
@@ -100,3 +106,19 @@ def test_large_rows_are_opt_in(monkeypatch):
                                "detect/random-222222-rank4-seed6",
                                "detect/random-2222222-rank4-seed7",
                                "detect/slocc-rho1/200"]
+
+
+def test_tier1_row_times_the_checkouts_suite(monkeypatch, tmp_path):
+    """--tier1's row runs pytest in the checkout that holds --src, with that
+    src/ importable; here a stand-in checkout of two tests, one failing."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "probe.py").write_text("VALUE = 1\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_probe.py").write_text(
+        "import probe\n\ndef test_ok():\n    assert probe.VALUE == 1\n\n"
+        "def test_bad():\n    assert False\n")
+    row = load_perf(monkeypatch).tier1_row(tmp_path / "src")
+    assert (row["name"], row["kind"], row["runs"]) == ("tier1", "tier1", 1)
+    assert 0 < row["min_s"] == row["median_s"] and row["ref_median_s"] > 0
+    assert row["result"].startswith("1 failed, 1 passed")
+    assert row["exit_code"] == 1

@@ -29,6 +29,12 @@ class TestBipartition:
         assert p.side_a == (2,) and p.side_b == (0, 1)
         assert p.label() == "C|AB"
 
+    @pytest.mark.parametrize("side_a,n", [((2,), 2), ((0, 3), 3), ((-1,), 2)])
+    def test_of_rejects_a_party_out_of_range(self, side_a, n):
+        # filling side B from range(n) would make a stray index a cut of n + 1 parties
+        with pytest.raises(ValueError, match="not all in"):
+            Bipartition.of(side_a, n)
+
     def test_enumeration_counts(self):
         assert len(list(iter_bipartitions(2))) == 1
         assert len(list(iter_bipartitions(3))) == 3

@@ -60,6 +60,11 @@ would pick the run whose kernel was slowed most. The rows:
 - ``solve/ridge-crawl-23/8``, only with ``--ridge``: the (2,3) solve whose
   restart 2 crawls along a ridge (about 36 s on a 2-core x86-64 VM), timed
   once without a warm-up.
+- ``tier1``, only with ``--tier1``: ROADMAP's tier-1 command,
+  ``python -m pytest -q --continue-on-collection-errors`` with the checkout's
+  ``src/`` first on ``PYTHONPATH``, run in the checkout that holds ``--src``
+  (about 40 s on a 2-core x86-64 VM), timed once without a warm-up;
+  ``result`` is pytest's last line and ``exit_code`` its exit status.
 
 Compare two versions by running both on one machine, one after the other.
 BLAS is pinned to one thread, as in ``bench/run.py``. Needs only the
@@ -498,6 +503,24 @@ def ridge_row():
     return row
 
 
+def tier1_row(src):
+    """The tier-1 suite's row, from one timed run and no warm-up."""
+    root = Path(src).resolve().parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+    def work():
+        return subprocess.run(argv, cwd=root, env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True)
+
+    row = {"name": "tier1", "kind": "tier1"}
+    out, *run = timed_run(work)
+    row.update(summary([run], 1))
+    lines = out.stdout.strip().splitlines()
+    row["result"], row["exit_code"] = lines[-1] if lines else "", out.returncode
+    return row
+
+
 def git(src, *args):
     try:
         out = subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True,
@@ -536,6 +559,8 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="the BENCH file to write")
     parser.add_argument("--repeats", type=int, default=10, help="timed rounds")
     parser.add_argument("--ridge", action="store_true", help="also time the ridge crawl")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also time the tier-1 test suite of the checkout holding --src")
     parser.add_argument("--large", action="store_true",
                         help="also time detect on GHZ-7, rank-4 random states of 5-7 qubits "
                         "and 200 ill-conditioned rho1 images")
@@ -547,9 +572,11 @@ def main(argv=None):
         rows = list(timed_rows(list(planned_rows(workdir, args.large)), args.repeats))
     if args.ridge:
         rows.append(ridge_row())
+    if args.tier1:
+        rows.append(tier1_row(args.src))
     doc = {"schema": SCHEMA, "environment": environment(args.src, cmnlab),
            "settings": {"repeats": args.repeats, "ridge": args.ridge, "large": args.large,
-                        "objective_calls": OBJECTIVE_CALLS},
+                        "tier1": args.tier1, "objective_calls": OBJECTIVE_CALLS},
            "rows": rows}
     for row in rows:
         print(f"{row['name']:38} min {row['min_s'] * 1e3:10.3f} ms, "
