@@ -275,7 +275,6 @@ def _state_reports(states, cfg):
     each (stack, cut position, whole or interior) matricization is cut once,
     and the spectra that the reports read come from one SVD per matrix shape."""
     tol, ps = cfg.fnf_tol, tuple(cfg.ps)
-    cuts_of = {m: iter_bipartitions(len(m[0])) for m in states}
     checked = {m for m, s in states.items() if isinstance(s, DensityMatrix)}
     data = {m: s.data if m in checked else s for m, s in states.items()}
     stacks, at, lost = {}, {}, {}  # at: key -> (stack, row, FNF residual of each cut)
@@ -306,7 +305,7 @@ def _state_reports(states, cfg):
     wanted = cfg.filter and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)
     cuts = [(m, j) for m in states if m in at and wanted
             for j, r in enumerate(at[m][2]) if r > tol]
-    out = filter_cuts([(m[0], data[m], cuts_of[m][j]) for m, j in cuts], tol)
+    out = filter_cuts([(m[0], data[m], iter_bipartitions(len(m[0]))[j]) for m, j in cuts], tol)
     lost.update((cut, o) for cut, o in zip(cuts, out) if isinstance(o, str))
     admit({cut: (cut[0][0], o) for cut, o in zip(cuts, out) if not isinstance(o, str)},
           "filtered")
@@ -321,7 +320,7 @@ def _state_reports(states, cfg):
         sfnf_gate = lost_m or ("" if sfnf <= tol else f"not in SFNF (residual {sfnf:.3e})")
         node = reports[m] = []
         for kind in ("bisep", "full"):
-            for j, part in enumerate(cuts_of[m]):
+            for j, part in enumerate(iter_bipartitions(len(m[0]))):
                 src, gate, note = at.get(m), sfnf_gate, ""
                 if kind == "bisep" and not lost_m:
                     r = own[j]

@@ -241,18 +241,17 @@ def cmd_discord(args):
     else:
         parts = iter_bipartitions(n)
     h = args.h if args.h is not None else 2
-    solves = []
+    try:
+        params = CmnParams(h, p)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     for part in parts:
         d_min = min(part.side_dims(rho.dims))
         if h > d_min**2:
             raise InputError(f"h={h} exceeds d^2={d_min**2} for partition {part.label()}")
-        try:
-            solves.append((part, CmnParams(h, p)))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
     results = [
         report.discord_result_to_dict(global_discord_cmn(rho, part, params, opt), part.label())
-        for part, params in solves
+        for part in parts
     ]
     doc = report.document(
         "discord",

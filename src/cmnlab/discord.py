@@ -65,29 +65,19 @@ def unitaries_from_angles(d, angles):
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != d * (d - 1):
         raise ValueError(f"dimension {d} needs {d * (d - 1)} angles")
-    identity, flat = _givens_layout(d)
     half = angles[:, 0::2] / 2
     cos, sin = np.cos(half), np.sin(half)
     phase = np.exp(1j * angles[:, 1::2])
-    g = identity[None].repeat(len(angles), axis=0)
-    # entries (j, j), (k, k), (j, k), (k, j) of the rotation in each (j, k) plane
-    for at, entry in zip(flat, (cos, cos, -sin * phase.conj(), sin * phase)):
-        g[:, at] = entry
-    g = g.reshape(len(angles), flat.shape[1], d, d)
-    u = g[:, 0]
-    for rot in range(1, flat.shape[1]):
-        u = g[:, rot] @ u
-    return u
-
-
-@lru_cache(maxsize=None)
-def _givens_layout(d):
-    """The d×d identity once per (j, k) plane, flattened, and one row per entry
-    (j, j), (k, k), (j, k), (k, j) of that entry's flat position in each plane."""
     planes = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    flat = [[r * d * d + i for i in (j * (d + 1), k * (d + 1), j * d + k, k * d + j)]
-            for r, (j, k) in enumerate(planes)]
-    return np.tile(np.eye(d, dtype=complex).ravel(), len(planes)), np.array(flat).T
+    g = np.tile(np.eye(d, dtype=complex), (len(angles), len(planes), 1, 1))
+    for r, (j, k) in enumerate(planes):
+        g[:, r, j, j] = g[:, r, k, k] = cos[:, r]
+        g[:, r, j, k] = -sin[:, r] * phase[:, r].conj()
+        g[:, r, k, j] = sin[:, r] * phase[:, r]
+    u = g[:, 0]
+    for r in range(1, len(planes)):
+        u = g[:, r] @ u
+    return u
 
 
 def n_angles(dims):
@@ -109,19 +99,15 @@ def _rank1_projectors(u):
     return cols[..., :, None] * cols.conj()[..., None, :]
 
 
-@lru_cache(maxsize=None)
-def _conjugated_basis(d):
-    # tr(B P) = Σ P[m, n] B[n, m], and B[n, m] = conj(B[m, n]) for Hermitian B
-    return normalized_generalized_gell_mann(d).reshape(d * d, d * d).conj().T
-
-
 def _projector_coordinates(projectors):
     """V[..., i, a] = tr(B_i P_a): the d² × d matrix of one party's projector
     coordinates in its Gell-Mann basis. For rank-1 orthogonal projectors the
     columns are orthonormal, and V Vᵀ is the dephasing channel acting on
     that party's correlation coordinates."""
     d = projectors.shape[-1]
-    coords = projectors.reshape(-1, d * d) @ _conjugated_basis(d)
+    # tr(B P) = Σ P[m, n] B[n, m], and B[n, m] = conj(B[m, n]) for Hermitian B
+    basis = normalized_generalized_gell_mann(d).reshape(d * d, d * d).conj().T
+    coords = projectors.reshape(-1, d * d) @ basis
     return np.swapaxes(coords.reshape(projectors.shape[:-2] + (d * d,)), -1, -2).real
 
 

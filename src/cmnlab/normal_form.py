@@ -32,26 +32,13 @@ class FilteringError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _supports(shape):
-    """For tensors of ``shape``: the order that sorts their entries by
-    support (the parties whose index is not the identity, as a bit mask with
-    party i at bit n - 1 - i), where each support starts in that order, and
-    for each cut, in :func:`iter_bipartitions` order, the supports that lie
-    in one of its sides (padded with the vertex's, 0)."""
-    n = len(shape)
-    support = np.zeros(shape, dtype=int)
-    for i, size in enumerate(shape):
-        support += (np.arange(size) > 0).reshape((-1,) + (1,) * (n - 1 - i)) << (n - 1 - i)
-    order = np.argsort(support, axis=None, kind="stable")
-    starts = np.searchsorted(support.ravel()[order], np.arange(2**n))
-    inside = lambda s, side: not s & ~sum(1 << (n - 1 - p) for p in side)
-    faces = [[s for s in range(2**n) if inside(s, part.side_a) or inside(s, part.side_b)]
-             for part in iter_bipartitions(n)]
-    width = max(map(len, faces))
-    faces = np.array([face + [0] * (width - len(face)) for face in faces])
-    for index in (order, starts, faces):
-        index.setflags(write=False)
-    return order, starts, faces
+def _side_masks(n):
+    """The two sides of each cut of n parties, in :func:`iter_bipartitions`
+    order, as bit masks with party i at bit n - 1 - i; shape (cuts, 2)."""
+    masks = np.array([[sum(1 << (n - 1 - p) for p in side) for side in (part.side_a, part.side_b)]
+                      for part in iter_bipartitions(n)])
+    masks.setflags(write=False)
+    return masks
 
 
 def fnf_residuals(tensors):
@@ -62,14 +49,18 @@ def fnf_residuals(tensors):
     vertex excluded: zero iff both side reductions are maximally mixed,
     which is FNF across the cut.
 
-    One pass takes the largest |entry| of each support, vertex excluded. A
-    side's face is the entries whose support lies in the side, so a cut's
-    residual is the largest over the supports that lie in either side."""
-    order, starts, faces = _supports(tensors.shape[1:])
-    entries = np.abs(tensors.reshape(len(tensors), len(order)))
-    entries[:, 0] = 0  # the vertex
-    largest = np.maximum.reduceat(entries[:, order], starts, axis=1)
-    return largest[:, faces].max(axis=2)
+    A set of parties' face is the slice of the tensor whose index is the
+    identity on every other party. With the vertex zeroed, reducing each
+    party axis to two entries, its identity entry and its largest, leaves
+    the largest |entry| of every face on a (2,)*n grid, party i at bit
+    n - 1 - i; a cut's residual is the larger of its two sides' faces."""
+    k, n = len(tensors), tensors.ndim - 1
+    faces = np.abs(tensors)
+    faces[(slice(None),) + (0,) * n] = 0  # the vertex
+    for axis in range(1, n + 1):
+        faces = np.concatenate([faces.take([0], axis=axis), faces.max(axis=axis, keepdims=True)],
+                               axis=axis)
+    return faces.reshape(k, 2**n)[:, _side_masks(n)].max(axis=2)
 
 
 def group_label(group):
@@ -148,7 +139,7 @@ def filter_cuts(cuts, tol=DEFAULT_TOL):
         for (_, held), row, err in zip(rows, filtered, errors):
             for i, order in held:
                 out[i] = (err.format(group_label(order[:k]), group_label(order[k:])) if err
-                          else permute_parties(row, dims, np.argsort(order)))
+                          else permute_parties(row, dims, [order.index(p) for p in sorted(order)]))
     return out
 
 
@@ -290,6 +281,7 @@ def filter_stack(data, dims, groups=None, tol=DEFAULT_TOL, history=None, labels=
     ok = np.array([e is None for e in errors], dtype=bool)
     done = out[ok]
     if order is not None:  # back to party order
-        done = permute_parties(done, [dims[p] for p in order], np.argsort(order))
+        back = [order.index(p) for p in sorted(order)]
+        done = permute_parties(done, [dims[p] for p in order], back)
     out[ok] = hermitize(done)
     return out, sweeps, errors

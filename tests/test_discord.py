@@ -175,7 +175,7 @@ class TestMeasurementFamily:
 
 
 class TestUnitaryFromAngles:
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_is_unitary(self, d, rng):
         angles = rng.uniform(0, 2 * math.pi, size=d * (d - 1))
         u = unitary_from_angles(d, angles)
@@ -184,13 +184,13 @@ class TestUnitaryFromAngles:
     def test_zero_angles_identity(self):
         assert np.abs(unitary_from_angles(3, np.zeros(6)) - np.eye(3)).max() < 1e-14
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_explicit_givens_product(self, d, rng):
         for _ in range(5):
             angles = rng.uniform(0, 2 * math.pi, size=d * (d - 1))
             assert np.abs(unitary_from_angles(d, angles) - givens_reference(d, angles)).max() <= 1e-15
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_batched_rows_match_single(self, d, rng):
         angles = rng.uniform(0, 2 * math.pi, size=(6, d * (d - 1)))
         for u, row in zip(unitaries_from_angles(d, angles), angles):

@@ -108,6 +108,11 @@ def test_every_public_name_is_used_by_the_program_or_listed():
     assert unused == []
 
 
+def test_readme_says_why_each_test_only_name_stays():
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in sorted(TEST_ONLY) if f".{name}`" not in readme] == []
+
+
 def test_the_test_only_names_are_public_and_unused():
     refs = program_references()
     public = {name for _, name in public_definitions()}

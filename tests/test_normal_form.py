@@ -102,8 +102,8 @@ class TestIsSfnf:
             cuts = iter_bipartitions(t.n_parties)
             assert max(fnf_residual(t, part) for part in cuts) == sfnf_residual(t)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2),
-                                      (2, 2, 2, 2), (2, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2), (2, 3, 3),
+                                      (2, 2, 2, 2), (2, 2, 2, 2, 2), (2,) * 6, (2,) * 7])
     def test_one_pass_residuals_equal_fnf_residual_on_every_cut(self, dims):
         """fnf_residuals reads every cut, in iter_bipartitions order, of every
         tensor of a stack in one pass; each value equals fnf_residual exactly.
@@ -131,6 +131,13 @@ class TestIsSfnf:
             assert [fnf_residual(t, part) for part in parts] == values.tolist()
         assert not got[1].any() and not got[2].any()
         assert np.abs(stack[interior]).min() > 0 and got[0].all() and got[3].all()
+
+    def test_empty_stack_gives_no_rows(self):
+        """A dims group whose every row failed the state checks hands over an
+        empty stack: it reads no residual, one column per cut."""
+        from cmnlab.normal_form import fnf_residuals
+
+        assert fnf_residuals(np.zeros((0, 4, 4, 4))).shape == (0, 3)
 
 
 class TestFilterToFnf:

@@ -122,3 +122,31 @@ def test_tier1_row_times_the_checkouts_suite(monkeypatch, tmp_path):
     assert 0 < row["min_s"] == row["median_s"] and row["ref_median_s"] > 0
     assert row["result"].startswith("1 failed, 1 passed")
     assert row["exit_code"] == 1
+
+
+def test_one_long_run_is_scaled_by_samples_inside_it(monkeypatch):
+    """The ridge crawl's one run is timed inside a SpeedTrack: a 0.35 s busy
+    loop takes kernel samples while it runs, and its reference-speed time
+    reads them."""
+    from time import perf_counter
+
+    perf = load_perf(monkeypatch)
+    tracks = []
+
+    class Track(perf.speed.SpeedTrack):
+        def __enter__(self):
+            tracks.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(perf.speed, "SpeedTrack", Track)
+
+    def busy():
+        start = perf_counter()
+        while perf_counter() - start < 0.35:
+            pass
+        return start, perf_counter()
+
+    (start, end), *run = perf.tracked_run(busy)
+    assert sum(start <= s <= end for s in tracks[0].starts) >= 2
+    row = perf.summary([run], 1)
+    assert row["runs"] == 1 and row["ref_median_s"] > 0

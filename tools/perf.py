@@ -59,12 +59,20 @@ would pick the run whose kernel was slowed most. The rows:
   VM), timed as one unit;
 - ``solve/ridge-crawl-23/8``, only with ``--ridge``: the (2,3) solve whose
   restart 2 crawls along a ridge (about 36 s on a 2-core x86-64 VM), timed
-  once without a warm-up.
+  once without a warm-up, inside a ``speed.SpeedTrack`` as ``bench/run.py``
+  times its ops: its reference-speed time reads the kernel samples taken
+  every ``speed.INTERVAL_S`` during the run, not two timings at its ends.
+  Its wall time includes those samples (about 4%), so compare it only with
+  rows timed this way.
 - ``tier1``, only with ``--tier1``: ROADMAP's tier-1 command,
   ``python -m pytest -q --continue-on-collection-errors`` with the checkout's
   ``src/`` first on ``PYTHONPATH``, run in the checkout that holds ``--src``
   (about 40 s on a 2-core x86-64 VM), timed once without a warm-up;
-  ``result`` is pytest's last line and ``exit_code`` its exit status.
+  ``result`` is pytest's last line and ``exit_code`` its exit status. The
+  suite runs in a child process that shares the cores with the kernel, so
+  the kernel timings at its ends read the machine as slower than it is
+  (``bench/run.py`` holds samples back with ``speed.paused()`` for this
+  reason): compare this row on ``median_s``, not ``ref_median_s``.
 
 Compare two versions by running both on one machine, one after the other.
 BLAS is pinned to one thread, as in ``bench/run.py``. Needs only the
@@ -495,10 +503,22 @@ def timed_rows(planned, repeats):
         yield row
 
 
+def tracked_run(work):
+    """``work()``'s result, its wall time, and that time at the reference speed
+    of bench/speed.py as bench/run.py takes it: the kernel samples of a
+    ``speed.SpeedTrack`` inside and next to the run set the scale, so that
+    one long run does not rest on two kernel timings at its ends."""
+    with speed.SpeedTrack() as track:
+        start = perf_counter()
+        result = work()
+        end = perf_counter()
+    return result, end - start, track.reference_seconds(start, end)
+
+
 def ridge_row():
-    """The ridge crawl's row, from one timed run and no warm-up."""
+    """The ridge crawl's row, from one tracked run and no warm-up."""
     row, work, _ = solve_work("ridge-crawl-23", solves()["ridge-crawl-23"][1], 8, [1])
-    row["evaluations"], *run = timed_run(work)
+    row["evaluations"], *run = tracked_run(work)
     row.update(summary([run], 1))
     return row
 
