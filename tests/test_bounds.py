@@ -7,6 +7,7 @@ import pytest
 
 from cmnlab.bounds import (
     CRITERIA,
+    FILTER_BAND,
     DetectConfig,
     bisep_bound_inf,
     bisep_bound_p1,
@@ -82,6 +83,17 @@ class TestFullsepBounds:
         assert fullsep_bound_inf((2, 2, 2, 2), 16) == 2.0**-32 / 15**15
         assert fullsep_bound_inf((2, 2, 2, 2, 2), 16) == 2.0**-40 / 15**15
 
+    def test_inf_past_the_float_range(self):
+        # (h-1)^(h-1) passes the float range from h = 145; the bound is subnormal there
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for d, h in ((12, 144), (12, 145), (12, 146), (13, 169)):
+                ratio = Decimal((d - 1) ** (2 * h - 2)) / Decimal(d ** (2 * h))
+                want = ratio.sqrt() / Decimal(h - 1) ** (h - 1)
+                got = bisep_bound_inf(d, d, h)
+                assert abs(Decimal(got) - want) <= Decimal(math.ulp(got))
+        assert bisep_bound_p1(13, 13, 169) == 0.0
+
     def test_bisep_inf_is_the_two_party_profile(self):
         # the closed form bisep_bound_inf had before it read fullsep_bound_inf
         for d_a in range(2, 13):
@@ -93,15 +105,26 @@ class TestFullsepBounds:
 
 
     def test_bisep_p1_is_the_two_party_profile(self):
-        # the closed form bisep_bound_p1 had before it read fullsep_bound_p1
+        # the closed form bisep_bound_p1 had before it read fullsep_bound_p1,
+        # below h = d^2, where the bound is the p=inf one (its own test)
         for d_a in range(2, 13):
             for d_b in range(2, 13):
                 d2 = min(d_a, d_b) ** 2
                 alpha = 1 / math.sqrt(d_a * d_b)
                 beta = math.sqrt((d_a - 1) * (d_b - 1) / (d_a * d_b))
                 xs = [alpha] + [beta / (d2 - 1)] * (d2 - 1)
-                for h in range(2, d2 + 1):
+                for h in range(2, d2):
                     assert bisep_bound_p1(d_a, d_b, h) == elementary_symmetric(h, xs)
+                assert bisep_bound_p1(d_a, d_b, d2) == bisep_bound_inf(d_a, d_b, d2)
+
+    def test_p1_bound_at_h_d2_is_the_inf_bound(self):
+        # S_h of h values is their product, alpha (beta/(h-1))^(h-1); the
+        # two-party profiles are the last check of the test above
+        for n in range(2, 5):
+            for dims in itertools.product(range(2, 6), repeat=n):
+                for part in iter_bipartitions(n):
+                    m = min(part.side_dims(dims)) ** 2
+                    assert fullsep_bound_p1(dims, m, m) == fullsep_bound_inf(dims, m)
 
     def test_p1_two_qubits_full_minor_is_exact(self):
         assert fullsep_bound_p1((2, 2), 4, 4) == 1 / 432
@@ -114,13 +137,39 @@ class TestFullsepBounds:
                 for part in iter_bipartitions(n):
                     m = min(part.side_dims(dims)) ** 2
                     for h in range(1, m + 2):
-                        want = h * h >= need and 2 <= h <= m
+                        want = (h * h >= need or h == m) and 2 <= h <= m
                         assert fullsep_preconditions_inf(dims, h, m)[0] == want
 
     def test_inf_precondition_holds_at_its_boundary(self):
         v = detect(maximally_mixed((3, 3)), DetectConfig(h=2))
         full = [r for r in v.reports if r.criterion == "cmn-full-inf"]
         assert full and all(r.preconditions_met for r in full)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2), (3, 3), (2, 3, 3),
+                                  (2,) * 5])
+def test_default_h_inf_and_p1_reports_are_one_test(dims):
+    """At h = d^2 the compound matrix has one singular value, so M_{h,inf} =
+    M_{h,1} and the two bounds are one number: on every cut of the state and
+    of its reductions the -inf and -p1 reports agree bit for bit, and their
+    reasons differ only by p=1's tightness note."""
+    valued = 0
+    for seed, rank in enumerate((2, math.prod(dims))):
+        v = detect(random_density(dims, rank, 3300 + seed))
+        for node in [v] + [sub for _, sub in v.subsets()]:
+            by_name = {(r.partition, r.criterion): r for r in node.reports}
+            for (part, name), inf in by_name.items():
+                if not name.startswith("cmn-") or not name.endswith("-inf"):
+                    continue
+                p1 = by_name[part, name[:-3] + "p1"]
+                fields = ("value", "bound", "violated", "saturated", "preconditions_met")
+                assert ([str(getattr(inf, f)) for f in fields]
+                        == [str(getattr(p1, f)) for f in fields]), (node.dims, part, name)
+                assert p1.reason.startswith(inf.reason)
+                rest = p1.reason[len(inf.reason):]
+                assert rest == "" or rest.startswith("tightness condition D<=d^3 not met")
+                valued += inf.preconditions_met
+    assert valued
 
 
 class TestDvh:
@@ -447,6 +496,70 @@ def test_item1_repro_cuts_whose_filtered_state_fails_the_checks_are_inconclusive
                     assert not r.violated
                 failed += 1
     assert failed  # the repro does reach the checks
+
+
+# the slocc_rho1 seeds of 0-1999 with a violated report before FILTER_BAND
+ITEM1_FLAGGED_SEEDS = (
+    88, 104, 130, 140, 156, 161, 198, 223, 296, 307, 329, 330, 351, 356, 384, 387, 405, 433,
+    447, 449, 454, 461, 497, 512, 516, 524, 530, 533, 548, 552, 580, 581, 587, 599, 638, 642,
+    677, 698, 731, 734, 740, 762, 768, 795, 834, 843, 887, 901, 907, 938, 956, 979, 992, 1015,
+    1034, 1040, 1048, 1067, 1094, 1135, 1145, 1154, 1185, 1196, 1203, 1227, 1241, 1242, 1246,
+    1272, 1276, 1294, 1296, 1308, 1316, 1321, 1388, 1390, 1408, 1434, 1444, 1467, 1475, 1482,
+    1503, 1504, 1525, 1542, 1565, 1568, 1573, 1578, 1584, 1619, 1623, 1657, 1659, 1673, 1687,
+    1706, 1724, 1741, 1755, 1771, 1784, 1807, 1809, 1831, 1848, 1882, 1884, 1902, 1906, 1921,
+    1935, 1960, 1968, 1981, 1986, 1990, 1994)
+
+
+@pytest.mark.parametrize("seeds", [range(200), ITEM1_FLAGGED_SEEDS], ids=["0-199", "flagged"])
+def test_item1_repro_states_are_not_certified_bi_entangled(seeds):
+    """ROADMAP item 1's states are bi-separable across every cut: with the
+    filtering band no cut of theirs, or of a reduction, is flagged, and
+    their filtered reports with a margin inside the band are saturated."""
+    from conftest import item1_state
+
+    banded = 0
+    for seed in seeds:
+        verdict = detect(item1_state(seed))
+        for node in [verdict] + [sub for _, sub in verdict.subsets()]:
+            assert node.bi_entangled_partitions == (), seed
+            for r in node.reports:
+                assert not (r.violated and CRITERIA[r.criterion].kind == "bisep"), (seed, r)
+                if "within the empirical filtering band" in r.reason:
+                    assert r.saturated and r.reason.startswith("after SLOCC filtering; ")
+                    assert 0 < (r.value - r.bound) / r.bound <= FILTER_BAND
+                    banded += 1
+    assert banded  # the band is what keeps them unflagged
+
+
+def test_rho1_local_unitary_images_stay_saturated():
+    from cmnlab.linalg import apply_local
+
+    rng = np.random.default_rng(33)
+    data = rho1().data
+    for p in range(3):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        data = apply_local(q, data, (p,), (2, 2, 2))
+    v = detect(DensityMatrix((2, 2, 2), data))
+    bisep = [r for r in v.reports if r.criterion.startswith("cmn-bisep")]
+    assert bisep and all(r.saturated and not r.violated for r in bisep)
+    assert v.bi_entangled_partitions == ()
+
+
+def test_item1_seed104_analyze_lists_no_bi_entangled_cut(tmp_path, capsys):
+    import json
+
+    from cmnlab import cli
+
+    from conftest import item1_state
+
+    path = tmp_path / "state.json"
+    path.write_text(cli.statefile_text(item1_state(104)))
+    assert cli.main(["analyze", str(path)]) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["bi_entangled_partitions"] == []
+    banded = [r for r in verdict["reports"] if "filtering band" in r["reason"]]
+    assert {r["partition"] for r in banded} == {"A|BC", "AC|B"}
+    assert all(r["saturated"] and not r["violated"] for r in banded)
 
 
 def test_item1_seed196_analyze_exits_0(tmp_path, capsys):

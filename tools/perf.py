@@ -63,7 +63,10 @@ would pick the run whose kernel was slowed most. The rows:
   times its ops: its reference-speed time reads the kernel samples taken
   every ``speed.INTERVAL_S`` during the run, not two timings at its ends.
   Its wall time includes those samples (about 4%), so compare it only with
-  rows timed this way.
+  rows timed this way, and on ``median_s``, as for ``tier1``: the samples
+  taken during one long numpy-heavy run do not track its speed (two takes
+  of one tree read 20.26 and 19.61 s of wall time, but 20.55 and 25.93 s
+  at reference speed, in ``BENCH_36`` and ``BENCH_38``).
 - ``tier1``, only with ``--tier1``: ROADMAP's tier-1 command,
   ``python -m pytest -q --continue-on-collection-errors`` with the checkout's
   ``src/`` first on ``PYTHONPATH``, run in the checkout that holds ``--src``

@@ -45,7 +45,7 @@ ANALYZE_OPTIONS = {
     "pinf-h3": ["--p", "inf", "--h", "3"],
     "no-filter": ["--no-filter"],
 }
-RANDOM_DIMS = [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2), (2, 3), (3, 3)]
+RANDOM_DIMS = [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2), (2, 3), (3, 3), (2, 3, 3), (2, 2, 2, 2, 2)]
 # the (family, criteria, trials) of the acceptance soundness audits
 AUDITS = [
     ("fully-separable-sfnf-222", ("cmn-full-inf", "cmn-full-p1", "dvh-full"), 10_000),
