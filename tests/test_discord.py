@@ -442,6 +442,43 @@ def test_solves_match_one_trial_per_tick_oracle(name, monkeypatch):
         assert res.restart_values == want.restart_values
 
 
+# (evaluations, value) of the benchmark's five solves (tools/perf.py's stand-ins)
+# at OptimizerCfg(restarts=8, seed=s) for s = 0 .. 3, read when LAPACK took
+# every spectrum: the two-row closed form keeps each search's path
+BENCH_SOLVE_PINS = {
+    "bell-global": [(1659, 1.2499999999999991), (1598, 1.2499999999999991),
+                    (1636, 1.2499999999999991), (1606, 1.2499999999999991)],
+    "classical-cc-global": [(1740, -4.163336342344337e-17), (1686, -4.163336342344337e-17),
+                            (1661, -4.163336342344337e-17), (1629, -4.163336342344337e-17)],
+    "ghz3-global-A|BC": [(2756, 1.2499999999999991), (2642, 1.2499999999999991),
+                         (2638, 1.2499999999999991), (2673, 1.2499999999999991)],
+    "random-22-seed22-side-a": [(907, 0.044104441794881766), (869, 0.04410444179403045),
+                                (873, 0.04410444179359363), (859, 0.04410444179283085)],
+    "random-23-seed23-side-a": [(835, 0.04622180069977666), (931, 0.046221800699834836),
+                                (871, 0.04622180069969606), (876, 0.04622180069962051)],
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_SOLVE_PINS))
+def test_benchmark_solves_keep_their_search_path(name):
+    h2p1, h1p2 = CmnParams(2, 1.0), CmnParams(1, 2.0)
+    solve = {
+        "bell-global": lambda opt: global_discord_cmn(bell(1).to_density(), PART2, h2p1, opt),
+        "classical-cc-global": lambda opt: global_discord_cmn(
+            classical_state((2, 2), (0.4, 0.1, 0.2, 0.3)), PART2, h2p1, opt),
+        "ghz3-global-A|BC": lambda opt: global_discord_cmn(
+            ghz(3).to_density(), Bipartition.of((0,), 3), h2p1, opt),
+        "random-22-seed22-side-a": lambda opt: bipartite_discord_cmn(
+            random_density((2, 2), 4, 22), PART2, "a", h1p2, opt),
+        "random-23-seed23-side-a": lambda opt: bipartite_discord_cmn(
+            random_density((2, 3), 6, 23), PART2, "a", h1p2, opt),
+    }[name]
+    for seed, (evaluations, value) in enumerate(BENCH_SOLVE_PINS[name]):
+        res = solve(OptimizerCfg(restarts=8, seed=seed))
+        assert res.evaluations == evaluations
+        assert abs(res.value - value) <= 1e-15
+
+
 # (dims, part, measured parties) of the solves in _oracle_solves
 ORACLE_SHAPES = [
     ((3, 3), PART2, (0, 1)),
@@ -455,9 +492,10 @@ ORACLE_SHAPES = [
 
 @pytest.mark.parametrize("dims,part,measured", ORACLE_SHAPES)
 def test_objective_needs_no_sort(dims, part, measured, monkeypatch, rng):
-    # LAPACK returns each spectrum sorted descending and the padding zeros
-    # come last, so the objective's clamp and S_h step skip spectrum_power's
-    # sort and give its values exactly
+    # singular_values returns each spectrum sorted descending (LAPACK's and
+    # the two-row closed form's order) and the padding zeros come last, so
+    # the objective's clamp and S_h step skip spectrum_power's sort and give
+    # its values exactly
     rho = random_density(dims, 3, 620)
     spectra = _dephased_spectra(build(rho), part, measured)
     angles = rng.uniform(0, 2 * math.pi, size=(6, n_angles(dims[p] for p in measured)))

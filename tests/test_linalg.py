@@ -1,9 +1,11 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from cmnlab.cmn import CmnParams, _sorted_spectrum_power
 from cmnlab.linalg import (
     BlochVector,
     DensityMatrix,
@@ -104,7 +106,8 @@ class TestSingularValues:
         assert np.allclose(singular_values(np.eye(4)), np.ones(4))
 
     def test_symmetric_diag(self):
-        assert np.allclose(singular_values(np.diag([3.0, -2.0])), [3, 2])
+        sv = singular_values(np.diag([3.0, -2.0]))
+        assert sv.shape == (2,) and np.allclose(sv, [3, 2])
 
     def test_eigen_oracle(self, rng):
         m = rng.normal(size=(4, 16))
@@ -118,6 +121,114 @@ class TestSingularValues:
         assert (sv >= 0).all() and (np.diff(sv) <= 1e-15).all()
         perm = m[rng.permutation(5)][:, rng.permutation(7)]
         assert np.abs(singular_values(perm) - sv).max() <= 1e-10
+
+
+
+EPS = np.finfo(float).eps
+_LAPACK_SVD = np.linalg.svd  # the oracle, unpatched by no_lapack
+
+
+def _lapack(m):
+    return _LAPACK_SVD(m, compute_uv=False)
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Fail any call of LAPACK's SVD, so a spectrum must take the closed form."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+
+
+def _rank1(rng, k, n):
+    """(k, 2, n) row pairs r and λr, rounded as floats are."""
+    r = rng.normal(size=(k, 1, n))
+    return np.concatenate([r, rng.normal(size=(k, 1, 1)) * r], axis=1)
+
+
+class TestTwoRowSingularValues:
+    """The closed form of 2×n and n×2 spectra against LAPACK's."""
+
+    SHAPES = [shape for k, n in zip(range(5, 13), range(2, 10)) for shape in ((k, 2, n), (k, n, 2))]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_lapack_oracle(self, rng, shape, no_lapack):
+        m = rng.normal(size=shape) * rng.uniform(0.1, 10, size=(shape[0], 1, 1))
+        want = _lapack(m)
+        got = singular_values(m)
+        assert got.shape == want.shape == (shape[0], 2)
+        assert (np.abs(got - want) <= 8 * EPS * want[:, :1]).all()
+        assert (got[:, 0] >= got[:, 1]).all() and (got >= 0).all()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_rank1_pairs_clamp_as_lapack(self, rng, transpose, no_lapack):
+        for n in range(2, 10):
+            m = _rank1(rng, 40, n)
+            if transpose:
+                m = m.swapaxes(-1, -2)
+            got, want = singular_values(m), _lapack(m)
+            assert (got[:, 1] <= 4 * EPS * got[:, 0]).all()
+            assert (np.abs(got[:, 0] - want[:, 0]) <= 8 * EPS * want[:, 0]).all()
+            for p in (1.0, 2.0, math.inf):
+                # SV_CLAMP zeroes σ₂ on both routes, so h = 2 reads 0 on both
+                params = CmnParams(2, p)
+                mine = _sorted_spectrum_power(got, params)
+                assert np.array_equal(mine, _sorted_spectrum_power(want, params))
+                assert (mine == 0).all()
+
+    def test_zero_matrices_and_first_rows(self, rng):
+        # a zero first row (a = 0) lies outside TWO_ROW_RANGE, so its stack goes to LAPACK
+        m = rng.normal(size=(6, 2, 3))
+        m[[1, 4]] = 0
+        m[2, 0] = 0
+        got = singular_values(m)
+        assert np.array_equal(got[[1, 4]], np.zeros((2, 2)))
+        assert np.array_equal(got, _lapack(m))
+        assert np.array_equal(singular_values(np.zeros((2, 5))), np.zeros(2))
+
+    def test_zero_second_row(self, rng, no_lapack):
+        m = rng.normal(size=(4, 2, 5))
+        m[:, 1] = 0
+        norms = np.linalg.norm(m[:, 0], axis=-1)
+        assert np.array_equal(singular_values(m)[:, 1], np.zeros(4))
+        assert np.allclose(singular_values(m)[:, 0], norms, rtol=1e-15, atol=0)
+
+    def test_orthogonal_rows_of_equal_norm(self, rng, no_lapack):
+        for n in range(2, 10):
+            q = np.linalg.qr(rng.normal(size=(n, 2)))[0]  # orthonormal columns
+            scale = rng.uniform(0.1, 10)
+            sv = singular_values(scale * q.T)
+            assert sv[0] >= sv[1] and np.abs(sv - scale).max() <= 4 * EPS * scale
+
+    def test_one_row_or_column_stays_with_lapack(self, rng):
+        for shape in ((5, 2, 1), (5, 1, 2)):
+            m = rng.normal(size=shape)
+            got = singular_values(m)
+            assert got.shape == (5, 1)
+            assert np.allclose(got[:, 0], np.linalg.norm(m.reshape(5, 2), axis=1), rtol=1e-15)
+
+    def test_nan_raises_as_lapack(self, rng):
+        for shape in ((4, 2, 3), (4, 3, 2), (2, 2)):
+            m = rng.normal(size=shape)
+            m[..., 1, 0] = np.nan
+            with pytest.raises(np.linalg.LinAlgError):
+                singular_values(m)
+
+    def test_inf_spectra_as_lapack(self, rng):
+        # LAPACK gives the matrix that holds inf a NaN spectrum, and raises nothing
+        m = rng.normal(size=(4, 2, 3))
+        m[2, 1, 0] = np.inf
+        assert np.array_equal(singular_values(m), _lapack(m), equal_nan=True)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_entries(self, rng, scale, no_lapack):
+        m = rng.normal(size=(9, 2, 9)) * scale
+        m[::2, 1] = m[::2, 0] * 0.5 + m[::2, 1] * 1e-9  # σ₂ ~ 1e-9 σ₁
+        want = _lapack(m)
+        got = singular_values(m)
+        assert np.isfinite(got).all() and (got[:, 1] > 0).all()
+        assert (np.abs(got - want) <= 8 * EPS * want[:, :1]).all()
 
 
 class TestDensityMatrixValidation:

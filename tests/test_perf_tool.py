@@ -35,6 +35,9 @@ def test_smallest_run_writes_the_schema(tmp_path):
     names = [row["name"] for row in doc["rows"]]
     assert names == ([f"objective/{s}/{r}" for s in ("bell-global", "ghz3-global-A|BC")
                       for r in (8, 32)]
+                     + [f"objective/{s}/8" for s in ("classical-cc-global",
+                                                     "random-22-seed22-side-a",
+                                                     "random-23-seed23-side-a")]
                      + [f"solve/{s}/8" for s in SOLVES]
                      + ["solve/bell-global/32", "solve/ghz3-global-A|BC/32",
                         "solve/bell-global/1"]
@@ -51,8 +54,10 @@ def test_smallest_run_writes_the_schema(tmp_path):
         assert row["ref_median_s"] > 0
         assert row["runs"] == 1
         if row["kind"] == "objective":
-            # a tick of every restart: 2 slots per angle, 4 angles for Bell and 6 for GHZ-3
-            assert row["points"] == row["restarts"] * 2 * (4 if "bell" in row["name"] else 6)
+            # a tick of every restart: 2 slots per angle, 4 angles for a global
+            # solve over (2,2), 6 for GHZ-3's and 2 for a one-sided solve
+            angles = 6 if "ghz3" in row["name"] else 4 if "global" in row["name"] else 2
+            assert row["points"] == row["restarts"] * 2 * angles
         elif row["kind"] == "solve":
             assert row["seeds"] == [0, 1, 2, 3] and row["evaluations"] >= row["restarts"]
         elif row["kind"] == "analyze":
