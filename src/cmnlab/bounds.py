@@ -4,6 +4,7 @@ criterion, and the detection sweep over every reduced state."""
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -262,6 +263,8 @@ def _cut_plan(dims, j, h, ps, kind):
     for name, gated, fail in jobs:
         ok, why = (False, fail) if fail else CRITERIA[name].preconditions(dims, d_a, d_b, h)
         bound = float(CRITERIA[name].bound(dims, d_a, d_b, h)) if ok else None
+        if ok and bound < sys.float_info.min:  # a subnormal or zero bound certifies nothing
+            ok, why, bound = False, f"h={h} bound {bound:.3g} is below the normal float range", None
         size = [d * d - (ok and CRITERIA[name].p is None) for d in dims]  # dVH: the interior
         rank = min(math.prod(size[i] for i in part.side_a), math.prod(size[i] for i in part.side_b))
         plan.append((name, h, gated, ok, why, bound, rank))

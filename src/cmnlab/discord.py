@@ -13,8 +13,8 @@ from itertools import accumulate
 import numpy as np
 
 from .basis import normalized_generalized_gell_mann
-from .cmn import CmnParams, _sorted_spectrum_power, spectrum_power
-from .linalg import DensityMatrix, apply_local, hermitize, singular_values
+from .cmn import CmnParams, _sorted_spectrum_power, _two_value_power, spectrum_power
+from .linalg import DensityMatrix, apply_local, hermitize, singular_values, two_row_singular_values
 from .tensor import Bipartition, CorrelationTensor, build, matricize
 
 PROJECTOR_TOL = 1e-10
@@ -118,10 +118,10 @@ def _qubit_coordinates(angles):
     to rounding, to the Givens route through unitaries_from_angles."""
     theta, phi = angles[..., 0], angles[..., 1]
     sin = np.sin(theta)
-    n = np.stack([sin * np.cos(phi), sin * np.sin(phi), np.cos(theta)], axis=-1)
     v = np.empty(angles.shape[:-1] + (4, 2))
     v[..., 0, :] = 1.0
-    v[..., 1:, 0], v[..., 1:, 1] = n, -n
+    v[..., 1, 0], v[..., 2, 0], v[..., 3, 0] = sin * np.cos(phi), sin * np.sin(phi), np.cos(theta)
+    v[..., 1:, 1] = -v[..., 1:, 0]
     return v * math.sqrt(0.5)
 
 
@@ -287,19 +287,18 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
     return final_best, final_x, evals
 
 
-def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
-    """Map a (k, n_angles) array of measurement angles for the ``measured``
-    parties (ascending; each side of ``part`` measured whole or not at all)
-    to the k singular spectra of the dephased state's matricization, without
-    leaving correlation space.
+def _dephasing(t: CorrelationTensor, part: Bipartition, measured):
+    """``(dephase, pad)``: ``dephase`` maps a (k, n_angles) array of angles for
+    the ``measured`` parties (ascending; each side of ``part`` measured whole
+    or not at all) to the k dephased matricizations, without leaving
+    correlation space; ``pad`` pads their spectra with zeros to the
+    undisturbed length, so that every h the undisturbed one allows works.
 
     Dephasing party p maps its axis of T through V_p V_pᵀ. V_p has
     orthonormal columns, so contracting with V_p alone keeps the nonzero
     spectrum: a measured side's factor F, the Kronecker product of its
     parties' V_p, takes the matricization M to Fᵀ·M on side A and M·F on
-    side B. Zeros pad the spectrum back to the undisturbed length, so every
-    h that the undisturbed matricization allows still works. All that does
-    not depend on the angles is set up once, here.
+    side B. All that does not depend on the angles is set up once, here.
     """
     measured_dims = tuple(t.dims[p] for p in measured)
     # per measured side, the positions of its parties among ``measured``
@@ -310,17 +309,23 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
     m = matricize(t, part)
     full = min(m.shape)  # the undisturbed spectrum's length
 
-    def spectra(angles):
+    def dephase(angles):
         vs = _party_coordinates(measured_dims, angles)
         c = m
         if a:
             c = np.swapaxes(_side_factor([vs[q] for q in a]), -1, -2) @ c
-        if b:
-            c = c @ _side_factor([vs[q] for q in b])
-        sigma = singular_values(c)
+        return c @ _side_factor([vs[q] for q in b]) if b else c
+
+    def pad(sigma):
         return np.concatenate([sigma, np.zeros((len(sigma), full - sigma.shape[1]))], axis=1)
 
-    return spectra
+    return dephase, pad
+
+
+def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
+    """Angles -> the zero-padded spectra of :func:`_dephasing`'s matricizations."""
+    dephase, pad = _dephasing(t, part, measured)
+    return lambda angles: pad(singular_values(dephase(angles)))
 
 
 def _discord(rho, part, params, opt, measured_parties):
@@ -328,11 +333,15 @@ def _discord(rho, part, params, opt, measured_parties):
     base = spectrum_power(singular_values(matricize(t, part)), params)[0]
     dims = rho.dims
     measured = sorted(set(int(p) for p in measured_parties))
-    spectra = _dephased_spectra(t, part, measured)
+    dephase, pad = _dephasing(t, part, measured)
 
     def objective(angles):
+        c = dephase(angles)
+        sigma = two_row_singular_values(c)
+        if sigma is not None:  # two rows or two columns: σ₁ and σ₂ alone
+            return _two_value_power(sigma, params)
         # each spectrum is sorted descending (LAPACK's order, zeros padded last)
-        return _sorted_spectrum_power(spectra(angles), params)
+        return _sorted_spectrum_power(pad(singular_values(c)), params)
 
     values, points, evals = _lockstep_search(objective, n_angles(dims[p] for p in measured), opt)
     order = np.argsort(-values, kind="stable")  # ties go to the earlier restart

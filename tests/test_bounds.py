@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,6 +10,7 @@ from cmnlab.bounds import (
     CRITERIA,
     FILTER_BAND,
     DetectConfig,
+    _cut_plan,
     bisep_bound_inf,
     bisep_bound_p1,
     bisep_preconditions_inf,
@@ -170,6 +172,33 @@ def test_default_h_inf_and_p1_reports_are_one_test(dims):
                 assert rest == "" or rest.startswith("tightness condition D<=d^3 not met")
                 valued += inf.preconditions_met
     assert valued
+
+
+@pytest.mark.parametrize("d,bound", [(11, 3.0884144100765635e-256), (12, 2.013729765e-315),
+                                     (13, 0.0)])
+def test_bounds_below_the_normal_float_range_certify_nothing(d, bound):
+    """At the default h = d² the M_{h,p} bounds of (d, d) leave the normal
+    float range from d = 12. A zero bound is exceeded by any nonzero
+    product, and a subnormal one has too few bits for the relative
+    comparison, so either makes the entry inconclusive; on (11, 11) the
+    entry stays a comparison."""
+    h = d * d
+    for kind in ("bisep", "full"):
+        for name, eh, _, ok, why, got, _ in _cut_plan((d, d), 0, None, (1.0, math.inf), kind):
+            if not name.startswith("cmn-"):
+                continue
+            assert eh == h and float(CRITERIA[name].bound((d, d), d, d, h)) == bound
+            if bound >= sys.float_info.min:
+                assert (ok, why, got) == (True, "", bound), name
+            else:
+                assert not ok and got is None, name
+                assert why == f"h={h} bound {bound:.3g} is below the normal float range", name
+    if d > 11:  # detect reports such an entry as unmet preconditions, valued nan
+        v = detect(random_density((d, d), 4, 1), DetectConfig(ps=(1.0, math.inf)))
+        for r in v.reports:
+            if r.criterion.startswith("cmn-bisep"):
+                assert not r.preconditions_met and math.isnan(r.value) and not r.violated
+                assert r.reason.startswith(f"h={h} bound")
 
 
 class TestDvh:

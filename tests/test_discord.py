@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cmnlab import discord
-from cmnlab.cmn import SV_CLAMP, CmnParams, _sorted_spectrum_power, spectrum_power
+from cmnlab.cmn import (SV_CLAMP, CmnParams, _sorted_spectrum_power, _two_value_power,
+                        spectrum_power)
 from cmnlab.discord import (
     GAIN_TOL,
     MeasurementFamily,
@@ -490,7 +491,11 @@ ORACLE_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("dims,part,measured", ORACLE_SHAPES)
+# the two-column case: (2,2,2) cut AB|C, every party measured, 4×2 dephased matrices
+AB_C = ((2, 2, 2), Bipartition.of((0, 1), 3), (0, 1, 2))
+
+
+@pytest.mark.parametrize("dims,part,measured", ORACLE_SHAPES + [AB_C])
 def test_objective_needs_no_sort(dims, part, measured, monkeypatch, rng):
     # singular_values returns each spectrum sorted descending (LAPACK's and
     # the two-row closed form's order) and the padding zeros come last, so
@@ -519,6 +524,45 @@ def test_objective_needs_no_sort(dims, part, measured, monkeypatch, rng):
             assert np.array_equal(_sorted_spectrum_power(sigma, params), want)
             discord._discord(rho, part, params, OptimizerCfg(restarts=1), measured)
             assert np.array_equal(objectives.pop()(angles), want[:len(angles)])
+
+
+def _objective(rho, part, params, measured, monkeypatch):
+    """The objective that ``_discord`` hands to its search."""
+    objectives = []
+    monkeypatch.setattr(discord, "_lockstep_search", lambda objective, n_params, cfg: (
+        objectives.append(objective) or (np.zeros(1), np.zeros((1, n_params)), np.ones(1))))
+    discord._discord(rho, part, params, OptimizerCfg(restarts=1), measured)
+    return objectives.pop()
+
+
+@pytest.mark.parametrize("dims,part,measured", ORACLE_SHAPES[2:] + [AB_C])
+def test_two_value_route_matches_the_padded_route(dims, part, measured, monkeypatch, rng):
+    # every dephased matrix here has two rows or two columns, so the objective
+    # forms [M_{h,p}]^p of σ₁ and σ₂ alone; the padded route (singular_values,
+    # zero padding, the general sweep) is forced by making the closed form
+    # decline. A product state's dephased matrices have rank 1, and the clamp
+    # zeroes what rounding leaves of σ₂.
+    product = random_fully_separable(dims, 1, 621)
+    angles = rng.uniform(0, 2 * math.pi, size=(6, n_angles(dims[p] for p in measured)))
+    for rho in (random_density(dims, 3, 620), product):
+        sigma = _dephased_spectra(build(rho), part, measured)(angles)
+        clamped = sigma[:, 1] < SV_CLAMP * sigma[:, 0]
+        assert (sigma[:, 0] > 0).all() and (clamped.all() if rho is product else not clamped.any())
+        for p in (0.5, 1.0, 2.0, 3.0, math.inf):
+            for h in range(1, sigma.shape[1] + 1):
+                params = CmnParams(h, p)
+                with monkeypatch.context() as mp:
+                    route = []
+                    mp.setattr(discord, "_two_value_power", lambda s, params: (
+                        route.append(s.shape) or _two_value_power(s, params)))
+                    got = _objective(rho, part, params, measured, mp)(angles)
+                    assert route == [(len(angles), 2)]
+                with monkeypatch.context() as mp:
+                    mp.setattr(discord, "two_row_singular_values", lambda m: None)
+                    padded = _objective(rho, part, params, measured, mp)(angles)
+                assert np.array_equal(got, padded)
+                assert np.array_equal(got, spectrum_power(sigma, params))
+                assert h == 1 or rho is not product or not got.any()
 
 
 class TestOptimizerCfg:
@@ -600,15 +644,19 @@ class TestDiscordValues:
         assert abs(res.value - 1.25) <= 1e-15
 
     def test_objective_calls_of_a_fixed_solve(self, monkeypatch):
-        # the undisturbed spectrum, the starting points and one call per tick
+        # the undisturbed spectrum, then the starting points and one call per
+        # tick, each of whose 2×4 dephased matrices takes the two-value route
         calls = []
-        monkeypatch.setattr(discord, "singular_values",
-                            lambda m: calls.append(np.shape(m)) or singular_values(m))
+        for name in ("singular_values", "two_row_singular_values"):
+            route = getattr(discord, name)
+            monkeypatch.setattr(discord, name, lambda m, name=name, route=route:
+                                calls.append((name, np.shape(m))) or route(m))
         global_discord_cmn(ghz(3, 2).to_density(), Bipartition.of((0,), 3), CmnParams(2, 1.0),
                            OptimizerCfg(restarts=8, seed=0))
         # 53 ticks; scoring only the rest of each sweep took 76
-        assert len(calls) == 55
-        assert calls[1] == (8, 2, 4) and calls[2] == (8 * 12, 2, 4)
+        assert len(calls) == 55 and calls[0] == ("singular_values", (4, 16))
+        assert {name for name, _ in calls[1:]} == {"two_row_singular_values"}
+        assert calls[1][1] == (8, 2, 4) and calls[2][1] == (8 * 12, 2, 4)
 
     def test_bell_full_minor_inf(self, fast):
         # every dephased spectrum has rank <= 2, so the h = 4 product of the

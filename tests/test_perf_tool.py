@@ -34,7 +34,7 @@ def test_smallest_run_writes_the_schema(tmp_path):
                                "objective_calls": 20}
     names = [row["name"] for row in doc["rows"]]
     assert names == ([f"objective/{s}/{r}" for s in ("bell-global", "ghz3-global-A|BC")
-                      for r in (8, 32)]
+                      for r in (1, 8, 32)]
                      + [f"objective/{s}/8" for s in ("classical-cc-global",
                                                      "random-22-seed22-side-a",
                                                      "random-23-seed23-side-a")]

@@ -25,27 +25,43 @@ def test_small_corpus_is_stable():
     assert "analyze/w-3/default/json" in labels
 
 
-def test_typed_errors_are_recorded_as_raised():
+def _load_tool():
     import importlib.util
-
-    from cmnlab.linalg import ValidationError
-    from cmnlab.normal_form import FilteringError
 
     spec = importlib.util.spec_from_file_location("same_answers", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
 
-    def raising(exc):
-        def run():
-            raise exc
-        return run
+
+def raising(exc):
+    def run():
+        raise exc
+    return run
+
+
+def test_typed_errors_are_recorded_as_raised():
+    from cmnlab.linalg import ValidationError
+    from cmnlab.normal_form import FilteringError
+
+    tool = _load_tool()
 
     assert tool.outcome(lambda: "text") == "text"
     assert tool.outcome(raising(ValidationError("not Hermitian"))) == (
         "raised ValidationError: not Hermitian")
     assert tool.outcome(raising(FilteringError("stalled"))) == "raised FilteringError: stalled"
-    with pytest.raises(TypeError):
-        tool.outcome(raising(TypeError("a bug, not an answer")))
+
+
+def test_any_exception_is_one_line_of_the_corpus():
+    # a run that crashes with an untyped error becomes its own line; only what
+    # is not an Exception (an interrupt, an exit) still ends the corpus
+    tool = _load_tool()
+
+    assert tool.outcome(raising(IndexError("index 2 is out of bounds"))) == (
+        "raised IndexError: index 2 is out of bounds")
+    assert tool.outcome(raising(TypeError("a bug"))) == "raised TypeError: a bug"
+    with pytest.raises(KeyboardInterrupt):
+        tool.outcome(raising(KeyboardInterrupt()))
 
 
 def test_text_lines_hash_to_the_sha_lines():

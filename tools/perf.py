@@ -17,10 +17,11 @@ would pick the run whose kernel was slowed most. The rows:
 
 - ``objective/<solve>/<restarts>``: one call of the solve's objective, on the
   points of a search tick in which no restart has finished (restarts x 2n
-  points for n angles), on fixed random angles: Bell and GHZ-3 at 8 and 32
-  restarts, and classical-cc and the two one-sided solves at 8, so that each
-  shape of dephased matricization that the benchmark's solves take (2×2,
-  2×4 and 2×9) is timed;
+  points for n angles), on fixed random angles: Bell and GHZ-3 at 1, 8 and
+  32 restarts, and classical-cc and the two one-sided solves at 8, so that
+  each shape of dephased matricization that the benchmark's solves take
+  (2×2, 2×4 and 2×9) is timed, and so is the fixed cost of a call on a
+  small tick (8 and 12 points at one restart);
 - ``solve/<solve>/<restarts>``: one whole solve, averaged over the optimizer
   seeds 0 .. 3; ``evaluations`` sums their trial counts, so two versions that
   search alike show equal counts;
@@ -447,7 +448,7 @@ def planned_rows(workdir, large=False):
     table = solves()
     for name in ("bell-global", "ghz3-global-A|BC"):
         n_params, solve = table[name]
-        for restarts in (8, 32):
+        for restarts in (1, 8, 32):
             yield objective_work(name, n_params, solve, restarts)
     for name in ("classical-cc-global", "random-22-seed22-side-a", "random-23-seed23-side-a"):
         yield objective_work(name, *table[name], 8)

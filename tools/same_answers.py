@@ -116,12 +116,13 @@ def sha(text):
 
 
 def outcome(run):
-    """``run()``, or ``raised <Type>: <message>`` if it raises one of
-    cmnlab's typed errors: a ValueError (numpy's LinAlgError is one) or a
-    RuntimeError."""
+    """``run()``, or ``raised <Type>: <message>`` if it raises an exception:
+    one of cmnlab's typed errors (a ValueError, numpy's LinAlgError among
+    them, or a RuntimeError) or any other, so that a crash is one line of
+    the corpus and not the end of it."""
     try:
         return run()
-    except (ValueError, RuntimeError) as exc:
+    except Exception as exc:
         return f"raised {type(exc).__name__}: {exc}"
 
 
