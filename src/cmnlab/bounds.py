@@ -20,6 +20,7 @@ from .tensor import Bipartition, _matricize_array, build_stack, iter_bipartition
 
 EPS_CMP = 1e-9  # relative comparison tolerance for value-vs-bound verdicts
 FILTER_BAND = 1e-6  # relative margin a filtered report must exceed to be violated (empirical)
+FILTERED = "after SLOCC filtering"  # the note that starts a filtered report's reason
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ def _state_reports(states, cfg):
                 if kind == "bisep" and not lost_m:
                     r = own[j]
                     if (m, j) in at:
-                        src, note = at[m, j], "after SLOCC filtering; "
+                        src, note = at[m, j], FILTERED
                         r = src[2][j]
                     gate = "" if r <= tol else lost.get((m, j), f"not in FNF (residual {r:.3e})")
                 for name, h, gated, ok, why, bound, rank in _cut_plan(m[0], j, cfg.h, ps, kind):
@@ -344,7 +345,7 @@ def _state_reports(states, cfg):
                     rows = matrices.setdefault(key, [CRITERIA[name], part, {}])[2]
                     pending.setdefault((name, h, rank), []).append(
                         (node, len(node), key, rows.setdefault(src[1], len(rows)), bound,
-                         (note if gated else "") + why))
+                         "; ".join(filter(None, (note if gated else "", why)))))
                     node.append(part)  # until its value is known
 
     # one SVD per matrix shape, then one value and compare call per (criterion, h, rank)
@@ -366,9 +367,9 @@ def _state_reports(states, cfg):
         rows = zip(entries, values.tolist(), violated.tolist(), saturated.tolist())
         for (node, i, _, _, bound, why), value, v, s in rows:
             # a filtered state lies a residual away from the FNF that the bound assumes
-            if v and why.startswith("after SLOCC") and value - bound <= FILTER_BAND * bound:
+            if v and why.startswith(FILTERED) and value - bound <= FILTER_BAND * bound:
                 v, s = False, True
-                why = why.replace("; ", "; within the empirical filtering band; ", 1)
+                why = why.replace(FILTERED, f"{FILTERED}; within the empirical filtering band", 1)
             node[i] = BoundReport(node[i], name, value, bound, v, s, True, why)
     return {m: tuple(node) for m, node in reports.items()}
 

@@ -206,15 +206,18 @@ class OptimizerCfg:
 
 @dataclass(frozen=True)
 class DiscordResult:
-    """``value`` is an upper bound on the discord: ``best_measurement``, the
-    best measurement found, is a witness, so a better maximizer can only
-    lower ``value``. ``evaluations`` counts the trials a one-point-at-a-time
-    search would make, not the points scored: the search scores each
-    restart's whole neighbourhood at once and discards the trials after its
-    first improvement. ``restart_evaluations`` and ``restart_values`` give,
-    per restart in restart order, that trial count (they sum to
-    ``evaluations``) and the final objective, the dephased CMN power the
-    search maximizes."""
+    """``method`` says how ``value`` was reached. From a "closed form" it is
+    the discord, exact up to rounding; from a "search" it is an upper bound:
+    ``best_measurement``, the best measurement found, is a witness, so a
+    better maximizer can only lower ``value``. ``evaluations`` counts the
+    trials a one-point-at-a-time search would make, not the points scored:
+    the search scores each restart's whole neighbourhood at once and
+    discards the trials after its first improvement. ``restart_evaluations``
+    and ``restart_values`` give, per restart in restart order, that trial
+    count (they sum to ``evaluations``) and the final objective, the
+    dephased CMN power the search maximizes. A closed form makes no trials:
+    ``evaluations`` is 0, both tuples are empty, ``restart_spread`` is 0 and
+    ``converged`` is true."""
 
     value: float
     best_measurement: MeasurementFamily
@@ -224,6 +227,7 @@ class DiscordResult:
     restart_spread: float  # best minus worst final objective across restarts
     restart_evaluations: tuple
     restart_values: tuple
+    method: str  # "closed form" or "search"
 
 
 def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
@@ -328,7 +332,40 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
     return lambda angles: pad(singular_values(dephase(angles)))
 
 
-def _discord(rho, part, params, opt, measured_parties):
+def _columns(dims, parties):
+    """The columns of ``parties``' angles in an angle vector of all of ``dims``."""
+    starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
+    return [c for p in parties for c in range(starts[p], starts[p + 1])]
+
+
+def _top(values):
+    """The best restart; ties go to the earlier one."""
+    return np.argsort(-values, kind="stable")[0]
+
+
+def _outcome(base, best, dims, measured, angles, values=None, evals=None):
+    """The result for the largest dephased power ``best``, reached at
+    ``angles`` (every party's, 0 on the unmeasured ones): a closed form's, or,
+    given each restart's final value and trial count, a search's."""
+    closed = values is None
+    if closed:
+        values, evals = np.zeros(0), np.zeros(0, dtype=int)
+    ranked = -np.sort(-values)
+    return DiscordResult(
+        value=float(base - best),
+        best_measurement=measurement_from_angles(dims, angles),
+        evaluations=int(evals.sum()),
+        converged=closed or bool(len(values) > 1 and ranked[0] - ranked[1] <= CONVERGED_TOL),
+        best_angles=tuple(float(a) for a in angles[_columns(dims, measured)]),
+        restart_spread=0.0 if closed else float(best - values.min()),
+        restart_evaluations=tuple(int(e) for e in evals),
+        restart_values=tuple(float(v) for v in values),
+        method="closed form" if closed else "search",
+    )
+
+
+def _search(rho, part, params, opt, measured_parties):
+    """The discord by the coordinate search over every measured party's angles."""
     t = build(rho)
     base = spectrum_power(singular_values(matricize(t, part)), params)[0]
     dims = rho.dims
@@ -344,24 +381,107 @@ def _discord(rho, part, params, opt, measured_parties):
         return _sorted_spectrum_power(pad(singular_values(c)), params)
 
     values, points, evals = _lockstep_search(objective, n_angles(dims[p] for p in measured), opt)
-    order = np.argsort(-values, kind="stable")  # ties go to the earlier restart
-    top = order[0]
-    converged = len(values) > 1 and values[top] - values[order[1]] <= CONVERGED_TOL
-
+    top = _top(values)
     # unmeasured parties keep the computational basis: all their angles are 0
-    starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
-    angles = np.zeros(starts[-1])
-    angles[[c for p in measured for c in range(starts[p], starts[p + 1])]] = points[top]
-    return DiscordResult(
-        value=float(base - values[top]),
-        best_measurement=measurement_from_angles(dims, angles),
-        evaluations=int(evals.sum()),
-        converged=bool(converged),
-        best_angles=tuple(float(a) for a in points[top]),
-        restart_spread=float(values[top] - values.min()),
-        restart_evaluations=tuple(int(e) for e in evals),
-        restart_values=tuple(float(v) for v in values),
-    )
+    angles = np.zeros(n_angles(dims))
+    angles[_columns(dims, measured)] = points[top]
+    return _outcome(base, values[top], dims, measured, angles, values, evals)
+
+
+def _bloch_angles(n):
+    """(θ, φ) of the qubit basis whose first vector has Bloch vector ``n``."""
+    return np.arccos(np.clip(n[2], -1, 1)), np.arctan2(n[1], n[0])
+
+
+def _qubit_forms(c, params):
+    """For each matrix of the stack ``c`` (k, 4, N), whose rows are a measured
+    qubit's coordinates: the largest [M_{h,p}]^p over that qubit's bases, at
+    h = 2 or (h, p) = (1, 2), and the 3×3 matrix whose top eigenvector is the
+    best Bloch vector n.
+
+    Measuring along n leaves the two rows m₀ and nᵀM_v (rows 0 and 1..3 of
+    the matrix), rotated. At h = 1, p = 2 the objective is σ₁² + σ₂² =
+    |m₀|² + nᵀM_vM_vᵀn. At h = 2 it is (σ₁σ₂)ᵖ, and σ₁²σ₂² = nᵀQn with
+    Q = |m₀|²·M_vM_vᵀ − (M_vm₀)(M_vm₀)ᵀ = |m₀|²·RRᵀ, where R is M_v less its
+    rows' projections on m₀: formed from R, Q keeps full accuracy where
+    σ₁σ₂ is near 0."""
+    m0, mv = c[:, 0], c[:, 1:]
+    norm2 = np.einsum("ki,ki->k", m0, m0)
+    if params.h == 2:
+        mv = mv - np.einsum("kvi,ki->kv", mv, m0 / norm2[:, None])[:, :, None] * m0[:, None, :]
+    g = np.einsum("kvi,kwi->kvw", mv, mv)
+    top = np.linalg.eigvalsh(g)[:, -1]
+    if params.h == 1:
+        return norm2 + top, g
+    prod2 = np.maximum(norm2 * top, 0.0)  # the largest σ₁²σ₂²
+    return (np.sqrt(prod2) if math.isinf(params.p) else prod2 ** (params.p / 2)), g
+
+
+def _discord(rho, part, params, opt, measured_parties):
+    """The discord when the ``measured_parties`` (each side of ``part`` whole
+    or not at all) are measured, in closed form where it has one (RESULTS.md,
+    "Exact discord where a measured side is one qubit"): an h above the
+    dephased matrix's rank leaves nothing; one measured qubit beside an
+    unmeasured side takes its best basis directly at h = 2, or h = 1 with
+    p = 2 or ∞, and two measured qubits at h = 2; beside another measured
+    side, at h = 2 or h = 1 with p = 2, only that side's angles are searched.
+    Every other solve is :func:`_search`'s."""
+    dims = rho.dims
+    measured = sorted(set(int(p) for p in measured_parties))
+    sides = [s for s in (part.side_a, part.side_b) if set(s) <= set(measured)]
+    if sum(map(len, sides)) != len(measured):
+        return _search(rho, part, params, opt, measured)  # it rejects the input
+    t = build(rho)
+    m = matricize(t, part)
+    base = spectrum_power(singular_values(m), params)[0]
+    angles = np.zeros(n_angles(dims))
+    # the dephased matrix's sides: d for a measured side, d² for an unmeasured one
+    rank = min(math.prod(dims[p] for p in s) ** (1 if s in sides else 2)
+               for s in (part.side_a, part.side_b))
+    if params.h > rank:  # every h-fold product holds a zero
+        return _outcome(base, 0.0, dims, measured, angles)
+    qubits = [s for s in sides if len(s) == 1 and dims[s[0]] == 2]
+    if not qubits:
+        return _search(rho, part, params, opt, measured)
+    q = qubits[0]
+    c = m if q == part.side_a else m.T  # the qubit's coordinates on the rows
+    h2, h1p2 = params.h == 2, (params.h, params.p) == (1, 2.0)
+    if len(sides) == 1:
+        if h2 or h1p2:
+            best, g = _qubit_forms(c[None], params)
+            angles[_columns(dims, q)] = _bloch_angles(np.linalg.eigh(g[0])[1][:, -1])
+            return _outcome(base, best[0], dims, measured, angles)
+        if params.h == 1 and math.isinf(params.p):
+            # σ₁ of M: its top left singular vector u lies in span{e₀, (0, n)}
+            u = np.linalg.svd(c)[0][:, 0]
+            if u[1:].any():
+                angles[_columns(dims, q)] = _bloch_angles(u[1:] / np.linalg.norm(u[1:]))
+            return _outcome(base, base, dims, measured, angles)
+    elif len(qubits) == 2 and h2:
+        # σ₁σ₂ = |n_Aᵀ K n_B|, the determinant of the dephased 2×2 matrix
+        k = c[0, 0] * c[1:, 1:] - np.outer(c[1:, 0], c[0, 1:])
+        u, s, vt = np.linalg.svd(k)
+        best = s[0] if math.isinf(params.p) else s[0] ** params.p
+        angles[_columns(dims, part.side_a)] = _bloch_angles(u[:, 0])
+        angles[_columns(dims, part.side_b)] = _bloch_angles(vt[0])
+        return _outcome(base, best, dims, measured, angles)
+    elif h2 or h1p2:
+        # search only the other side's angles, the qubit's best n at each point
+        other = part.side_b if q == part.side_a else part.side_a
+        dephase, _ = _dephasing(t, part, list(other))
+
+        def rows(points):  # the dephased matrices, the qubit's coordinates on the rows
+            d = dephase(points)
+            return d if q == part.side_a else np.swapaxes(d, -1, -2)
+
+        values, points, evals = _lockstep_search(
+            lambda x: _qubit_forms(rows(x), params)[0], n_angles(dims[p] for p in other), opt)
+        top = _top(values)
+        g = _qubit_forms(rows(points[top:top + 1]), params)[1]
+        angles[_columns(dims, other)] = points[top]
+        angles[_columns(dims, q)] = _bloch_angles(np.linalg.eigh(g[0])[1][:, -1])
+        return _outcome(base, values[top], dims, measured, angles, values, evals)
+    return _search(rho, part, params, opt, measured)
 
 
 def bipartite_discord_cmn(rho: DensityMatrix, part: Bipartition, side: str,

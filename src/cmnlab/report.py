@@ -138,6 +138,7 @@ def discord_result_to_dict(res, partition_label):
         "restart_spread": res.restart_spread,
         "restart_evaluations": list(res.restart_evaluations),
         "restart_values": list(res.restart_values),
+        "method": res.method,
     }
 
 

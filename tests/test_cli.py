@@ -680,13 +680,15 @@ class TestDiscord:
         assert result["restart_spread"] >= 0
 
     def test_reports_per_restart_diagnostics(self, capsys):
-        code, out, _ = run(capsys, "discord", "zoo:bell-phi-plus",
+        # GHZ-3's A|BC solve searches BC's angles
+        code, out, _ = run(capsys, "discord", "zoo:ghz-3-2",
                            "--restarts", "4", "--partition", "0")
         assert code == EXIT_OK
         result = json.loads(out)["results"][0]
         # the new keys trail the existing ones, which keep their order
         assert list(result) == ["partition", "value", "evaluations", "converged", "best_angles",
-                                "restart_spread", "restart_evaluations", "restart_values"]
+                                "restart_spread", "restart_evaluations", "restart_values",
+                                "method"]
         counts, values = result["restart_evaluations"], result["restart_values"]
         assert len(counts) == len(values) == 4
         assert sum(counts) == result["evaluations"]

@@ -42,7 +42,7 @@ def cut_reports(tensor, dims, part, cfg, kind, gate, note=""):
         value = float(CRITERIA[name].values(tensor.data[None], part, h)[0])
         bound = float(CRITERIA[name].bound(dims, d_a, d_b, h))
         reports.append(BoundReport(part, name, value, bound, *compare(value, bound), True,
-                                   prefix + why))
+                                   "; ".join(filter(None, (prefix, why)))))
     return reports
 
 
@@ -56,7 +56,7 @@ def bisep_reports(tensor, dims, part, cfg, rho):
             filtered = filter_to_fnf(rho, tol=cfg.fnf_tol, groups=[part.side_a, part.side_b])
             tensor = build(filtered)
             fnf_res = fnf_residual(tensor, part)
-            note = "after SLOCC filtering; "
+            note = "after SLOCC filtering"
         except FilteringError as exc:
             failed = str(exc)
     gate = "" if fnf_res <= cfg.fnf_tol else failed or f"not in FNF (residual {fnf_res:.3e})"

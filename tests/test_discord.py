@@ -8,6 +8,7 @@ from cmnlab import discord
 from cmnlab.cmn import (SV_CLAMP, CmnParams, _sorted_spectrum_power, _two_value_power,
                         spectrum_power)
 from cmnlab.discord import (
+    CONVERGED_TOL,
     GAIN_TOL,
     MeasurementFamily,
     OptimizerCfg,
@@ -23,7 +24,8 @@ from cmnlab.discord import (
 )
 from cmnlab.linalg import DensityMatrix, singular_values
 from cmnlab.tensor import Bipartition, build, iter_bipartitions, matricize
-from cmnlab.zoo import bell, classical_state, ghz, maximally_mixed, random_fully_separable
+from cmnlab.zoo import (bell, classical_state, ghz, maximally_mixed, random_fully_separable,
+                        w_state)
 
 from conftest import correlation_space_map, random_density, unitary_from_angles
 
@@ -430,6 +432,8 @@ def _oracle_solves():
 
 @pytest.mark.parametrize("name", list(_oracle_solves()))
 def test_solves_match_one_trial_per_tick_oracle(name, monkeypatch):
+    # the search over every measured party's angles, closed forms or not
+    monkeypatch.setattr(discord, "_discord", discord._search)
     solve = _oracle_solves()[name]
     opts = [OptimizerCfg(restarts=8, seed=seed) for seed in range(5)]
     got = [solve(opt) for opt in opts]
@@ -444,8 +448,8 @@ def test_solves_match_one_trial_per_tick_oracle(name, monkeypatch):
 
 
 # (evaluations, value) of the benchmark's five solves (tools/perf.py's stand-ins)
-# at OptimizerCfg(restarts=8, seed=s) for s = 0 .. 3, read when LAPACK took
-# every spectrum: the two-row closed form keeps each search's path
+# by the search, at OptimizerCfg(restarts=8, seed=s) for s = 0 .. 3, read when
+# LAPACK took every spectrum: the two-row closed form keeps each search's path
 BENCH_SOLVE_PINS = {
     "bell-global": [(1659, 1.2499999999999991), (1598, 1.2499999999999991),
                     (1636, 1.2499999999999991), (1606, 1.2499999999999991)],
@@ -461,7 +465,8 @@ BENCH_SOLVE_PINS = {
 
 
 @pytest.mark.parametrize("name", list(BENCH_SOLVE_PINS))
-def test_benchmark_solves_keep_their_search_path(name):
+def test_benchmark_solves_keep_their_search_path(name, monkeypatch):
+    monkeypatch.setattr(discord, "_discord", discord._search)
     h2p1, h1p2 = CmnParams(2, 1.0), CmnParams(1, 2.0)
     solve = {
         "bell-global": lambda opt: global_discord_cmn(bell(1).to_density(), PART2, h2p1, opt),
@@ -522,16 +527,16 @@ def test_objective_needs_no_sort(dims, part, measured, monkeypatch, rng):
             params = CmnParams(h, p)
             want = spectrum_power(sigma, params)
             assert np.array_equal(_sorted_spectrum_power(sigma, params), want)
-            discord._discord(rho, part, params, OptimizerCfg(restarts=1), measured)
+            discord._search(rho, part, params, OptimizerCfg(restarts=1), measured)
             assert np.array_equal(objectives.pop()(angles), want[:len(angles)])
 
 
 def _objective(rho, part, params, measured, monkeypatch):
-    """The objective that ``_discord`` hands to its search."""
+    """The objective that ``_search`` hands to ``_lockstep_search``."""
     objectives = []
     monkeypatch.setattr(discord, "_lockstep_search", lambda objective, n_params, cfg: (
         objectives.append(objective) or (np.zeros(1), np.zeros((1, n_params)), np.ones(1))))
-    discord._discord(rho, part, params, OptimizerCfg(restarts=1), measured)
+    discord._search(rho, part, params, OptimizerCfg(restarts=1), measured)
     return objectives.pop()
 
 
@@ -583,7 +588,7 @@ class TestOptimizerCfg:
     def test_accepts_boundary(self, schedule):
         schedule(0.1, 0.1)
         cfg = OptimizerCfg(restarts=1)
-        res = global_discord_cmn(bell(1).to_density(), PART2, CmnParams(2, 1.0), cfg)
+        res = discord._search(bell(1).to_density(), PART2, CmnParams(2, 1.0), cfg, (0, 1))
         assert res.evaluations >= 1
 
 
@@ -638,8 +643,8 @@ class TestDiscordValues:
         # accepting every gain, restart 4 crawls through 14 689 moves, 13 542
         # of them by at most 1e-12 of its best, and the solve takes 53 001
         # evaluations; the value stays 1.2499999999999993 without them
-        res = global_discord_cmn(bell(1).to_density(), PART2, CmnParams(2, 1.0),
-                                 OptimizerCfg(restarts=8, seed=1605328789))
+        res = discord._search(bell(1).to_density(), PART2, CmnParams(2, 1.0),
+                              OptimizerCfg(restarts=8, seed=1605328789), (0, 1))
         assert res.evaluations < 5000
         assert abs(res.value - 1.25) <= 1e-15
 
@@ -651,8 +656,8 @@ class TestDiscordValues:
             route = getattr(discord, name)
             monkeypatch.setattr(discord, name, lambda m, name=name, route=route:
                                 calls.append((name, np.shape(m))) or route(m))
-        global_discord_cmn(ghz(3, 2).to_density(), Bipartition.of((0,), 3), CmnParams(2, 1.0),
-                           OptimizerCfg(restarts=8, seed=0))
+        discord._search(ghz(3, 2).to_density(), Bipartition.of((0,), 3), CmnParams(2, 1.0),
+                        OptimizerCfg(restarts=8, seed=0), (0, 1, 2))
         # 53 ticks; scoring only the rest of each sweep took 76
         assert len(calls) == 55 and calls[0] == ("singular_values", (4, 16))
         assert {name for name, _ in calls[1:]} == {"two_row_singular_values"}
@@ -683,7 +688,7 @@ class TestDiscordValues:
     def test_per_restart_diagnostics(self, fast):
         rho = random_density((2, 2), 3, 77)
         params = CmnParams(2, 1.0)
-        res = global_discord_cmn(rho, PART2, params, fast)
+        res = discord._search(rho, PART2, params, fast, (0, 1))
         assert len(res.restart_evaluations) == len(res.restart_values) == fast.restarts
         assert sum(res.restart_evaluations) == res.evaluations
         assert max(res.restart_values) - min(res.restart_values) == res.restart_spread
@@ -700,8 +705,8 @@ class TestDiscordValues:
             assert np.array_equal(res.best_measurement.projectors[1], comp)
 
     def test_single_restart(self):
-        res = global_discord_cmn(bell(1).to_density(), PART2, CmnParams(2, 1.0),
-                                 OptimizerCfg(restarts=1))
+        res = discord._search(bell(1).to_density(), PART2, CmnParams(2, 1.0),
+                              OptimizerCfg(restarts=1), (0, 1))
         assert res.restart_spread == 0.0
         assert not res.converged
 
@@ -742,3 +747,164 @@ class TestDiscordValues:
         res = global_discord_cmn(rho, part, params, OptimizerCfg(restarts=8))
         assert res.value <= base - best + 1e-6
         assert res.value >= -1e-6
+
+
+# -- closed forms where a measured side is one qubit ----------------------------
+
+def swapped(rho):
+    """A two-party state with its parties in the other order."""
+    d_a, d_b = rho.dims
+    data = rho.data.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2)
+    return DensityMatrix((d_b, d_a), data.reshape(rho.data.shape))
+
+
+def measured_power_drop(rho, part, params, res, measured):
+    """The undisturbed power less the power after ``res.best_measurement`` on
+    the ``measured`` parties, from the dephased density matrix."""
+    def power(state):
+        return float(spectrum_power(singular_values(matricize(build(state), part)), params)[0])
+    return power(rho) - power(measure_state(rho, res.best_measurement, measured))
+
+
+def assert_closed_form(rho, part, params, res, measured):
+    assert res.method == "closed form"
+    assert (res.evaluations, res.restart_evaluations, res.restart_values) == (0, (), ())
+    assert res.restart_spread == 0.0 and res.converged
+    assert len(res.best_angles) == n_angles(rho.dims[p] for p in measured)
+    assert abs(measured_power_drop(rho, part, params, res, measured) - res.value) <= 1e-10
+
+
+def assert_matches_search(rho, part, params, res, measured):
+    # a closed form is exact and the search an upper bound, reached to its tolerance
+    want = discord._search(rho, part, params, OptimizerCfg(restarts=32), measured)
+    assert -CONVERGED_TOL <= res.value - want.value <= 1e-14
+
+
+# (h, p) of the closed-form comparisons: h = 3 leaves a measured qubit's 2×n
+# matrix nothing (F0), and h = 1 takes a closed form only at p = 2 and p = inf
+CLOSED_PARAMS = [CmnParams(2, 1.0), CmnParams(2, math.inf), CmnParams(1, 2.0),
+                 CmnParams(1, math.inf), CmnParams(2, 2.0), CmnParams(3, 1.0)]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
+@pytest.mark.parametrize("params", CLOSED_PARAMS, ids=str)
+def test_one_sided_qubit_forms_match_the_search(dims, params):
+    for seed in range(3):
+        state = random_density(dims, 2, seed)
+        for rho in (state, swapped(state)):
+            for side in ("a", "b"):
+                measured = PART2.side_a if side == "a" else PART2.side_b
+                if rho.dims[measured[0]] != 2:  # a qudit side searches (h <= d)
+                    continue
+                res = bipartite_discord_cmn(rho, PART2, side, params)
+                assert_closed_form(rho, PART2, params, res, measured)
+                assert_matches_search(rho, PART2, params, res, measured)
+                if (params.h, params.p) == (1, math.inf):
+                    assert res.value == 0.0
+
+
+@pytest.mark.parametrize("params", CLOSED_PARAMS, ids=str)
+def test_two_qubit_global_forms_match_the_search(params):
+    # h = 2 takes K's top singular pair and h = 3 the empty product; h = 1
+    # searches, at p = 2 over B's angles alone
+    for seed in range(3):
+        rho = random_density((2, 2), 2, seed)
+        res = global_discord_cmn(rho, PART2, params)
+        if params.h == 1:
+            assert res.method == "search" and res.evaluations > 0
+            want = discord._search(rho, PART2, params, OptimizerCfg(), (0, 1))
+            assert abs(res.value - want.value) <= CONVERGED_TOL
+            continue
+        assert_closed_form(rho, PART2, params, res, (0, 1))
+        assert_matches_search(rho, PART2, params, res, (0, 1))
+
+
+@pytest.mark.parametrize("dims,part", [((2, 3), PART2), ((2, 4), PART2), ((3, 3), PART2),
+                                       ((2, 2, 2), Bipartition.of((0,), 3))])
+def test_h_above_the_dephased_rank_loses_the_undisturbed_power(dims, part):
+    # every dephased product holds a zero: the search's own value, bit for bit
+    params = CmnParams(dims[0] + 1, 1.0)
+    rho = random_density(dims, 3, 5)
+    res = global_discord_cmn(rho, part, params)
+    assert_closed_form(rho, part, params, res, tuple(range(len(dims))))
+    assert res.best_angles == (0.0,) * n_angles(dims)
+    want = discord._search(rho, part, params, OptimizerCfg(restarts=2), range(len(dims)))
+    assert res.value == want.value
+
+
+@pytest.mark.parametrize("dims,side,params", [
+    ((2, 3), "a", CmnParams(2, 1.0)), ((2, 3), "a", CmnParams(1, 2.0)),
+    ((2, 2), "b", CmnParams(2, math.inf)), ((2, 4), "a", CmnParams(2, 2.0)),
+])
+def test_one_sided_qubit_forms_match_a_degree_grid(dims, side, params):
+    theta, phi = np.meshgrid(np.arange(181), np.arange(360), indexing="ij")
+    grid = np.radians(np.stack([theta.ravel(), phi.ravel()], axis=1))
+    for seed in range(2):
+        rho = random_density(dims, 3, 40 + seed)
+        t = build(rho)
+        measured = PART2.side_a if side == "a" else PART2.side_b
+        base = spectrum_power(singular_values(matricize(t, PART2)), params)[0]
+        best = spectrum_power(_dephased_spectra(t, PART2, measured)(grid), params).max()
+        res = bipartite_discord_cmn(rho, PART2, side, params)
+        # the grid's best point lies within half a degree of the optimum
+        assert 0 <= base - best - res.value <= 1e-4 * base
+
+
+# the qubit-side search: A|BC and BC|A of three-qubit states, and (2,3)
+QUBIT_SIDE_SOLVES = [
+    pytest.param(state, part, id=f"{name}-{part.label()}")
+    for name, state in [("ghz-3", ghz(3).to_density()), ("w-3", w_state(3).to_density()),
+                        ("random-222", random_density((2, 2, 2), 3, 7))]
+    for part in (Bipartition.of((0,), 3), Bipartition.of((1, 2), 3))
+] + [pytest.param(random_density((2, 3), 3, 8), PART2, id="random-23-A|B")]
+
+
+@pytest.mark.parametrize("rho,part", QUBIT_SIDE_SOLVES)
+@pytest.mark.parametrize("params", [CmnParams(2, 1.0), CmnParams(2, math.inf), CmnParams(1, 2.0)],
+                         ids=str)
+def test_qubit_side_search_matches_the_full_search(rho, part, params):
+    everyone = tuple(range(len(rho.dims)))
+    opt = OptimizerCfg(restarts=8)
+    res = global_discord_cmn(rho, part, params, opt)
+    assert res.method == "search" and res.evaluations > 0
+    assert len(res.best_angles) == n_angles(rho.dims)
+    assert sum(res.restart_evaluations) == res.evaluations
+    base = spectrum_power(singular_values(matricize(build(rho), part)), params)[0]
+    assert res.value == float(base - max(res.restart_values))
+    assert abs(measured_power_drop(rho, part, params, res, everyone) - res.value) <= 1e-10
+    want = discord._search(rho, part, params, opt, everyone)
+    assert abs(res.value - want.value) <= CONVERGED_TOL
+
+
+def test_qubit_side_search_matches_one_trial_per_tick_oracle(monkeypatch):
+    solves = [lambda opt, part=Bipartition.of(side_a, 3): global_discord_cmn(
+        ghz(3).to_density(), part, CmnParams(2, 1.0), opt) for side_a in ((0,), (1, 2))]
+    opts = [OptimizerCfg(restarts=8, seed=seed) for seed in range(3)]
+    got = [solve(opt) for solve in solves for opt in opts]
+    monkeypatch.setattr(discord, "_lockstep_search", one_trial_lockstep_search)
+    want = [solve(opt) for solve in solves for opt in opts]
+    for res, ref in zip(got, want):
+        assert res.value == ref.value and res.best_angles == ref.best_angles
+        assert res.evaluations == ref.evaluations
+        assert res.restart_evaluations == ref.restart_evaluations
+        assert res.restart_values == ref.restart_values
+
+
+def test_benchmark_solves_take_their_forms():
+    # four of the discord workload's five solve types are exact with no trial,
+    # at most 1e-14 above and CONVERGED_TOL below each pinned search value
+    h2p1, h1p2 = CmnParams(2, 1.0), CmnParams(1, 2.0)
+    cc = classical_state((2, 2), (0.4, 0.1, 0.2, 0.3))
+    for name, rho, params, measured in [
+            ("bell-global", bell(1).to_density(), h2p1, (0, 1)),
+            ("classical-cc-global", cc, h2p1, (0, 1)),
+            ("random-22-seed22-side-a", random_density((2, 2), 4, 22), h1p2, (0,)),
+            ("random-23-seed23-side-a", random_density((2, 3), 6, 23), h1p2, (0,))]:
+        res = discord._discord(rho, PART2, params, OptimizerCfg(restarts=8), measured)
+        assert_closed_form(rho, PART2, params, res, measured)
+        for _, value in BENCH_SOLVE_PINS[name]:
+            assert -CONVERGED_TOL <= res.value - value <= 1e-14
+    res = global_discord_cmn(ghz(3).to_density(), Bipartition.of((0,), 3), h2p1,
+                             OptimizerCfg(restarts=8))
+    assert res.method == "search" and 0 < res.evaluations
+    assert abs(res.value - 1.25) <= 1e-14

@@ -15,7 +15,8 @@ of that file's fixed kernel, run just before and after it. On a host whose
 speed drifts, compare the reference-speed medians; a minimum of scaled runs
 would pick the run whose kernel was slowed most. The rows:
 
-- ``objective/<solve>/<restarts>``: one call of the solve's objective, on the
+- ``objective/<solve>/<restarts>``: one call of the solve's search objective
+  (``discord._search``'s, also where a closed form takes the solve), on the
   points of a search tick in which no restart has finished (restarts x 2n
   points for n angles), on fixed random angles: Bell and GHZ-3 at 1, 8 and
   32 restarts, and classical-cc and the two one-sided solves at 8, so that
@@ -24,7 +25,8 @@ would pick the run whose kernel was slowed most. The rows:
   small tick (8 and 12 points at one restart);
 - ``solve/<solve>/<restarts>``: one whole solve, averaged over the optimizer
   seeds 0 .. 3; ``evaluations`` sums their trial counts, so two versions that
-  search alike show equal counts;
+  search alike show equal counts, and ``method`` says whether the solve took
+  a closed form (0 evaluations) or searched;
 - ``analyze/<input>``: one in-process ``cmnlab analyze FILE --output OUT``
   on each of the benchmark's analyze inputs; where the benchmark draws a
   new random state each round, a fixed stand-in, named for its seed;
@@ -182,19 +184,22 @@ def solves():
 
 
 def capture_objective(solve):
-    """The objective that ``solve`` hands to ``discord._lockstep_search``."""
+    """The objective that the search of ``solve`` (``discord._search``, where
+    closed forms take over some solves) hands to ``discord._lockstep_search``."""
     from cmnlab import discord
 
     def grab(objective, n_params, cfg):
         raise _Captured(objective)
 
-    search, discord._lockstep_search = discord._lockstep_search, grab
+    entry, search = discord._discord, discord._lockstep_search
+    # a tree without closed forms has no _search: its _discord is the search
+    discord._discord, discord._lockstep_search = getattr(discord, "_search", entry), grab
     try:
         solve(1, 0)
     except _Captured as captured:
         return captured.args[0]
     finally:
-        discord._lockstep_search = search
+        discord._discord, discord._lockstep_search = entry, search
     raise RuntimeError("the solve never called discord._lockstep_search")
 
 
@@ -215,12 +220,16 @@ def objective_work(name, n_params, solve, restarts):
 
 def solve_work(name, solve, restarts, seeds):
     """A row's fields, its work and the units one run of it does: one solve per
-    seed. The work returns the solves' evaluations."""
-    def work():
-        return sum(solve(restarts, seed).evaluations for seed in seeds)
-
+    seed. The work returns the solves' evaluations and records their
+    ``method`` ("search" on a tree whose results have none)."""
     row = {"name": f"solve/{name}/{restarts}", "kind": "solve", "restarts": restarts,
-           "seeds": list(seeds)}
+           "seeds": list(seeds), "method": None}
+
+    def work():
+        results = [solve(restarts, seed) for seed in seeds]
+        row["method"] = getattr(results[0], "method", "search")
+        return sum(res.evaluations for res in results)
+
     return row, work, len(seeds)
 
 
