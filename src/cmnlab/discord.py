@@ -13,7 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from .basis import normalized_generalized_gell_mann
-from .cmn import CmnParams, _sorted_spectrum_power, _two_value_power, spectrum_power
+from .cmn import SV_CLAMP, CmnParams, _sorted_spectrum_power, _two_value_power, spectrum_power
 from .linalg import DensityMatrix, apply_local, hermitize, singular_values, two_row_singular_values
 from .tensor import Bipartition, CorrelationTensor, build, matricize
 
@@ -368,7 +368,13 @@ def _search(rho, part, params, opt, measured_parties):
     """The discord by the coordinate search over every measured party's angles."""
     t = build(rho)
     base = spectrum_power(singular_values(matricize(t, part)), params)[0]
-    dims = rho.dims
+    return _search_from(t, base, part, params, opt, measured_parties)
+
+
+def _search_from(t, base, part, params, opt, measured_parties):
+    """:func:`_search` on the state's correlation tensor ``t``, whose
+    undisturbed power is ``base``."""
+    dims = t.dims
     measured = sorted(set(int(p) for p in measured_parties))
     dephase, pad = _dephasing(t, part, measured)
 
@@ -393,28 +399,51 @@ def _bloch_angles(n):
     return np.arccos(np.clip(n[2], -1, 1)), np.arctan2(n[1], n[0])
 
 
-def _qubit_forms(c, params):
+def _qubit_gram(c, params):
     """For each matrix of the stack ``c`` (k, 4, N), whose rows are a measured
-    qubit's coordinates: the largest [M_{h,p}]^p over that qubit's bases, at
-    h = 2 or (h, p) = (1, 2), and the 3×3 matrix whose top eigenvector is the
-    best Bloch vector n.
+    qubit's coordinates: |m₀|² and the 3×3 matrix G whose top eigenvalue λ
+    gives the largest [M_{h,p}]^p over that qubit's bases, at h = 2 or
+    (h, p) = (1, 2), and whose top eigenvector is the best Bloch vector n.
 
     Measuring along n leaves the two rows m₀ and nᵀM_v (rows 0 and 1..3 of
     the matrix), rotated. At h = 1, p = 2 the objective is σ₁² + σ₂² =
-    |m₀|² + nᵀM_vM_vᵀn. At h = 2 it is (σ₁σ₂)ᵖ, and σ₁²σ₂² = nᵀQn with
-    Q = |m₀|²·M_vM_vᵀ − (M_vm₀)(M_vm₀)ᵀ = |m₀|²·RRᵀ, where R is M_v less its
-    rows' projections on m₀: formed from R, Q keeps full accuracy where
-    σ₁σ₂ is near 0."""
+    |m₀|² + nᵀM_vM_vᵀn, so G = M_vM_vᵀ and the best is |m₀|² + λ. At h = 2
+    it is (σ₁σ₂)ᵖ, and σ₁²σ₂² = nᵀQn with Q = |m₀|²·M_vM_vᵀ −
+    (M_vm₀)(M_vm₀)ᵀ = |m₀|²·RRᵀ, where R is M_v less its rows' projections
+    on m₀: G = RRᵀ, formed from R to keep full accuracy where σ₁σ₂ is near
+    0, and the best is (|m₀|²·λ)^(p/2)."""
     m0, mv = c[:, 0], c[:, 1:]
     norm2 = np.einsum("ki,ki->k", m0, m0)
     if params.h == 2:
         mv = mv - np.einsum("kvi,ki->kv", mv, m0 / norm2[:, None])[:, :, None] * m0[:, None, :]
-    g = np.einsum("kvi,kwi->kvw", mv, mv)
+    return norm2, np.einsum("kvi,kwi->kvw", mv, mv)
+
+
+def _qubit_basis(c, params):
+    """The best Bloch vector n of each matrix of ``c`` (as for
+    :func:`_qubit_gram`) and the objective there, the rows m₀ and nᵀM_v
+    scored as the search scores them, SV_CLAMP included."""
+    n = np.linalg.eigh(_qubit_gram(c, params)[1])[1][:, :, -1]
+    rows = np.stack([c[:, 0], np.einsum("kv,kvi->ki", n, c[:, 1:])], axis=1)
+    return _two_value_power(singular_values(rows), params), n
+
+
+def _qubit_best(c, params):
+    """:func:`_qubit_basis`'s objective from the top eigenvalue alone. Only
+    the clamp needs n: at h = 1 it moves σ₁² + σ₂² by under SV_CLAMP²·σ₁²,
+    below rounding, and at h = 2 it can zero σ₂ only where σ₁σ₂ <
+    SV_CLAMP·σ₁² ≤ SV_CLAMP·|c|² (a product state): such matrices are
+    scored at n."""
+    norm2, g = _qubit_gram(c, params)
     top = np.linalg.eigvalsh(g)[:, -1]
     if params.h == 1:
-        return norm2 + top, g
-    prod2 = np.maximum(norm2 * top, 0.0)  # the largest σ₁²σ₂²
-    return (np.sqrt(prod2) if math.isinf(params.p) else prod2 ** (params.p / 2)), g
+        return norm2 + top
+    prod = np.sqrt(np.maximum(norm2 * top, 0.0))  # the largest σ₁σ₂
+    best = prod if math.isinf(params.p) else prod ** params.p
+    near = prod < SV_CLAMP * np.einsum("kvi,kvi->k", c, c)
+    if near.any():
+        best[near] = _qubit_basis(c[near], params)[0]
+    return best
 
 
 def _discord(rho, part, params, opt, measured_parties):
@@ -428,12 +457,12 @@ def _discord(rho, part, params, opt, measured_parties):
     Every other solve is :func:`_search`'s."""
     dims = rho.dims
     measured = sorted(set(int(p) for p in measured_parties))
-    sides = [s for s in (part.side_a, part.side_b) if set(s) <= set(measured)]
-    if sum(map(len, sides)) != len(measured):
-        return _search(rho, part, params, opt, measured)  # it rejects the input
     t = build(rho)
     m = matricize(t, part)
     base = spectrum_power(singular_values(m), params)[0]
+    sides = [s for s in (part.side_a, part.side_b) if set(s) <= set(measured)]
+    if sum(map(len, sides)) != len(measured):
+        return _search_from(t, base, part, params, opt, measured)  # it rejects a bad side
     angles = np.zeros(n_angles(dims))
     # the dephased matrix's sides: d for a measured side, d² for an unmeasured one
     rank = min(math.prod(dims[p] for p in s) ** (1 if s in sides else 2)
@@ -442,14 +471,14 @@ def _discord(rho, part, params, opt, measured_parties):
         return _outcome(base, 0.0, dims, measured, angles)
     qubits = [s for s in sides if len(s) == 1 and dims[s[0]] == 2]
     if not qubits:
-        return _search(rho, part, params, opt, measured)
+        return _search_from(t, base, part, params, opt, measured)
     q = qubits[0]
     c = m if q == part.side_a else m.T  # the qubit's coordinates on the rows
     h2, h1p2 = params.h == 2, (params.h, params.p) == (1, 2.0)
     if len(sides) == 1:
         if h2 or h1p2:
-            best, g = _qubit_forms(c[None], params)
-            angles[_columns(dims, q)] = _bloch_angles(np.linalg.eigh(g[0])[1][:, -1])
+            best, n = _qubit_basis(c[None], params)
+            angles[_columns(dims, q)] = _bloch_angles(n[0])
             return _outcome(base, best[0], dims, measured, angles)
         if params.h == 1 and math.isinf(params.p):
             # σ₁ of M: its top left singular vector u lies in span{e₀, (0, n)}
@@ -458,13 +487,16 @@ def _discord(rho, part, params, opt, measured_parties):
                 angles[_columns(dims, q)] = _bloch_angles(u[1:] / np.linalg.norm(u[1:]))
             return _outcome(base, base, dims, measured, angles)
     elif len(qubits) == 2 and h2:
-        # σ₁σ₂ = |n_Aᵀ K n_B|, the determinant of the dephased 2×2 matrix
+        # σ₁σ₂ = |n_Aᵀ K n_B|, the determinant of the dephased 2×2 matrix in
+        # the bases (e₀, n) of both sides, scored as the search scores it
         k = c[0, 0] * c[1:, 1:] - np.outer(c[1:, 0], c[0, 1:])
-        u, s, vt = np.linalg.svd(k)
-        best = s[0] if math.isinf(params.p) else s[0] ** params.p
-        angles[_columns(dims, part.side_a)] = _bloch_angles(u[:, 0])
-        angles[_columns(dims, part.side_b)] = _bloch_angles(vt[0])
-        return _outcome(base, best, dims, measured, angles)
+        u, _, vt = np.linalg.svd(k)
+        n_a, n_b = u[:, 0], vt[0]
+        two = np.array([[c[0, 0], c[0, 1:] @ n_b], [n_a @ c[1:, 0], n_a @ c[1:, 1:] @ n_b]])
+        angles[_columns(dims, part.side_a)] = _bloch_angles(n_a)
+        angles[_columns(dims, part.side_b)] = _bloch_angles(n_b)
+        return _outcome(base, _two_value_power(singular_values(two[None]), params)[0],
+                        dims, measured, angles)
     elif h2 or h1p2:
         # search only the other side's angles, the qubit's best n at each point
         other = part.side_b if q == part.side_a else part.side_a
@@ -475,13 +507,13 @@ def _discord(rho, part, params, opt, measured_parties):
             return d if q == part.side_a else np.swapaxes(d, -1, -2)
 
         values, points, evals = _lockstep_search(
-            lambda x: _qubit_forms(rows(x), params)[0], n_angles(dims[p] for p in other), opt)
+            lambda x: _qubit_best(rows(x), params), n_angles(dims[p] for p in other), opt)
         top = _top(values)
-        g = _qubit_forms(rows(points[top:top + 1]), params)[1]
         angles[_columns(dims, other)] = points[top]
-        angles[_columns(dims, q)] = _bloch_angles(np.linalg.eigh(g[0])[1][:, -1])
+        angles[_columns(dims, q)] = _bloch_angles(_qubit_basis(rows(points[top:top + 1]),
+                                                               params)[1][0])
         return _outcome(base, values[top], dims, measured, angles, values, evals)
-    return _search(rho, part, params, opt, measured)
+    return _search_from(t, base, part, params, opt, measured)
 
 
 def bipartite_discord_cmn(rho: DensityMatrix, part: Bipartition, side: str,

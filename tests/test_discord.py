@@ -876,6 +876,22 @@ def test_qubit_side_search_matches_the_full_search(rho, part, params):
     assert abs(res.value - want.value) <= CONVERGED_TOL
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+@pytest.mark.parametrize("p", [0.1, 0.5, 1.0, math.inf])
+def test_product_states_keep_the_search_clamp(dims, p):
+    # a product state's cut matrix has rank 1, so after any measurement σ₂ is
+    # rounding: SV_CLAMP zeroes it in the forms as in the search, where at
+    # small p an unclamped (ε·σ₁²)ᵖ would make the discord visibly negative
+    params, part = CmnParams(2, p), Bipartition.of((0,), len(dims))
+    opt = OptimizerCfg(restarts=8)
+    for seed in range(3):
+        rho = random_fully_separable(dims, 1, seed)
+        for measured in (part.side_a, tuple(range(len(dims)))):
+            res = discord._discord(rho, part, params, opt, measured)
+            want = discord._search(rho, part, params, opt, measured)
+            assert res.value == want.value == 0.0
+
+
 def test_qubit_side_search_matches_one_trial_per_tick_oracle(monkeypatch):
     solves = [lambda opt, part=Bipartition.of(side_a, 3): global_discord_cmn(
         ghz(3).to_density(), part, CmnParams(2, 1.0), opt) for side_a in ((0,), (1, 2))]
