@@ -101,14 +101,3 @@ def _sorted_spectrum_power(sigma, params: CmnParams) -> np.ndarray:
         return np.prod(sigma[:, : params.h], axis=1)
     return _symmetric_sweep(sigma ** params.p, params.h)
 
-
-def _two_value_power(sigma, params: CmnParams) -> np.ndarray:
-    """_sorted_spectrum_power of the rows [σ₁, σ₂, 0, …] from their (k, 2) head
-    ``sigma``: the same clamp, products and sums, none of which reads a zero."""
-    sigma = sigma * (sigma >= SV_CLAMP * sigma[:, :1])
-    if params.h > 2:  # every h-fold product holds a padding zero
-        return np.zeros(len(sigma))
-    x = sigma if math.isinf(params.p) else sigma ** params.p
-    if params.h == 2:  # the sweep's σ₂ᵖ·σ₁ᵖ, and at p = ∞ the product σ₁σ₂
-        return x[:, 1] * x[:, 0]
-    return x[:, 0] if math.isinf(params.p) else x[:, 0] + x[:, 1]

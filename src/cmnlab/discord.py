@@ -13,8 +13,8 @@ from itertools import accumulate
 import numpy as np
 
 from .basis import normalized_generalized_gell_mann
-from .cmn import SV_CLAMP, CmnParams, _sorted_spectrum_power, _two_value_power, spectrum_power
-from .linalg import DensityMatrix, apply_local, hermitize, singular_values, two_row_singular_values
+from .cmn import SV_CLAMP, CmnParams, _sorted_spectrum_power, spectrum_power
+from .linalg import DensityMatrix, apply_local, hermitize, singular_values
 from .tensor import Bipartition, CorrelationTensor, build, matricize
 
 PROJECTOR_TOL = 1e-10
@@ -292,11 +292,9 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
 
 
 def _dephasing(t: CorrelationTensor, part: Bipartition, measured):
-    """``(dephase, pad)``: ``dephase`` maps a (k, n_angles) array of angles for
-    the ``measured`` parties (ascending; each side of ``part`` measured whole
-    or not at all) to the k dephased matricizations, without leaving
-    correlation space; ``pad`` pads their spectra with zeros to the
-    undisturbed length, so that every h the undisturbed one allows works.
+    """The map of a (k, n_angles) array of angles for the ``measured`` parties
+    (ascending; each side of ``part`` measured whole or not at all) to the k
+    dephased matricizations, computed without leaving correlation space.
 
     Dephasing party p maps its axis of T through V_p V_pᵀ. V_p has
     orthonormal columns, so contracting with V_p alone keeps the nonzero
@@ -311,7 +309,6 @@ def _dephasing(t: CorrelationTensor, part: Bipartition, measured):
     if len(a) + len(b) != len(measured):
         raise ValueError("each side must be measured whole or not at all")
     m = matricize(t, part)
-    full = min(m.shape)  # the undisturbed spectrum's length
 
     def dephase(angles):
         vs = _party_coordinates(measured_dims, angles)
@@ -320,16 +317,21 @@ def _dephasing(t: CorrelationTensor, part: Bipartition, measured):
             c = np.swapaxes(_side_factor([vs[q] for q in a]), -1, -2) @ c
         return c @ _side_factor([vs[q] for q in b]) if b else c
 
-    def pad(sigma):
-        return np.concatenate([sigma, np.zeros((len(sigma), full - sigma.shape[1]))], axis=1)
-
-    return dephase, pad
+    return dephase
 
 
 def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
-    """Angles -> the zero-padded spectra of :func:`_dephasing`'s matricizations."""
-    dephase, pad = _dephasing(t, part, measured)
-    return lambda angles: pad(singular_values(dephase(angles)))
+    """Angles -> the spectra of :func:`_dephasing`'s matricizations, each sorted
+    descending (LAPACK's order) and padded with zeros to the undisturbed
+    length, so that every h the undisturbed one allows works."""
+    dephase = _dephasing(t, part, measured)
+    full = min(math.prod(t.dims[p] ** 2 for p in side) for side in (part.side_a, part.side_b))
+
+    def spectra(angles):
+        sigma = singular_values(dephase(angles))
+        return np.concatenate([sigma, np.zeros((len(sigma), full - sigma.shape[1]))], axis=1)
+
+    return spectra
 
 
 def _columns(dims, parties):
@@ -376,15 +378,10 @@ def _search_from(t, base, part, params, opt, measured_parties):
     undisturbed power is ``base``."""
     dims = t.dims
     measured = sorted(set(int(p) for p in measured_parties))
-    dephase, pad = _dephasing(t, part, measured)
+    spectra = _dephased_spectra(t, part, measured)
 
     def objective(angles):
-        c = dephase(angles)
-        sigma = two_row_singular_values(c)
-        if sigma is not None:  # two rows or two columns: σ₁ and σ₂ alone
-            return _two_value_power(sigma, params)
-        # each spectrum is sorted descending (LAPACK's order, zeros padded last)
-        return _sorted_spectrum_power(pad(singular_values(c)), params)
+        return _sorted_spectrum_power(spectra(angles), params)
 
     values, points, evals = _lockstep_search(objective, n_angles(dims[p] for p in measured), opt)
     top = _top(values)
@@ -425,7 +422,7 @@ def _qubit_basis(c, params):
     scored as the search scores them, SV_CLAMP included."""
     n = np.linalg.eigh(_qubit_gram(c, params)[1])[1][:, :, -1]
     rows = np.stack([c[:, 0], np.einsum("kv,kvi->ki", n, c[:, 1:])], axis=1)
-    return _two_value_power(singular_values(rows), params), n
+    return _sorted_spectrum_power(singular_values(rows), params), n
 
 
 def _qubit_best(c, params):
@@ -495,12 +492,12 @@ def _discord(rho, part, params, opt, measured_parties):
         two = np.array([[c[0, 0], c[0, 1:] @ n_b], [n_a @ c[1:, 0], n_a @ c[1:, 1:] @ n_b]])
         angles[_columns(dims, part.side_a)] = _bloch_angles(n_a)
         angles[_columns(dims, part.side_b)] = _bloch_angles(n_b)
-        return _outcome(base, _two_value_power(singular_values(two[None]), params)[0],
+        return _outcome(base, _sorted_spectrum_power(singular_values(two[None]), params)[0],
                         dims, measured, angles)
     elif h2 or h1p2:
         # search only the other side's angles, the qubit's best n at each point
         other = part.side_b if q == part.side_a else part.side_a
-        dephase, _ = _dephasing(t, part, list(other))
+        dephase = _dephasing(t, part, list(other))
 
         def rows(points):  # the dephased matrices, the qubit's coordinates on the rows
             d = dephase(points)

@@ -15,7 +15,6 @@ EPS_HERM = 1e-10
 EPS_TRACE = 1e-10
 EPS_NORM = 1e-10
 EPS_PSD = 1e-9
-TWO_ROW_RANGE = (2.0 ** -1000, 2.0 ** 1020)  # see two_row_singular_values
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -214,31 +213,7 @@ def bloch_to_qubit(r: BlochVector) -> DensityMatrix:
     return DensityMatrix((2,), m / 2)
 
 
-def two_row_singular_values(m):
-    """The (…, 2) spectra, sorted descending, of a float stack of 2×n or n×2
-    matrices (n >= 2) with rows r₁, r₂, a = |r₁|², c = |r₂|², b = r₁·r₂ and
-    every a and a + c in TWO_ROW_RANGE (no over- or underflow); None for any
-    other input, NaN too. σ₁² = (a + c + hypot(a − c, 2b))/2, and σ₁σ₂ =
-    |r₁|·|r₂ less its projection on r₁| (Gram–Schmidt, error ≲ ε·σ₁², so a
-    rank-1 pair gives σ₂ ≲ ε·σ₁ as LAPACK does)."""
-    m = np.asarray(m)
-    if m.dtype == float and m.ndim >= 2 and min(m.shape[-2:]) == 2:
-        rows = m if m.shape[-2] == 2 else np.swapaxes(m, -1, -2)
-        r1, r2 = rows[..., 0, :], rows[..., 1, :]
-        a, c = np.einsum("...ij,...ij->i...", rows, rows)
-        b = np.einsum("...j,...j->...", r1, r2)
-        if TWO_ROW_RANGE[0] < a.min(initial=1) and (a + c).max(initial=0) < TWO_ROW_RANGE[1]:
-            sigma = np.empty(a.shape + (2,))
-            s1 = np.sqrt((a + c + np.hypot(a - c, 2 * b)) / 2, out=sigma[..., 0])
-            res = r2 - (b / a)[..., None] * r1
-            res *= (np.sqrt(a) / s1)[..., None]  # |res| is σ₂ now; scaled before squaring
-            np.minimum(np.sqrt(np.einsum("...j,...j->...", res, res)), s1, out=sigma[..., 1])
-            return sigma
-    return None
-
-
 def singular_values(m):
     """Full singular spectrum of ``m``, sorted descending (one per matrix of a
-    stack): :func:`two_row_singular_values` where it applies, else LAPACK's."""
-    sigma = two_row_singular_values(m)
-    return np.linalg.svd(m, compute_uv=False) if sigma is None else sigma
+    stack), from LAPACK."""
+    return np.linalg.svd(m, compute_uv=False)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from cmnlab import discord
-from cmnlab.cmn import (SV_CLAMP, CmnParams, _sorted_spectrum_power, _two_value_power,
-                        spectrum_power)
+from cmnlab.cmn import SV_CLAMP, CmnParams, _sorted_spectrum_power, spectrum_power
 from cmnlab.discord import (
     CONVERGED_TOL,
     GAIN_TOL,
@@ -448,8 +447,7 @@ def test_solves_match_one_trial_per_tick_oracle(name, monkeypatch):
 
 
 # (evaluations, value) of the benchmark's five solves (tools/perf.py's stand-ins)
-# by the search, at OptimizerCfg(restarts=8, seed=s) for s = 0 .. 3, read when
-# LAPACK took every spectrum: the two-row closed form keeps each search's path
+# by the search, at OptimizerCfg(restarts=8, seed=s) for s = 0 .. 3
 BENCH_SOLVE_PINS = {
     "bell-global": [(1659, 1.2499999999999991), (1598, 1.2499999999999991),
                     (1636, 1.2499999999999991), (1606, 1.2499999999999991)],
@@ -502,10 +500,9 @@ AB_C = ((2, 2, 2), Bipartition.of((0, 1), 3), (0, 1, 2))
 
 @pytest.mark.parametrize("dims,part,measured", ORACLE_SHAPES + [AB_C])
 def test_objective_needs_no_sort(dims, part, measured, monkeypatch, rng):
-    # singular_values returns each spectrum sorted descending (LAPACK's and
-    # the two-row closed form's order) and the padding zeros come last, so
-    # the objective's clamp and S_h step skip spectrum_power's sort and give
-    # its values exactly
+    # singular_values returns each spectrum sorted descending (LAPACK's order)
+    # and the padding zeros come last, so the objective's clamp and S_h step
+    # skip spectrum_power's sort and give its values exactly
     rho = random_density(dims, 3, 620)
     spectra = _dephased_spectra(build(rho), part, measured)
     angles = rng.uniform(0, 2 * math.pi, size=(6, n_angles(dims[p] for p in measured)))
@@ -529,45 +526,6 @@ def test_objective_needs_no_sort(dims, part, measured, monkeypatch, rng):
             assert np.array_equal(_sorted_spectrum_power(sigma, params), want)
             discord._search(rho, part, params, OptimizerCfg(restarts=1), measured)
             assert np.array_equal(objectives.pop()(angles), want[:len(angles)])
-
-
-def _objective(rho, part, params, measured, monkeypatch):
-    """The objective that ``_search`` hands to ``_lockstep_search``."""
-    objectives = []
-    monkeypatch.setattr(discord, "_lockstep_search", lambda objective, n_params, cfg: (
-        objectives.append(objective) or (np.zeros(1), np.zeros((1, n_params)), np.ones(1))))
-    discord._search(rho, part, params, OptimizerCfg(restarts=1), measured)
-    return objectives.pop()
-
-
-@pytest.mark.parametrize("dims,part,measured", ORACLE_SHAPES[2:] + [AB_C])
-def test_two_value_route_matches_the_padded_route(dims, part, measured, monkeypatch, rng):
-    # every dephased matrix here has two rows or two columns, so the objective
-    # forms [M_{h,p}]^p of σ₁ and σ₂ alone; the padded route (singular_values,
-    # zero padding, the general sweep) is forced by making the closed form
-    # decline. A product state's dephased matrices have rank 1, and the clamp
-    # zeroes what rounding leaves of σ₂.
-    product = random_fully_separable(dims, 1, 621)
-    angles = rng.uniform(0, 2 * math.pi, size=(6, n_angles(dims[p] for p in measured)))
-    for rho in (random_density(dims, 3, 620), product):
-        sigma = _dephased_spectra(build(rho), part, measured)(angles)
-        clamped = sigma[:, 1] < SV_CLAMP * sigma[:, 0]
-        assert (sigma[:, 0] > 0).all() and (clamped.all() if rho is product else not clamped.any())
-        for p in (0.5, 1.0, 2.0, 3.0, math.inf):
-            for h in range(1, sigma.shape[1] + 1):
-                params = CmnParams(h, p)
-                with monkeypatch.context() as mp:
-                    route = []
-                    mp.setattr(discord, "_two_value_power", lambda s, params: (
-                        route.append(s.shape) or _two_value_power(s, params)))
-                    got = _objective(rho, part, params, measured, mp)(angles)
-                    assert route == [(len(angles), 2)]
-                with monkeypatch.context() as mp:
-                    mp.setattr(discord, "two_row_singular_values", lambda m: None)
-                    padded = _objective(rho, part, params, measured, mp)(angles)
-                assert np.array_equal(got, padded)
-                assert np.array_equal(got, spectrum_power(sigma, params))
-                assert h == 1 or rho is not product or not got.any()
 
 
 class TestOptimizerCfg:
@@ -650,18 +608,16 @@ class TestDiscordValues:
 
     def test_objective_calls_of_a_fixed_solve(self, monkeypatch):
         # the undisturbed spectrum, then the starting points and one call per
-        # tick, each of whose 2×4 dephased matrices takes the two-value route
+        # tick, on the stack of its 2×4 dephased matrices
         calls = []
-        for name in ("singular_values", "two_row_singular_values"):
-            route = getattr(discord, name)
-            monkeypatch.setattr(discord, name, lambda m, name=name, route=route:
-                                calls.append((name, np.shape(m))) or route(m))
+        route = discord.singular_values
+        monkeypatch.setattr(discord, "singular_values",
+                            lambda m: calls.append(np.shape(m)) or route(m))
         discord._search(ghz(3, 2).to_density(), Bipartition.of((0,), 3), CmnParams(2, 1.0),
                         OptimizerCfg(restarts=8, seed=0), (0, 1, 2))
         # 53 ticks; scoring only the rest of each sweep took 76
-        assert len(calls) == 55 and calls[0] == ("singular_values", (4, 16))
-        assert {name for name, _ in calls[1:]} == {"two_row_singular_values"}
-        assert calls[1][1] == (8, 2, 4) and calls[2][1] == (8 * 12, 2, 4)
+        assert len(calls) == 55 and calls[0] == (4, 16)
+        assert calls[1] == (8, 2, 4) and calls[2] == (8 * 12, 2, 4)
 
     def test_bell_full_minor_inf(self, fast):
         # every dephased spectrum has rank <= 2, so the h = 4 product of the

@@ -37,7 +37,8 @@ def test_smallest_run_writes_the_schema(tmp_path):
                       for r in (1, 8, 32)]
                      + [f"objective/{s}/8" for s in ("classical-cc-global",
                                                      "random-22-seed22-side-a",
-                                                     "random-23-seed23-side-a")]
+                                                     "random-23-seed23-side-a",
+                                                     "ghz3-global-A|BC-reduced")]
                      + [f"solve/{s}/8" for s in SOLVES]
                      + ["solve/bell-global/32", "solve/ghz3-global-A|BC/32",
                         "solve/bell-global/1"]
@@ -55,8 +56,10 @@ def test_smallest_run_writes_the_schema(tmp_path):
         assert row["runs"] == 1
         if row["kind"] == "objective":
             # a tick of every restart: 2 slots per angle, 4 angles for a global
-            # solve over (2,2), 6 for GHZ-3's and 2 for a one-sided solve
-            angles = 6 if "ghz3" in row["name"] else 4 if "global" in row["name"] else 2
+            # solve over (2,2) and for GHZ-3's search over side BC alone, 6 for
+            # GHZ-3's full search and 2 for a one-sided solve
+            angles = (4 if "reduced" in row["name"] else 6 if "ghz3" in row["name"]
+                      else 4 if "global" in row["name"] else 2)
             assert row["points"] == row["restarts"] * 2 * angles
         elif row["kind"] == "solve":
             assert row["seeds"] == [0, 1, 2, 3]

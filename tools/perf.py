@@ -15,14 +15,20 @@ of that file's fixed kernel, run just before and after it. On a host whose
 speed drifts, compare the reference-speed medians; a minimum of scaled runs
 would pick the run whose kernel was slowed most. The rows:
 
-- ``objective/<solve>/<restarts>``: one call of the solve's search objective
-  (``discord._search``'s, also where a closed form takes the solve), on the
-  points of a search tick in which no restart has finished (restarts x 2n
-  points for n angles), on fixed random angles: Bell and GHZ-3 at 1, 8 and
-  32 restarts, and classical-cc and the two one-sided solves at 8, so that
-  each shape of dephased matricization that the benchmark's solves take
-  (2×2, 2×4 and 2×9) is timed, and so is the fixed cost of a call on a
-  small tick (8 and 12 points at one restart);
+- ``objective/<solve>/<restarts>``: one call of the objective of the solve's
+  search over every measured party's angles, on the points of a search
+  tick in which no restart has finished (restarts x 2n points for n
+  angles), on fixed random angles: Bell and GHZ-3 at 1, 8 and 32 restarts,
+  and classical-cc and the two one-sided solves at 8, so that each shape of
+  dephased matricization that these searches take (2×2, 2×4 and 2×9) is
+  timed, and so is the fixed cost of a call on a small tick (8 and 12
+  points at one restart). That search is ``discord._search``, the tests'
+  oracle: the benchmark's solves run it no more, as closed forms take four
+  of them and a search over side BC's angles alone takes GHZ-3's;
+- ``objective/ghz3-global-A|BC-reduced/8``: one call, timed as above, of
+  the objective that the benchmark's GHZ-3 A|BC solve does run, captured
+  from ``discord._discord`` (the qubit's best basis at each of side BC's 4
+  angles; on a tree without closed forms, the full search's);
 - ``solve/<solve>/<restarts>``: one whole solve, averaged over the optimizer
   seeds 0 .. 3; ``evaluations`` sums their trial counts, so two versions that
   search alike show equal counts, and ``method`` says whether the solve took
@@ -148,8 +154,8 @@ def load_cmnlab(src):
 
 
 def solves():
-    """Name -> (n_angles, solve(restarts, seed)): the benchmark's five discord
-    solve types and ROADMAP item 5's ridge crawl.
+    """Name -> solve(restarts, seed): the benchmark's five discord solve types
+    and ROADMAP item 5's ridge crawl.
 
     The benchmark draws its two random states afresh in every round; here
     they are fixed stand-ins, the states of seeds 22 and 23, named for them.
@@ -174,39 +180,45 @@ def solves():
         return bipartite_discord_cmn(state, part, "a", params, opt)
 
     return {
-        "bell-global": (4, solve(global_discord_cmn, bell, ab, h2p1)),
-        "classical-cc-global": (4, solve(global_discord_cmn, cc, ab, h2p1)),
-        "ghz3-global-A|BC": (6, solve(global_discord_cmn, ghz3, a_bc, h2p1)),
-        "random-22-seed22-side-a": (2, solve(side_a, rand22, ab, h1p2)),
-        "random-23-seed23-side-a": (2, solve(side_a, rand23, ab, h1p2)),
-        "ridge-crawl-23": (8, solve(global_discord_cmn, ridge, ab, CmnParams(2, math.inf))),
+        "bell-global": solve(global_discord_cmn, bell, ab, h2p1),
+        "classical-cc-global": solve(global_discord_cmn, cc, ab, h2p1),
+        "ghz3-global-A|BC": solve(global_discord_cmn, ghz3, a_bc, h2p1),
+        "random-22-seed22-side-a": solve(side_a, rand22, ab, h1p2),
+        "random-23-seed23-side-a": solve(side_a, rand23, ab, h1p2),
+        "ridge-crawl-23": solve(global_discord_cmn, ridge, ab, CmnParams(2, math.inf)),
     }
 
 
-def capture_objective(solve):
-    """The objective that the search of ``solve`` (``discord._search``, where
-    closed forms take over some solves) hands to ``discord._lockstep_search``."""
+def capture_objective(solve, full=True):
+    """The objective and the angle count that ``solve`` hands to
+    ``discord._lockstep_search``: with ``full``, those of its search over
+    every measured party's angles (``discord._search``, where closed forms
+    take over some solves), else those of the solve as ``discord._discord``
+    runs it."""
     from cmnlab import discord
 
     def grab(objective, n_params, cfg):
-        raise _Captured(objective)
+        raise _Captured(objective, n_params)
 
     entry, search = discord._discord, discord._lockstep_search
     # a tree without closed forms has no _search: its _discord is the search
-    discord._discord, discord._lockstep_search = getattr(discord, "_search", entry), grab
+    if full:
+        discord._discord = getattr(discord, "_search", entry)
+    discord._lockstep_search = grab
     try:
         solve(1, 0)
     except _Captured as captured:
-        return captured.args[0]
+        return captured.args
     finally:
         discord._discord, discord._lockstep_search = entry, search
     raise RuntimeError("the solve never called discord._lockstep_search")
 
 
-def objective_work(name, n_params, solve, restarts):
+def objective_work(name, solve, restarts, full=True):
     """A row's fields, its work and the units one run of it does: OBJECTIVE_CALLS
-    calls of the solve's objective at a tick of ``restarts`` restarts."""
-    objective = capture_objective(solve)
+    calls of :func:`capture_objective`'s objective at a tick of ``restarts``
+    restarts."""
+    objective, n_params = capture_objective(solve, full)
     points = np.random.default_rng(0).uniform(0, 2 * math.pi, (restarts * 2 * n_params, n_params))
 
     def work():
@@ -456,17 +468,17 @@ def state_file_rows(name, state, workdir):
 def planned_rows(workdir, large=False):
     table = solves()
     for name in ("bell-global", "ghz3-global-A|BC"):
-        n_params, solve = table[name]
         for restarts in (1, 8, 32):
-            yield objective_work(name, n_params, solve, restarts)
+            yield objective_work(name, table[name], restarts)
     for name in ("classical-cc-global", "random-22-seed22-side-a", "random-23-seed23-side-a"):
-        yield objective_work(name, *table[name], 8)
+        yield objective_work(name, table[name], 8)
+    yield objective_work("ghz3-global-A|BC-reduced", table["ghz3-global-A|BC"], 8, full=False)
     for name in ("bell-global", "classical-cc-global", "ghz3-global-A|BC",
                  "random-22-seed22-side-a", "random-23-seed23-side-a"):
-        yield solve_work(name, table[name][1], 8, SEEDS)
+        yield solve_work(name, table[name], 8, SEEDS)
     for name in ("bell-global", "ghz3-global-A|BC"):
-        yield solve_work(name, table[name][1], 32, SEEDS)
-    yield solve_work("bell-global", table["bell-global"][1], 1, SEEDS)
+        yield solve_work(name, table[name], 32, SEEDS)
+    yield solve_work("bell-global", table["bell-global"], 1, SEEDS)
     inputs = analyze_inputs()
     for name, (state, extra) in inputs.items():
         yield analyze_work(name, state, extra, workdir)
@@ -535,7 +547,7 @@ def tracked_run(work):
 
 def ridge_row():
     """The ridge crawl's row, from one tracked run and no warm-up."""
-    row, work, _ = solve_work("ridge-crawl-23", solves()["ridge-crawl-23"][1], 8, [1])
+    row, work, _ = solve_work("ridge-crawl-23", solves()["ridge-crawl-23"], 8, [1])
     row["evaluations"], *run = tracked_run(work)
     row.update(summary([run], 1))
     return row
