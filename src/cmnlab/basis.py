@@ -61,17 +61,18 @@ def expectations_stack(data, dims) -> np.ndarray:
     check's Hermiticity test."""
     dims = tuple(dims)
     n = len(dims)
-    # each matrix as a 2N-axis tensor after the stack axis; contract each
-    # party's (row, col) pair with its operator stack, accumulating one
-    # basis-index axis per party.
+    # each matrix as a 2N-axis tensor after the stack axis. After k
+    # contractions the axes are: the stack, the rows then the columns of
+    # parties k.., and the basis indices of parties 0..k-1. A transpose
+    # (cheaper than np.moveaxis) puts party k's (column, row) pair last, and
+    # one matmul of the flattened pair with B[(m, l), i] = O_i[m, l] appends
+    # its basis index: tr(ρ·O) = Σ O[m, l] ρ[l, m].
     t = data.reshape((len(data),) + dims * 2)
-    for k in range(n):
-        # after k contractions axes 1..k are basis indices; party k's row
-        # axis sits at position k + 1 and its column axis at position n + 1.
-        # tr(ρ·O) pairs O's first matrix index with the column axis.
-        ops = normalized_generalized_gell_mann(dims[k])
-        t = np.tensordot(ops, t, axes=([1, 2], [n + 1, k + 1]))
-        t = np.moveaxis(t, 0, k + 1)
+    for k, d in enumerate(dims):
+        ops = normalized_generalized_gell_mann(d).reshape(d * d, d * d).T
+        col = n - k + 1
+        t = t.transpose([a for a in range(t.ndim) if a not in (1, col)] + [col, 1])
+        t = (t.reshape(-1, d * d) @ ops).reshape(t.shape[:-2] + (d * d,))
     residue, tol = np.abs(t.imag), data.shape[-1] * EPS_HERM / 2
     if residue.max(initial=0) > tol:
         residue = residue.reshape(len(t), -1).max(axis=1)

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -43,16 +43,18 @@ class MeasurementFamily:
         for d, stack in zip(dims, projs):
             if stack.shape != (d, d, d):
                 raise ValueError("need d rank-1 projectors of size d×d per party")
-            total = stack.sum(axis=0)
-            if np.abs(total - np.eye(d)).max() > PROJECTOR_TOL:
+            # written as "not <= tol", so that a NaN fails every test
+            if not np.abs(stack.sum(axis=0) - np.eye(d)).max() <= PROJECTOR_TOL:
                 raise ValueError("projectors do not sum to the identity")
-            for p in stack:
-                if np.abs(p - p.conj().T).max() > PROJECTOR_TOL:
-                    raise ValueError("projector is not Hermitian")
-                if np.abs(p @ p - p).max() > PROJECTOR_TOL:
-                    raise ValueError("projector is not idempotent")
-                if abs(np.trace(p).real - 1) > PROJECTOR_TOL:
-                    raise ValueError("projector is not rank-1")
+            # (test, projector): Hermitian, idempotent, rank-1; the first
+            # projector to fail one names its first failed test
+            bad = ~(np.stack([np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)),
+                              np.abs(stack @ stack - stack).max(axis=(1, 2)),
+                              np.abs(np.trace(stack, axis1=1, axis2=2).real - 1)])
+                    <= PROJECTOR_TOL)
+            if bad.any():
+                test = bad[:, bad.any(axis=0).argmax()].argmax()
+                raise ValueError("projector is not " + ("Hermitian", "idempotent", "rank-1")[test])
 
 
 def unitaries_from_angles(d, angles):
@@ -217,10 +219,10 @@ class DiscordResult:
     count (they sum to ``evaluations``) and the final objective, the
     dephased CMN power the search maximizes. A closed form makes no trials:
     ``evaluations`` is 0, both tuples are empty, ``restart_spread`` is 0 and
-    ``converged`` is true."""
+    ``converged`` is true. ``best_measurement`` is built, and checked, on its
+    first read: no solve pays for a witness that its caller does not read."""
 
     value: float
-    best_measurement: MeasurementFamily
     evaluations: int
     converged: bool  # the two best restarts agree to CONVERGED_TOL
     best_angles: tuple  # angles of the measured parties' bases, in party order
@@ -228,6 +230,12 @@ class DiscordResult:
     restart_evaluations: tuple
     restart_values: tuple
     method: str  # "closed form" or "search"
+    _dims: tuple = field(compare=False, repr=False)
+    _angles: np.ndarray = field(compare=False, repr=False)  # every party's, 0 if unmeasured
+
+    @cached_property
+    def best_measurement(self) -> MeasurementFamily:
+        return measurement_from_angles(self._dims, self._angles)
 
 
 def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
@@ -334,10 +342,14 @@ def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
     return spectra
 
 
+@lru_cache(maxsize=None)
 def _columns(dims, parties):
-    """The columns of ``parties``' angles in an angle vector of all of ``dims``."""
+    """The columns of ``parties``' angles (a tuple) in an angle vector of all of
+    ``dims``, as a read-only index array."""
     starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
-    return [c for p in parties for c in range(starts[p], starts[p + 1])]
+    cols = np.array([c for p in parties for c in range(starts[p], starts[p + 1])], dtype=int)
+    cols.setflags(write=False)
+    return cols
 
 
 def _top(values):
@@ -355,7 +367,6 @@ def _outcome(base, best, dims, measured, angles, values=None, evals=None):
     ranked = -np.sort(-values)
     return DiscordResult(
         value=float(base - best),
-        best_measurement=measurement_from_angles(dims, angles),
         evaluations=int(evals.sum()),
         converged=closed or bool(len(values) > 1 and ranked[0] - ranked[1] <= CONVERGED_TOL),
         best_angles=tuple(float(a) for a in angles[_columns(dims, measured)]),
@@ -363,6 +374,8 @@ def _outcome(base, best, dims, measured, angles, values=None, evals=None):
         restart_evaluations=tuple(int(e) for e in evals),
         restart_values=tuple(float(v) for v in values),
         method="closed form" if closed else "search",
+        _dims=dims,
+        _angles=angles,
     )
 
 
@@ -377,7 +390,7 @@ def _search_from(t, base, part, params, opt, measured_parties):
     """:func:`_search` on the state's correlation tensor ``t``, whose
     undisturbed power is ``base``."""
     dims = t.dims
-    measured = sorted(set(int(p) for p in measured_parties))
+    measured = tuple(sorted(set(int(p) for p in measured_parties)))
     spectra = _dephased_spectra(t, part, measured)
 
     def objective(angles):
@@ -393,7 +406,7 @@ def _search_from(t, base, part, params, opt, measured_parties):
 
 def _bloch_angles(n):
     """(θ, φ) of the qubit basis whose first vector has Bloch vector ``n``."""
-    return np.arccos(np.clip(n[2], -1, 1)), np.arctan2(n[1], n[0])
+    return np.arccos(min(max(n[2], -1.0), 1.0)), np.arctan2(n[1], n[0])
 
 
 def _qubit_gram(c, params):
@@ -453,7 +466,7 @@ def _discord(rho, part, params, opt, measured_parties):
     side, at h = 2 or h = 1 with p = 2, only that side's angles are searched.
     Every other solve is :func:`_search`'s."""
     dims = rho.dims
-    measured = sorted(set(int(p) for p in measured_parties))
+    measured = tuple(sorted(set(int(p) for p in measured_parties)))
     t = build(rho)
     m = matricize(t, part)
     base = spectrum_power(singular_values(m), params)[0]
@@ -497,7 +510,7 @@ def _discord(rho, part, params, opt, measured_parties):
     elif h2 or h1p2:
         # search only the other side's angles, the qubit's best n at each point
         other = part.side_b if q == part.side_a else part.side_a
-        dephase = _dephasing(t, part, list(other))
+        dephase = _dephasing(t, part, other)
 
         def rows(points):  # the dephased matrices, the qubit's coordinates on the rows
             d = dephase(points)

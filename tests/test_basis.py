@@ -1,7 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from cmnlab.basis import basis_expectations, normalized_generalized_gell_mann
+from cmnlab.basis import basis_expectations, expectations_stack, normalized_generalized_gell_mann
 from cmnlab.linalg import DensityMatrix
 from cmnlab.zoo import bell, maximally_mixed
 
@@ -102,3 +105,43 @@ def test_every_hermiticity_residual_the_state_check_accepts_builds(pattern):
     rho = DensityMatrix((2, 2, 2), base.data + 0.4995j * EPS_HERM * s)
     t = build(rho)
     assert np.abs(t.data - basis_expectations(base)).max() <= 1e-15
+
+
+def expectations_oracle(data, dims):
+    """tr(ρ · B¹_{i₁} ⊗ … ⊗ Bᴺ_{i_N}) of each matrix of ``data``, entry by
+    entry, with the imaginary parts kept."""
+    bases = [normalized_generalized_gell_mann(d) for d in dims]
+    out = np.empty((len(data),) + tuple(d * d for d in dims), dtype=complex)
+    for index in itertools.product(*(range(d * d) for d in dims)):
+        op = bases[0][index[0]]
+        for basis, i in zip(bases[1:], index[1:]):
+            op = np.kron(op, basis[i])
+        out[(slice(None),) + index] = np.trace(data @ op, axis1=1, axis2=2)
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_stack_matches_the_entrywise_oracle(dims):
+    side = math.prod(dims)
+    data = np.stack([random_density(dims, side, seed).data for seed in range(5)])
+    want = expectations_oracle(data, dims)
+    got = expectations_stack(data, dims)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.abs(got - want.real).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_stack_names_the_first_row_over_the_residue_tolerance(dims):
+    # rows 3 and 4 carry i·c·S with S real symmetric, c below EPS_HERM/2 in row
+    # 2 (under the tolerance) and far above it in rows 3 and 4 (twice as large)
+    from cmnlab.linalg import EPS_HERM
+
+    side = math.prod(dims)
+    s = np.ones((side, side))
+    data = np.stack([random_density(dims, side, seed).data for seed in range(5)])
+    for row, c in [(2, 0.4 * EPS_HERM), (3, 1e-4), (4, 2e-4)]:
+        data[row] = data[row] + 1j * c * s
+    residue = np.abs(expectations_oracle(data, dims).imag).reshape(5, -1).max(axis=1)
+    assert residue[2] <= side * EPS_HERM / 2 < residue[3] < residue[4]
+    with pytest.raises(ValueError, match=f"imaginary residue {residue[3]:.3e} exceeds"):
+        expectations_stack(data, dims)

@@ -880,3 +880,111 @@ def test_benchmark_solves_take_their_forms():
                              OptimizerCfg(restarts=8))
     assert res.method == "search" and 0 < res.evaluations
     assert abs(res.value - 1.25) <= 1e-14
+
+
+def _nan_pair_stack():
+    """The computational qubit basis with a NaN pair off the first
+    projector's diagonal: every other entry is that of a projector."""
+    stack = computational_measurement((2,)).projectors[0].copy()
+    stack[0, 0, 1] = stack[0, 1, 0] = np.nan
+    return stack
+
+
+def _rank_two_first_stack():
+    """Three 3×3 matrices summing to 1: the first Hermitian and idempotent
+    but of rank 2, the other two not Hermitian."""
+    n = np.zeros((3, 3))
+    n[0, 1] = 1.0
+    return np.stack([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0]) + n, -n]).astype(complex)
+
+
+@pytest.mark.parametrize("stack, message", [
+    (np.full((2, 2, 2), np.nan, dtype=complex), "identity"),
+    (_nan_pair_stack(), "identity"),
+    # the first projector that fails a test names its first failed test
+    (_rank_two_first_stack(), "rank-1"),
+])
+def test_non_finite_and_first_failing_projectors(stack, message):
+    with pytest.raises(ValueError, match=message):
+        MeasurementFamily((len(stack),), (stack,))
+
+
+def family_error_oracle(stack):
+    """MeasurementFamily's verdict on one party's stack, one projector at a
+    time: the message of the first failed test, or None."""
+    tol = discord.PROJECTOR_TOL
+    if not np.abs(stack.sum(axis=0) - np.eye(len(stack))).max() <= tol:
+        return "projectors do not sum to the identity"
+    for p in stack:
+        for name, residual in [("Hermitian", np.abs(p - p.conj().T).max()),
+                               ("idempotent", np.abs(p @ p - p).max()),
+                               ("rank-1", abs(np.trace(p).real - 1))]:
+            if not residual <= tol:
+                return f"projector is not {name}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_family_checks_match_the_one_projector_oracle(seed):
+    # a qutrit basis with E added to one projector and taken from another, so
+    # that the sum stays 1: E is anti-Hermitian, Hermitian or a multiple of a
+    # projector (which moves the trace), at sizes around the tolerance
+    rng = np.random.default_rng(seed)
+    stack = measurement_from_angles((3,), rng.uniform(0, 2 * np.pi, 6)).projectors[0].copy()
+    for _ in range(rng.integers(1, 3)):
+        i, j = rng.choice(3, size=2, replace=False)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        e = [g - g.conj().T, g + g.conj().T, stack[i]][rng.integers(3)]
+        e = e * 10.0 ** rng.uniform(-12, -8) / np.abs(e).max()
+        stack[i] += e
+        stack[j] -= e
+    want = family_error_oracle(stack)
+    if want is None:
+        MeasurementFamily((3,), (stack,))
+    else:
+        with pytest.raises(ValueError) as err:
+            MeasurementFamily((3,), (stack,))
+        assert str(err.value) == want
+
+
+@pytest.mark.parametrize("angles", [[math.nan, 0.0], [0.3, math.inf]])
+def test_non_finite_angles_build_no_family(angles):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="identity"):
+        measurement_from_angles((2,), angles)
+
+
+def test_no_solve_builds_its_witness_until_it_is_read(monkeypatch, capsys):
+    from cmnlab import cli
+
+    built = []
+
+    def counted(dims, angles):
+        built.append(dims)
+        return measurement_from_angles(dims, angles)
+
+    monkeypatch.setattr(discord, "measurement_from_angles", counted)
+    h2p1, h1p2, opt = CmnParams(2, 1.0), CmnParams(1, 2.0), OptimizerCfg(restarts=2)
+    rho23, ghz3 = random_density((2, 3), 6, 23), ghz(3).to_density()
+    # (result, its method, the measured parties)
+    solves = [
+        (global_discord_cmn(bell(1).to_density(), PART2, h2p1, opt), "closed form", (0, 1)),
+        (bipartite_discord_cmn(rho23, PART2, "a", h1p2, opt), "closed form", (0,)),
+        (global_discord_cmn(ghz3, Bipartition.of((0,), 3), h2p1, opt), "search", (0, 1, 2)),
+        (discord._search(rho23, PART2, h2p1, opt, (0, 1)), "search", (0, 1)),
+    ]
+    assert cli.main(["discord", "zoo:bell-phi-plus", "--restarts", "2"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert built == []
+    for res, method, measured in solves:
+        assert res.method == method
+        family = res.best_measurement
+        assert res.best_measurement is family and built == [family.dims]
+        built.clear()
+        # the measured parties' angles, 0 on the others: those are computational
+        angles = np.zeros(n_angles(family.dims))
+        angles[discord._columns(family.dims, measured)] = res.best_angles
+        want = measurement_from_angles(family.dims, angles)
+        assert all(np.array_equal(a, b) for a, b in zip(family.projectors, want.projectors))
+        for p in set(range(len(family.dims))) - set(measured):
+            d = family.dims[p]
+            assert np.array_equal(family.projectors[p], np.eye(d)[:, :, None] * np.eye(d))

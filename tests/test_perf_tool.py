@@ -42,11 +42,13 @@ def test_smallest_run_writes_the_schema(tmp_path):
                      + [f"solve/{s}/8" for s in SOLVES]
                      + ["solve/bell-global/32", "solve/ghz3-global-A|BC/32",
                         "solve/bell-global/1"]
+                     + [f"witness/{s}" for s in SOLVES if "ghz3" not in s]
                      + [f"analyze/{a}" for a in ANALYZE]
                      + [f"{kind}/{s}" for s in DETECT for kind in ("detect", "filter_cuts")]
                      + ["load_state/ghz-6", "render/ghz-6"]
                      + [f"detect/{s}/no-filter" for s in NO_FILTER]
                      + [f"filter_stack/{d}/fixed" for d in ("22", "222", "2222")]
+                     + ["build/2x2", "build/2x3"]
                      + [f"{kind}/{d}" for d in ("222", "2222", "333") for kind in ("build", "cmn")]
                      + [f"audit/{a}" for a in AUDITS]
                      + [f"filter_stack/biseparable-filtered-{d}/32" for d in ("222", "223")])
@@ -74,6 +76,10 @@ def test_smallest_run_writes_the_schema(tmp_path):
             assert row["filter"] == (not row["name"].endswith("/no-filter"))
         elif row["kind"] == "filter_stack":
             assert row["calls"] == 20
+        elif row["kind"] == "witness":
+            assert row["reads"] == 20
+        elif row["name"] in ("build/2x2", "build/2x3"):
+            assert row["states"] == 1 and row["calls"] == 200
         elif row["kind"] in ("build", "cmn"):
             assert row["states"] == 32
             if row["kind"] == "cmn":  # h = d_A²
@@ -163,3 +169,19 @@ def test_one_long_run_is_scaled_by_samples_inside_it(monkeypatch):
     assert sum(start <= s <= end for s in tracks[0].starts) >= 2
     row = perf.summary([run], 1)
     assert row["runs"] == 1 and row["ref_median_s"] > 0
+
+
+def test_witness_rows_build_one_family_per_read(monkeypatch):
+    """Each read of a witness row is a first read: the row times building the
+    measurement, not a cached attribute."""
+    perf = load_perf(monkeypatch)
+    from cmnlab import discord
+
+    built = []
+    build = discord.measurement_from_angles
+    monkeypatch.setattr(discord, "measurement_from_angles",
+                        lambda *args: built.append(args) or build(*args))
+    row, work, units = perf.witness_work("bell-global", perf.solves()["bell-global"])
+    assert built == []
+    work()
+    assert len(built) == units == perf.WITNESS_READS

@@ -33,6 +33,11 @@ would pick the run whose kernel was slowed most. The rows:
   seeds 0 .. 3; ``evaluations`` sums their trial counts, so two versions that
   search alike show equal counts, and ``method`` says whether the solve took
   a closed form (0 evaluations) or searched;
+- ``witness/<solve>``: the first read of ``best_measurement`` after each of
+  the four closed-form solves (8 restarts, seed 0), ``WITNESS_READS`` reads
+  of fresh shallow copies of the result per run, the copy included (2-4 µs
+  on a 2-core x86-64 VM); where the solve itself builds the witness, the
+  row reads a field;
 - ``analyze/<input>``: one in-process ``cmnlab analyze FILE --output OUT``
   on each of the benchmark's analyze inputs; where the benchmark draws a
   new random state each round, a fixed stand-in, named for its seed;
@@ -50,6 +55,9 @@ would pick the run whose kernel was slowed most. The rows:
   across A|rest on a one-row stack that is already in FNF (the maximally
   mixed state over (2,2), (2,2,2) and (2,2,2,2)), the cost that every call
   pays whatever its rows;
+- ``build/2x2`` and ``build/2x3``: ``BUILD_CALLS`` calls of ``build`` on
+  one state, the tensor that each discord solve builds, on the stand-ins of
+  the two random one-sided solves;
 - ``build/<dims>``: ``build_stack`` of ``STACK_STATES`` full-rank random
   states over (2,2,2), (2,2,2,2) and (3,3,3), drawn at seeds 0, 1, ...;
 - ``cmn/<dims>``: on those states' tensors, the matricization across
@@ -104,6 +112,7 @@ for _var in BLAS_VARS:
     os.environ[_var] = "1"
 
 import argparse
+import copy
 import json
 import math
 import platform
@@ -128,6 +137,10 @@ OBJECTIVE_CALLS = 20
 SEEDS = range(4)
 # calls of filter_stack per timed run of a fixed-cost row
 FIXED_CALLS = 20
+# reads of a fresh result's best_measurement per timed run of a witness row
+WITNESS_READS = 20
+# calls of build on one state per timed run of a one-state build row
+BUILD_CALLS = 200
 # states per stack of the build and cmn rows
 STACK_STATES = 32
 # the first seed of the audit rows' trials
@@ -243,6 +256,37 @@ def solve_work(name, solve, restarts, seeds):
         return sum(res.evaluations for res in results)
 
     return row, work, len(seeds)
+
+
+def witness_work(name, solve):
+    """A row's fields, its work and the units one run of it does:
+    WITNESS_READS first reads of ``best_measurement``, each from a fresh
+    shallow copy of one result of the solve."""
+    result = solve(8, 0)
+
+    def work():
+        for _ in range(WITNESS_READS):
+            copy.copy(result).best_measurement
+
+    return ({"name": f"witness/{name}", "kind": "witness", "reads": WITNESS_READS}, work,
+            WITNESS_READS)
+
+
+def one_state_build_work(dims, seed):
+    """A row's fields, its work and the units one run of it does: BUILD_CALLS
+    calls of ``build`` on the random state over ``dims`` drawn at ``seed``."""
+    from cmnlab import zoo
+    from cmnlab.tensor import build
+
+    rho = zoo.random_density(dims, math.prod(dims), seed)
+
+    def work():
+        for _ in range(BUILD_CALLS):
+            build(rho)
+
+    label = "x".join(map(str, dims))
+    return ({"name": f"build/{label}", "kind": "build", "states": 1, "calls": BUILD_CALLS},
+            work, BUILD_CALLS)
 
 
 def analyze_inputs():
@@ -479,6 +523,9 @@ def planned_rows(workdir, large=False):
     for name in ("bell-global", "ghz3-global-A|BC"):
         yield solve_work(name, table[name], 32, SEEDS)
     yield solve_work("bell-global", table["bell-global"], 1, SEEDS)
+    for name in ("bell-global", "classical-cc-global", "random-22-seed22-side-a",
+                 "random-23-seed23-side-a"):
+        yield witness_work(name, table[name])
     inputs = analyze_inputs()
     for name, (state, extra) in inputs.items():
         yield analyze_work(name, state, extra, workdir)
@@ -489,6 +536,8 @@ def planned_rows(workdir, large=False):
         yield detect_work(name, inputs[name][0], filtering=False)
     for dims in ((2, 2), (2, 2, 2), (2, 2, 2, 2)):
         yield fixed_filter_work(dims)
+    yield one_state_build_work((2, 2), 22)
+    yield one_state_build_work((2, 3), 23)
     for dims in ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3)):
         yield from stack_rows(dims)
     yield from audit_rows()
