@@ -13,7 +13,7 @@ import numpy as np
 from . import zoo
 from .bounds import CRITERIA, compare
 from .linalg import DensityMatrix, check_density_stack, hermitize
-from .normal_form import filter_stack
+from .normal_form import FilteringError, filter_stack
 from .tensor import Bipartition, build_stack
 
 
@@ -118,7 +118,9 @@ def _sample_bisep_filtered(dims, part, seeds):
         todo = todo[failed]
         if not len(todo):
             return states, drawn, rejected
-    raise RuntimeError("could not produce a filtered bi-separable sample")
+    last = next(e for e in errors if e is not None)  # todo[0]'s, the first unfilled trial
+    raise FilteringError(f"could not produce a filtered bi-separable sample for trial seed "
+                         f"{seeds[todo[0]]} in {MAX_ATTEMPTS} draws; its last draw: {last}")
 
 
 def _sample_ghz_mixtures(dims, part, seeds):

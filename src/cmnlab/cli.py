@@ -22,6 +22,7 @@ from .bounds import DetectConfig, detect
 from .cmn import CmnParams
 from .discord import OptimizerCfg, global_discord_cmn
 from .linalg import DensityMatrix, ValidationError
+from .normal_form import FilteringError
 from .tensor import Bipartition, iter_bipartitions
 
 EXIT_OK = 0
@@ -344,7 +345,7 @@ def main(argv=None):
     except (InputError, AuditInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (np.linalg.LinAlgError, FloatingPointError, ValidationError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, ValidationError, FilteringError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

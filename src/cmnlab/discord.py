@@ -15,7 +15,7 @@ import numpy as np
 from .basis import normalized_generalized_gell_mann
 from .cmn import SV_CLAMP, CmnParams, _sorted_spectrum_power, spectrum_power
 from .linalg import DensityMatrix, apply_local, hermitize, singular_values
-from .tensor import Bipartition, CorrelationTensor, build, matricize
+from .tensor import Bipartition, build, matricize
 
 PROJECTOR_TOL = 1e-10
 # A search has converged when its two best restarts agree to within this.
@@ -87,12 +87,20 @@ def n_angles(dims):
 
 
 @lru_cache(maxsize=None)
+def _columns(dims, parties):
+    """The columns of ``parties``' angles (a tuple) in an angle vector of all of
+    ``dims``, as a read-only index array."""
+    starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
+    cols = np.array([c for p in parties for c in range(starts[p], starts[p + 1])], dtype=int)
+    cols.setflags(write=False)
+    return cols
+
+
+@lru_cache(maxsize=None)
 def _angle_groups(dims):
     """(d, parties, their angle columns) per distinct dimension d of ``dims``."""
-    starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
     groups = {d: tuple(p for p, dp in enumerate(dims) if dp == d) for d in dims}
-    return tuple((d, ps, np.array([c for p in ps for c in range(starts[p], starts[p + 1])]))
-                 for d, ps in groups.items())
+    return tuple((d, ps, _columns(dims, ps)) for d, ps in groups.items())
 
 
 def _rank1_projectors(u):
@@ -299,24 +307,22 @@ def _lockstep_search(objective, n_params, cfg: OptimizerCfg):
     return final_best, final_x, evals
 
 
-def _dephasing(t: CorrelationTensor, part: Bipartition, measured):
-    """The map of a (k, n_angles) array of angles for the ``measured`` parties
-    (ascending; each side of ``part`` measured whole or not at all) to the k
-    dephased matricizations, computed without leaving correlation space.
+def _dephasing(dims, m, part: Bipartition, sides):
+    """The map of a (k, n_angles) array of angles for the parties of the
+    measured ``sides`` (in party order) to the k dephased copies of ``m``,
+    the matricization across ``part``, computed in correlation space.
 
     Dephasing party p maps its axis of T through V_p V_pᵀ. V_p has
     orthonormal columns, so contracting with V_p alone keeps the nonzero
     spectrum: a measured side's factor F, the Kronecker product of its
-    parties' V_p, takes the matricization M to Fᵀ·M on side A and M·F on
-    side B. All that does not depend on the angles is set up once, here.
+    parties' V_p, takes M to Fᵀ·M on side A and M·F on side B. All that
+    does not depend on the angles is set up once, here.
     """
-    measured_dims = tuple(t.dims[p] for p in measured)
-    # per measured side, the positions of its parties among ``measured``
-    a, b = ([measured.index(p) for p in side] if set(side) <= set(measured) else []
+    measured = tuple(sorted(sum(sides, ())))
+    measured_dims = tuple(dims[p] for p in measured)
+    # per side of ``part``, its parties' positions among ``measured``, none if unmeasured
+    a, b = ([measured.index(p) for p in side] if side in sides else []
             for side in (part.side_a, part.side_b))
-    if len(a) + len(b) != len(measured):
-        raise ValueError("each side must be measured whole or not at all")
-    m = matricize(t, part)
 
     def dephase(angles):
         vs = _party_coordinates(measured_dims, angles)
@@ -328,28 +334,18 @@ def _dephasing(t: CorrelationTensor, part: Bipartition, measured):
     return dephase
 
 
-def _dephased_spectra(t: CorrelationTensor, part: Bipartition, measured):
+def _dephased_spectra(dims, m, part: Bipartition, sides):
     """Angles -> the spectra of :func:`_dephasing`'s matricizations, each sorted
-    descending (LAPACK's order) and padded with zeros to the undisturbed
-    length, so that every h the undisturbed one allows works."""
-    dephase = _dephasing(t, part, measured)
-    full = min(math.prod(t.dims[p] ** 2 for p in side) for side in (part.side_a, part.side_b))
+    descending (LAPACK's order) and padded with zeros to ``min(m.shape)``, the
+    undisturbed length, so that every h the undisturbed one allows works."""
+    dephase = _dephasing(dims, m, part, sides)
 
     def spectra(angles):
         sigma = singular_values(dephase(angles))
-        return np.concatenate([sigma, np.zeros((len(sigma), full - sigma.shape[1]))], axis=1)
+        return np.concatenate([sigma, np.zeros((len(sigma), min(m.shape) - sigma.shape[1]))],
+                              axis=1)
 
     return spectra
-
-
-@lru_cache(maxsize=None)
-def _columns(dims, parties):
-    """The columns of ``parties``' angles (a tuple) in an angle vector of all of
-    ``dims``, as a read-only index array."""
-    starts = list(accumulate((d * (d - 1) for d in dims), initial=0))
-    cols = np.array([c for p in parties for c in range(starts[p], starts[p + 1])], dtype=int)
-    cols.setflags(write=False)
-    return cols
 
 
 def _top(values):
@@ -357,7 +353,7 @@ def _top(values):
     return np.argsort(-values, kind="stable")[0]
 
 
-def _outcome(base, best, dims, measured, angles, values=None, evals=None):
+def _outcome(base, best, dims, sides, angles, values=None, evals=None):
     """The result for the largest dephased power ``best``, reached at
     ``angles`` (every party's, 0 on the unmeasured ones): a closed form's, or,
     given each restart's final value and trial count, a search's."""
@@ -369,7 +365,7 @@ def _outcome(base, best, dims, measured, angles, values=None, evals=None):
         value=float(base - best),
         evaluations=int(evals.sum()),
         converged=closed or bool(len(values) > 1 and ranked[0] - ranked[1] <= CONVERGED_TOL),
-        best_angles=tuple(float(a) for a in angles[_columns(dims, measured)]),
+        best_angles=tuple(angles[_columns(dims, tuple(sorted(sum(sides, ()))))].tolist()),
         restart_spread=0.0 if closed else float(best - values.min()),
         restart_evaluations=tuple(int(e) for e in evals),
         restart_values=tuple(float(v) for v in values),
@@ -379,29 +375,26 @@ def _outcome(base, best, dims, measured, angles, values=None, evals=None):
     )
 
 
-def _search(rho, part, params, opt, measured_parties):
-    """The discord by the coordinate search over every measured party's angles."""
-    t = build(rho)
-    base = spectrum_power(singular_values(matricize(t, part)), params)[0]
-    return _search_from(t, base, part, params, opt, measured_parties)
+def _search(rho, part, params, opt, sides):
+    """The discord by the coordinate search over the angles of every party of
+    the measured ``sides`` (one or both sides of ``part``, A's first)."""
+    m = matricize(build(rho), part)
+    base = spectrum_power(singular_values(m), params)[0]
+    return _search_from(rho.dims, m, base, part, params, opt, sides)
 
 
-def _search_from(t, base, part, params, opt, measured_parties):
-    """:func:`_search` on the state's correlation tensor ``t``, whose
-    undisturbed power is ``base``."""
-    dims = t.dims
-    measured = tuple(sorted(set(int(p) for p in measured_parties)))
-    spectra = _dephased_spectra(t, part, measured)
-
-    def objective(angles):
-        return _sorted_spectrum_power(spectra(angles), params)
-
-    values, points, evals = _lockstep_search(objective, n_angles(dims[p] for p in measured), opt)
+def _search_from(dims, m, base, part, params, opt, sides):
+    """:func:`_search` on the state's matricization ``m`` across ``part``,
+    whose undisturbed power is ``base``."""
+    spectra = _dephased_spectra(dims, m, part, sides)
+    cols = _columns(dims, tuple(sorted(sum(sides, ()))))
+    values, points, evals = _lockstep_search(
+        lambda x: _sorted_spectrum_power(spectra(x), params), len(cols), opt)
     top = _top(values)
-    # unmeasured parties keep the computational basis: all their angles are 0
+    # the unmeasured side keeps the computational basis: all its angles are 0
     angles = np.zeros(n_angles(dims))
-    angles[_columns(dims, measured)] = points[top]
-    return _outcome(base, values[top], dims, measured, angles, values, evals)
+    angles[cols] = points[top]
+    return _outcome(base, values[top], dims, sides, angles, values, evals)
 
 
 def _bloch_angles(n):
@@ -456,9 +449,9 @@ def _qubit_best(c, params):
     return best
 
 
-def _discord(rho, part, params, opt, measured_parties):
-    """The discord when the ``measured_parties`` (each side of ``part`` whole
-    or not at all) are measured, in closed form where it has one (RESULTS.md,
+def _discord(rho, part, params, opt, sides):
+    """The discord when the measured ``sides``, one or both sides of ``part``
+    (A's first), are measured, in closed form where it has one (RESULTS.md,
     "Exact discord where a measured side is one qubit"): an h above the
     dephased matrix's rank leaves nothing; one measured qubit beside an
     unmeasured side takes its best basis directly at h = 2, or h = 1 with
@@ -466,22 +459,17 @@ def _discord(rho, part, params, opt, measured_parties):
     side, at h = 2 or h = 1 with p = 2, only that side's angles are searched.
     Every other solve is :func:`_search`'s."""
     dims = rho.dims
-    measured = tuple(sorted(set(int(p) for p in measured_parties)))
-    t = build(rho)
-    m = matricize(t, part)
+    m = matricize(build(rho), part)
     base = spectrum_power(singular_values(m), params)[0]
-    sides = [s for s in (part.side_a, part.side_b) if set(s) <= set(measured)]
-    if sum(map(len, sides)) != len(measured):
-        return _search_from(t, base, part, params, opt, measured)  # it rejects a bad side
     angles = np.zeros(n_angles(dims))
     # the dephased matrix's sides: d for a measured side, d² for an unmeasured one
     rank = min(math.prod(dims[p] for p in s) ** (1 if s in sides else 2)
                for s in (part.side_a, part.side_b))
     if params.h > rank:  # every h-fold product holds a zero
-        return _outcome(base, 0.0, dims, measured, angles)
+        return _outcome(base, 0.0, dims, sides, angles)
     qubits = [s for s in sides if len(s) == 1 and dims[s[0]] == 2]
     if not qubits:
-        return _search_from(t, base, part, params, opt, measured)
+        return _search_from(dims, m, base, part, params, opt, sides)
     q = qubits[0]
     c = m if q == part.side_a else m.T  # the qubit's coordinates on the rows
     h2, h1p2 = params.h == 2, (params.h, params.p) == (1, 2.0)
@@ -489,13 +477,13 @@ def _discord(rho, part, params, opt, measured_parties):
         if h2 or h1p2:
             best, n = _qubit_basis(c[None], params)
             angles[_columns(dims, q)] = _bloch_angles(n[0])
-            return _outcome(base, best[0], dims, measured, angles)
+            return _outcome(base, best[0], dims, sides, angles)
         if params.h == 1 and math.isinf(params.p):
             # σ₁ of M: its top left singular vector u lies in span{e₀, (0, n)}
             u = np.linalg.svd(c)[0][:, 0]
             if u[1:].any():
                 angles[_columns(dims, q)] = _bloch_angles(u[1:] / np.linalg.norm(u[1:]))
-            return _outcome(base, base, dims, measured, angles)
+            return _outcome(base, base, dims, sides, angles)
     elif len(qubits) == 2 and h2:
         # σ₁σ₂ = |n_Aᵀ K n_B|, the determinant of the dephased 2×2 matrix in
         # the bases (e₀, n) of both sides, scored as the search scores it
@@ -506,11 +494,11 @@ def _discord(rho, part, params, opt, measured_parties):
         angles[_columns(dims, part.side_a)] = _bloch_angles(n_a)
         angles[_columns(dims, part.side_b)] = _bloch_angles(n_b)
         return _outcome(base, _sorted_spectrum_power(singular_values(two[None]), params)[0],
-                        dims, measured, angles)
+                        dims, sides, angles)
     elif h2 or h1p2:
         # search only the other side's angles, the qubit's best n at each point
         other = part.side_b if q == part.side_a else part.side_a
-        dephase = _dephasing(t, part, other)
+        dephase = _dephasing(dims, m, part, (other,))
 
         def rows(points):  # the dephased matrices, the qubit's coordinates on the rows
             d = dephase(points)
@@ -522,8 +510,8 @@ def _discord(rho, part, params, opt, measured_parties):
         angles[_columns(dims, other)] = points[top]
         angles[_columns(dims, q)] = _bloch_angles(_qubit_basis(rows(points[top:top + 1]),
                                                                params)[1][0])
-        return _outcome(base, values[top], dims, measured, angles, values, evals)
-    return _search_from(t, base, part, params, opt, measured)
+        return _outcome(base, values[top], dims, sides, angles, values, evals)
+    return _search_from(dims, m, base, part, params, opt, sides)
 
 
 def bipartite_discord_cmn(rho: DensityMatrix, part: Bipartition, side: str,
@@ -532,13 +520,12 @@ def bipartite_discord_cmn(rho: DensityMatrix, part: Bipartition, side: str,
     the best projective measurement on that side's parties."""
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b'")
-    parties = part.side_a if side == "a" else part.side_b
-    return _discord(rho, part, params, opt, parties)
+    return _discord(rho, part, params, opt, (part.side_a if side == "a" else part.side_b,))
 
 
 def global_discord_cmn(rho: DensityMatrix, part: Bipartition,
                        params: CmnParams, opt: OptimizerCfg = OptimizerCfg()) -> DiscordResult:
     """Global discord: the CMN drop under the best product measurement on
     all parties, evaluated on the matricization given by ``part``."""
-    return _discord(rho, part, params, opt, range(len(rho.dims)))
+    return _discord(rho, part, params, opt, (part.side_a, part.side_b))
 

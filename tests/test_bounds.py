@@ -22,6 +22,7 @@ from cmnlab.bounds import (
     fullsep_bound_inf,
     fullsep_bound_p1,
     fullsep_preconditions_inf,
+    fullsep_preconditions_p1,
 )
 from cmnlab.cmn import elementary_symmetric
 from cmnlab.linalg import DensityMatrix, singular_values
@@ -603,3 +604,34 @@ def test_item1_seed196_analyze_exits_0(tmp_path, capsys):
     assert cli.main(["analyze", str(path)]) == 0
     assert "filtered state failed the state checks: not positive semidefinite" in (
         capsys.readouterr().out)
+
+
+def test_h_beyond_d_squared_leaves_every_cmn_bound_unchecked(capsys):
+    # rho1 and its two-qubit reductions: every cut has d^2 = 4, so at h = 5 no
+    # cmn-* bound applies; the dVH bounds do not read h
+    import json
+
+    from cmnlab import cli
+
+    def reports(verdict):
+        yield from verdict.reports
+        for _, sub in verdict.reduced:
+            yield from reports(sub)
+
+    high = detect(rho1(), DetectConfig(h=5))
+    cmn = [r for r in reports(high) if r.criterion.startswith("cmn-")]
+    assert len(cmn) == 24
+    for r in cmn:
+        assert not r.preconditions_met and math.isnan(r.value)
+        assert r.reason == "h=5 exceeds d^2=4"
+
+    def dvh(verdict):
+        return [repr(r) for r in reports(verdict) if r.criterion.startswith("dvh-")]
+
+    assert dvh(high) == dvh(detect(rho1()))
+    assert cli.main(["analyze", "zoo:rho1", "--h", "5"]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)["verdict"]
+    reasons = [r["reason"] for v in [doc] + doc["reduced"] for r in v["reports"]
+               if r["criterion"].startswith("cmn-")]
+    assert reasons == ["h=5 exceeds d^2=4"] * 24
+    assert fullsep_preconditions_p1((2, 2, 2), 0, 4) == (False, "h must be >= 1")

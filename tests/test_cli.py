@@ -12,6 +12,7 @@ from cmnlab import cli, report
 from cmnlab.bounds import CRITERIA, DetectConfig, detect
 from cmnlab.cli import (
     EXIT_INVALID_INPUT,
+    EXIT_NUMERICAL,
     EXIT_OK,
     build_parser,
     load_state,
@@ -863,6 +864,25 @@ class TestAuditCommand:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert "trials" in err
+
+    def test_unfilterable_draws_are_a_numerical_failure(self, capsys, monkeypatch):
+        # every draw of every attempt fails filtering: the audit gives up on
+        # its first trial with that trial's seed and last filtering error
+        from cmnlab import audit
+
+        def failing(data, dims, groups=None):
+            errors = [f"row {i} did not filter" for i in range(len(data))]
+            return np.full(data.shape, np.nan), np.zeros(len(data), dtype=int), errors
+
+        monkeypatch.delenv("CMNLAB_SEED", raising=False)
+        monkeypatch.setattr(audit, "filter_stack", failing)
+        audit._chunk.cache_clear()
+        code, out, err = run(capsys, "audit", "biseparable-filtered-222", "cmn-bisep-inf",
+                             "--trials", "2")
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("numerical failure:")
+        assert f"trial seed 0 in {audit.MAX_ATTEMPTS} draws" in err
+        assert err.rstrip().endswith("row 0 did not filter")
 
 
 class TestVersion:

@@ -31,6 +31,11 @@ from conftest import correlation_space_map, random_density, unitary_from_angles
 PART2 = Bipartition.of((0,), 2)
 
 
+def both(part):
+    """The measured sides of a global solve across ``part``."""
+    return (part.side_a, part.side_b)
+
+
 @pytest.fixture
 def schedule(monkeypatch):
     """Set the search's step schedule, discord.INIT_STEP and MIN_STEP."""
@@ -291,22 +296,17 @@ class TestCorrelationSpaceSpectrum:
         # oracle: dephase the density matrix, rebuild T, take the full spectrum
         rho = random_density(dims, 3, 900 + sum(dims))
         t = build(rho)
-        everyone = tuple(range(len(dims)))
         for part in iter_bipartitions(len(dims)):
-            for measured in (everyone, part.side_a, part.side_b):
+            for sides in (both(part), (part.side_a,), (part.side_b,)):
+                measured = tuple(sorted(sum(sides, ())))
                 measured_dims = tuple(dims[p] for p in measured)
                 angles = rng.uniform(0, 2 * math.pi, size=(3, n_angles(measured_dims)))
-                spectra = _dephased_spectra(t, part, measured)(angles)
+                spectra = _dephased_spectra(dims, matricize(t, part), part, sides)(angles)
                 for got, row in zip(spectra, angles):
                     after = measure_state(rho, family_on(dims, measured, row), measured)
                     want = singular_values(matricize(build(after), part))
                     assert got.shape == want.shape
                     assert np.abs(got - want).max() <= 1e-12
-
-    def test_a_side_is_measured_whole(self):
-        t = build(random_density((2, 2, 2), 3, 901))
-        with pytest.raises(ValueError, match="whole"):
-            _dephased_spectra(t, Bipartition.of((0,), 3), (1,))
 
 
 class TestLockstepSearch:
@@ -483,19 +483,19 @@ def test_benchmark_solves_keep_their_search_path(name, monkeypatch):
         assert abs(res.value - value) <= 1e-15
 
 
-# (dims, part, measured parties) of the solves in _oracle_solves
+# (dims, part, measured sides) of the solves in _oracle_solves
 ORACLE_SHAPES = [
-    ((3, 3), PART2, (0, 1)),
-    ((2, 2, 3), Bipartition.of((0,), 3), (1, 2)),
-    ((2, 2), PART2, (0, 1)),
-    ((2, 2, 2), Bipartition.of((0,), 3), (0, 1, 2)),
-    ((2, 2), PART2, (0,)),
-    ((2, 3), PART2, (0,)),
+    ((3, 3), PART2, both(PART2)),
+    ((2, 2, 3), Bipartition.of((0,), 3), ((1, 2),)),
+    ((2, 2), PART2, both(PART2)),
+    ((2, 2, 2), Bipartition.of((0,), 3), ((0,), (1, 2))),
+    ((2, 2), PART2, ((0,),)),
+    ((2, 3), PART2, ((0,),)),
 ]
 
 
 # the two-column case: (2,2,2) cut AB|C, every party measured, 4×2 dephased matrices
-AB_C = ((2, 2, 2), Bipartition.of((0, 1), 3), (0, 1, 2))
+AB_C = ((2, 2, 2), Bipartition.of((0, 1), 3), ((0, 1), (2,)))
 
 
 @pytest.mark.parametrize("dims,part,measured", ORACLE_SHAPES + [AB_C])
@@ -504,11 +504,12 @@ def test_objective_needs_no_sort(dims, part, measured, monkeypatch, rng):
     # and the padding zeros come last, so the objective's clamp and S_h step
     # skip spectrum_power's sort and give its values exactly
     rho = random_density(dims, 3, 620)
-    spectra = _dephased_spectra(build(rho), part, measured)
-    angles = rng.uniform(0, 2 * math.pi, size=(6, n_angles(dims[p] for p in measured)))
+    spectra = _dephased_spectra(dims, matricize(build(rho), part), part, measured)
+    angles = rng.uniform(0, 2 * math.pi, size=(6, n_angles(dims[p] for s in measured for p in s)))
     # a product state's dephased matricization has rank 1, and what rounding
     # leaves of its other singular values is clamped
-    product = _dephased_spectra(build(random_fully_separable(dims, 1, 621)), part, measured)
+    product = _dephased_spectra(
+        dims, matricize(build(random_fully_separable(dims, 1, 621)), part), part, measured)
     sigma = np.vstack([spectra(angles), product(angles[:1])])
     sigma = np.vstack([sigma, np.zeros(sigma.shape[1])])
     assert np.any((sigma > 0) & (sigma < SV_CLAMP * sigma[:, :1]))
@@ -546,7 +547,7 @@ class TestOptimizerCfg:
     def test_accepts_boundary(self, schedule):
         schedule(0.1, 0.1)
         cfg = OptimizerCfg(restarts=1)
-        res = discord._search(bell(1).to_density(), PART2, CmnParams(2, 1.0), cfg, (0, 1))
+        res = discord._search(bell(1).to_density(), PART2, CmnParams(2, 1.0), cfg, both(PART2))
         assert res.evaluations >= 1
 
 
@@ -602,7 +603,7 @@ class TestDiscordValues:
         # of them by at most 1e-12 of its best, and the solve takes 53 001
         # evaluations; the value stays 1.2499999999999993 without them
         res = discord._search(bell(1).to_density(), PART2, CmnParams(2, 1.0),
-                              OptimizerCfg(restarts=8, seed=1605328789), (0, 1))
+                              OptimizerCfg(restarts=8, seed=1605328789), both(PART2))
         assert res.evaluations < 5000
         assert abs(res.value - 1.25) <= 1e-15
 
@@ -613,8 +614,9 @@ class TestDiscordValues:
         route = discord.singular_values
         monkeypatch.setattr(discord, "singular_values",
                             lambda m: calls.append(np.shape(m)) or route(m))
-        discord._search(ghz(3, 2).to_density(), Bipartition.of((0,), 3), CmnParams(2, 1.0),
-                        OptimizerCfg(restarts=8, seed=0), (0, 1, 2))
+        a_bc = Bipartition.of((0,), 3)
+        discord._search(ghz(3, 2).to_density(), a_bc, CmnParams(2, 1.0),
+                        OptimizerCfg(restarts=8, seed=0), both(a_bc))
         # 53 ticks; scoring only the rest of each sweep took 76
         assert len(calls) == 55 and calls[0] == (4, 16)
         assert calls[1] == (8, 2, 4) and calls[2] == (8 * 12, 2, 4)
@@ -644,7 +646,7 @@ class TestDiscordValues:
     def test_per_restart_diagnostics(self, fast):
         rho = random_density((2, 2), 3, 77)
         params = CmnParams(2, 1.0)
-        res = discord._search(rho, PART2, params, fast, (0, 1))
+        res = discord._search(rho, PART2, params, fast, both(PART2))
         assert len(res.restart_evaluations) == len(res.restart_values) == fast.restarts
         assert sum(res.restart_evaluations) == res.evaluations
         assert max(res.restart_values) - min(res.restart_values) == res.restart_spread
@@ -662,7 +664,7 @@ class TestDiscordValues:
 
     def test_single_restart(self):
         res = discord._search(bell(1).to_density(), PART2, CmnParams(2, 1.0),
-                              OptimizerCfg(restarts=1), (0, 1))
+                              OptimizerCfg(restarts=1), both(PART2))
         assert res.restart_spread == 0.0
         assert not res.converged
 
@@ -714,25 +716,25 @@ def swapped(rho):
     return DensityMatrix((d_b, d_a), data.reshape(rho.data.shape))
 
 
-def measured_power_drop(rho, part, params, res, measured):
+def measured_power_drop(rho, part, params, res, sides):
     """The undisturbed power less the power after ``res.best_measurement`` on
-    the ``measured`` parties, from the dephased density matrix."""
+    the parties of the measured ``sides``, from the dephased density matrix."""
     def power(state):
         return float(spectrum_power(singular_values(matricize(build(state), part)), params)[0])
-    return power(rho) - power(measure_state(rho, res.best_measurement, measured))
+    return power(rho) - power(measure_state(rho, res.best_measurement, sum(sides, ())))
 
 
-def assert_closed_form(rho, part, params, res, measured):
+def assert_closed_form(rho, part, params, res, sides):
     assert res.method == "closed form"
     assert (res.evaluations, res.restart_evaluations, res.restart_values) == (0, (), ())
     assert res.restart_spread == 0.0 and res.converged
-    assert len(res.best_angles) == n_angles(rho.dims[p] for p in measured)
-    assert abs(measured_power_drop(rho, part, params, res, measured) - res.value) <= 1e-10
+    assert len(res.best_angles) == n_angles(rho.dims[p] for s in sides for p in s)
+    assert abs(measured_power_drop(rho, part, params, res, sides) - res.value) <= 1e-10
 
 
-def assert_matches_search(rho, part, params, res, measured):
+def assert_matches_search(rho, part, params, res, sides):
     # a closed form is exact and the search an upper bound, reached to its tolerance
-    want = discord._search(rho, part, params, OptimizerCfg(restarts=32), measured)
+    want = discord._search(rho, part, params, OptimizerCfg(restarts=32), sides)
     assert -CONVERGED_TOL <= res.value - want.value <= 1e-14
 
 
@@ -753,8 +755,8 @@ def test_one_sided_qubit_forms_match_the_search(dims, params):
                 if rho.dims[measured[0]] != 2:  # a qudit side searches (h <= d)
                     continue
                 res = bipartite_discord_cmn(rho, PART2, side, params)
-                assert_closed_form(rho, PART2, params, res, measured)
-                assert_matches_search(rho, PART2, params, res, measured)
+                assert_closed_form(rho, PART2, params, res, (measured,))
+                assert_matches_search(rho, PART2, params, res, (measured,))
                 if (params.h, params.p) == (1, math.inf):
                     assert res.value == 0.0
 
@@ -768,11 +770,11 @@ def test_two_qubit_global_forms_match_the_search(params):
         res = global_discord_cmn(rho, PART2, params)
         if params.h == 1:
             assert res.method == "search" and res.evaluations > 0
-            want = discord._search(rho, PART2, params, OptimizerCfg(), (0, 1))
+            want = discord._search(rho, PART2, params, OptimizerCfg(), both(PART2))
             assert abs(res.value - want.value) <= CONVERGED_TOL
             continue
-        assert_closed_form(rho, PART2, params, res, (0, 1))
-        assert_matches_search(rho, PART2, params, res, (0, 1))
+        assert_closed_form(rho, PART2, params, res, both(PART2))
+        assert_matches_search(rho, PART2, params, res, both(PART2))
 
 
 @pytest.mark.parametrize("dims,part", [((2, 3), PART2), ((2, 4), PART2), ((3, 3), PART2),
@@ -782,9 +784,9 @@ def test_h_above_the_dephased_rank_loses_the_undisturbed_power(dims, part):
     params = CmnParams(dims[0] + 1, 1.0)
     rho = random_density(dims, 3, 5)
     res = global_discord_cmn(rho, part, params)
-    assert_closed_form(rho, part, params, res, tuple(range(len(dims))))
+    assert_closed_form(rho, part, params, res, both(part))
     assert res.best_angles == (0.0,) * n_angles(dims)
-    want = discord._search(rho, part, params, OptimizerCfg(restarts=2), range(len(dims)))
+    want = discord._search(rho, part, params, OptimizerCfg(restarts=2), both(part))
     assert res.value == want.value
 
 
@@ -799,8 +801,9 @@ def test_one_sided_qubit_forms_match_a_degree_grid(dims, side, params):
         rho = random_density(dims, 3, 40 + seed)
         t = build(rho)
         measured = PART2.side_a if side == "a" else PART2.side_b
-        base = spectrum_power(singular_values(matricize(t, PART2)), params)[0]
-        best = spectrum_power(_dephased_spectra(t, PART2, measured)(grid), params).max()
+        m = matricize(t, PART2)
+        base = spectrum_power(singular_values(m), params)[0]
+        best = spectrum_power(_dephased_spectra(dims, m, PART2, (measured,))(grid), params).max()
         res = bipartite_discord_cmn(rho, PART2, side, params)
         # the grid's best point lies within half a degree of the optimum
         assert 0 <= base - best - res.value <= 1e-4 * base
@@ -819,7 +822,6 @@ QUBIT_SIDE_SOLVES = [
 @pytest.mark.parametrize("params", [CmnParams(2, 1.0), CmnParams(2, math.inf), CmnParams(1, 2.0)],
                          ids=str)
 def test_qubit_side_search_matches_the_full_search(rho, part, params):
-    everyone = tuple(range(len(rho.dims)))
     opt = OptimizerCfg(restarts=8)
     res = global_discord_cmn(rho, part, params, opt)
     assert res.method == "search" and res.evaluations > 0
@@ -827,8 +829,8 @@ def test_qubit_side_search_matches_the_full_search(rho, part, params):
     assert sum(res.restart_evaluations) == res.evaluations
     base = spectrum_power(singular_values(matricize(build(rho), part)), params)[0]
     assert res.value == float(base - max(res.restart_values))
-    assert abs(measured_power_drop(rho, part, params, res, everyone) - res.value) <= 1e-10
-    want = discord._search(rho, part, params, opt, everyone)
+    assert abs(measured_power_drop(rho, part, params, res, both(part)) - res.value) <= 1e-10
+    want = discord._search(rho, part, params, opt, both(part))
     assert abs(res.value - want.value) <= CONVERGED_TOL
 
 
@@ -842,9 +844,9 @@ def test_product_states_keep_the_search_clamp(dims, p):
     opt = OptimizerCfg(restarts=8)
     for seed in range(3):
         rho = random_fully_separable(dims, 1, seed)
-        for measured in (part.side_a, tuple(range(len(dims)))):
-            res = discord._discord(rho, part, params, opt, measured)
-            want = discord._search(rho, part, params, opt, measured)
+        for sides in ((part.side_a,), both(part)):
+            res = discord._discord(rho, part, params, opt, sides)
+            want = discord._search(rho, part, params, opt, sides)
             assert res.value == want.value == 0.0
 
 
@@ -867,19 +869,61 @@ def test_benchmark_solves_take_their_forms():
     # at most 1e-14 above and CONVERGED_TOL below each pinned search value
     h2p1, h1p2 = CmnParams(2, 1.0), CmnParams(1, 2.0)
     cc = classical_state((2, 2), (0.4, 0.1, 0.2, 0.3))
-    for name, rho, params, measured in [
-            ("bell-global", bell(1).to_density(), h2p1, (0, 1)),
-            ("classical-cc-global", cc, h2p1, (0, 1)),
-            ("random-22-seed22-side-a", random_density((2, 2), 4, 22), h1p2, (0,)),
-            ("random-23-seed23-side-a", random_density((2, 3), 6, 23), h1p2, (0,))]:
-        res = discord._discord(rho, PART2, params, OptimizerCfg(restarts=8), measured)
-        assert_closed_form(rho, PART2, params, res, measured)
+    for name, rho, params, sides in [
+            ("bell-global", bell(1).to_density(), h2p1, both(PART2)),
+            ("classical-cc-global", cc, h2p1, both(PART2)),
+            ("random-22-seed22-side-a", random_density((2, 2), 4, 22), h1p2, (PART2.side_a,)),
+            ("random-23-seed23-side-a", random_density((2, 3), 6, 23), h1p2, (PART2.side_a,))]:
+        res = discord._discord(rho, PART2, params, OptimizerCfg(restarts=8), sides)
+        assert_closed_form(rho, PART2, params, res, sides)
         for _, value in BENCH_SOLVE_PINS[name]:
             assert -CONVERGED_TOL <= res.value - value <= 1e-14
     res = global_discord_cmn(ghz(3).to_density(), Bipartition.of((0,), 3), h2p1,
                              OptimizerCfg(restarts=8))
     assert res.method == "search" and 0 < res.evaluations
     assert abs(res.value - 1.25) <= 1e-14
+
+
+# solves that measure no qubit side, which _discord hands to the full search:
+# (state, cut, the measured side or None for both, restarts)
+NO_QUBIT_SIDE_SOLVES = [
+    pytest.param(random_density((3, 3), 9, 33), PART2, None, 2, id="random-33-global"),
+    pytest.param(random_density((2, 3), 6, 23), PART2, "b", 2, id="random-23-side-b"),
+    pytest.param(random_density((2, 2, 2), 8, 7), Bipartition.of((0,), 3), "b", 8,
+                 id="random-222-A|BC-side-b"),
+]
+
+
+@pytest.mark.parametrize("rho,part,side,restarts", NO_QUBIT_SIDE_SOLVES)
+def test_solves_without_a_measured_qubit_side_take_the_search(rho, part, side, restarts):
+    params, opt = CmnParams(2, 1.0), OptimizerCfg(restarts=restarts)
+    if side is None:
+        res, sides = global_discord_cmn(rho, part, params, opt), both(part)
+    else:
+        res = bipartite_discord_cmn(rho, part, side, params, opt)
+        sides = (part.side_a if side == "a" else part.side_b,)
+    assert res.method == "search"
+    want = discord._search(rho, part, params, opt, sides)
+    for name in ("value", "best_angles", "evaluations", "restart_evaluations", "restart_values"):
+        assert getattr(res, name) == getattr(want, name)
+    assert abs(measured_power_drop(rho, part, params, res, sides) - res.value) <= 1e-12
+
+
+def test_each_solve_cuts_its_matrix_once(monkeypatch):
+    # a closed form (Bell's K form), the qubit-side search (GHZ-3 across A|BC)
+    # and the full search (side BC of a (2,2,2) state) dephase the one
+    # matricization that gives the solve its undisturbed power
+    cut, calls = discord.matricize, []
+    monkeypatch.setattr(discord, "matricize", lambda t, part: calls.append(part) or cut(t, part))
+    h2p1, a_bc, opt = CmnParams(2, 1.0), Bipartition.of((0,), 3), OptimizerCfg(restarts=2)
+    rho222 = random_density((2, 2, 2), 8, 7)
+    for solve, method in [
+            (lambda: global_discord_cmn(bell(1).to_density(), PART2, h2p1, opt), "closed form"),
+            (lambda: global_discord_cmn(ghz(3).to_density(), a_bc, h2p1, opt), "search"),
+            (lambda: bipartite_discord_cmn(rho222, a_bc, "b", h2p1, opt), "search")]:
+        calls.clear()
+        assert solve().method == method
+        assert len(calls) == 1
 
 
 def _nan_pair_stack():
@@ -970,7 +1014,7 @@ def test_no_solve_builds_its_witness_until_it_is_read(monkeypatch, capsys):
         (global_discord_cmn(bell(1).to_density(), PART2, h2p1, opt), "closed form", (0, 1)),
         (bipartite_discord_cmn(rho23, PART2, "a", h1p2, opt), "closed form", (0,)),
         (global_discord_cmn(ghz3, Bipartition.of((0,), 3), h2p1, opt), "search", (0, 1, 2)),
-        (discord._search(rho23, PART2, h2p1, opt, (0, 1)), "search", (0, 1)),
+        (discord._search(rho23, PART2, h2p1, opt, both(PART2)), "search", (0, 1)),
     ]
     assert cli.main(["discord", "zoo:bell-phi-plus", "--restarts", "2"]) == cli.EXIT_OK
     capsys.readouterr()

@@ -39,7 +39,7 @@ def test_smallest_run_writes_the_schema(tmp_path):
                                                      "random-22-seed22-side-a",
                                                      "random-23-seed23-side-a",
                                                      "ghz3-global-A|BC-reduced")]
-                     + [f"solve/{s}/8" for s in SOLVES]
+                     + [f"solve/{s}/8" for s in SOLVES] + ["solve/random-222-seed7-side-b/8"]
                      + ["solve/bell-global/32", "solve/ghz3-global-A|BC/32",
                         "solve/bell-global/1"]
                      + [f"witness/{s}" for s in SOLVES if "ghz3" not in s]
@@ -65,8 +65,9 @@ def test_smallest_run_writes_the_schema(tmp_path):
             assert row["points"] == row["restarts"] * 2 * angles
         elif row["kind"] == "solve":
             assert row["seeds"] == [0, 1, 2, 3]
-            # GHZ-3's A|BC solve searches BC's angles; the others take a closed form
-            if "ghz3" in row["name"]:
+            # GHZ-3's A|BC solve searches BC's angles, the side-b solve every
+            # angle of side BC; the others take a closed form
+            if "ghz3" in row["name"] or "side-b" in row["name"]:
                 assert row["method"] == "search" and row["evaluations"] >= row["restarts"]
             else:
                 assert row["method"] == "closed form" and row["evaluations"] == 0

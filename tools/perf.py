@@ -32,7 +32,9 @@ would pick the run whose kernel was slowed most. The rows:
 - ``solve/<solve>/<restarts>``: one whole solve, averaged over the optimizer
   seeds 0 .. 3; ``evaluations`` sums their trial counts, so two versions that
   search alike show equal counts, and ``method`` says whether the solve took
-  a closed form (0 evaluations) or searched;
+  a closed form (0 evaluations) or searched; ``random-222-seed7-side-b``
+  measures side BC, no qubit side, so ``discord._discord`` hands it to the
+  full search (about 35 ms a solve at 8 restarts on a 2-core x86-64 VM);
 - ``witness/<solve>``: the first read of ``best_measurement`` after each of
   the four closed-form solves (8 restarts, seed 0), ``WITNESS_READS`` reads
   of fresh shallow copies of the result per run, the copy included (2-4 µs
@@ -167,8 +169,10 @@ def load_cmnlab(src):
 
 
 def solves():
-    """Name -> solve(restarts, seed): the benchmark's five discord solve types
-    and ROADMAP item 5's ridge crawl.
+    """Name -> solve(restarts, seed): the benchmark's five discord solve types,
+    a one-sided solve that measures no qubit side (side BC of a random
+    (2,2,2) state across A|BC, which takes the full search), and ROADMAP
+    item 5's ridge crawl.
 
     The benchmark draws its two random states afresh in every round; here
     they are fixed stand-ins, the states of seeds 22 and 23, named for them.
@@ -183,6 +187,7 @@ def solves():
     bell, ghz3 = zoo.bell(1).to_density(), zoo.ghz(3).to_density()
     cc = zoo.from_name("classical-cc")
     rand22, rand23 = zoo.random_density((2, 2), 4, 22), zoo.random_density((2, 3), 6, 23)
+    rand222 = zoo.random_density((2, 2, 2), 8, 7)
     ridge = zoo.random_density((2, 3), 3, 101)
 
     def solve(run, state, part, params):
@@ -192,12 +197,16 @@ def solves():
     def side_a(state, part, params, opt):
         return bipartite_discord_cmn(state, part, "a", params, opt)
 
+    def side_b(state, part, params, opt):
+        return bipartite_discord_cmn(state, part, "b", params, opt)
+
     return {
         "bell-global": solve(global_discord_cmn, bell, ab, h2p1),
         "classical-cc-global": solve(global_discord_cmn, cc, ab, h2p1),
         "ghz3-global-A|BC": solve(global_discord_cmn, ghz3, a_bc, h2p1),
         "random-22-seed22-side-a": solve(side_a, rand22, ab, h1p2),
         "random-23-seed23-side-a": solve(side_a, rand23, ab, h1p2),
+        "random-222-seed7-side-b": solve(side_b, rand222, a_bc, h2p1),
         "ridge-crawl-23": solve(global_discord_cmn, ridge, ab, CmnParams(2, math.inf)),
     }
 
@@ -518,7 +527,7 @@ def planned_rows(workdir, large=False):
         yield objective_work(name, table[name], 8)
     yield objective_work("ghz3-global-A|BC-reduced", table["ghz3-global-A|BC"], 8, full=False)
     for name in ("bell-global", "classical-cc-global", "ghz3-global-A|BC",
-                 "random-22-seed22-side-a", "random-23-seed23-side-a"):
+                 "random-22-seed22-side-a", "random-23-seed23-side-a", "random-222-seed7-side-b"):
         yield solve_work(name, table[name], 8, SEEDS)
     for name in ("bell-global", "ghz3-global-A|BC"):
         yield solve_work(name, table[name], 32, SEEDS)
