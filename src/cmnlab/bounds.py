@@ -13,8 +13,7 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from .cmn import CmnParams, elementary_symmetric, minor_norm
-from .linalg import (DensityMatrix, ValidationError, check_density_stack, partial_trace_raw,
-                     singular_values)
+from .linalg import DensityMatrix, density_violations, partial_trace_raw, singular_values
 from .normal_form import DEFAULT_TOL, filter_cuts, fnf_residuals
 from .tensor import Bipartition, _matricize_array, build_stack, iter_bipartitions
 
@@ -272,19 +271,18 @@ def _cut_plan(dims, j, h, ps, kind):
     return plan
 
 
-def _state_reports(states, cfg):
-    """The reports of each state of ``states`` (content -> the caller's
-    :class:`DensityMatrix` or a traced matrix), one tuple per state, keyed
-    like ``states``. The traced matrices, and the matrices that
-    :func:`filter_cuts` returns, are checked and built as one stack per
-    dims; the text of the check a matrix fails gates every report that
-    would read it. Each stack's FNF residuals come from one pass over it.
-    The cuts whose residual exceeds ``cfg.fnf_tol`` are filtered side-wise,
-    each (stack, cut position, whole or interior) matricization is cut once,
-    and the spectra that the reports read come from one SVD per matrix shape."""
+def _state_reports(states, checked, cfg):
+    """The reports of each state of ``states`` (content -> matrix), one tuple
+    per state, keyed like ``states``. The matrices whose contents are not in
+    ``checked``, and the matrices that :func:`filter_cuts` returns, are
+    checked and built as one stack per dims; the text of the first invariant
+    a matrix violates (:func:`density_violations`, per row) gates every
+    report that would read it. Each stack's FNF residuals come from one pass
+    over it. The cuts whose residual exceeds ``cfg.fnf_tol`` are filtered
+    side-wise, each (stack, cut position, whole or interior) matricization
+    is cut once, and the spectra that the reports read come from one SVD per
+    matrix shape."""
     tol, ps = cfg.fnf_tol, tuple(cfg.ps)
-    checked = {m for m, s in states.items() if isinstance(s, DensityMatrix)}
-    data = {m: s.data if m in checked else s for m, s in states.items()}
     stacks, at, lost = {}, {}, {}  # at: key -> (stack, row, FNF residual of each cut)
 
     def admit(items, what):  # key -> (dims, matrix), one stack per dims
@@ -294,26 +292,20 @@ def _state_reports(states, cfg):
         for dims, keys in by_dims.items():
             rows = np.stack([items[key][1] for key in keys])
             todo = [i for i, key in enumerate(keys) if key not in checked]
-            try:
-                if todo:
-                    check_density_stack(rows[todo])
-            except ValidationError:  # each row alone, for its own text
-                for i in todo:
-                    try:
-                        DensityMatrix(dims, rows[i])
-                    except ValidationError as exc:
-                        lost[keys[i]] = f"{what} state failed the state checks: {exc}"
+            texts = density_violations(rows[todo]) if todo else []
+            lost.update((keys[i], f"{what} state failed the state checks: {why}")
+                        for i, why in zip(todo, texts) if why)
             ok = [i for i, key in enumerate(keys) if key not in lost]
             stacks[dims, what] = build_stack(rows if len(ok) == len(keys) else rows[ok], dims)
             table = fnf_residuals(stacks[dims, what]).tolist()
             at.update((keys[i], ((dims, what), row, table[row])) for row, i in enumerate(ok))
 
-    admit({m: (m[0], data[m]) for m in states}, "reduced")
+    admit({m: (m[0], states[m]) for m in states}, "reduced")
     # only an M_{h,p} entry reads the filtered tensor
     wanted = cfg.filter and any(("bisep", p) in _CMN_NAMES for p in cfg.ps)
     cuts = [(m, j) for m in states if m in at and wanted
             for j, r in enumerate(at[m][2]) if r > tol]
-    out = filter_cuts([(m[0], data[m], iter_bipartitions(len(m[0]))[j]) for m, j in cuts], tol)
+    out = filter_cuts([(m[0], states[m], iter_bipartitions(len(m[0]))[j]) for m, j in cuts], tol)
     lost.update((cut, o) for cut, o in zip(cuts, out) if isinstance(o, str))
     admit({cut: (cut[0][0], o) for cut, o in zip(cuts, out) if not isinstance(o, str)},
           "filtered")
@@ -406,8 +398,7 @@ def detect(rho: DensityMatrix, cfg: DetectConfig = DetectConfig()) -> DetectionV
                 traced[edge] = tuple(rho.dims[p] for p in subset), data.tobytes()
                 matrix.setdefault(traced[edge], data)
             content[subset] = traced[edge]
-    states = {m: rho if m == content[whole] else data for m, data in matrix.items()}
-    reports_of = _state_reports(states, cfg)
+    reports_of = _state_reports(matrix, {content[whole]}, cfg)
     own = {}  # each distinct state's bi-entangled cuts, and whether its own reports rule out
     for m, reports in reports_of.items():  # full separability
         bi_entangled = tuple(sorted({r.partition_label() for r in reports if r.violated

@@ -39,12 +39,15 @@ def hermitize(m):
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def check_density_stack(data):
-    """Raise :class:`ValidationError` for the first matrix of the stack
-    ``data`` (shape (k, side, side)) that is not finite, Hermitian, of unit
-    trace and positive semidefinite, naming the first invariant it violates."""
-    if not np.isfinite(data).all():
-        raise ValidationError("matrix has a non-finite entry")
+def density_violations(data):
+    """For each matrix of the stack ``data`` (shape (k, side, side)), the text
+    of the first invariant it violates (finite, Hermitian, unit trace,
+    positive semidefinite), or ``""``."""
+    side = data.shape[-1]
+    if not np.isfinite(data).all():  # the others' texts, with such rows maximally mixed
+        finite = np.isfinite(data).all(axis=(-2, -1))
+        texts = density_violations(np.where(finite[:, None, None], data, np.eye(side) / side))
+        return [t if ok else "matrix has a non-finite entry" for ok, t in zip(finite, texts)]
     adj = data.conj().swapaxes(-1, -2)
     herm_res = np.abs(data - adj)
     tr = data.trace(axis1=-2, axis2=-1)
@@ -52,21 +55,25 @@ def check_density_stack(data):
     try:
         # a Cholesky factor of H + EPS_PSD/2·1 certifies every eigenvalue of
         # every row to be >= -EPS_PSD/2; only an uncertified stack pays eigvalsh
-        np.linalg.cholesky(herm + EPS_PSD / 2 * np.eye(data.shape[-1]))
+        np.linalg.cholesky(herm + EPS_PSD / 2 * np.eye(side))
         min_eig = np.zeros(len(data))
     except np.linalg.LinAlgError:
         min_eig = np.linalg.eigvalsh(herm)[:, 0]  # eigvalsh sorts ascending
     if (herm_res.max(initial=0) <= EPS_HERM and abs(tr - 1).max(initial=0) <= EPS_TRACE
             and min_eig.min(initial=0) >= -EPS_PSD):
-        return
-    herm_res = herm_res.max(axis=(-2, -1))
-    for i in range(len(data)):
-        if herm_res[i] > EPS_HERM:
-            raise ValidationError(f"not Hermitian (residual {herm_res[i]:.3e})")
-        if abs(tr[i] - 1) > EPS_TRACE:
-            raise ValidationError(f"unit trace violated (trace {tr[i]:.12g})")
-        if min_eig[i] < -EPS_PSD:
-            raise ValidationError(f"not positive semidefinite (min eigenvalue {min_eig[i]:.3e})")
+        return [""] * len(data)
+    return [f"not Hermitian (residual {res:.3e})" if res > EPS_HERM
+            else f"unit trace violated (trace {t:.12g})" if abs(t - 1) > EPS_TRACE
+            else f"not positive semidefinite (min eigenvalue {e:.3e})" if e < -EPS_PSD
+            else "" for res, t, e in zip(herm_res.max(axis=(-2, -1)), tr, min_eig)]
+
+
+def check_density_stack(data):
+    """Raise :class:`ValidationError` for the first matrix of the stack
+    ``data`` that :func:`density_violations` finds at fault, with its text."""
+    why = next(filter(None, density_violations(data)), "")
+    if why:
+        raise ValidationError(why)
 
 
 @dataclass(frozen=True)
@@ -94,10 +101,6 @@ class DensityMatrix:
                 f"matrix shape {data.shape} does not match dims {dims}"
             )
         check_density_stack(data[None])
-
-    @property
-    def n_parties(self):
-        return len(self.dims)
 
     @property
     def dim(self):

@@ -48,6 +48,14 @@ class TestBisepBounds:
     def test_p1_full_minor_equals_inf(self):
         assert abs(bisep_bound_p1(2, 4, 4) - bisep_bound_inf(2, 4, 4)) < 1e-15
 
+    @pytest.mark.parametrize("bound,message", [
+        (lambda h: bisep_bound_p1(2, 2, h), "p=1 bound needs h > 1"),
+        (lambda h: fullsep_bound_inf((2, 2, 2), h), "p=inf bound needs h >= 2"),
+    ])
+    def test_h_below_two_is_rejected(self, bound, message):
+        with pytest.raises(ValueError, match=message):
+            bound(1)
+
     def test_p1_formula_oracle(self):
         # alpha = 1/sqrt(d_A d_B), beta = sqrt((d_A-1)(d_B-1)/(d_A d_B))
         alpha, beta = 0.5, 0.5

@@ -428,10 +428,10 @@ def test_one_failing_reduction_of_a_stack_gates_only_its_subsets(tmp_path, capsy
 
     def check(data):
         checked.append(len(data))
-        return check_density_stack(data)
+        return density_violations(data)
 
-    check_density_stack = bounds.check_density_stack
-    monkeypatch.setattr(bounds, "check_density_stack", check)
+    density_violations = bounds.density_violations
+    monkeypatch.setattr(bounds, "density_violations", check)
     code, out, _ = run(capsys, "analyze", _write_edge_state(tmp_path, "one-reduction-not-psd"))
     assert code == EXIT_OK
     assert checked[0] == 3  # the pair reductions, as one stack that fails
@@ -903,6 +903,16 @@ class TestDumps:
     def test_special_values(self):
         assert report.dumps(math.inf) == '"inf"'
         assert report.dumps(float("nan")) == '"nan"'
+
+    @pytest.mark.parametrize("obj,text", [
+        (np.float64(0.1), "0.10000000000000001"),  # a float subclass: 17 digits
+        (type("Count", (int,), {})(7), "7"),  # an int subclass
+        ({}, "{}"),
+        ({"a": np.float64(0.5)}, '{\n  "a": 0.5\n}'),
+        (np.str_("s"), '"s"'),  # a type that dumps does not know: json.dumps's text
+    ])
+    def test_subclasses_and_empty_dict(self, obj, text):
+        assert report.dumps(obj) == text
 
     def test_nested(self):
         doc = {"a": [1, 2.5], "b": {"c": True, "d": None}}

@@ -373,9 +373,9 @@ def test_each_distinct_state_is_checked_once(monkeypatch, rho, checks):
     10 reductions are all distinct and 25 of their cuts are filtered. The
     count is of rows checked, since filtered rows are checked as stacks."""
     calls = {}
-    check = counted(calls, "check", linalg.check_density_stack)
-    monkeypatch.setattr(linalg, "check_density_stack", check)
-    monkeypatch.setattr(bounds, "check_density_stack", check)
+    check = counted(calls, "check", linalg.density_violations)
+    monkeypatch.setattr(linalg, "density_violations", check)
+    monkeypatch.setattr(bounds, "density_violations", check)
     detect(rho)
     assert sum(map(len, calls.get("check", []))) == checks
 
@@ -384,22 +384,18 @@ def test_a_filtered_row_that_fails_the_checks_gates_only_its_cut(monkeypatch):
     """The filtered rows of one dims are checked as one stack. In a stack
     where item 1's seed-1 A|BC row is not positive semidefinite, that cut
     alone gets the per-row failure text, and every report equals, bit for
-    bit, the path that admits each filtered row on its own."""
+    bit, what each state gets when it is analyzed alone."""
     from conftest import item1_state
 
     rhos = [item1_state(1), random_density((2, 2, 2), 8, 45), random_density((2, 2, 2), 3, 46)]
-    states = {(rho.dims, rho.data.tobytes()): rho for rho in rhos}
+    states = {(rho.dims, rho.data.tobytes()): rho.data for rho in rhos}
     checked = {}
-    monkeypatch.setattr(bounds, "check_density_stack",
-                        counted(checked, "rows", bounds.check_density_stack))
-    got = bounds._state_reports(states, DetectConfig())
+    monkeypatch.setattr(bounds, "density_violations",
+                        counted(checked, "rows", bounds.density_violations))
+    got = bounds._state_reports(states, set(states), DetectConfig())
     assert [len(rows) for rows in checked["rows"]] == [7]  # one (2,2,2) stack, which fails
-
-    def per_row(data):
-        raise linalg.ValidationError("admit each row on its own")
-
-    monkeypatch.setattr(bounds, "check_density_stack", per_row)
-    want = bounds._state_reports(states, DetectConfig())
+    want = {m: bounds._state_reports({m: data}, {m}, DetectConfig())[m]
+            for m, data in states.items()}
     assert list(got) == list(want)
     for key in got:
         assert [report_fields(r) for r in got[key]] == [report_fields(r) for r in want[key]]

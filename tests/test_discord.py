@@ -168,6 +168,10 @@ class TestMeasurementFamily:
         with pytest.raises(ValueError, match="idempotent"):
             MeasurementFamily((2,), (stack,))
 
+    def test_rejects_wrong_projector_shape(self):
+        with pytest.raises(ValueError, match="rank-1 projectors of size"):
+            MeasurementFamily((2,), (np.stack([np.eye(2)] * 3).astype(complex),))
+
     def test_rejects_higher_rank(self):
         # Hermitian, idempotent and a resolution of the identity, but rank 2
         stack = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
@@ -248,6 +252,11 @@ class TestMeasureState:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             measure_state(bell(1).to_density(), computational_measurement((2, 3)))
+
+    @pytest.mark.parametrize("party", [2, -1])
+    def test_party_out_of_range(self, party):
+        with pytest.raises(ValueError, match=f"party index {party} out of range"):
+            measure_state(bell(1).to_density(), computational_measurement((2, 2)), [party])
 
 
 class TestDominance:

@@ -12,7 +12,9 @@ from cmnlab.linalg import (
     ValidationError,
     apply_local,
     bloch_to_qubit,
+    PureState,
     check_density_stack,
+    density_violations,
     partial_trace,
     permute_parties,
     singular_values,
@@ -99,6 +101,14 @@ class TestBlochToQubit:
     def test_outside_ball_rejected(self):
         with pytest.raises(ValidationError):
             BlochVector(np.array([1.0, 1.0, 1.0]))
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValidationError, match="exactly 3 components"):
+            BlochVector(np.zeros(2))
+
+    def test_plain_sequence_is_read_as_a_bloch_vector(self):
+        rho = bloch_to_qubit([0.0, 0.0, -1.0])
+        assert np.array_equal(rho.data, np.diag([0.0, 1.0]))
 
 
 class TestSingularValues:
@@ -242,6 +252,18 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError, match="non-finite"):
             DensityMatrix((2,), m)
 
+    def test_shape_must_match_dims(self):
+        with pytest.raises(ValidationError, match=r"shape \(2, 2\) does not match dims \(2, 2\)"):
+            DensityMatrix((2, 2), np.eye(2, dtype=complex) / 2)
+
+    @pytest.mark.parametrize("amplitudes,message", [
+        (np.ones(3) / np.sqrt(3), "length does not match dims"),
+        (np.array([1.0, 1.0, 0.0, 0.0]), r"not normalized \(norm 1.41421356237\)"),
+    ])
+    def test_pure_state_checks(self, amplitudes, message):
+        with pytest.raises(ValidationError, match=message):
+            PureState((2, 2), amplitudes)
+
     def test_data_is_immutable(self):
         rho = random_density((2,), 2, 0)
         with pytest.raises(ValueError):
@@ -277,8 +299,35 @@ class TestDensityStackCheck:
         with pytest.raises(ValidationError, match="Hermitian"):
             check_density_stack(np.stack([good] + bad))
 
+    def test_first_bad_row_wins_over_a_later_non_finite_row(self):
+        good = random_density((2, 2), 4, 3).data
+        skew = good.copy()
+        skew[0, 1] += 0.1
+        nan = good.copy()
+        nan[2, 2] = np.nan
+        with pytest.raises(ValidationError) as err:
+            check_density_stack(np.stack([good, skew, nan]))
+        assert str(err.value) == "not Hermitian (residual 1.000e-01)"
+
+    def test_each_row_gets_its_own_text(self):
+        good, bad = self._bad_rows()
+        inf = good.copy()
+        inf[0, 3] = np.inf
+        rows = [good, *bad, inf, good]
+        texts = []
+        for row in rows:
+            try:
+                DensityMatrix((2, 2), row)
+                texts.append("")
+            except ValidationError as exc:
+                texts.append(str(exc))
+        assert texts[0] == texts[-1] == "" and all(texts[1:-1])
+        assert density_violations(np.stack(rows)) == texts
+
     def test_valid_stack_passes(self):
-        check_density_stack(np.stack([random_density((2, 3), r, 5).data for r in (1, 3, 6)]))
+        stack = np.stack([random_density((2, 3), r, 5).data for r in (1, 3, 6)])
+        check_density_stack(stack)
+        assert density_violations(stack) == ["", "", ""]
 
     @staticmethod
     def _with_min_eig(lam, seed):

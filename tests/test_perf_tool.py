@@ -28,7 +28,9 @@ def test_smallest_run_writes_the_schema(tmp_path):
     assert list(doc) == ["schema", "environment", "settings", "rows"]
     assert doc["schema"] == 1
     env = doc["environment"]
-    assert {"cores", "affinity", "python", "numpy", "blas_threads", "commit"} <= set(env)
+    assert {"cores", "affinity", "python", "numpy", "blas_threads", "commit",
+            "src_digest"} <= set(env)
+    assert len(env["src_digest"]) == 64
     assert set(env["blas_threads"].values()) == {"1"}
     assert doc["settings"] == {"repeats": 1, "ridge": False, "large": False, "tier1": False,
                                "objective_calls": 20}
@@ -110,6 +112,24 @@ def load_perf(monkeypatch):
     perf = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(perf)
     return perf
+
+
+def test_src_digest_names_the_tree_not_its_place(monkeypatch, tmp_path):
+    """Two copies of one tree, neither a git checkout, digest alike; an edit
+    to one of its files, or a file added, changes the digest."""
+    import shutil
+
+    perf = load_perf(monkeypatch)
+    package = Path(__file__).resolve().parents[1] / "src" / "cmnlab"
+    one, two = tmp_path / "one" / "src", tmp_path / "two" / "src"
+    for copy in (one, two):
+        shutil.copytree(package, copy / "cmnlab", ignore=shutil.ignore_patterns("__pycache__"))
+    assert perf.src_digest(one) == perf.src_digest(two)
+    edited = two / "cmnlab" / "bounds.py"
+    edited.write_text(edited.read_text() + "\n")
+    assert perf.src_digest(one) != perf.src_digest(two)
+    (one / "cmnlab" / "extra.py").write_text("")
+    assert perf.src_digest(one) not in (perf.src_digest(two), perf.src_digest(package.parent))
 
 
 def test_large_rows_are_opt_in(monkeypatch):

@@ -6,6 +6,7 @@ from cmnlab.basis import normalized_generalized_gell_mann
 from cmnlab.linalg import DensityMatrix, singular_values
 from cmnlab.tensor import (
     Bipartition,
+    CorrelationTensor,
     build,
     iter_bipartitions,
     matricize,
@@ -133,6 +134,10 @@ class TestInterior:
     def test_bell(self):
         w = matricize_interior(build(bell(1).to_density()), Bipartition.of((0,), 2))
         assert np.abs(w - np.diag([0.5, -0.5, 0.5])).max() < 1e-12
+
+    def test_shape_must_match_the_dims_profile(self):
+        with pytest.raises(ValueError, match="does not match dims profile"):
+            CorrelationTensor((2, 2), np.zeros((4, 9)))
 
     def test_party_count_mismatch_rejected(self):
         t = build(bell(1).to_density())

@@ -58,6 +58,10 @@ class TestSicPovm:
 
 
 class TestBell:
+    def test_index_guard(self):
+        with pytest.raises(ValueError, match="Bell index must be in 1..4"):
+            bell(5)
+
     def test_orthonormal(self):
         vs = [bell(i).amplitudes for i in range(1, 5)]
         g = np.array([[np.vdot(a, b) for b in vs] for a in vs])
@@ -143,6 +147,10 @@ class TestPureFamilies:
 
 
 class TestSamplers:
+    def test_k_terms_guard(self):
+        with pytest.raises(ValueError, match="k_terms must be >= 1"):
+            random_fully_separable((2, 2), 0, 1)
+
     def test_determinism(self):
         a = random_density((2, 2, 2), 4, 7)
         b = random_density((2, 2, 2), 4, 7)

@@ -28,7 +28,7 @@ would pick the run whose kernel was slowed most. The rows:
 - ``objective/ghz3-global-A|BC-reduced/8``: one call, timed as above, of
   the objective that the benchmark's GHZ-3 A|BC solve does run, captured
   from ``discord._discord`` (the qubit's best basis at each of side BC's 4
-  angles; on a tree without closed forms, the full search's);
+  angles);
 - ``solve/<solve>/<restarts>``: one whole solve, averaged over the optimizer
   seeds 0 .. 3; ``evaluations`` sums their trial counts, so two versions that
   search alike show equal counts, and ``method`` says whether the solve took
@@ -38,8 +38,7 @@ would pick the run whose kernel was slowed most. The rows:
 - ``witness/<solve>``: the first read of ``best_measurement`` after each of
   the four closed-form solves (8 restarts, seed 0), ``WITNESS_READS`` reads
   of fresh shallow copies of the result per run, the copy included (2-4 µs
-  on a 2-core x86-64 VM); where the solve itself builds the witness, the
-  row reads a field;
+  on a 2-core x86-64 VM);
 - ``analyze/<input>``: one in-process ``cmnlab analyze FILE --output OUT``
   on each of the benchmark's analyze inputs; where the benchmark draws a
   new random state each round, a fixed stand-in, named for its seed;
@@ -115,6 +114,7 @@ for _var in BLAS_VARS:
 
 import argparse
 import copy
+import hashlib
 import json
 import math
 import platform
@@ -223,9 +223,8 @@ def capture_objective(solve, full=True):
         raise _Captured(objective, n_params)
 
     entry, search = discord._discord, discord._lockstep_search
-    # a tree without closed forms has no _search: its _discord is the search
     if full:
-        discord._discord = getattr(discord, "_search", entry)
+        discord._discord = discord._search
     discord._lockstep_search = grab
     try:
         solve(1, 0)
@@ -255,13 +254,13 @@ def objective_work(name, solve, restarts, full=True):
 def solve_work(name, solve, restarts, seeds):
     """A row's fields, its work and the units one run of it does: one solve per
     seed. The work returns the solves' evaluations and records their
-    ``method`` ("search" on a tree whose results have none)."""
+    ``method``."""
     row = {"name": f"solve/{name}/{restarts}", "kind": "solve", "restarts": restarts,
            "seeds": list(seeds), "method": None}
 
     def work():
         results = [solve(restarts, seed) for seed in seeds]
-        row["method"] = getattr(results[0], "method", "search")
+        row["method"] = results[0].method
         return sum(res.evaluations for res in results)
 
     return row, work, len(seeds)
@@ -638,6 +637,17 @@ def git(src, *args):
     return out.stdout.strip() if out.returncode == 0 else None
 
 
+def src_digest(src):
+    """The sha256 of ``<src>/cmnlab/*.py``: each file's path relative to
+    ``src``, its size and its bytes, in sorted path order. It names the tree
+    that was timed where ``src`` is no git checkout and ``commit`` is null."""
+    root, digest = Path(src).resolve(), hashlib.sha256()
+    for path in sorted((root / "cmnlab").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def environment(src, cmnlab):
     cpu = None
     if os.path.exists("/proc/cpuinfo"):
@@ -655,6 +665,7 @@ def environment(src, cmnlab):
         "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
         "commit": git(src, "rev-parse", "HEAD"),
         "src_modified": None if status is None else bool(status),
+        "src_digest": src_digest(src),
         "cmnlab": cmnlab.__version__,
     }
 
